@@ -230,119 +230,52 @@ func BenchmarkAblationSuite(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationMemo quantifies the probe memoization of §4.2 (the
-// LevelDB layer): learning LRU-4 through reset-rooted probes with and
-// without the flat memo table, against the trie engine on the same prober
-// class (forking sessions, prefix resume).
-func BenchmarkAblationMemo(b *testing.B) {
-	run := func(b *testing.B, slow bool, lopt learn.Options, opts ...polca.Option) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var prober polca.Prober = polca.NewSimProber(policy.MustNew("LRU", 4))
-			if slow {
-				prober = polca.SlowProber{P: polca.NewSimProber(policy.MustNew("LRU", 4))}
-			}
-			oracle := polca.NewOracle(prober, opts...)
-			if _, err := learn.Learn(context.Background(), oracle, lopt); err != nil {
-				b.Fatal(err)
-			}
-			st := oracle.Stats()
-			b.ReportMetric(float64(st.Probes), "probes/op")
-			b.ReportMetric(float64(st.Accesses), "accesses/op")
-		}
-	}
-	flat := learn.Options{Depth: 1, FlatMemo: true}
-	b.Run("memo", func(b *testing.B) { run(b, true, flat, polca.WithoutTrie()) })
-	b.Run("nomemo", func(b *testing.B) { run(b, true, flat, polca.WithoutMemo()) })
-	b.Run("trie", func(b *testing.B) { run(b, false, learn.Options{Depth: 1}) })
-}
-
-// BenchmarkAblationTrie quantifies the prefix-tree query engine layer by
-// layer on harder policies: "nomemo" re-executes every probe, "flat" is the
-// §4.2 exact-match memo, "sessions" is the unmemoized incremental session
-// path, and "trie" is the full engine — trie-memoized outputs, parked
-// resumable sessions, and the prefix-sharing learner memo. Every leg
-// verifies the learned machine against the extracted ground truth.
-//
-// Compare legs on probes/op and accesses/op. memohits/op units differ by
-// leg — whole probes on the flat path, word symbols on the trie paths (see
-// polca.Stats) — so it only tracks each leg against its own history.
+// BenchmarkAblationTrie tracks the prefix-tree query engine on harder
+// policies: trie-memoized outputs, parked resumable sessions, and the
+// prefix-sharing learner memo. The leg verifies the learned machine against
+// the extracted ground truth.
 func BenchmarkAblationTrie(b *testing.B) {
-	cases := []struct {
+	for _, c := range []struct {
 		name  string
 		assoc int
-		heavy bool // too slow for unmemoized reset-rooted replay
-	}{
-		{"LRU", 4, false}, {"SRRIP-FP", 4, true}, {"New1", 4, true},
-	}
-	type leg struct {
-		name string
-		mk   func(name string, assoc int) polca.Prober
-		opts []polca.Option
-		lopt learn.Options
-	}
-	slowProber := func(name string, assoc int) polca.Prober {
-		return polca.SlowProber{P: polca.NewSimProber(policy.MustNew(name, assoc))}
-	}
-	fastProber := func(name string, assoc int) polca.Prober {
-		return polca.NewSimProber(policy.MustNew(name, assoc))
-	}
-	flat := learn.Options{Depth: 1, FlatMemo: true}
-	legs := []leg{
-		{"nomemo", slowProber, []polca.Option{polca.WithoutMemo()}, flat},
-		{"flat", slowProber, []polca.Option{polca.WithoutTrie()}, flat},
-		{"sessions", fastProber, []polca.Option{polca.WithoutTrie()}, flat},
-		{"trie", fastProber, nil, learn.Options{Depth: 1}},
-	}
-	for _, c := range cases {
+	}{{"LRU", 4}, {"SRRIP-FP", 4}, {"New1", 4}} {
 		truth, err := mealy.FromPolicy(policy.MustNew(c.name, c.assoc), 0)
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, l := range legs {
-			b.Run(fmt.Sprintf("%s-%d/%s", c.name, c.assoc, l.name), func(b *testing.B) {
-				if c.heavy && l.name == "nomemo" && testing.Short() {
-					b.Skip("unmemoized reset-rooted replay on a 160-state policy; run without -short")
+		b.Run(fmt.Sprintf("%s-%d/trie", c.name, c.assoc), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				oracle := polca.NewOracle(polca.NewSimProber(policy.MustNew(c.name, c.assoc)))
+				res, err := learn.Learn(context.Background(), oracle, learn.Options{Depth: 1})
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					oracle := polca.NewOracle(l.mk(c.name, c.assoc), l.opts...)
-					res, err := learn.Learn(context.Background(), oracle, l.lopt)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if eq, ce := res.Machine.Equivalent(truth); !eq {
-						b.Fatalf("learned machine differs from ground truth, ce=%v", ce)
-					}
-					st := oracle.Stats()
-					b.ReportMetric(float64(st.Probes), "probes/op")
-					b.ReportMetric(float64(st.Accesses), "accesses/op")
-					b.ReportMetric(float64(st.MemoHits), "memohits/op")
+				if eq, ce := res.Machine.Equivalent(truth); !eq {
+					b.Fatalf("learned machine differs from ground truth, ce=%v", ce)
 				}
-			})
-		}
+				st := oracle.Stats()
+				b.ReportMetric(float64(st.Probes), "probes/op")
+				b.ReportMetric(float64(st.Accesses), "accesses/op")
+				b.ReportMetric(float64(st.MemoHits), "memohits/op")
+			}
+		})
 	}
 }
 
 // BenchmarkAblationKernel quantifies the compiled policy kernel on
 // simulated probes: the same exhaustive output-query load (every policy
-// word up to depth 5) is answered by a memo-less oracle over a forking
-// simulator prober, once on the compiled kernel (dense transition tables,
-// sessions as (int32 state, content) values, peek-based eviction probes —
-// the default) and once through the interpreted Policy interface (virtual
-// dispatch per access, deep policy clones per fork — the pre-kernel path,
-// polca.NewInterpretedSimProber). The prober — and with it the one-time
-// compilation — is built outside the timed loop, so the legs compare pure
-// probe cost. Memoization is disabled so every probe really executes; the
-// deterministic counters (probes/op, accesses/op) are identical across
-// legs by construction — the kernel changes only ns/op and allocs/op,
-// which is exactly what this benchmark tracks.
-//
-// The batched leg answers the same load through the structure-of-arrays
-// engine (polca.WithBatchedQueries): one OutputQueryBatch over the whole
-// word set, lanes advancing in positional lockstep over a contiguous state
-// vector instead of one heap session per word. Same counters, same
-// answers; ns/op is the SoA payoff over the per-session compiled leg.
+// word up to depth 5) is answered in one OutputQueryBatch by a fresh
+// oracle's query engine, once on the compiled executor ("batched": dense
+// transition tables, lanes stepping over a structure-of-arrays block) and
+// once on the session executor over the interpreted Policy interface
+// ("interpreted": virtual dispatch per access, deep policy clones per
+// fork — polca.NewInterpretedSimProber). The prober — and with it the
+// one-time compilation — is built outside the timed loop, so the legs
+// compare pure execution cost. The deterministic counters (probes/op,
+// accesses/op) are identical across legs by construction — the kernel
+// changes only ns/op and allocs/op, which is exactly what this benchmark
+// tracks.
 func BenchmarkAblationKernel(b *testing.B) {
 	cases := []struct {
 		name  string
@@ -351,13 +284,11 @@ func BenchmarkAblationKernel(b *testing.B) {
 		{"LRU", 4}, {"SRRIP-HP", 4}, {"New1", 4},
 	}
 	legs := []struct {
-		name    string
-		batched bool
-		mk      func(name string, assoc int) polca.Prober
+		name string
+		mk   func(name string, assoc int) polca.Prober
 	}{
-		{"compiled", false, func(n string, a int) polca.Prober { return polca.NewSimProber(policy.MustNew(n, a)) }},
-		{"batched", true, func(n string, a int) polca.Prober { return polca.NewSimProber(policy.MustNew(n, a)) }},
-		{"interpreted", false, func(n string, a int) polca.Prober { return polca.NewInterpretedSimProber(policy.MustNew(n, a)) }},
+		{"batched", func(n string, a int) polca.Prober { return polca.NewSimProber(policy.MustNew(n, a)) }},
+		{"interpreted", func(n string, a int) polca.Prober { return polca.NewInterpretedSimProber(policy.MustNew(n, a)) }},
 	}
 	for _, c := range cases {
 		words := qstore.Enumerate(policy.NumInputs(c.assoc), 5)[1:]
@@ -367,21 +298,9 @@ func BenchmarkAblationKernel(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					opts := []polca.Option{polca.WithoutMemo()}
-					if l.batched {
-						opts = append(opts, polca.WithBatchedQueries())
-					}
-					oracle := polca.NewOracle(prober, opts...)
-					if l.batched {
-						if _, err := oracle.OutputQueryBatch(context.Background(), words); err != nil {
-							b.Fatal(err)
-						}
-					} else {
-						for _, w := range words {
-							if _, err := oracle.OutputQuery(context.Background(), w); err != nil {
-								b.Fatal(err)
-							}
-						}
+					oracle := polca.NewOracle(prober)
+					if _, err := oracle.OutputQueryBatch(context.Background(), words); err != nil {
+						b.Fatal(err)
 					}
 					st := oracle.Stats()
 					b.ReportMetric(float64(st.Probes), "probes/op")
@@ -447,16 +366,12 @@ func BenchmarkAblationAlgo(b *testing.B) {
 // store from 8 goroutines with a mixed read/write load over the LRU-4
 // policy alphabet — stripes=1 is the single-mutex configuration the
 // pre-qstore oracle was stuck with, striped is the default one-shard-per-
-// input-symbol layout. The learn legs run the same comparison end to end:
-// parallel batched learning of New1-4 at 8 workers against a single-lock
-// oracle (polca.WithStoreStripes(1)) versus the striped default.
+// input-symbol layout.
 //
-// Like BenchmarkAblationBatch, the wall-clock gap is a function of real
-// cores: on a single-core machine the legs coincide (8 goroutines
-// time-slice one CPU, so no lock is ever contended for long), and the
-// striping gain materializes on multi-core runners. The deterministic
-// counters (probes/op, B/op) are identical by construction — striping
-// must never change the work, only the waiting.
+// The wall-clock gap is a function of real cores: on a single-core machine
+// the legs coincide (8 goroutines time-slice one CPU, so no lock is ever
+// contended for long), and the striping gain materializes on multi-core
+// runners. Striping must never change the work, only the waiting.
 func BenchmarkStoreParallel(b *testing.B) {
 	words := qstore.Enumerate(5, 6)[1:]
 	store := func(b *testing.B, stripes int) {
@@ -527,24 +442,6 @@ func BenchmarkStoreParallel(b *testing.B) {
 	}
 	b.Run("store/fastpath/trie-only", func(b *testing.B) { fastpath(b, false) })
 	b.Run("store/fastpath/bloom", func(b *testing.B) { fastpath(b, true) })
-
-	learnLeg := func(b *testing.B, opts ...polca.Option) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			oracle := polca.NewOracle(polca.NewSimProber(policy.MustNew("New1", 4)),
-				append([]polca.Option{polca.WithParallelism(8)}, opts...)...)
-			res, err := learn.Learn(context.Background(), oracle, learn.Options{Depth: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Machine.NumStates != 160 {
-				b.Fatalf("learned %d states, want 160", res.Machine.NumStates)
-			}
-			b.ReportMetric(float64(oracle.Stats().Probes), "probes/op")
-		}
-	}
-	b.Run("learn-New1-4/single-mutex", func(b *testing.B) { learnLeg(b, polca.WithStoreStripes(1)) })
-	b.Run("learn-New1-4/striped", func(b *testing.B) { learnLeg(b) })
 }
 
 // BenchmarkSnapshotWarm quantifies warm-started learning: a cold run
@@ -643,32 +540,6 @@ func (t *cacheTeacher) OutputQuery(ctx context.Context, word []int) ([]int, erro
 		}
 	}
 	return out, nil
-}
-
-// BenchmarkAblationBatch quantifies the concurrent membership-query engine:
-// learning New1-4 through a serial oracle versus the batched oracle fanning
-// session probes over every available core. On a single-core machine the two
-// coincide (the learner detects a batch hint of 1 and stays exactly serial).
-func BenchmarkAblationBatch(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		par  int
-	}{{"serial", 1}, {"batched", 0}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				oracle := polca.NewOracle(polca.NewSimProber(policy.MustNew("New1", 4)),
-					polca.WithParallelism(mode.par))
-				res, err := learn.Learn(context.Background(), oracle, learn.Options{Depth: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Machine.NumStates != 160 {
-					b.Fatalf("learned %d states, want 160", res.Machine.NumStates)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkAblationDepth varies the conformance suite depth k (§3.4) while

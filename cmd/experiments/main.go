@@ -101,7 +101,6 @@ func runTable2(ctx context.Context, args []string) error {
 	walkSteps := fs.Int("walk-steps", 0, "total symbols per random-walk conformance round (rw suite; 0 = default)")
 	snapshotDir := fs.String("snapshot-dir", "", "per-row oracle snapshot directory: existing snapshots warm-start rows, fresh stores are saved back")
 	compiled := fs.Bool("compiled", true, "run simulated caches on the compiled policy kernel; false interprets policies (bit-identical rows, slower)")
-	batch := fs.Bool("batch", false, "answer each row's query batches on the structure-of-arrays batched engine (requires -compiled; bit-identical rows)")
 	fs.Parse(args)
 	opt, err := learnOptions(*algoName, *suiteName, *seed, *walkSteps)
 	if err != nil {
@@ -116,7 +115,7 @@ func runTable2(ctx context.Context, args []string) error {
 	if *full {
 		spec = experiments.Table2Full()
 	}
-	sim := core.SimOptions{Interpreted: !*compiled, Batched: *batch}
+	sim := core.SimOptions{Interpreted: !*compiled}
 	if *workers != "" {
 		sim.FleetWorkers = splitAddrs(*workers)
 		sim.FleetLogf = func(format string, args ...any) {
@@ -162,7 +161,6 @@ func runTable4(ctx context.Context, args []string) error {
 	seed := fs.Int64("seed", 1, "random-walk conformance seed (rw suite); fixed seeds make runs reproducible")
 	walkSteps := fs.Int("walk-steps", 0, "total symbols per random-walk conformance round (rw suite; 0 = default)")
 	compiled := fs.Bool("compiled", true, "run the simulated CPUs' policies on the compiled kernel; false interprets them (bit-identical rows, slower)")
-	batch := fs.Bool("batch", false, "group each miss's eviction probes into one fan-out over the replica pool (effective with -replicas > 1; bit-identical rows)")
 	fs.Parse(args)
 	opt, err := learnOptions(*algoName, *suiteName, *seed, *walkSteps)
 	if err != nil {
@@ -173,7 +171,6 @@ func runTable4(ctx context.Context, args []string) error {
 		job.Replicas = *replicas
 		job.Learn = opt
 		job.Interpreted = !*compiled
-		job.Batched = *batch
 		fmt.Fprintf(os.Stderr, "learning %s %s %s ...\n", job.Model.Name, job.Level, job.Target)
 		rows = append(rows, experiments.RunTable4Job(ctx, job, cachequery.DefaultBackendOptions()))
 	}

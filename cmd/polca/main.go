@@ -67,7 +67,6 @@ func main() {
 	warm := flag.String("warm", "", "warm start: load an oracle query-store snapshot from this file before learning")
 	snapshot := flag.String("snapshot", "", "save the oracle query-store snapshot to this file after learning")
 	compiled := flag.Bool("compiled", true, "run simulated caches on the compiled policy kernel (dense transition tables); false interprets policies through the Policy interface — bit-identical results, slower probes")
-	batch := flag.Bool("batch", false, "answer query batches on the structure-of-arrays batched engine (simulator mode; requires -compiled) / group eviction probes over the replica pool (hardware mode) — bit-identical results")
 	timeout := flag.Duration("timeout", 0, "abort the run after this long (0 = no deadline); Ctrl-C cancels cleanly either way")
 	faults := flag.String("faults", "", `deterministic fault-injection plan, e.g. "seed=42,err=0.05,flip=0.001,stall=0.01:5ms,die=1@500"`)
 	workers := flag.String("workers", "", "comma-separated polcaworker addresses (host:port,...): learn through a distributed worker fleet — bit-identical machine, probes fan out remotely (simulator mode)")
@@ -86,7 +85,7 @@ func main() {
 			snap.CheckpointEvery = 256
 		}
 	}
-	sim := core.SimOptions{Interpreted: !*compiled, Batched: *batch}
+	sim := core.SimOptions{Interpreted: !*compiled}
 	if *faults != "" {
 		plan, err := faulty.ParsePlan(*faults)
 		if err != nil {
@@ -251,7 +250,6 @@ func learnHW(ctx context.Context, cpuName, levelName string, slice, set, cat int
 		Learn:            lopt,
 		DeterminismEvery: 128,
 		Snapshot:         snap,
-		Batched:          sim.Batched,
 		Faults:           sim.Faults,
 	}
 	if reset != "" && reset != "F+R" {

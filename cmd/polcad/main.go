@@ -45,15 +45,13 @@ func main() {
 	quotaRate := flag.Float64("quota-rate", 0, "per-tenant token-bucket refill rate in tokens/second; queries cost 1 token per word, job submissions cost 10 (0 = quotas off)")
 	quotaBurst := flag.Float64("quota-burst", 64, "per-tenant token-bucket capacity (with -quota-rate)")
 	compiled := flag.Bool("compiled", true, "run engines on the compiled policy kernel (dense transition tables); false interprets policies — bit-identical answers, slower probes")
-	batch := flag.Bool("batch", false, "answer query batches on the structure-of-arrays batched engine (requires -compiled) — bit-identical answers")
-	parallelism := flag.Int("parallelism", 0, "per-engine goroutine cap for batched query fan-out (0 = GOMAXPROCS)")
 	workers := flag.String("workers", "", "comma-separated polcaworker addresses (host:port,...): every engine fans its probes out over this distributed worker fleet — bit-identical answers")
 	faults := flag.String("faults", "", `deterministic fault-injection plan for every engine's probes, e.g. "seed=42,err=0.05,flip=0.001" (soak testing)`)
 	eventEvery := flag.Duration("event-interval", 250*time.Millisecond, "SSE job-progress event cadence")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long a SIGTERM/SIGINT drain waits for in-flight jobs to unwind before snapshotting anyway")
 	flag.Parse()
 
-	sim := core.SimOptions{Interpreted: !*compiled, Batched: *batch, Workers: *parallelism}
+	sim := core.SimOptions{Interpreted: !*compiled}
 	if *faults != "" {
 		plan, err := faulty.ParsePlan(*faults)
 		if err != nil {

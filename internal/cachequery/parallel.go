@@ -413,8 +413,8 @@ func (p *ProberPool) ConcurrentProbes() bool { return len(p.slots) > 1 }
 // pool on one goroutine each, so up to Size() of them execute concurrently
 // and the rest wait for a free slot. Reset-rooted probes are independent,
 // so results slot into place by index regardless of completion order. The
-// batched membership engine (polca.WithBatchedQueries) uses this to group
-// the associativity-many eviction probes of one miss.
+// oracle uses this to group the associativity-many eviction probes of one
+// miss.
 func (p *ProberPool) ProbeBatch(ctx context.Context, qs [][]blocks.Block) ([]cache.Outcome, error) {
 	out := make([]cache.Outcome, len(qs))
 	errs := make([]error, len(qs))

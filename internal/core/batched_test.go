@@ -4,86 +4,96 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"runtime"
 	"testing"
 
 	"repro/internal/cachequery"
 	"repro/internal/hw"
 	"repro/internal/learn"
+	"repro/internal/polca"
 )
 
-// TestLearnSimulatedBatchedMatchesSerial is the end-to-end equivalence
-// check for the batched SoA query engine at the pipeline level: the full
-// table2-style learning run — L* rounds plus the conformance sweep — on
-// SimOptions{Batched} must produce byte-identical machine JSON and
-// bit-identical oracle counters to the per-session path. The serial leg
-// pins Workers to 1 and both legs pin the learner's prefetch width, so the
-// two oracles see the exact same chunked query stream.
+// wordByWord answers the learner's batches one word at a time through
+// OutputQuery: the chunk-of-one reference for the engine.
+type wordByWord struct{ *polca.Oracle }
+
+func (w wordByWord) OutputQueryBatch(ctx context.Context, words [][]int) ([][]int, error) {
+	out := make([][]int, len(words))
+	for i, word := range words {
+		ans, err := w.OutputQuery(ctx, word)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = ans
+	}
+	return out, nil
+}
+
+// TestLearnSimulatedBatchedMatchesSerial is the end-to-end chunking check
+// of the oracle's query engine at the pipeline level: a table2-style
+// learning run — L* rounds plus the conformance sweep — through the oracle
+// core.NewSimOracle builds must produce byte-identical machine JSON and
+// bit-identical oracle counters whether the learner's batches reach the
+// engine whole (at GOMAXPROCS 1 and 8) or word by word. Both legs pin the
+// learner's prefetch width, so they see the same query stream.
 func TestLearnSimulatedBatchedMatchesSerial(t *testing.T) {
 	for _, name := range []string{"MRU", "SRRIP-HP", "New1"} {
 		t.Run(name, func(t *testing.T) {
 			opt := learn.Options{Depth: 1, BatchSize: 32}
-			serial, err := LearnSimulatedSim(context.Background(), name, 4, opt, SnapshotOptions{}, SimOptions{Workers: 1})
-			if err != nil {
-				t.Fatalf("serial: %v", err)
+			run := func(procs int, serial bool) ([]byte, polca.Stats) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				oracle, _, _, err := NewSimOracle(name, 4, SimOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var teacher learn.Teacher = oracle
+				if serial {
+					teacher = wordByWord{oracle}
+				}
+				res, err := learn.Learn(context.Background(), teacher, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				js, err := json.Marshal(res.Machine)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return js, oracle.Stats()
 			}
-			batched, err := LearnSimulatedSim(context.Background(), name, 4, opt, SnapshotOptions{}, SimOptions{Batched: true})
-			if err != nil {
-				t.Fatalf("batched: %v", err)
-			}
-			js, err := json.Marshal(serial.Machine)
-			if err != nil {
-				t.Fatal(err)
-			}
-			jb, err := json.Marshal(batched.Machine)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(js, jb) {
-				t.Error("batched run produced different machine JSON")
-			}
-			if batched.OracleStats != serial.OracleStats {
-				t.Errorf("oracle stats diverged: batched %+v, serial %+v",
-					batched.OracleStats, serial.OracleStats)
+			js, ss := run(1, true)
+			for _, procs := range []int{1, 8} {
+				jb, bs := run(procs, false)
+				if !bytes.Equal(js, jb) {
+					t.Errorf("GOMAXPROCS=%d: batched run produced different machine JSON", procs)
+				}
+				if bs != ss {
+					t.Errorf("GOMAXPROCS=%d: oracle stats diverged: batched %+v, word by word %+v", procs, bs, ss)
+				}
 			}
 		})
 	}
 }
 
-// TestLearnSimulatedBatchedInterpretedFallsBack: Batched combined with
-// Interpreted has no kernel table to run on; the oracle must quietly keep
-// the per-session path and still learn the right machine.
-func TestLearnSimulatedBatchedInterpretedFallsBack(t *testing.T) {
-	res, err := LearnSimulatedSim(context.Background(), "MRU", 4, learn.Options{Depth: 1}, SnapshotOptions{},
-		SimOptions{Interpreted: true, Batched: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Machine.NumStates != 14 {
-		t.Errorf("learned %d states, want 14 (MRU-4)", res.Machine.NumStates)
-	}
-}
-
-// TestLearnHardwareBatched runs the hardware pipeline with batched eviction
-// probes over a replica pool and requires the same machine as the serial
-// pipeline.
+// TestLearnHardwareBatched runs the hardware pipeline over a replica pool,
+// where the oracle groups each miss's eviction probes into one fan-out,
+// and requires the same machine as the single-frontend pipeline.
 func TestLearnHardwareBatched(t *testing.T) {
-	request := func(replicas int, batched bool) HardwareRequest {
+	request := func(replicas int) HardwareRequest {
 		return HardwareRequest{
 			CPU:              hw.NewCPU(testCPU(), 9),
 			NewCPU:           func() *hw.CPU { return hw.NewCPU(testCPU(), 9) },
 			Replicas:         replicas,
-			Batched:          batched,
 			Target:           cachequery.Target{Level: hw.L1, Set: 5},
 			Backend:          cachequery.BackendOptions{MaxBlocks: 12, Reps: 3, EvictRounds: 1, CalibrationSamples: 21},
 			Learn:            learn.Options{Depth: 1},
 			DeterminismEvery: 64,
 		}
 	}
-	serial, err := LearnHardware(context.Background(), request(1, false))
+	serial, err := LearnHardware(context.Background(), request(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	batched, err := LearnHardware(context.Background(), request(4, true))
+	batched, err := LearnHardware(context.Background(), request(4))
 	if err != nil {
 		t.Fatal(err)
 	}

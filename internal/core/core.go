@@ -180,23 +180,11 @@ type SimOptions struct {
 	// deterministic oracle counter are bit-identical either way; only the
 	// wall-clock cost of simulated probes changes.
 	Interpreted bool
-	// Batched enables the structure-of-arrays batched query engine
-	// (polca.WithBatchedQueries): output-query batches execute over one
-	// contiguous state vector and content matrix instead of per-session
-	// goroutines. Requires the compiled kernel; with Interpreted set the
-	// oracle quietly keeps the per-session path. Answers and every
-	// deterministic counter are bit-identical to the per-session path.
-	Batched bool
-	// Workers caps the per-session path's goroutine fan-out
-	// (polca.WithParallelism); 0 keeps the oracle's GOMAXPROCS default.
-	// Pinning Workers to 1 makes per-session runs reproduce the exact
-	// serial trajectory the batched engine is tested against.
-	Workers int
 	// Faults, when set, interposes a deterministic fault injector
 	// (internal/faulty) between the oracle and the simulator: probes
 	// suffer the plan's seeded mix of transient errors, stalls and
 	// answer flips, exercised against the oracle's retry policy. The
-	// wrapper hides the forking-session fast path, so a faulty run takes
+	// wrapper hides the simulator's query engine, so a faulty run takes
 	// the reset-rooted probe path the resilience machinery defends. When
 	// the plan flips answers, probe voting is enabled automatically so
 	// the learned machine still converges to the ground truth.
@@ -239,10 +227,10 @@ func (o SimOptions) SimProber(pol policy.Policy) *polca.SimProber {
 
 // LearnSimulated learns a named policy of the given associativity from a
 // software-simulated cache (the §6 case study). The Polca oracle implements
-// learn.BatchTeacher over forking simulator sessions, so the learner's
-// observation-table rows (or discrimination-tree experiments, with
-// opt.Algo = learn.AlgoTree) and conformance words are answered on parallel
-// goroutines automatically. The returned machine is checked against nothing:
+// learn.BatchTeacher, so the learner's observation-table rows (or
+// discrimination-tree experiments, with opt.Algo = learn.AlgoTree) and
+// conformance words are answered a chunk at a time through the oracle's
+// query engine. The returned machine is checked against nothing:
 // callers that know the ground truth can extract it with mealy.FromPolicy
 // and compare.
 func LearnSimulated(ctx context.Context, policyName string, assoc int, opt learn.Options) (*SimResult, error) {
@@ -260,8 +248,8 @@ func LearnSimulatedSnapshot(ctx context.Context, policyName string, assoc int, o
 }
 
 // NewSimOracle builds the simulated-cache Polca oracle for a named policy
-// exactly as the learning pipelines do: compiled kernel by default, batched
-// engine / worker cap / fault injection / retry policy per SimOptions. It
+// exactly as the learning pipelines do: compiled kernel by default, fault
+// injection / retry policy / worker fleet per SimOptions. It
 // returns the oracle, the policy's canonical name, and the snapshot scope
 // tagging its query store. The polcad daemon (internal/daemon) builds its
 // shared per-(policy, assoc) engines through this seam, so a daemon-served
@@ -284,12 +272,6 @@ func NewSimOracleFleet(policyName string, assoc int, sim SimOptions) (oracle *po
 	}
 	canonical, scope = pol.Name(), SimSnapshotScope(pol.Name(), assoc)
 	var opts []polca.Option
-	if sim.Batched {
-		opts = append(opts, polca.WithBatchedQueries())
-	}
-	if sim.Workers > 0 {
-		opts = append(opts, polca.WithParallelism(sim.Workers))
-	}
 	if sim.Retry != nil {
 		opts = append(opts, polca.WithProbeRetries(*sim.Retry))
 	}
@@ -307,12 +289,9 @@ func NewSimOracleFleet(policyName string, assoc int, sim SimOptions) (oracle *po
 		if err != nil {
 			return nil, nil, "", "", err
 		}
+		// The fleet is a ProbeBatcher: the oracle groups each Evct's
+		// eviction probes into one round trip.
 		prober = fleet
-		// Group each Evct's eviction probes into one round trip; grouping
-		// never changes answers, so trajectories stay bit-identical.
-		if !sim.Batched {
-			opts = append(opts, polca.WithBatchedQueries())
-		}
 	} else {
 		prober = sim.SimProber(pol)
 		if sim.Faults != nil {
@@ -401,12 +380,6 @@ type HardwareRequest struct {
 	Learn learn.Options
 	// DeterminismEvery re-checks every n-th Polca query (0 disables).
 	DeterminismEvery int
-	// Batched enables the batched membership-query engine on the hardware
-	// pipeline: the oracle groups the associativity-many eviction probes of
-	// each miss into one ProbeBatch fanned over the replica pool. Only
-	// effective with a replica pool (NewCPU set, Replicas > 1) — a single
-	// frontend executes probes one at a time regardless.
-	Batched bool
 	// Snapshot controls oracle query-store persistence. Snapshots are
 	// scoped to (CPU model, target, reset): a warm path recorded under a
 	// different reset fails that candidate and the next reset is tried.
@@ -545,9 +518,6 @@ func LearnHardware(ctx context.Context, req HardwareRequest) (*HardwareResult, e
 		}
 		if req.Replicas > 0 {
 			opts = append(opts, polca.WithParallelism(req.Replicas))
-		}
-		if req.Batched {
-			opts = append(opts, polca.WithBatchedQueries())
 		}
 		if req.Faults != nil && req.Faults.FlipRate > 0 {
 			opts = append(opts, polca.WithProbeVotes(3))

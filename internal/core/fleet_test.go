@@ -51,7 +51,7 @@ func TestFleetLearnMatchesSingleBox(t *testing.T) {
 	for _, name := range policies {
 		t.Run(name, func(t *testing.T) {
 			opt := learn.Options{Depth: 1, BatchSize: 32}
-			local, err := LearnSimulatedSim(context.Background(), name, 4, opt, SnapshotOptions{}, SimOptions{Workers: 1})
+			local, err := LearnSimulatedSim(context.Background(), name, 4, opt, SnapshotOptions{}, SimOptions{})
 			if err != nil {
 				t.Fatalf("single-box: %v", err)
 			}
@@ -118,7 +118,7 @@ func TestFleetLearnSurvivesWorkerDeath(t *testing.T) {
 		name = "LRU" // same death window, ~20x fewer queries
 	}
 	opt := learn.Options{Depth: 1, BatchSize: 32}
-	local, err := LearnSimulatedSim(context.Background(), name, 4, opt, SnapshotOptions{}, SimOptions{Workers: 1})
+	local, err := LearnSimulatedSim(context.Background(), name, 4, opt, SnapshotOptions{}, SimOptions{})
 	if err != nil {
 		t.Fatalf("single-box: %v", err)
 	}

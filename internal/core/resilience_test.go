@@ -88,7 +88,7 @@ func TestFaultSoakReproducible(t *testing.T) {
 		t.Helper()
 		plan := faulty.Plan{Seed: 7, ErrRate: 0.05, FlipRate: 0.002, DieReplica: -1}
 		res, err := LearnSimulatedSim(context.Background(), "New1", 4, opt, SnapshotOptions{},
-			SimOptions{Faults: &plan, Workers: 1, Retry: fastRetry()})
+			SimOptions{Faults: &plan, Retry: fastRetry()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +156,7 @@ func TestCrashResumeConvergesIdentically(t *testing.T) {
 	crash := &faulty.Plan{Seed: 1, CrashAfter: 600, DieReplica: -1}
 	_, err = LearnSimulatedSim(context.Background(), "New1", 4, opt,
 		SnapshotOptions{SavePath: ckpt, CheckpointEvery: 16},
-		SimOptions{Faults: crash, Workers: 1})
+		SimOptions{Faults: crash})
 	if !errors.Is(err, faulty.ErrCrash) {
 		t.Fatalf("crash plan returned %v, want ErrCrash", err)
 	}
@@ -188,7 +188,7 @@ func TestCheckpointsWrittenDuringLearn(t *testing.T) {
 	crash := &faulty.Plan{Seed: 1, CrashAfter: 200, DieReplica: -1}
 	_, err := LearnSimulatedSim(context.Background(), "MRU", 4, learn.Options{Depth: 1},
 		SnapshotOptions{SavePath: ckpt, CheckpointEvery: 8},
-		SimOptions{Faults: crash, Workers: 1})
+		SimOptions{Faults: crash})
 	if !errors.Is(err, faulty.ErrCrash) {
 		t.Fatalf("crash plan returned %v", err)
 	}

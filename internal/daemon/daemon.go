@@ -59,7 +59,7 @@ type Config struct {
 	// QuotaRate is set).
 	QuotaBurst float64
 	// Sim configures the simulator stack under every engine: compiled vs
-	// interpreted kernel, batched engine, worker caps, fault injection.
+	// interpreted kernel, worker fleet, fault injection.
 	Sim core.SimOptions
 	// EventInterval is the SSE progress cadence (default 250ms).
 	EventInterval time.Duration

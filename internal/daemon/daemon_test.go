@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -24,6 +25,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/faulty"
 	"repro/internal/learn"
+	"repro/internal/mealy"
+	"repro/internal/policy"
 )
 
 // testServer wires a Server to an httptest listener and tears both down.
@@ -318,6 +321,58 @@ func TestJobModelParity(t *testing.T) {
 	getJSON(t, ts.URL+"/v1/models/"+st.Artifact, &viaAPI)
 	if !bytes.Equal(bytes.TrimSpace(viaAPI), bytes.TrimSpace(want)) {
 		t.Error("GET /v1/models/{name} differs from model")
+	}
+
+	// A tree job and concurrent /v1/query traffic share one engine: every
+	// query answer must match the ground truth, and the job must still
+	// serve the library pipeline's model.
+	truth, err := mealy.FromPolicy(policy.MustNew("New1", 4), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hr = postJSON(t, ts.Client(), ts.URL+"/v1/jobs", "", `{"policy":"New1","assoc":4,"algo":"tree"}`, &st)
+	if hr.StatusCode != http.StatusAccepted {
+		t.Fatalf("tree submit status = %d", hr.StatusCode)
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(c)))
+			for i := 0; i < 25; i++ {
+				words := make([][]int, 1+rng.Intn(4))
+				for j := range words {
+					words[j] = make([]int, 1+rng.Intn(8))
+					for k := range words[j] {
+						words[j][k] = rng.Intn(truth.NumInputs)
+					}
+				}
+				body, _ := json.Marshal(queryRequest{Policy: "New1", Assoc: 4, Words: words})
+				var resp queryResponse
+				if hr := postJSON(t, ts.Client(), ts.URL+"/v1/query", fmt.Sprintf("tenant-%d", c), string(body), &resp); hr.StatusCode != http.StatusOK {
+					t.Errorf("query status = %d", hr.StatusCode)
+					return
+				}
+				for j, w := range words {
+					if fmt.Sprint(resp.Outputs[j]) != fmt.Sprint(truth.Run(w)) {
+						t.Errorf("word %v answered %v during the job, truth %v", w, resp.Outputs[j], truth.Run(w))
+						return
+					}
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	st = waitJob(t, ts.URL, st.ID)
+	if st.State != jobDone {
+		t.Fatalf("tree job ended %s: %s", st.State, st.Error)
+	}
+	var treeModel json.RawMessage
+	getJSON(t, ts.URL+st.ModelURL, &treeModel)
+	wantTree := referenceModel(t, "New1", 4, learn.Options{Algo: learn.AlgoTree, Depth: 1, MaxStates: 100000})
+	if !bytes.Equal(bytes.TrimSpace(treeModel), bytes.TrimSpace(wantTree)) {
+		t.Error("tree job under concurrent queries served a different model than the library pipeline")
 	}
 }
 

@@ -61,11 +61,6 @@ type Table4Job struct {
 	// (cmd/experiments' -compiled=false). Observable behaviour — and hence
 	// the learned machine — is bit-identical.
 	Interpreted bool
-	// Batched enables the batched membership-query engine on the hardware
-	// pipeline (core.HardwareRequest.Batched): eviction probes of one miss
-	// group into a single fan-out over the CPU-replica pool. Effective only
-	// with Replicas > 1.
-	Batched bool
 }
 
 // Table4Row is one row of Table 4.
@@ -157,7 +152,6 @@ func RunTable4Job(ctx context.Context, job Table4Job, opt cachequery.BackendOpti
 		CATWays:          job.CATWays,
 		Learn:            table4LearnOptions(job.Learn),
 		DeterminismEvery: 128,
-		Batched:          job.Batched,
 	}
 	if job.Expected != "" {
 		pol, err := policy.New(job.Expected, assoc)

@@ -14,7 +14,8 @@ import (
 // FaultyProber interposes an Injector on a polca.Prober. It deliberately
 // does NOT forward the ForkingProber extension: fault injection targets the
 // reset-rooted probe path (the one hardware uses and the one retry, voting,
-// and quarantine defend), and hiding NewSession forces the oracle onto it.
+// and quarantine defend), and wrapping the simulator forces the oracle onto
+// it instead of its simulator query engine.
 // FreshProber and TraceProber are forwarded when the inner prober has them,
 // with the same fault roll applied.
 type FaultyProber struct {

@@ -31,9 +31,9 @@ type BatchTeacher interface {
 // its prefetch chunks to the hint — in particular, a hint of 1 (no real
 // parallelism available) keeps the learning loop exactly serial, paying no
 // speculative queries. The hint is about useful batch width, not goroutine
-// count: a teacher answering batches in lockstep on one core — the
-// structure-of-arrays batched oracle (polca.WithBatchedQueries) — reports a
-// constant width so chunks form even where goroutine fan-out would not pay.
+// count: a teacher answering batches in one pass on one core — a
+// simulator-backed polca.Oracle — reports a constant width so chunks form
+// even where goroutine fan-out would not pay.
 type BatchHinter interface {
 	BatchHint() int
 }

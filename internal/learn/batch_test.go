@@ -3,6 +3,8 @@ package learn
 import (
 	"context"
 	"reflect"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -19,6 +21,17 @@ type countingTeacher struct {
 
 	mu    sync.Mutex
 	asked map[string]int
+}
+
+func wordKey(w []int) string {
+	var sb strings.Builder
+	for i, a := range w {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		sb.WriteString(strconv.Itoa(a))
+	}
+	return sb.String()
 }
 
 func newCountingTeacher(m *mealy.Machine) *countingTeacher {
@@ -111,9 +124,10 @@ func TestBatchedLearningIsDeterministic(t *testing.T) {
 	}
 }
 
-// TestBatchedPolcaLearningIsDeterministic runs the §6 pipeline both ways:
-// serial oracle versus batched oracle fanning session probes over parallel
-// goroutines. The learned machines must be trace-equivalent.
+// TestBatchedPolcaLearningIsDeterministic runs the §6 pipeline at two
+// WithParallelism settings. A simulator oracle answers through its one
+// serialized engine either way, so the learned machines and the oracle
+// counters must be identical.
 func TestBatchedPolcaLearningIsDeterministic(t *testing.T) {
 	serialOracle := polca.NewOracle(polca.NewSimProber(policy.MustNew("MRU", 4)), polca.WithParallelism(1))
 	serial, err := Learn(context.Background(), serialOracle, Options{Depth: 1})
@@ -130,6 +144,9 @@ func TestBatchedPolcaLearningIsDeterministic(t *testing.T) {
 	}
 	if batched.Machine.NumStates != 14 {
 		t.Errorf("learned %d states, want 14 (MRU-4)", batched.Machine.NumStates)
+	}
+	if ss, ps := serialOracle.Stats(), parOracle.Stats(); ss != ps {
+		t.Errorf("oracle counters diverged: %+v vs %+v", ss, ps)
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
 	"strings"
 	"time"
 
@@ -148,11 +147,8 @@ type Options struct {
 	// MaxStates aborts learning when the hypothesis exceeds this many
 	// states; 0 means unlimited.
 	MaxStates int
-	// RandomWalk switches the equivalence oracle to random-walk testing
-	// with RandomWalkSteps total symbols (an alternative the paper
-	// mentions but does not default to). It is the legacy spelling of
-	// Suite == SuiteRandomWalk and overrides Suite when set.
-	RandomWalk      bool
+	// RandomWalkSteps bounds the total symbols a SuiteRandomWalk round
+	// draws; RandomWalkSeed makes its runs reproducible.
 	RandomWalkSteps int
 	RandomWalkSeed  int64
 	// MaxQueries aborts learning after this many distinct output queries;
@@ -167,14 +163,6 @@ type Options struct {
 	// conformance words are always asked lazily so the speculative
 	// prefetch cannot exhaust a budget the serial trajectory would not.
 	BatchSize int
-	// FlatMemo replaces the prefix-tree output-query memo with the
-	// exact-match flat map the learner used before the trie engine: a word
-	// is answered from the memo only when it was asked verbatim, so a word
-	// that is a proper prefix of an answered one still costs a teacher
-	// query. Answers — and hence the learned machine — are identical either
-	// way; only the query trajectory changes. The ablation benchmarks use
-	// it to quantify the prefix sharing.
-	FlatMemo bool
 }
 
 // MaxBatchSize caps the derived conformance-suite prefetch chunk.
@@ -244,7 +232,7 @@ func Learn(ctx context.Context, t Teacher, opt Options) (*Result, error) {
 }
 
 // engine is the query infrastructure shared by every learning algorithm: the
-// teacher handle, the (trie or flat) output-query memo, batch prefetching,
+// teacher handle, the prefix-tree output-query memo, batch prefetching,
 // the scratch dedup set, the conformance-suite construction, and the cost
 // counters. The algorithms (observation table, discrimination tree) embed it
 // and differ only in how they organize observations into a hypothesis.
@@ -255,8 +243,7 @@ type engine struct {
 	numIn   int
 	batch   int // prefetch chunk size; <= 1 keeps the loop exactly serial
 
-	memo  *qstore.Store[int, memoVal]  // prefix-tree output-query memo (default)
-	flat  map[string][]int             // exact-match memo (Options.FlatMemo)
+	memo  *qstore.Store[int, memoVal]  // prefix-tree output-query memo
 	seen  *qstore.Store[int, struct{}] // scratch dedup set (batch prefetch)
 	suite *qstore.Store[int, struct{}] // suite-streaming dedup set (interleaves with seen)
 
@@ -268,21 +255,16 @@ func newEngine(ctx context.Context, t Teacher, opt Options) engine {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	e := engine{
+	return engine{
 		ctx:     ctx,
 		teacher: t,
 		opt:     opt,
 		numIn:   t.NumInputs(),
 		batch:   resolveBatch(t, opt),
+		memo:    newMemoStore(t.NumInputs()),
 		seen:    newMarkStore(t.NumInputs()),
 		suite:   newMarkStore(t.NumInputs()),
 	}
-	if opt.FlatMemo {
-		e.flat = make(map[string][]int)
-	} else {
-		e.memo = newMemoStore(e.numIn)
-	}
-	return e
 }
 
 // learner holds the observation-table state of the L* algorithm. The table
@@ -343,43 +325,12 @@ func (l *engine) liveBatch() int {
 	return resolveBatch(l.teacher, l.opt)
 }
 
-func wordKey(w []int) string {
-	var sb strings.Builder
-	for i, a := range w {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		sb.WriteString(strconv.Itoa(a))
-	}
-	return sb.String()
-}
-
-// memoized returns the memo's answer for w, if any. The trie memo also
-// answers words that are proper prefixes of an already-answered word —
-// outputs are prefix-closed, so no teacher query is needed.
-func (l *engine) memoized(w []int) ([]int, bool) {
-	if l.memo != nil {
-		return l.trieOutputs(w, nil)
-	}
-	out, ok := l.flat[wordKey(w)]
-	return out, ok
-}
-
-// remember stores a fresh answer, taking ownership of out.
-func (l *engine) remember(w, out []int) {
-	if l.memo != nil {
-		l.trieRecord(w, out)
-		return
-	}
-	l.flat[wordKey(w)] = out
-}
-
 // query returns the teacher's output word for w, memoized. Cancellation is
 // checked only before a real teacher round trip — memo hits stay lock-free
 // and cost nothing extra, and a cancelled learn still unwinds at the next
 // fresh query.
 func (l *engine) query(w []int) ([]int, error) {
-	if out, ok := l.memoized(w); ok {
+	if out, ok := l.trieOutputs(w, nil); ok {
 		return out, nil
 	}
 	if err := l.ctx.Err(); err != nil {
@@ -397,7 +348,7 @@ func (l *engine) query(w []int) ([]int, error) {
 	}
 	l.stats.OutputQueries++
 	l.stats.QuerySymbols += len(w)
-	l.remember(w, out)
+	l.trieRecord(w, out)
 	return out, nil
 }
 
@@ -417,7 +368,7 @@ func (l *engine) prefetch(words [][]int) error {
 		if len(w) == 0 {
 			continue
 		}
-		if _, ok := l.memoized(w); ok {
+		if _, ok := l.trieOutputs(w, nil); ok {
 			continue
 		}
 		if !l.seen.InsertMark(w) {
@@ -453,7 +404,7 @@ func (l *engine) prefetch(words [][]int) error {
 		}
 		l.stats.OutputQueries++
 		l.stats.QuerySymbols += len(w)
-		l.remember(w, outs[i])
+		l.trieRecord(w, outs[i])
 	}
 	return nil
 }
@@ -461,10 +412,8 @@ func (l *engine) prefetch(words [][]int) error {
 // cell returns the output word of suffix s observed after prefix u. On a
 // memo hit the trie answers u·s without concatenating the word.
 func (l *engine) cell(u, s []int) ([]int, error) {
-	if l.memo != nil {
-		if out, ok := l.trieOutputs(u, s); ok {
-			return out[len(u):], nil
-		}
+	if out, ok := l.trieOutputs(u, s); ok {
+		return out[len(u):], nil
 	}
 	full := make([]int, 0, len(u)+len(s))
 	full = append(full, u...)
@@ -637,7 +586,7 @@ func (l *learner) closeAndBuild() (*mealy.Machine, error) {
 // the conformance suite agrees with the hypothesis everywhere, and otherwise
 // a shortest failing prefix of some failing test word.
 func (l *engine) findCounterexample(hyp *mealy.Machine) ([]int, error) {
-	if l.opt.RandomWalk || l.opt.Suite == SuiteRandomWalk {
+	if l.opt.Suite == SuiteRandomWalk {
 		return l.randomWalkCE(hyp)
 	}
 	if l.opt.Suite == SuiteW {

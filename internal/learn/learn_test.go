@@ -149,7 +149,7 @@ func TestIdentificationSetsSeparateStates(t *testing.T) {
 
 func TestLearnWithRandomWalkOracle(t *testing.T) {
 	truth, _ := mealy.FromPolicy(policy.MustNew("MRU", 4), 0)
-	res, err := Learn(context.Background(), MachineTeacher{M: truth}, Options{RandomWalk: true, RandomWalkSteps: 200000, RandomWalkSeed: 7})
+	res, err := Learn(context.Background(), MachineTeacher{M: truth}, Options{Suite: SuiteRandomWalk, RandomWalkSteps: 200000, RandomWalkSeed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,9 +6,8 @@ package learn
 //
 //   - Output memo: each node records the output of the last symbol of its
 //     word, so the answer to any query whose word is a prefix of an
-//     already-answered word is read off the path — the flat map memo it
-//     replaces only hit on identical words, and every lookup allocated a
-//     string key.
+//     already-answered word is read off the path, with no string key
+//     allocated per lookup.
 //   - Exact-match store: PoolTeacher keeps full answer slices at terminal
 //     nodes only, preserving its answered-word accounting (batch.go).
 //   - Word set: the store's epoch marks turn it into a reusable dedup set

@@ -89,7 +89,7 @@ var (
 // freezing at a constant.
 func TestBatchHintTracksFleetWidth(t *testing.T) {
 	f := &fakeFleet{inner: NewSimProber(policy.MustNew("LRU", 4)), width: 2}
-	o := NewOracle(f, WithBatchedQueries())
+	o := NewOracle(f)
 
 	h2 := o.BatchHint()
 	f.setWidth(8)
@@ -99,8 +99,8 @@ func TestBatchHintTracksFleetWidth(t *testing.T) {
 	f.setWidth(2)
 	hBack := o.BatchHint()
 
-	if h2 < batchedHint {
-		t.Errorf("width-2 hint %d below the batched floor %d", h2, batchedHint)
+	if h2 < engineHint {
+		t.Errorf("width-2 hint %d below the engine floor %d", h2, engineHint)
 	}
 	if h8 != 8*fleetDepth || h16 != 16*fleetDepth {
 		t.Errorf("hints (%d, %d) do not scale with fleet width (want %d, %d)",
@@ -121,18 +121,29 @@ func TestBatchHintTracksFleetWidth(t *testing.T) {
 	}
 }
 
-// TestFleetTrieBatchedEvictionMatchesSerial: on the memoized trie path, a
-// batched oracle over a fleet-shaped prober groups each Evct's
-// associativity-many eviction probes into one ProbeBatch call, and its
-// answers, memo sizes and counters are identical to the serial loop's.
+// unbatchedFleet hides fakeFleet's ProbeBatch, so the oracle issues the
+// eviction probes one by one.
+type unbatchedFleet struct{ f *fakeFleet }
+
+func (u unbatchedFleet) Assoc() int                     { return u.f.Assoc() }
+func (u unbatchedFleet) InitialContent() []blocks.Block { return u.f.InitialContent() }
+func (u unbatchedFleet) ConcurrentProbes() bool         { return true }
+func (u unbatchedFleet) Probe(ctx context.Context, q []blocks.Block) (cache.Outcome, error) {
+	return u.f.Probe(ctx, q)
+}
+
+// TestFleetTrieBatchedEvictionMatchesSerial: on the memoized trie path, an
+// oracle over a fleet-shaped prober groups each Evct's associativity-many
+// eviction probes into one ProbeBatch call, and its answers, memo sizes and
+// counters are identical to the serial loop's.
 func TestFleetTrieBatchedEvictionMatchesSerial(t *testing.T) {
 	mk := func() *fakeFleet {
 		return &fakeFleet{inner: NewSimProber(policy.MustNew("PLRU", 4)), width: 4}
 	}
 	grouped := mk()
 	serial := mk()
-	og := NewOracle(grouped, WithBatchedQueries())
-	os := NewOracle(serial)
+	og := NewOracle(grouped)
+	os := NewOracle(unbatchedFleet{serial})
 
 	words := [][]int{
 		{4, 4, 0, 4},

@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -71,12 +70,10 @@ type Session interface {
 }
 
 // ForkingProber is an optional Prober extension for caches that support
-// cheap state snapshots (software simulators). Polca exploits it to avoid
-// the quadratic prefix replay of the plain Probe interface; the observable
-// behaviour is identical for deterministic caches.
-//
-// NewSession must be safe for concurrent use: batched output queries open
-// one session per query word on parallel goroutines.
+// cheap state snapshots (software simulators). The oracle's query engine
+// executes interpreted simulator lanes on its sessions (see engine.go);
+// the observable behaviour is identical to reset-rooted probing for
+// deterministic caches.
 type ForkingProber interface {
 	Prober
 	NewSession() (Session, error)
@@ -111,9 +108,9 @@ func evictionProbe(sess Session, b blocks.Block) (cache.Outcome, error) {
 // ConcurrentProber marks a Prober whose Probe method is safe for concurrent
 // use (e.g. cachequery.ParallelProber, which multiplexes probes over a pool
 // of independent CPU replicas). The oracle answers batched output queries on
-// parallel goroutines only for forking or concurrent probers; anything else
-// — notably a bare hardware interface pinned to one core — is served
-// serially, preserving correctness by default.
+// parallel goroutines only for concurrent probers; anything else — notably
+// a bare hardware interface pinned to one core — is served serially,
+// preserving correctness by default.
 type ConcurrentProber interface {
 	Prober
 	// ConcurrentProbes reports whether Probe may be called concurrently.
@@ -141,7 +138,7 @@ type Stats struct {
 	OutputQueries int `json:"output_queries"` // policy-level output queries answered
 	Symbols       int `json:"symbols"`        // policy input symbols processed
 	Probes        int `json:"probes"`         // reset-rooted cache probes issued (after memoization)
-	MemoHits      int `json:"memo_hits"`      // memo answers: whole probes on the flat path, word symbols on the trie paths
+	MemoHits      int `json:"memo_hits"`      // memo answers: word symbols from the output store, whole probes from the probe store
 	Accesses      int `json:"accesses"`       // total block accesses issued to the cache
 	Retries       int `json:"retries"`        // transient probe failures absorbed by the retry policy
 	Disagreements int `json:"disagreements"`  // probe re-executions (votes) that returned conflicting outcomes
@@ -153,32 +150,29 @@ type Stats struct {
 // memoization that the real tool delegates to LevelDB (§4.2) — upgraded to a
 // prefix-tree query engine over the shared query store (internal/qstore):
 // outputs are memoized per policy symbol, so any query is answered from its
-// longest recorded prefix, and forking (simulator) probers park live
-// sessions at store nodes so a query that extends a known prefix executes
-// only its suffix instead of replaying the whole word from reset.
-// WithoutTrie restores the flat exact-match memo for the ablation
-// benchmarks.
+// longest recorded prefix, and simulator probers park live sessions at
+// store nodes so a query that extends a known prefix executes only its
+// suffix instead of replaying the whole word from reset.
 //
-// The oracle is safe for concurrent use and implements learn.BatchTeacher:
-// independent query words of a batch are answered on parallel goroutines
-// whenever the prober supports it (ForkingProber sessions, or a
-// ConcurrentProber such as a replicated hardware interface). The stores are
-// lock-striped — one shard per leading input symbol by default — so batched
-// workers recording answers in different subtrees never contend on a single
-// oracle mutex (WithStoreStripes(1) restores that behaviour for the
-// contention benchmarks); the cost counters are atomics, touched lock-free
-// on the hot path.
+// The oracle is safe for concurrent use and implements learn.BatchTeacher.
+// A simulator oracle (*SimProber) answers every query through one engine —
+// plan → execute → record, serialized per oracle (see engine.go) — so its
+// answers and cost counters do not depend on the host or on how callers
+// chunk their queries. Any other prober takes the reset-rooted probe path,
+// and independent words of a batch fan out on parallel goroutines when the
+// prober is a ConcurrentProber (a replicated hardware interface, a remote
+// fleet). The stores are lock-striped — one shard per leading input symbol
+// — so those workers recording answers in different subtrees never contend
+// on a single mutex; the cost counters are atomics, touched lock-free on
+// the hot path.
 type Oracle struct {
 	prober  Prober
+	sim     *SimProber // non-nil when the engine answers (see engine.go)
 	cc0     []blocks.Block
 	cc0IDs  []int32 // dense universe indices of cc0
 	recheck int     // re-run every recheck-th query to detect nondeterminism
-	workers int     // parallel batch width (defaults to GOMAXPROCS)
-	useMemo bool
-	useTrie bool
-	batched bool // SoA batched query engine (see batch.go)
+	workers int     // batch fan-out width over a ConcurrentProber
 	sessCap int
-	stripes int // lock stripes per store (0 = one per input symbol)
 
 	retry RetryPolicy // transient-failure retry policy (see retry.go)
 	votes int         // probe executions per result; >1 majority-votes against flips
@@ -200,9 +194,7 @@ type Oracle struct {
 	ckMu    sync.Mutex
 	ckLast  atomic.Int64
 
-	mu       sync.Mutex                // guards the flat memo only (WithoutTrie)
-	memo     map[string]cache.Outcome  // flat memo (WithoutTrie)
-	inflight map[string]*inflightProbe // flat-memo single-flight
+	engine sync.Mutex // held across one engine batch: plan → execute → record
 
 	out    *qstore.Store[int, outVal]     // policy-level output memo + parked sessions
 	pt     *qstore.Store[int32, probeVal] // block-level probe memo + single-flight
@@ -222,21 +214,6 @@ type inflightProbe struct {
 // Option configures an Oracle.
 type Option func(*Oracle)
 
-// WithoutMemo disables all memoization — the flat probe memo and the prefix
-// trees alike (for the ablation benchmarks).
-func WithoutMemo() Option {
-	return func(o *Oracle) { o.useMemo = false; o.memo = nil }
-}
-
-// WithoutTrie disables the prefix-tree engine, restoring the flat
-// exact-match probe memo and the unmemoized session path: trajectories
-// (probe, access, and memo-hit counts) are exactly those of the pre-trie
-// oracle, which is what the ablation benchmarks compare against. Learned
-// machines are identical either way.
-func WithoutTrie() Option {
-	return func(o *Oracle) { o.useTrie = false }
-}
-
 // DefaultSessionCap bounds how many forked sessions the trie keeps parked
 // at interior nodes before evicting the least recently used one.
 const DefaultSessionCap = 1024
@@ -253,15 +230,6 @@ func WithSessionCap(n int) Option {
 	}
 }
 
-// WithStoreStripes overrides the lock-stripe count of the oracle's query
-// stores. The default (n <= 0) stripes by the input alphabet: one shard
-// per leading symbol, so batched workers rarely contend. n == 1 collapses
-// each store to a single lock — the pre-striping single-mutex oracle the
-// contention benchmarks compare against.
-func WithStoreStripes(n int) Option {
-	return func(o *Oracle) { o.stripes = n }
-}
-
 // WithDeterminismChecks re-executes every n-th output query and compares the
 // answers, converting silent cross-query nondeterminism (the symptom of an
 // incorrect reset sequence or an adaptive policy, §7.1) into
@@ -271,8 +239,10 @@ func WithDeterminismChecks(n int) Option {
 }
 
 // WithParallelism caps the number of goroutines a batched output query may
-// fan out over. n <= 0 restores the default, runtime.GOMAXPROCS(0); n == 1
-// forces serial batch answering.
+// fan out over a ConcurrentProber. n <= 0 restores the default,
+// runtime.GOMAXPROCS(0) (or the live fleet width); n == 1 forces serial
+// batch answering. Simulator oracles answer through the serialized engine
+// and ignore it.
 func WithParallelism(n int) Option {
 	return func(o *Oracle) { o.workers = n }
 }
@@ -334,16 +304,13 @@ func (o *Oracle) maybeCheckpoint() {
 // NewOracle builds a Polca oracle over the given cache interface.
 func NewOracle(p Prober, opts ...Option) *Oracle {
 	o := &Oracle{
-		prober:   p,
-		cc0:      append([]blocks.Block(nil), p.InitialContent()...),
-		memo:     make(map[string]cache.Outcome),
-		inflight: make(map[string]*inflightProbe),
-		useMemo:  true,
-		useTrie:  true,
-		sessCap:  DefaultSessionCap,
-		retry:    DefaultRetryPolicy,
-		votes:    1,
+		prober:  p,
+		cc0:     append([]blocks.Block(nil), p.InitialContent()...),
+		sessCap: DefaultSessionCap,
+		retry:   DefaultRetryPolicy,
+		votes:   1,
 	}
+	o.sim, _ = p.(*SimProber)
 	for _, opt := range opts {
 		opt(o)
 	}
@@ -358,29 +325,19 @@ func NewOracle(p Prober, opts ...Option) *Oracle {
 		}
 		o.cc0IDs[i] = int32(id)
 	}
-	if o.trieOn() {
-		numIn := policy.NumInputs(p.Assoc())
-		stripes := o.stripes
-		if stripes <= 0 {
-			stripes = numIn
-		}
-		o.out = qstore.New[int, outVal](qstore.Options{Degree: numIn, Stripes: stripes, Sync: true})
-		o.pt = qstore.New[int32, probeVal](qstore.Options{Stripes: stripes, Sync: true})
-		o.lru = make([]lruList, o.out.Stripes())
-		for i := range o.lru {
-			o.lru[i] = lruList{head: -1, tail: -1}
-		}
-		o.lruCap = o.sessCap / o.out.Stripes()
-		if o.lruCap < 1 {
-			o.lruCap = 1
-		}
+	numIn := policy.NumInputs(p.Assoc())
+	o.out = qstore.New[int, outVal](qstore.Options{Degree: numIn, Stripes: numIn, Sync: true})
+	o.pt = qstore.New[int32, probeVal](qstore.Options{Stripes: numIn, Sync: true})
+	o.lru = make([]lruList, o.out.Stripes())
+	for i := range o.lru {
+		o.lru[i] = lruList{head: -1, tail: -1}
+	}
+	o.lruCap = o.sessCap / o.out.Stripes()
+	if o.lruCap < 1 {
+		o.lruCap = 1
 	}
 	return o
 }
-
-// trieOn reports whether the prefix-tree engine serves this oracle's
-// queries.
-func (o *Oracle) trieOn() bool { return o.useMemo && o.useTrie }
 
 // NumInputs implements learn.Teacher: the policy alphabet Ln(0..n-1), Evct.
 func (o *Oracle) NumInputs() int { return policy.NumInputs(o.prober.Assoc()) }
@@ -404,38 +361,28 @@ func (o *Oracle) Stats() Stats {
 // StoreFootprint reports the trie-node counts of the oracle's two query
 // stores — the policy-level output memo and the block-level probe memo —
 // as a live capacity/coverage signal. The polcad daemon surfaces it on the
-// status endpoint so operators can watch shared engines fill up. Both
-// counts are zero when the trie engine is disabled (WithoutMemo or
-// WithoutTrie); reading them takes each shard lock briefly, so the hot
-// query path is unaffected.
+// status endpoint so operators can watch shared engines fill up. Reading
+// them takes each shard lock briefly, so the hot query path is unaffected.
 func (o *Oracle) StoreFootprint() (outNodes, probeNodes int) {
-	if !o.trieOn() {
-		return 0, 0
-	}
 	return o.out.NodeCount(), o.pt.NodeCount()
 }
 
 // BatchHint implements learn.BatchHinter (duck-typed to avoid an import
 // cycle with package learn's tests): the learner scales its prefetch chunks
-// to the oracle's usable parallelism, so a serial prober keeps the exact
-// serial query trajectory. A batched oracle over a compiled simulator
-// instead advertises a fixed lockstep width: planning whole chunks against
-// the store pays off independently of goroutine parallelism. A fleet-backed
-// prober scales the hint to the live fleet width (slots per worker times
-// healthy workers), re-read on every call so chunks widen again when a
-// quarantined worker is re-admitted.
+// to the hint. A simulator oracle advertises a fixed width, engineHint:
+// planning whole chunks against the store pays off regardless of the host,
+// and a constant keeps the learner's query trajectory host-independent. A
+// fleet-backed prober scales the hint to the live fleet width (slots per
+// worker times healthy workers), re-read on every call so chunks widen
+// again when a quarantined worker is re-admitted. Any other prober gets
+// its usable parallelism, so a serial prober keeps the exact serial query
+// trajectory.
 func (o *Oracle) BatchHint() int {
 	if w := o.fleetWidth(); w > 0 {
-		h := w * fleetDepth
-		if h < batchedHint {
-			h = batchedHint
-		}
-		return h
+		return max(w*fleetDepth, engineHint)
 	}
-	if o.batched {
-		if sp, ok := o.prober.(*SimProber); ok && sp.tab != nil {
-			return batchedHint
-		}
+	if o.sim != nil {
+		return engineHint
 	}
 	return o.parallelism()
 }
@@ -445,13 +392,7 @@ func (o *Oracle) BatchHint() int {
 // A fleet-backed prober gets one goroutine per live fleet slot — the work
 // is I/O bound, so local CPU count is the wrong ceiling.
 func (o *Oracle) parallelism() int {
-	concurrent := false
-	if _, ok := o.prober.(ForkingProber); ok {
-		concurrent = true
-	} else if cp, ok := o.prober.(ConcurrentProber); ok && cp.ConcurrentProbes() {
-		concurrent = true
-	}
-	if !concurrent {
+	if cp, ok := o.prober.(ConcurrentProber); !ok || !cp.ConcurrentProbes() {
 		return 1
 	}
 	if o.workers > 0 {
@@ -463,72 +404,14 @@ func (o *Oracle) parallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// probe issues one reset-rooted probe, via the probe memo when enabled.
-// fresh=true is the determinism audit: it bypasses the memo entirely AND
-// forces a real execution on cached probing stacks (FreshProber) — a cached
-// replay of the first answer would make the audit vacuous.
-//
-// ids, when non-nil, carries q as dense block indices and routes the memo
-// through the probe trie: the key is a trie path, not an allocated string.
-//
-// Memoized probes are single-flighted: when parallel batch goroutines miss
-// the memo on the same key (words sharing an input prefix probe identical
-// block sequences), only one executes; the rest wait for its result.
-func (o *Oracle) probe(ctx context.Context, q []blocks.Block, ids []int32, fresh bool) (cache.Outcome, error) {
-	if fresh || !o.useMemo {
-		oc, err := o.executeProbe(ctx, q, fresh)
-		if err != nil {
-			return Missed(), err
-		}
-		o.probesN.Add(1)
-		o.accessesN.Add(int64(len(q)))
-		return oc, nil
-	}
-	if o.trieOn() && ids != nil {
-		return o.probeTriePath(ctx, q, ids)
-	}
-
-	key := strings.Join(q, " ")
-	o.mu.Lock()
-	if oc, ok := o.memo[key]; ok {
-		o.memoHits.Add(1)
-		o.mu.Unlock()
-		return oc, nil
-	}
-	if fl, ok := o.inflight[key]; ok {
-		o.mu.Unlock()
-		<-fl.done
-		if fl.err != nil {
-			return Missed(), fl.err
-		}
-		o.memoHits.Add(1)
-		return fl.oc, nil
-	}
-	fl := &inflightProbe{done: make(chan struct{})}
-	o.inflight[key] = fl
-	o.mu.Unlock()
-
-	fl.oc, fl.err = o.executeProbe(ctx, q, false)
-	o.mu.Lock()
-	delete(o.inflight, key)
-	if fl.err == nil {
-		o.probesN.Add(1)
-		o.accessesN.Add(int64(len(q)))
-		o.memo[key] = fl.oc
-	}
-	o.mu.Unlock()
-	close(fl.done)
-	if fl.err != nil {
-		return Missed(), fl.err
-	}
-	return fl.oc, nil
-}
-
-// probeTriePath is probe's memoized path over the block-id probe store.
-// The probe's shard stays locked only around the memo bookkeeping; the
-// execution itself is single-flighted so concurrent requesters of the same
-// key wait instead of duplicating the (expensive) probe.
-func (o *Oracle) probeTriePath(ctx context.Context, q []blocks.Block, ids []int32) (cache.Outcome, error) {
+// probe issues one memoized reset-rooted probe through the block-id probe
+// store: ids carries q as dense block indices, so the memo key is a trie
+// path, not an allocated string. The probe's shard stays locked only
+// around the memo bookkeeping; the execution itself is single-flighted so
+// parallel batch goroutines that miss the memo on the same key (words
+// sharing an input prefix probe identical block sequences) wait for one
+// execution instead of duplicating it.
+func (o *Oracle) probe(ctx context.Context, q []blocks.Block, ids []int32) (cache.Outcome, error) {
 	sh := o.pt.Acquire(ids)
 	n := sh.Ensure(ids)
 	if sh.Has(n) {
@@ -566,6 +449,20 @@ func (o *Oracle) probeTriePath(ctx context.Context, q []blocks.Block, ids []int3
 	return fl.oc, nil
 }
 
+// freshProbe is the determinism audit's probe: it bypasses the memo
+// entirely AND forces a real execution on cached probing stacks
+// (FreshProber) — a cached replay of the first answer would make the audit
+// vacuous.
+func (o *Oracle) freshProbe(ctx context.Context, q []blocks.Block) (cache.Outcome, error) {
+	oc, err := o.executeProbe(ctx, q, true)
+	if err != nil {
+		return Missed(), err
+	}
+	o.probesN.Add(1)
+	o.accessesN.Add(int64(len(q)))
+	return oc, nil
+}
+
 // reprobe forcibly re-executes a probe whose memoized or just-measured
 // outcome failed a consistency check (a cached access that missed, a fresh
 // access that hit, an eviction group without exactly one victim). On noisy
@@ -582,19 +479,9 @@ func (o *Oracle) reprobe(ctx context.Context, q []blocks.Block, ids []int32) (ca
 	o.reprobesN.Add(1)
 	o.probesN.Add(1)
 	o.accessesN.Add(int64(len(q)))
-	if o.useMemo {
-		if o.trieOn() && ids != nil {
-			sh := o.pt.Acquire(ids)
-			n := sh.Ensure(ids)
-			sh.Put(n, probeVal{oc: oc})
-			sh.Release()
-		} else {
-			key := strings.Join(q, " ")
-			o.mu.Lock()
-			o.memo[key] = oc
-			o.mu.Unlock()
-		}
-	}
+	sh := o.pt.Acquire(ids)
+	sh.Put(sh.Ensure(ids), probeVal{oc: oc})
+	sh.Release()
 	return oc, nil
 }
 
@@ -618,13 +505,19 @@ func (o *Oracle) executeProbe(ctx context.Context, q []blocks.Block, fresh bool)
 			hits++
 		}
 	}
+	return o.tally(hits), nil
+}
+
+// tally turns the hit count of o.votes executions into the majority
+// outcome, counting a split vote as a disagreement.
+func (o *Oracle) tally(hits int) cache.Outcome {
 	if hits != 0 && hits != o.votes {
 		o.disagreeN.Add(1)
 	}
 	if hits*2 > o.votes {
-		return cache.Hit, nil
+		return cache.Hit
 	}
-	return cache.Miss, nil
+	return cache.Miss
 }
 
 // retryProbe is one voted execution: the raw probe wrapped in the
@@ -655,42 +548,60 @@ func Missed() cache.Outcome { return cache.Miss }
 // every Evct input. This is the oracle the learner consumes; Membership
 // (Algorithm 1 verbatim) is a comparison on top of it.
 func (o *Oracle) OutputQuery(ctx context.Context, word []int) ([]int, error) {
+	if o.sim != nil {
+		out, err := o.engineBatch(ctx, [][]int{word})
+		if err != nil {
+			return nil, err
+		}
+		return out[0], nil
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	seq := int(o.outputQueries.Add(1))
 	o.symbols.Add(int64(len(word)))
-	out, err := o.outputQueryOnce(ctx, word, false)
+	out, err := o.probesQueryTrie(ctx, word)
 	if err != nil {
 		return nil, err
 	}
-	if o.recheck > 0 && seq%o.recheck == 0 && len(word) > 0 {
-		// Determinism audit: memoization must be bypassed, otherwise the
-		// first answer would simply be replayed.
-		again, err := o.outputQueryOnce(ctx, word, true)
-		if err != nil {
-			return nil, err
-		}
-		for i := range out {
-			if out[i] != again[i] {
-				return nil, fmt.Errorf("%w: repeated query diverged at position %d (%d vs %d)",
-					ErrNondeterministic, i, out[i], again[i])
-			}
-		}
+	if err := o.audit(ctx, seq, word, out); err != nil {
+		return nil, err
 	}
 	o.maybeCheckpoint()
 	return out, nil
 }
 
+// audit is the determinism check of query number seq: on the
+// WithDeterminismChecks schedule it re-executes word through fresh
+// reset-rooted probes — memoization must be bypassed, otherwise the first
+// answer would simply be replayed — and compares with out.
+func (o *Oracle) audit(ctx context.Context, seq int, word, out []int) error {
+	if o.recheck <= 0 || seq%o.recheck != 0 || len(word) == 0 {
+		return nil
+	}
+	again, err := o.outputQueryProbes(ctx, word)
+	if err != nil {
+		return err
+	}
+	for i := range out {
+		if out[i] != again[i] {
+			return fmt.Errorf("%w: repeated query diverged at position %d (%d vs %d)",
+				ErrNondeterministic, i, out[i], again[i])
+		}
+	}
+	return nil
+}
+
 // OutputQueryBatch implements learn.BatchTeacher: it answers len(words)
-// independent output queries, fanning them out across a worker pool when the
-// prober supports concurrent probing (forking simulator sessions or a
-// replicated hardware interface) and falling back to a serial loop
-// otherwise. Answers, memo contents and counters are identical to asking the
-// words one by one; only the wall-clock cost changes.
+// independent output queries. A simulator oracle answers the whole batch
+// in one engine pass; otherwise the words fan out across a worker pool
+// when the prober supports concurrent probing (a replicated hardware
+// interface, a remote fleet), falling back to a serial loop. Answers, memo
+// contents and counters are identical to asking the words one by one;
+// only the wall-clock cost changes.
 func (o *Oracle) OutputQueryBatch(ctx context.Context, words [][]int) ([][]int, error) {
-	if out, done, err := o.tryBatchedKernel(ctx, words); done {
-		return out, err
+	if o.sim != nil {
+		return o.engineBatch(ctx, words)
 	}
 	workers := o.parallelism()
 	if workers > len(words) {
@@ -755,22 +666,11 @@ func (o *Oracle) OutputQueryBatch(ctx context.Context, words [][]int) ([][]int, 
 	return out, nil
 }
 
-func (o *Oracle) outputQueryOnce(ctx context.Context, word []int, fresh bool) ([]int, error) {
-	if fp, ok := o.prober.(ForkingProber); ok {
-		if !fresh && o.trieOn() {
-			return o.sessionQueryTrie(fp, word)
-		}
-		return o.outputQuerySessions(fp, word)
-	}
-	if !fresh && o.trieOn() {
-		return o.probesQueryTrie(ctx, word)
-	}
-	return o.outputQueryProbes(ctx, word, fresh)
-}
-
-// outputQueryProbes is the faithful Algorithm 1 loop over reset-rooted
-// probes, used against hardware-style probers.
-func (o *Oracle) outputQueryProbes(ctx context.Context, word []int, fresh bool) ([]int, error) {
+// outputQueryProbes is the faithful Algorithm 1 loop over fresh
+// reset-rooted probes, which every prober implements. It is the
+// determinism audit's re-execution: no memo, no re-probing — an
+// inconsistency here is exactly what the audit exists to catch.
+func (o *Oracle) outputQueryProbes(ctx context.Context, word []int) ([]int, error) {
 	n := o.prober.Assoc()
 	cc := append([]blocks.Block(nil), o.cc0...)
 	ic := make([]blocks.Block, 0, len(word))
@@ -782,11 +682,11 @@ func (o *Oracle) outputQueryProbes(ctx context.Context, word []int, fresh bool) 
 			return nil, err
 		}
 		ic = append(ic, b)
-		oc, err := o.probe(ctx, ic, nil, fresh)
+		oc, err := o.freshProbe(ctx, ic)
 		if err != nil {
 			return nil, err
 		}
-		op, err := o.mapOutputProbes(ctx, ip, oc, ic, cc, fresh)
+		op, err := o.mapOutputProbes(ctx, ip, oc, ic, cc)
 		if err != nil {
 			return nil, err
 		}
@@ -800,22 +700,10 @@ func (o *Oracle) outputQueryProbes(ctx context.Context, word []int, fresh bool) 
 
 // mapOutputProbes maps a cache outcome back to a policy output, issuing the
 // findEvicted probes on a miss.
-func (o *Oracle) mapOutputProbes(ctx context.Context, ip int, oc cache.Outcome, ic []blocks.Block, cc []blocks.Block, fresh bool) (int, error) {
+func (o *Oracle) mapOutputProbes(ctx context.Context, ip int, oc cache.Outcome, ic []blocks.Block, cc []blocks.Block) (int, error) {
 	n := o.prober.Assoc()
 	if ip < n { // Ln(i): the block is cached, the access must hit
 		if oc != cache.Hit {
-			// Suspected measurement fault: re-measure once before
-			// declaring nondeterminism. The audit path (fresh) stays
-			// strict — it exists to catch exactly this.
-			if !fresh {
-				roc, rerr := o.reprobe(ctx, ic, nil)
-				if rerr != nil {
-					return 0, rerr
-				}
-				if roc == cache.Hit {
-					return policy.Bottom, nil
-				}
-			}
 			return 0, fmt.Errorf("%w: access to cached block %s missed", ErrNondeterministic, ic[len(ic)-1])
 		}
 		return policy.Bottom, nil
@@ -823,134 +711,39 @@ func (o *Oracle) mapOutputProbes(ctx context.Context, ip int, oc cache.Outcome, 
 	// Evct: the access must miss, and exactly one resident block must have
 	// been displaced.
 	if oc != cache.Miss {
-		if fresh {
-			return 0, fmt.Errorf("%w: access to fresh block %s hit", ErrNondeterministic, ic[len(ic)-1])
-		}
-		roc, rerr := o.reprobe(ctx, ic, nil)
-		if rerr != nil {
-			return 0, rerr
-		}
-		if roc != cache.Miss {
-			return 0, fmt.Errorf("%w: access to fresh block %s hit", ErrNondeterministic, ic[len(ic)-1])
-		}
+		return 0, fmt.Errorf("%w: access to fresh block %s hit", ErrNondeterministic, ic[len(ic)-1])
 	}
-	if bpr, ok := o.prober.(ProbeBatcher); ok && o.batched && !fresh && !o.useMemo {
-		// Unmemoized eviction probes are independent; a batched oracle over
-		// a replica pool issues them in one grouped call. The memoized and
-		// audit paths keep the serial loop (their bookkeeping is per probe).
-		return o.findEvictedBatched(ctx, bpr, ic, cc)
-	}
-	scan := func(refresh bool) (int, error) {
-		evicted := -1
-		for i := 0; i < n; i++ {
-			probe := append(append([]blocks.Block(nil), ic...), cc[i])
-			var poc cache.Outcome
-			var err error
-			if refresh {
-				poc, err = o.reprobe(ctx, probe, nil)
-			} else {
-				poc, err = o.probe(ctx, probe, nil, fresh)
-			}
-			if err != nil {
-				return 0, err
-			}
-			if poc == cache.Miss {
-				if evicted != -1 {
-					return 0, fmt.Errorf("%w: blocks %s and %s both evicted by one miss", ErrNondeterministic, cc[evicted], cc[i])
-				}
-				evicted = i
-			}
-		}
-		if evicted == -1 {
-			return 0, fmt.Errorf("%w: no resident block evicted by a miss", ErrNondeterministic)
-		}
-		return evicted, nil
-	}
-	evicted, err := scan(false)
-	if err != nil && errors.Is(err, ErrNondeterministic) && !fresh {
-		// An inconsistent eviction group means at least one probe in it is
-		// wrong — re-measure the whole group, correcting the memo, and only
-		// then give up.
-		evicted, err = scan(true)
-	}
-	return evicted, err
-}
-
-// outputQuerySessions is the session-based fast path: one incremental walk
-// down the trace, forking at each miss for the eviction probes.
-func (o *Oracle) outputQuerySessions(fp ForkingProber, word []int) ([]int, error) {
-	n := fp.Assoc()
-	cc := append([]blocks.Block(nil), o.cc0...)
-	out := make([]int, len(word))
-
-	sess, err := fp.NewSession()
-	if err != nil {
-		return nil, err
-	}
-	// Counters are accumulated locally and flushed once per query so the
-	// hot loop touches no shared cache line per access.
-	accesses := 0
-	defer func() {
-		o.probesN.Add(1)
-		o.accessesN.Add(int64(accesses))
-	}()
-	for i, ip := range word {
-		b, err := mapInput(ip, cc, n)
+	evicted := -1
+	for i := 0; i < n; i++ {
+		poc, err := o.freshProbe(ctx, append(append([]blocks.Block(nil), ic...), cc[i]))
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		oc, err := sess.Access(b)
-		if err != nil {
-			return nil, err
-		}
-		accesses++
-		if ip < n {
-			if oc != cache.Hit {
-				return nil, fmt.Errorf("%w: access to cached block %s missed", ErrNondeterministic, b)
+		if poc == cache.Miss {
+			if evicted != -1 {
+				return 0, fmt.Errorf("%w: blocks %s and %s both evicted by one miss", ErrNondeterministic, cc[evicted], cc[i])
 			}
-			out[i] = policy.Bottom
-			continue
+			evicted = i
 		}
-		if oc != cache.Miss {
-			return nil, fmt.Errorf("%w: access to fresh block %s hit", ErrNondeterministic, b)
-		}
-		evicted := -1
-		for j := 0; j < n; j++ {
-			poc, err := evictionProbe(sess, cc[j])
-			if err != nil {
-				return nil, err
-			}
-			accesses++
-			if poc == cache.Miss {
-				if evicted != -1 {
-					return nil, fmt.Errorf("%w: blocks %s and %s both evicted by one miss", ErrNondeterministic, cc[evicted], cc[j])
-				}
-				evicted = j
-			}
-		}
-		if evicted == -1 {
-			return nil, fmt.Errorf("%w: no resident block evicted by a miss", ErrNondeterministic)
-		}
-		cc[evicted] = b
-		out[i] = evicted
 	}
-	return out, nil
+	if evicted == -1 {
+		return 0, fmt.Errorf("%w: no resident block evicted by a miss", ErrNondeterministic)
+	}
+	return evicted, nil
 }
 
 // walkKnownPrefix walks word through the output store under the word's
 // shard lock, filling out[] and evolving cc for every symbol whose output
-// is recorded. It returns the number of known symbols k, the store node
-// reached, the block fed at each known position, and the deepest parked
-// session on the path (with its depth). The caller answers symbols 0..k-1
-// with zero prober work.
-func (o *Oracle) walkKnownPrefix(sh *outShard, word, out []int, cc []int32, feed []int32) (k int, node int32, fed []int32, resume int32, resumeDepth int, err error) {
+// is recorded. It returns the number of known symbols k and the block fed
+// at each known position. The caller answers symbols 0..k-1 with zero
+// prober work.
+func (o *Oracle) walkKnownPrefix(sh *outShard, word, out []int, cc []int32, feed []int32) (k int, fed []int32, err error) {
 	n := o.prober.Assoc()
-	node = 0
-	resume = -1
+	node := int32(0)
 	for k < len(word) {
 		ip := word[k]
 		if ip < 0 || ip > n {
-			return 0, 0, feed, -1, 0, fmt.Errorf("polca: input %d out of range for associativity %d", ip, n)
+			return 0, feed, fmt.Errorf("polca: input %d out of range for associativity %d", ip, n)
 		}
 		c := sh.Child(node, ip)
 		if c < 0 || !sh.Has(c) {
@@ -965,165 +758,27 @@ func (o *Oracle) walkKnownPrefix(sh *outShard, word, out []int, cc []int32, feed
 		feed = append(feed, b)
 		node = c
 		k++
-		if sh.Val(c).sess != nil {
-			resume, resumeDepth = c, k
-		}
 	}
-	return k, node, feed, resume, resumeDepth, nil
+	return k, feed, nil
 }
 
-// recordOutputs stores the outputs of word in the output store and parks
-// the collected session forks at their nodes, under the word's shard lock.
-func (o *Oracle) recordOutputs(word, out []int, parks []parkedFork) {
+// recordOutputs stores the outputs of word in the output store, under the
+// word's shard lock.
+func (o *Oracle) recordOutputs(word, out []int) {
 	sh := o.out.Acquire(word)
 	node := int32(0)
-	depth := 0
-	pi := 0
-	for pi < len(parks) && parks[pi].depth == 0 {
-		o.park(sh, node, parks[pi].sess)
-		pi++
-	}
-	for _, ip := range word {
+	for d, ip := range word {
 		node = sh.Extend(node, ip)
-		depth++
-		v := sh.Val(node)
-		v.out = int16(out[depth-1])
+		sh.Val(node).out = int16(out[d])
 		sh.SetHas(node)
-		for pi < len(parks) && parks[pi].depth == depth {
-			o.park(sh, node, parks[pi].sess)
-			pi++
-		}
 	}
 	sh.Release()
 }
 
-// parkedFork is a session fork waiting to be pinned at the node of the
-// word prefix of the given depth.
-type parkedFork struct {
-	depth int
-	sess  Session
-}
-
-// sessionQueryTrie answers one output query through the output store
-// backed by resumable sessions: the longest recorded prefix is answered
-// without touching the prober, execution resumes from the deepest parked
-// session on the path, and only genuinely new symbols reach the cache.
-// Session forks are parked along the executed suffix so future extensions
-// of this word resume in O(1). Only the word's shard is locked, and only
-// around the prefix walk and the final recording — concurrent queries in
-// other subtrees proceed untouched.
-func (o *Oracle) sessionQueryTrie(fp ForkingProber, word []int) ([]int, error) {
-	n := fp.Assoc()
-	out := make([]int, len(word))
-	cc := append([]int32(nil), o.cc0IDs...)
-	feed := make([]int32, 0, len(word))
-
-	sh := o.out.Acquire(word)
-	k, _, feed, resume, resumeDepth, err := o.walkKnownPrefix(sh, word, out, cc, feed)
-	if err != nil {
-		sh.Release()
-		return nil, err
-	}
-	if k == len(word) {
-		if resume >= 0 {
-			o.touch(sh, resume)
-		}
-		sh.Release()
-		o.memoHits.Add(int64(k))
-		return out, nil
-	}
-	var sess Session
-	if resume >= 0 {
-		o.touch(sh, resume)
-		sess, err = sh.Val(resume).sess.Fork()
-	}
-	sh.Release()
-	if resume < 0 {
-		resumeDepth = 0
-		sess, err = fp.NewSession()
-	}
-	if err != nil {
-		return nil, err
-	}
-	o.memoHits.Add(int64(k))
-
-	accesses := 0
-	defer func() {
-		o.probesN.Add(1)
-		o.accessesN.Add(int64(accesses))
-	}()
-
-	// Fast-forward the session through the tail of the known prefix; the
-	// outputs are recorded, so this is pure feeding, no eviction probes.
-	for i := resumeDepth; i < k; i++ {
-		if _, err := sess.Access(blocks.Interned(int(feed[i]))); err != nil {
-			return nil, err
-		}
-		accesses++
-	}
-
-	var parks []parkedFork
-	if resumeDepth < k {
-		// Park a fork at the divergence frontier: sibling queries of this
-		// word share exactly this prefix.
-		if f, err := sess.Fork(); err == nil {
-			parks = append(parks, parkedFork{depth: k, sess: f})
-		}
-	}
-
-	for i := k; i < len(word); i++ {
-		ip := word[i]
-		if ip < 0 || ip > n {
-			return nil, fmt.Errorf("polca: input %d out of range for associativity %d", ip, n)
-		}
-		b := mapInputID(ip, cc)
-		oc, err := sess.Access(blocks.Interned(int(b)))
-		if err != nil {
-			return nil, err
-		}
-		accesses++
-		if ip < n {
-			if oc != cache.Hit {
-				return nil, fmt.Errorf("%w: access to cached block %s missed", ErrNondeterministic, blocks.Interned(int(b)))
-			}
-			out[i] = policy.Bottom
-		} else {
-			if oc != cache.Miss {
-				return nil, fmt.Errorf("%w: access to fresh block %s hit", ErrNondeterministic, blocks.Interned(int(b)))
-			}
-			evicted := -1
-			for j := 0; j < n; j++ {
-				poc, err := evictionProbe(sess, blocks.Interned(int(cc[j])))
-				if err != nil {
-					return nil, err
-				}
-				accesses++
-				if poc == cache.Miss {
-					if evicted != -1 {
-						return nil, fmt.Errorf("%w: blocks %s and %s both evicted by one miss",
-							ErrNondeterministic, blocks.Interned(int(cc[evicted])), blocks.Interned(int(cc[j])))
-					}
-					evicted = j
-				}
-			}
-			if evicted == -1 {
-				return nil, fmt.Errorf("%w: no resident block evicted by a miss", ErrNondeterministic)
-			}
-			cc[evicted] = b
-			out[i] = evicted
-		}
-		if f, err := sess.Fork(); err == nil {
-			parks = append(parks, parkedFork{depth: i + 1, sess: f})
-		}
-	}
-	o.recordOutputs(word, out, parks)
-	return out, nil
-}
-
-// probesQueryTrie is the trie-memoized variant of the reset-rooted probe
-// path, for probers without session support: the recorded prefix skips its
-// probes entirely, and the remaining symbols go through the block-id probe
-// trie (exact-match memo + single-flight) instead of string-keyed maps.
+// probesQueryTrie answers one output query over reset-rooted probes, for
+// probers the engine does not drive: the recorded prefix skips its probes
+// entirely, and the remaining symbols go through the block-id probe store
+// (exact-match memo + single-flight).
 func (o *Oracle) probesQueryTrie(ctx context.Context, word []int) ([]int, error) {
 	n := o.prober.Assoc()
 	out := make([]int, len(word))
@@ -1131,7 +786,7 @@ func (o *Oracle) probesQueryTrie(ctx context.Context, word []int) ([]int, error)
 	feed := make([]int32, 0, len(word))
 
 	sh := o.out.Acquire(word)
-	k, _, feed, _, _, err := o.walkKnownPrefix(sh, word, out, cc, feed)
+	k, feed, err := o.walkKnownPrefix(sh, word, out, cc, feed)
 	sh.Release()
 	if err != nil {
 		return nil, err
@@ -1154,7 +809,7 @@ func (o *Oracle) probesQueryTrie(ctx context.Context, word []int) ([]int, error)
 		b := mapInputID(ip, cc)
 		ic = append(ic, b)
 		icN = append(icN, blocks.Interned(int(b)))
-		oc, err := o.probe(ctx, icN, ic, false)
+		oc, err := o.probe(ctx, icN, ic)
 		if err != nil {
 			return nil, err
 		}
@@ -1167,15 +822,15 @@ func (o *Oracle) probesQueryTrie(ctx context.Context, word []int) ([]int, error)
 		}
 		out[i] = op
 	}
-	o.recordOutputs(word, out, nil)
+	o.recordOutputs(word, out)
 	return out, nil
 }
 
 // mapOutputTrie maps a cache outcome back to a policy output on the trie
-// probe path, issuing the findEvicted probes by block id. On a batched
-// oracle over a ProbeBatcher (a remote fleet, a replica pool) the
-// eviction-probe group ships as one grouped call with identical memo and
-// counter bookkeeping — see findEvictedTrieBatched.
+// probe path, issuing the findEvicted probes by block id. Over a
+// ProbeBatcher (a remote fleet, a replica pool) the eviction-probe group
+// ships as one grouped call with identical memo and counter bookkeeping —
+// see findEvictedTrieBatched.
 func (o *Oracle) mapOutputTrie(ctx context.Context, ip int, oc cache.Outcome, ic []int32, icN []blocks.Block, cc []int32) (int, error) {
 	n := o.prober.Assoc()
 	if ip < n { // Ln(i): the block is cached, the access must hit
@@ -1201,7 +856,7 @@ func (o *Oracle) mapOutputTrie(ctx context.Context, ip int, oc cache.Outcome, ic
 			return 0, fmt.Errorf("%w: access to fresh block %s hit", ErrNondeterministic, icN[len(icN)-1])
 		}
 	}
-	if bpr, ok := o.prober.(ProbeBatcher); ok && o.batched {
+	if bpr, ok := o.prober.(ProbeBatcher); ok {
 		return o.findEvictedTrieBatched(ctx, bpr, ic, icN, cc)
 	}
 	scan := func(refresh bool) (int, error) {
@@ -1214,7 +869,7 @@ func (o *Oracle) mapOutputTrie(ctx context.Context, ip int, oc cache.Outcome, ic
 			if refresh {
 				poc, err = o.reprobe(ctx, pN, pids)
 			} else {
-				poc, err = o.probe(ctx, pN, pids, false)
+				poc, err = o.probe(ctx, pN, pids)
 			}
 			if err != nil {
 				return 0, err

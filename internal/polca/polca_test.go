@@ -55,7 +55,7 @@ func TestTheorem31(t *testing.T) {
 }
 
 // TestSlowAndFastPathsAgree: the faithful reset-rooted probe path and the
-// session-based fast path produce identical answers.
+// engine path produce identical answers.
 func TestSlowAndFastPathsAgree(t *testing.T) {
 	for _, name := range []string{"LRU", "PLRU", "New1"} {
 		fast := NewOracle(NewSimProber(policy.MustNew(name, 4)))
@@ -122,24 +122,13 @@ func TestMemoization(t *testing.T) {
 	if second.MemoHits <= first.MemoHits {
 		t.Error("repeated query did not hit the memo table")
 	}
-
-	bare := NewOracle(SlowProber{P: NewSimProber(policy.MustNew("LRU", 4))}, WithoutMemo())
-	if _, err := bare.OutputQuery(context.Background(), word); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bare.OutputQuery(context.Background(), word); err != nil {
-		t.Fatal(err)
-	}
-	if bare.Stats().MemoHits != 0 {
-		t.Error("WithoutMemo still memoizes")
-	}
 }
 
 func TestNondeterminismDetection(t *testing.T) {
 	// A randomly evicting policy must be flagged, not silently mislearned
 	// (this is how the Haswell L3 failure of Table 4 manifests). Two
-	// detection channels exist: the determinism audit on the session fast
-	// path, and the inherent cross-probe checks of the reset-rooted path.
+	// detection channels exist: the determinism audit on the engine path,
+	// and the inherent cross-probe checks of the reset-rooted path.
 	t.Run("audit", func(t *testing.T) {
 		oracle := NewOracle(NewSimProber(policy.NewRandom(4, 99)), WithDeterminismChecks(1))
 		if !detectsNondeterminism(t, oracle) {
@@ -147,7 +136,7 @@ func TestNondeterminismDetection(t *testing.T) {
 		}
 	})
 	t.Run("probes", func(t *testing.T) {
-		oracle := NewOracle(SlowProber{P: NewSimProber(policy.NewRandom(4, 17))}, WithoutMemo())
+		oracle := NewOracle(SlowProber{P: NewSimProber(policy.NewRandom(4, 17))})
 		if !detectsNondeterminism(t, oracle) {
 			t.Error("reset-rooted probing never detected the inconsistency")
 		}

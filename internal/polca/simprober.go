@@ -10,20 +10,20 @@ import (
 
 // SimProber adapts a software-simulated cache set (internal/cache) to the
 // Prober interface used for the §6 case study: every probe replays the query
-// from the set's idealized reset state. It also implements ForkingProber, so
-// the oracle can use incremental sessions; the plain quadratic Probe path is
-// kept for the ablation benchmarks.
+// from the set's idealized reset state. An oracle over a SimProber answers
+// through its query engine (engine.go) rather than through Probe, which
+// serves the determinism audit and the reset-rooted path of wrappers such
+// as SlowProber.
 //
 // By default the policy is compiled into a dense transition table
-// (policy.Compile) and the prober runs on the compiled kernel: sessions are
-// copyable (int32 state, content) values, so forking one — the oracle forks
-// at every miss for the eviction probes, and parks forks at store nodes for
-// prefix resume — copies one int and one small slice instead of deep-cloning
-// a policy object. Policies the kernel cannot compile (state spaces over the
-// bound, or contract violations like policy.Random) silently keep the
-// interpreted path; trajectories and learned machines are bit-identical
-// either way. NewInterpretedSimProber forces the interpreted path for the
-// kernel ablation benchmarks.
+// (policy.Compile) and the engine steps the table directly over a
+// structure-of-arrays block; parked sessions are copyable (int32 state,
+// content) values. Policies the kernel cannot compile (state spaces over
+// the bound, or contract violations like policy.Random) silently keep the
+// interpreted path, which the engine executes on forking sessions;
+// trajectories and learned machines are bit-identical either way.
+// NewInterpretedSimProber forces the interpreted path for the kernel
+// ablation benchmarks.
 type SimProber struct {
 	set *cache.Set    // interpreted path (nil when the compiled kernel is active)
 	tab *policy.Table // compiled kernel
@@ -53,11 +53,6 @@ func NewInterpretedSimProber(pol policy.Policy) *SimProber {
 
 // Compiled reports whether the prober runs on the compiled policy kernel.
 func (p *SimProber) Compiled() bool { return p.tab != nil }
-
-// KernelTable returns the compiled transition table driving this prober's
-// sessions, or nil on the interpreted path. The batched SoA query engine
-// (WithBatchedQueries) requires it: lanes advance by direct table stepping.
-func (p *SimProber) KernelTable() *policy.Table { return p.tab }
 
 // Assoc implements Prober.
 func (p *SimProber) Assoc() int { return p.n }
@@ -107,9 +102,9 @@ func (p *SimProber) ProbeTrace(ctx context.Context, q []blocks.Block) ([]cache.O
 	return p.set.AccessAll(q), nil
 }
 
-// NewSession implements ForkingProber. Kernel sessions are independent
-// values over the shared immutable table, so this is safe for the oracle's
-// concurrent batched queries on both paths.
+// NewSession implements ForkingProber. Sessions are independent of each
+// other and of the prober (kernel sessions share only the immutable
+// table), so it is safe for concurrent use.
 func (p *SimProber) NewSession() (Session, error) {
 	if p.tab != nil {
 		s := &kernelSession{tab: p.tab, state: p.tab.InitState(), content: append([]blocks.Block(nil), p.cc0...)}
@@ -191,9 +186,9 @@ func (s *simSession) Fork() (Session, error) {
 	return &simSession{set: s.set.Clone()}, nil
 }
 
-// SlowProber wraps a ForkingProber and hides its session support, forcing
-// the oracle onto the faithful reset-rooted probe path. Used by the
-// ablation benchmarks that quantify the cost of the quadratic prefix replay.
+// SlowProber wraps a Prober and hides every extension, forcing the oracle
+// onto the faithful reset-rooted probe path. Used by the ablation
+// benchmarks that quantify the cost of the quadratic prefix replay.
 type SlowProber struct{ P Prober }
 
 // Assoc implements Prober.

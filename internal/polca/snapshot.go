@@ -31,9 +31,6 @@ const snapshotMagic = "POLCAQS"
 // snapshotVersion is the oracle-level header version.
 const snapshotVersion = 1
 
-// errNoTrie is returned when snapshotting a flat-memo or unmemoized oracle.
-var errNoTrie = errors.New("polca: snapshots require the prefix-tree query engine (WithoutMemo/WithoutTrie oracles have no output store)")
-
 // ErrSnapshotScope is returned by LoadSnapshot when the snapshot was
 // recorded for a different scope (policy, reset, or hardware target) than
 // the oracle loading it. Unlike corruption this is not a damaged file —
@@ -70,9 +67,6 @@ func (outCodec) DecodeValue(src []byte) (outVal, int, error) {
 // SaveSnapshot writes the oracle's recorded policy outputs to w, tagged
 // with the caller's scope string.
 func (o *Oracle) SaveSnapshot(w io.Writer, scope string) error {
-	if !o.trieOn() {
-		return errNoTrie
-	}
 	var hdr []byte
 	hdr = append(hdr, snapshotMagic...)
 	hdr = binary.AppendUvarint(hdr, snapshotVersion)
@@ -93,9 +87,6 @@ func (o *Oracle) SaveSnapshot(w io.Writer, scope string) error {
 // references them. Several snapshots of the same scope may be loaded in
 // sequence, as long as all of them land before the first query.
 func (o *Oracle) LoadSnapshot(r io.Reader, scope string) error {
-	if !o.trieOn() {
-		return errNoTrie
-	}
 	if o.outputQueries.Load() != 0 {
 		return errors.New("polca: LoadSnapshot must run before the oracle answers queries (loading over parked sessions would corrupt them)")
 	}

@@ -144,14 +144,3 @@ func TestSnapshotLoadAfterQueriesRejected(t *testing.T) {
 		t.Fatal("load into a live oracle accepted")
 	}
 }
-
-func TestSnapshotRequiresTrieEngine(t *testing.T) {
-	flat := NewOracle(NewSimProber(policy.MustNew("LRU", 4)), WithoutTrie())
-	var buf bytes.Buffer
-	if err := flat.SaveSnapshot(&buf, "s"); err == nil {
-		t.Fatal("flat-memo oracle produced a snapshot")
-	}
-	if err := flat.LoadSnapshot(bytes.NewReader(nil), "s"); err == nil {
-		t.Fatal("flat-memo oracle loaded a snapshot")
-	}
-}

@@ -7,8 +7,8 @@ package polca
 // The output store is keyed by *policy inputs*: every node is one
 // policy-input prefix, recording the policy output of its last symbol.
 // Any output query is answered symbol by symbol from its longest recorded
-// prefix — the whole prefix costs zero prober work — and, for forking
-// (simulator) probers, a node can additionally pin a live Session parked
+// prefix — the whole prefix costs zero prober work — and, for simulator
+// probers, a node can additionally pin a live Session parked
 // in exactly the cache state the prefix reaches. A query that diverges at
 // depth k forks the deepest parked ancestor and executes only the suffix,
 // replacing the quadratic reset-rooted prefix replay with amortized O(1)
@@ -101,18 +101,21 @@ func (o *Oracle) touch(sh *outShard, n int32) {
 // evicts the shard's least recently used sessions while over its budget
 // (the global session cap divided evenly across shards).
 func (o *Oracle) park(sh *outShard, n int32, s Session) {
-	l := o.lruOf(sh)
 	if sh.Val(n).sess != nil {
-		o.unlink(sh, n)
-		l.parked--
+		o.unpark(sh, n)
 	}
 	sh.Val(n).sess = s
 	o.pushFront(sh, n)
+	l := o.lruOf(sh)
 	l.parked++
 	for l.parked > o.lruCap && l.tail != -1 {
-		vic := l.tail
-		o.unlink(sh, vic)
-		sh.Val(vic).sess = nil
-		l.parked--
+		o.unpark(sh, l.tail)
 	}
+}
+
+// unpark drops the session parked at n (n must hold one).
+func (o *Oracle) unpark(sh *outShard, n int32) {
+	o.unlink(sh, n)
+	sh.Val(n).sess = nil
+	o.lruOf(sh).parked--
 }

@@ -37,9 +37,9 @@ func (f freshOnly) ProbeFresh(ctx context.Context, q []blocks.Block) (cache.Outc
 var _ FreshProber = freshOnly{}
 
 // TestTrieOracleMatchesFreshGroundTruth: for every published policy, the
-// trie-backed oracle — on both the session path (forking prober) and the
-// reset-rooted probe path (slow prober) — answers exactly like an
-// unmemoized oracle whose every probe is a fresh execution, and like the
+// trie-backed oracle — on both the engine path (simulator prober) and the
+// reset-rooted probe path (slow prober) — answers exactly like the audit's
+// unmemoized loop whose every probe is a fresh execution, and like the
 // machine extracted from the policy itself.
 func TestTrieOracleMatchesFreshGroundTruth(t *testing.T) {
 	for _, c := range tenPolicies {
@@ -51,7 +51,7 @@ func TestTrieOracleMatchesFreshGroundTruth(t *testing.T) {
 			}
 			fast := NewOracle(NewSimProber(policy.MustNew(c.name, c.assoc)))
 			slow := NewOracle(SlowProber{P: NewSimProber(policy.MustNew(c.name, c.assoc))})
-			fresh := NewOracle(freshOnly{p: NewSimProber(policy.MustNew(c.name, c.assoc))}, WithoutMemo())
+			fresh := NewOracle(freshOnly{p: NewSimProber(policy.MustNew(c.name, c.assoc))})
 
 			rng := rand.New(rand.NewSource(int64(31 + c.assoc)))
 			numIn := truth.NumInputs
@@ -64,7 +64,7 @@ func TestTrieOracleMatchesFreshGroundTruth(t *testing.T) {
 				for j := range word {
 					word[j] = rng.Intn(numIn)
 				}
-				want, err := fresh.OutputQuery(context.Background(), word)
+				want, err := fresh.outputQueryProbes(context.Background(), word)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -76,7 +76,7 @@ func TestTrieOracleMatchesFreshGroundTruth(t *testing.T) {
 				}
 				for j := range word {
 					if a[j] != want[j] || b[j] != want[j] || mw[j] != want[j] {
-						t.Fatalf("%s: word %v: session %v, probes %v, machine %v, fresh %v",
+						t.Fatalf("%s: word %v: engine %v, probes %v, machine %v, fresh %v",
 							c.name, word, a, b, mw, want)
 					}
 				}
@@ -92,18 +92,21 @@ func TestTrieOracleMatchesFreshGroundTruth(t *testing.T) {
 // change only the cost, never the answers.
 func TestSessionCapEviction(t *testing.T) {
 	capped := NewOracle(NewSimProber(policy.MustNew("New1", 4)), WithSessionCap(1))
-	reference := NewOracle(NewSimProber(policy.MustNew("New1", 4)), WithoutTrie())
+	truth, err := mealy.FromPolicy(policy.MustNew("New1", 4), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 80; i++ {
 		word := make([]int, 1+rng.Intn(10))
 		for j := range word {
 			word[j] = rng.Intn(5)
 		}
-		a, err1 := capped.OutputQuery(context.Background(), word)
-		b, err2 := reference.OutputQuery(context.Background(), word)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("errors %v / %v", err1, err2)
+		a, err := capped.OutputQuery(context.Background(), word)
+		if err != nil {
+			t.Fatal(err)
 		}
+		b := truth.Run(word)
 		for j := range a {
 			if a[j] != b[j] {
 				t.Fatalf("cap-1 oracle diverged on %v: %v vs %v", word, a, b)
@@ -113,7 +116,7 @@ func TestSessionCapEviction(t *testing.T) {
 }
 
 // TestTrieResumeSkipsPrefixReplay: extending an answered word by one symbol
-// must cost O(1) prober accesses on the session path — the trie resumes the
+// must cost O(1) prober accesses on the engine path — the trie resumes the
 // parked session instead of replaying the prefix.
 func TestTrieResumeSkipsPrefixReplay(t *testing.T) {
 	oracle := NewOracle(NewSimProber(policy.MustNew("LRU", 4)))
@@ -135,56 +138,5 @@ func TestTrieResumeSkipsPrefixReplay(t *testing.T) {
 	}
 	if after.MemoHits <= before.MemoHits {
 		t.Error("extension did not consume the recorded prefix")
-	}
-}
-
-// TestWithoutTrieMatchesLegacyTrajectory: with the trie disabled, repeating
-// a query costs exactly one probe flush on the session path — the pre-trie
-// accounting the ablation benchmarks rely on.
-func TestWithoutTrieMatchesLegacyTrajectory(t *testing.T) {
-	oracle := NewOracle(NewSimProber(policy.MustNew("LRU", 4)), WithoutTrie())
-	word := []int{4, 0, 4}
-	if _, err := oracle.OutputQuery(context.Background(), word); err != nil {
-		t.Fatal(err)
-	}
-	first := oracle.Stats()
-	if _, err := oracle.OutputQuery(context.Background(), word); err != nil {
-		t.Fatal(err)
-	}
-	second := oracle.Stats()
-	if second.Probes != 2*first.Probes || second.Accesses != 2*first.Accesses {
-		t.Errorf("legacy session path should re-execute fully: %+v then %+v", first, second)
-	}
-	if second.MemoHits != 0 {
-		t.Errorf("legacy session path has no memo, saw %d hits", second.MemoHits)
-	}
-}
-
-// TestStripedOracleMatchesSingleStripe: collapsing the stores to one lock
-// (the pre-striping single-mutex oracle) must change only contention,
-// never answers or the ability to share prefixes.
-func TestStripedOracleMatchesSingleStripe(t *testing.T) {
-	striped := NewOracle(NewSimProber(policy.MustNew("SRRIP-HP", 4)))
-	single := NewOracle(NewSimProber(policy.MustNew("SRRIP-HP", 4)), WithStoreStripes(1))
-	rng := rand.New(rand.NewSource(17))
-	for i := 0; i < 60; i++ {
-		word := make([]int, 1+rng.Intn(12))
-		for j := range word {
-			word[j] = rng.Intn(5)
-		}
-		a, err1 := striped.OutputQuery(context.Background(), word)
-		b, err2 := single.OutputQuery(context.Background(), word)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("errors %v / %v", err1, err2)
-		}
-		for j := range a {
-			if a[j] != b[j] {
-				t.Fatalf("stripe count changed answers on %v: %v vs %v", word, a, b)
-			}
-		}
-	}
-	sa, sb := striped.Stats(), single.Stats()
-	if sa.Probes != sb.Probes || sa.Accesses != sb.Accesses || sa.MemoHits != sb.MemoHits {
-		t.Errorf("stripe count changed the cost trajectory: %+v vs %+v", sa, sb)
 	}
 }

@@ -7,8 +7,8 @@ package policy
 // and Batch packs N concurrent sessions as two contiguous matrices — a
 // state vector and a dense-block-id content matrix — instead of N
 // heap-allocated session structs. One cache line of the state vector holds
-// sixteen sessions, so a lockstep pass touches memory linearly where the
-// per-session path chases a pointer per fork.
+// sixteen sessions, so a lockstep pass touches memory linearly where heap
+// sessions chase a pointer per fork.
 //
 // The Batch layer is deliberately mechanical: it knows the transition
 // table and the content layout, but nothing about the oracle protocol
