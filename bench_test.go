@@ -49,7 +49,9 @@ func BenchmarkFig1Pipeline(b *testing.B) {
 
 // BenchmarkTable2 learns policies from software-simulated caches (§6). The
 // sub-benchmark set is the feasible core of Table 2; run cmd/experiments
-// with -full for the multi-hour instances.
+// with -full for the multi-hour instances. Each row reports the learner's
+// trajectory counters, so the baseline pins the exact run alongside its
+// time.
 func BenchmarkTable2(b *testing.B) {
 	cases := []struct {
 		name  string
@@ -65,6 +67,10 @@ func BenchmarkTable2(b *testing.B) {
 				if !row.Verified {
 					b.Fatalf("row failed: %+v", row)
 				}
+				b.ReportMetric(float64(row.Learn.OutputQueries), "queries/op")
+				b.ReportMetric(float64(row.Learn.QuerySymbols), "symbols/op")
+				b.ReportMetric(float64(row.Learn.TestWords), "testwords/op")
+				b.ReportMetric(float64(row.Learn.Rounds), "rounds/op")
 			}
 		})
 	}

@@ -6,10 +6,12 @@
 //
 // With -compare it becomes the CI regression gate: the fresh run is compared
 // against a committed baseline and the command exits nonzero when any named
-// benchmark regresses past the tolerance. Deterministic counters (B/op,
-// allocs/op, and every custom metric such as probes/op or accesses/op) are
-// held to -tolerance; wall-clock ns/op — noisy at -benchtime=1x on shared
-// runners — is held to the looser -time-tolerance. A benchmark present only
+// benchmark regresses past the tolerance. The counters the benchmarks derive
+// from deterministic learner, oracle and synthesis runs (exactUnits:
+// queries/op, probes/op, accesses/op, ...) must equal the baseline exactly,
+// in either direction; B/op, allocs/op and any other custom metric are held
+// to -tolerance; wall-clock ns/op and qps — noisy at -benchtime=1x on shared
+// runners — are held to the looser -time-tolerance. A benchmark present only
 // in the baseline is reported but does not fail the gate (benchmarks get
 // renamed); a benchmark present only in the current run passes but warns
 // once — it is ungated until a regenerated baseline covers it. A deliberate
@@ -70,8 +72,8 @@ func main() {
 	pkg := flag.String("pkg", "repro", "package pattern holding the benchmarks")
 	out := flag.String("out", "", "output path (default BENCH_<date>.json; compare mode writes only when set explicitly)")
 	comparePath := flag.String("compare", "", "baseline JSON to compare the run against; exit nonzero on regression")
-	tolerance := flag.Float64("tolerance", 0.25, "allowed fractional regression for deterministic counters (compare mode)")
-	timeTolerance := flag.Float64("time-tolerance", 1.0, "allowed fractional regression for ns/op (compare mode; loose because -benchtime=1x timing is noisy)")
+	tolerance := flag.Float64("tolerance", 0.25, "allowed fractional regression for B/op, allocs/op and custom metrics not gated exactly (compare mode)")
+	timeTolerance := flag.Float64("time-tolerance", 1.0, "allowed fractional regression for ns/op and qps (compare mode; loose because -benchtime=1x timing is noisy)")
 	flag.Parse()
 
 	date := time.Now().Format("2006-01-02")
@@ -272,6 +274,24 @@ func normalizeName(name string) string {
 	return name[:i]
 }
 
+// exactUnits are the custom metrics held to exact equality. Each counts
+// work a deterministic run does — learner queries, symbols, test words and
+// rounds, oracle probes, accesses and memo hits, learned states, synthesis
+// candidates — and each was checked identical across repeated suite runs
+// at GOMAXPROCS 1 and 2. Any change, up or down, means the run itself
+// changed and the baseline must be regenerated with it.
+var exactUnits = map[string]bool{
+	"queries/op":    true,
+	"symbols/op":    true,
+	"testwords/op":  true,
+	"rounds/op":     true,
+	"probes/op":     true,
+	"accesses/op":   true,
+	"memohits/op":   true,
+	"states":        true,
+	"candidates/op": true,
+}
+
 // compareReport is the outcome of one baseline comparison.
 type compareReport struct {
 	Compared    int      // benchmarks present in both runs
@@ -281,15 +301,17 @@ type compareReport struct {
 }
 
 // compareBaselines checks every benchmark of the current run against the
-// baseline. A value regresses when it exceeds baseline*(1+tol) — timeTol for
-// ns/op, tol for the deterministic counters (B/op, allocs/op, and custom
-// metrics). The "qps" unit is throughput, where higher is better and the
-// value is as wall-clock-noisy as ns/op, so it is gated inverted at the time
-// tolerance: a run regresses when qps falls below baseline/(1+timeTol). A
-// deterministic counter the baseline has but the current run no longer
-// reports is also a failure: a silently vanished probes/op is exactly the
-// kind of broken stats plumbing the gate exists to catch. Zero-valued
-// baseline entries are skipped: there is no meaningful ratio against zero.
+// baseline. An exactUnits counter regresses when it differs from the
+// baseline at all. Any other value regresses when it exceeds
+// baseline*(1+tol) — timeTol for ns/op, tol for B/op, allocs/op and the
+// remaining custom metrics. The "qps" unit is throughput, where higher is
+// better and the value is as wall-clock-noisy as ns/op, so it is gated
+// inverted at the time tolerance: a run regresses when qps falls below
+// baseline/(1+timeTol). A counter the baseline has but the current run no
+// longer reports is also a failure: a silently vanished probes/op is
+// exactly the kind of broken stats plumbing the gate exists to catch.
+// Toleranced zero-valued baseline entries are skipped: there is no
+// meaningful ratio against zero.
 func compareBaselines(base, cur *Baseline, tol, timeTol float64) compareReport {
 	var rep compareReport
 	// With Gomaxprocs recorded on both sides the proc suffix is stripped
@@ -359,6 +381,14 @@ func compareBaselines(base, cur *Baseline, tol, timeTol float64) compareReport {
 				fmt.Sprintf("%s %s: %.6g vs baseline %.6g (%.1f%%, tolerance -%.0f%%)",
 					name, metric, got, want, 100*(got/want-1), 100*(1-1/(1+allowed))))
 		}
+		checkExact := func(metric string, got, want float64) {
+			if got == want {
+				return
+			}
+			rep.Regressions = append(rep.Regressions,
+				fmt.Sprintf("%s %s: %.10g vs baseline %.10g (deterministic counter, must match exactly)",
+					name, metric, got, want))
+		}
 		check("ns/op", r.NsPerOp, b.NsPerOp, timeTol)
 		check("B/op", r.BytesPerOp, b.BytesPerOp, tol)
 		check("allocs/op", r.AllocsPerOp, b.AllocsPerOp, tol)
@@ -369,11 +399,14 @@ func compareBaselines(base, cur *Baseline, tol, timeTol float64) compareReport {
 					fmt.Sprintf("%s %s: metric vanished (baseline %.6g)", name, unit, want))
 				continue
 			}
-			if unit == "qps" {
+			switch {
+			case unit == "qps":
 				checkRate(unit, got, want, timeTol)
-				continue
+			case exactUnits[unit]:
+				checkExact(unit, got, want)
+			default:
+				check(unit, got, want, tol)
 			}
-			check(unit, got, want, tol)
 		}
 	}
 	for i, r := range base.Results {

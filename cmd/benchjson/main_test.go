@@ -296,3 +296,59 @@ func TestCompareQpsHigherIsBetter(t *testing.T) {
 		t.Errorf("vanished qps not flagged: %+v", rep.Regressions)
 	}
 }
+
+// TestCompareExactCountersVsTolerance: the deterministic counters in
+// exactUnits fail on any difference from the baseline, in either direction
+// and however small, while ns/op and qps keep -time-tolerance and B/op,
+// allocs/op and other custom metrics keep -tolerance.
+func TestCompareExactCountersVsTolerance(t *testing.T) {
+	baseRes := Result{Name: "BenchmarkTable2/SRRIP-FP-4", NsPerOp: 1000, BytesPerOp: 100, AllocsPerOp: 10,
+		Metrics: map[string]float64{"widgets/op": 100, "qps": 1000}}
+	for unit := range exactUnits {
+		baseRes.Metrics[unit] = 224313
+	}
+	base := baselineOf(baseRes)
+	run := func(edit func(r *Result)) compareReport {
+		r := baseRes
+		r.Metrics = make(map[string]float64, len(baseRes.Metrics))
+		for k, v := range baseRes.Metrics {
+			r.Metrics[k] = v
+		}
+		edit(&r)
+		return compareBaselines(base, baselineOf(r), 0.25, 1.0)
+	}
+
+	if rep := run(func(*Result) {}); len(rep.Regressions) != 0 {
+		t.Fatalf("identical run flagged: %v", rep.Regressions)
+	}
+	for unit := range exactUnits {
+		for _, delta := range []float64{+1, -1} {
+			rep := run(func(r *Result) { r.Metrics[unit] += delta })
+			if len(rep.Regressions) != 1 || !strings.Contains(rep.Regressions[0], unit) ||
+				!strings.Contains(rep.Regressions[0], "exactly") {
+				t.Errorf("%s off by %+g not held exact: %v", unit, delta, rep.Regressions)
+			}
+		}
+	}
+
+	// Toleranced values: inside their tolerance pass, past it fail.
+	within := run(func(r *Result) {
+		r.NsPerOp, r.Metrics["qps"] = 1900, 600
+		r.BytesPerOp, r.AllocsPerOp, r.Metrics["widgets/op"] = 120, 12, 120
+	})
+	if len(within.Regressions) != 0 {
+		t.Errorf("values inside their tolerance flagged: %v", within.Regressions)
+	}
+	past := run(func(r *Result) {
+		r.NsPerOp, r.Metrics["qps"] = 2100, 400
+		r.BytesPerOp, r.AllocsPerOp, r.Metrics["widgets/op"] = 130, 13, 130
+	})
+	if len(past.Regressions) != 5 {
+		t.Errorf("values past their tolerance: got %d regressions, want 5: %v", len(past.Regressions), past.Regressions)
+	}
+	for _, r := range append(within.Regressions, past.Regressions...) {
+		if strings.Contains(r, "exactly") {
+			t.Errorf("toleranced value gated exactly: %s", r)
+		}
+	}
+}

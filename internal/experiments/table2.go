@@ -59,7 +59,7 @@ type Table2Row struct {
 	Assoc    int
 	States   int
 	Time     time.Duration
-	Queries  int
+	Learn    learn.Stats // the learner's trajectory counters
 	Verified bool
 	Err      string
 }
@@ -106,7 +106,7 @@ func RunTable2RowSim(ctx context.Context, name string, assoc int, opt learn.Opti
 		return row
 	}
 	row.States = res.Machine.NumStates
-	row.Queries = res.LearnStats.OutputQueries
+	row.Learn = res.LearnStats
 	pol, err := policy.New(name, assoc)
 	if err != nil {
 		row.Err = err.Error()
@@ -213,7 +213,7 @@ func Table2Table(rows []Table2Row) *Table {
 			verified = "NO: " + r.Err
 		}
 		t.Append(r.Policy, fmt.Sprint(r.Assoc), fmt.Sprint(r.States),
-			fmtDuration(r.Time), fmt.Sprint(r.Queries), verified)
+			fmtDuration(r.Time), fmt.Sprint(r.Learn.OutputQueries), verified)
 	}
 	return t
 }

@@ -207,11 +207,7 @@ func Learn(ctx context.Context, t Teacher, opt Options) (*Result, error) {
 	start := time.Now()
 	switch opt.Algo {
 	case AlgoLStar:
-		l := &learner{
-			engine: newEngine(ctx, t, opt),
-			sufs:   newMarkStore(t.NumInputs()),
-			ids:    intern.New(),
-		}
+		l := newLearner(ctx, t, opt)
 		m, err = l.run()
 		stats = &l.stats
 	case AlgoTree:
@@ -276,11 +272,37 @@ type learner struct {
 	engine
 
 	prefixes [][]int // P, prefix-closed, pairwise distinct rows
-	suffixes [][]int // S, suffix set (non-empty words)
+	suffixes [][]int // S, suffix set (non-empty words), append-only
 	sufs     *qstore.Store[int, struct{}]
 	fetchedS int // suffixes whose table columns have been batch-prefetched
 
-	ids *intern.Interner // row/cell signature interning
+	ids      *intern.Interner // row/cell signature interning
+	rowCache map[int32]rowSig // row signature per memo-trie node of its prefix
+}
+
+// rowSig is a row signature folded over a prefix of the suffix columns:
+// acc is the left fold of the cell ids over suffixes[:n]. S only grows by
+// appending, so a cached fold is extended over suffixes[n:] and never
+// recomputed.
+type rowSig struct {
+	acc int32
+	n   int
+}
+
+// newLearner builds an L* learner holding the initial table: P = {ε} and
+// one single-symbol suffix per input.
+func newLearner(ctx context.Context, t Teacher, opt Options) *learner {
+	l := &learner{
+		engine:   newEngine(ctx, t, opt),
+		sufs:     newMarkStore(t.NumInputs()),
+		ids:      intern.New(),
+		rowCache: make(map[int32]rowSig),
+		prefixes: [][]int{{}},
+	}
+	for a := 0; a < l.numIn; a++ {
+		l.addSuffix([]int{a})
+	}
+	return l
 }
 
 // resolveBatch computes the effective prefetch chunk for a teacher: explicit
@@ -425,19 +447,47 @@ func (l *engine) cell(u, s []int) ([]int, error) {
 	return out[len(u):], nil
 }
 
-// rowID computes the interned row signature of prefix u over the current
+// rowID returns the interned row signature of prefix u over the current
 // suffixes: every cell's output word folds to a dense id, and the row is
-// the fold of its cell ids — no string keys are built.
+// the left fold of its cell ids — no string keys are built. The fold is
+// cached under u's node in the output memo (a single unsynchronized shard,
+// so node ids are stable handles) and extended over the suffixes appended
+// since it was last computed. A fold interrupted by a query error is not
+// stored.
 func (l *learner) rowID(u []int) (int32, error) {
-	acc := intern.Empty
-	for _, s := range l.suffixes {
+	node := l.memoNode(u)
+	sig := rowSig{acc: intern.Empty}
+	if node >= 0 {
+		if c, ok := l.rowCache[node]; ok {
+			sig = c
+		}
+	}
+	if sig.n == len(l.suffixes) {
+		return sig.acc, nil
+	}
+	for _, s := range l.suffixes[sig.n:] {
 		c, err := l.cell(u, s)
 		if err != nil {
 			return 0, err
 		}
-		acc = l.ids.Pair(acc, l.ids.Word(c))
+		sig.acc = l.ids.Pair(sig.acc, l.ids.Word(c))
 	}
-	return acc, nil
+	sig.n = len(l.suffixes)
+	if node < 0 {
+		// On the serial path u's node first appears when its cells are
+		// queried; it exists now that at least one cell is recorded.
+		node = l.memoNode(u)
+	}
+	l.rowCache[node] = sig
+	return sig.acc, nil
+}
+
+// memoNode returns u's node in the output memo, or -1 when no recorded
+// word passes through u yet.
+func (l *learner) memoNode(u []int) int32 {
+	sh := l.memo.Acquire(u)
+	defer sh.Release()
+	return sh.Find(u)
 }
 
 func (l *learner) addSuffix(s []int) {
@@ -447,12 +497,16 @@ func (l *learner) addSuffix(s []int) {
 	l.suffixes = append(l.suffixes, append([]int(nil), s...))
 }
 
-func (l *learner) run() (*mealy.Machine, error) {
-	l.prefixes = [][]int{{}}
-	for a := 0; a < l.numIn; a++ {
-		l.addSuffix([]int{a})
+// addCounterexample processes a counterexample the Maler–Pnueli way: every
+// suffix of it becomes a distinguishing suffix.
+func (l *learner) addCounterexample(ce []int) {
+	l.stats.Counterexample++
+	for i := 0; i < len(ce); i++ {
+		l.addSuffix(ce[i:])
 	}
+}
 
+func (l *learner) run() (*mealy.Machine, error) {
 	for {
 		l.stats.Rounds++
 		hyp, err := l.closeAndBuild()
@@ -466,12 +520,7 @@ func (l *learner) run() (*mealy.Machine, error) {
 		if ce == nil {
 			return hyp, nil
 		}
-		l.stats.Counterexample++
-		// Maler–Pnueli: every suffix of the (trimmed) counterexample
-		// becomes a distinguishing suffix.
-		for i := 0; i < len(ce); i++ {
-			l.addSuffix(ce[i:])
-		}
+		l.addCounterexample(ce)
 	}
 }
 
@@ -497,89 +546,97 @@ func (l *learner) rowWords(prefixes, suffixes [][]int) [][]int {
 }
 
 // closeAndBuild restores table closedness and constructs the hypothesis.
+//
+// Batch prefetch: entering a round, fill the columns of any suffixes added
+// by the last counterexample across the whole table; within the round,
+// fetch only the full rows of prefixes promoted by the closing scan.
+// Everything else is already memoized, so the folds below are pure cache
+// walks. Without batching the table asks lazily, exactly as the serial
+// learner always has.
+//
+// The closing scan runs once over P·Σ in (prefix, input) order. Promoting
+// P[i]·a only adds a row, so every extension checked before it still has a
+// match and the scan resumes at (i, a+1); prefixes promoted during the scan
+// are appended to P and scanned in turn.
 func (l *learner) closeAndBuild() (*mealy.Machine, error) {
-	// Batch prefetch: entering a round, fill the columns of any suffixes
-	// added by the last counterexample across the whole table; within the
-	// round, fetch only the full rows of prefixes promoted by the closing
-	// check. Everything else is already memoized, so the passes below are
-	// pure cache walks. Without batching the loop asks lazily, exactly as
-	// the serial learner always has.
 	batching := l.batch > 1
-	var fetch [][]int
 	if batching {
-		fetch = l.rowWords(l.prefixes, l.suffixes[l.fetchedS:])
+		fetch := l.rowWords(l.prefixes, l.suffixes[l.fetchedS:])
 		l.fetchedS = len(l.suffixes)
-	}
-	for {
 		if err := l.prefetch(fetch); err != nil {
 			return nil, err
 		}
-		fetch = nil
-		rows := make(map[int32]int, len(l.prefixes))
-		for i, u := range l.prefixes {
-			k, err := l.rowID(u)
+	}
+	rows := make(map[int32]int, len(l.prefixes))
+	for i, u := range l.prefixes {
+		k, err := l.rowID(u)
+		if err != nil {
+			return nil, err
+		}
+		if err := l.insertRow(rows, k, i); err != nil {
+			return nil, err
+		}
+	}
+
+	for i := 0; i < len(l.prefixes); i++ {
+		for a := 0; a < l.numIn; a++ {
+			ext := qstore.Concat(l.prefixes[i], []int{a})
+			k, err := l.rowID(ext)
 			if err != nil {
 				return nil, err
 			}
-			if _, dup := rows[k]; dup {
-				// Two short prefixes became equal; keep the table reduced
-				// by dropping the later one. This cannot happen with a
-				// deterministic teacher because rows only split, but guard
-				// against it to fail loudly rather than mis-build.
-				return nil, fmt.Errorf("learn: duplicate rows in reduced table (prefixes %v and %v)", l.prefixes[rows[k]], u)
+			if _, ok := rows[k]; ok {
+				continue
 			}
-			rows[k] = i
-		}
-
-		closed := true
-		for i := 0; closed && i < len(l.prefixes); i++ {
-			for a := 0; a < l.numIn; a++ {
-				ext := append(append([]int(nil), l.prefixes[i]...), a)
-				k, err := l.rowID(ext)
-				if err != nil {
+			if l.opt.MaxStates > 0 && len(l.prefixes) >= l.opt.MaxStates {
+				return nil, fmt.Errorf("%w: more than %d states", ErrStateBudget, l.opt.MaxStates)
+			}
+			l.prefixes = append(l.prefixes, ext)
+			if batching {
+				if err := l.prefetch(l.rowWords([][]int{ext}, l.suffixes)); err != nil {
 					return nil, err
 				}
-				if _, ok := rows[k]; !ok {
-					if l.opt.MaxStates > 0 && len(l.prefixes) >= l.opt.MaxStates {
-						return nil, fmt.Errorf("%w: more than %d states", ErrStateBudget, l.opt.MaxStates)
-					}
-					l.prefixes = append(l.prefixes, ext)
-					if batching {
-						fetch = l.rowWords([][]int{ext}, l.suffixes)
-					}
-					closed = false
-					break
-				}
+			}
+			if err := l.insertRow(rows, k, len(l.prefixes)-1); err != nil {
+				return nil, err
 			}
 		}
-		if !closed {
-			continue
-		}
-
-		// Build the hypothesis from the closed, reduced table.
-		m := mealy.New(len(l.prefixes), l.numIn)
-		m.Init = 0
-		for i, u := range l.prefixes {
-			for a := 0; a < l.numIn; a++ {
-				ext := append(append([]int(nil), u...), a)
-				k, err := l.rowID(ext)
-				if err != nil {
-					return nil, err
-				}
-				j, ok := rows[k]
-				if !ok {
-					return nil, fmt.Errorf("learn: table not closed after closing pass")
-				}
-				m.Next[i][a] = j
-				c, err := l.cell(u, []int{a})
-				if err != nil {
-					return nil, err
-				}
-				m.Out[i][a] = c[0]
-			}
-		}
-		return m, nil
 	}
+
+	// Build the hypothesis from the closed, reduced table; every row
+	// signature is a cache read now.
+	m := mealy.New(len(l.prefixes), l.numIn)
+	m.Init = 0
+	for i, u := range l.prefixes {
+		for a := 0; a < l.numIn; a++ {
+			k, err := l.rowID(qstore.Concat(u, []int{a}))
+			if err != nil {
+				return nil, err
+			}
+			j, ok := rows[k]
+			if !ok {
+				return nil, fmt.Errorf("learn: table not closed after closing pass")
+			}
+			m.Next[i][a] = j
+			c, err := l.cell(u, []int{a})
+			if err != nil {
+				return nil, err
+			}
+			m.Out[i][a] = c[0]
+		}
+	}
+	return m, nil
+}
+
+// insertRow records prefix i's row signature k. Two short prefixes with
+// equal rows would break the reduced table; with a deterministic teacher
+// rows only split, so this is an error rather than something to repair.
+func (l *learner) insertRow(rows map[int32]int, k int32, i int) error {
+	if j, dup := rows[k]; dup {
+		return fmt.Errorf("learn: duplicate rows in reduced table (prefixes %v and %v)", l.prefixes[j], l.prefixes[i])
+	}
+	rows[k] = i
+	return nil
 }
 
 // findCounterexample approximates the equivalence query. It returns nil when
