@@ -10,8 +10,9 @@
 // from deterministic learner, oracle and synthesis runs (exactUnits:
 // queries/op, probes/op, accesses/op, ...) must equal the baseline exactly,
 // in either direction; B/op, allocs/op and any other custom metric are held
-// to -tolerance; wall-clock ns/op and qps — noisy at -benchtime=1x on shared
-// runners — are held to the looser -time-tolerance. A benchmark present only
+// to -tolerance; wall-clock ns/op, qps and custom wall-clock metrics (units
+// ending in "-ns", such as a cold first run) — noisy at -benchtime=1x on
+// shared runners — are held to the looser -time-tolerance. A benchmark present only
 // in the baseline is reported but does not fail the gate (benchmarks get
 // renamed); a benchmark present only in the current run passes but warns
 // once — it is ungated until a regenerated baseline covers it. A deliberate
@@ -73,7 +74,7 @@ func main() {
 	out := flag.String("out", "", "output path (default BENCH_<date>.json; compare mode writes only when set explicitly)")
 	comparePath := flag.String("compare", "", "baseline JSON to compare the run against; exit nonzero on regression")
 	tolerance := flag.Float64("tolerance", 0.25, "allowed fractional regression for B/op, allocs/op and custom metrics not gated exactly (compare mode)")
-	timeTolerance := flag.Float64("time-tolerance", 1.0, "allowed fractional regression for ns/op and qps (compare mode; loose because -benchtime=1x timing is noisy)")
+	timeTolerance := flag.Float64("time-tolerance", 1.0, "allowed fractional regression for ns/op, qps and custom -ns metrics (compare mode; loose because -benchtime=1x timing is noisy)")
 	flag.Parse()
 
 	date := time.Now().Format("2006-01-02")
@@ -402,6 +403,8 @@ func compareBaselines(base, cur *Baseline, tol, timeTol float64) compareReport {
 			switch {
 			case unit == "qps":
 				checkRate(unit, got, want, timeTol)
+			case strings.HasSuffix(unit, "-ns"):
+				check(unit, got, want, timeTol)
 			case exactUnits[unit]:
 				checkExact(unit, got, want)
 			default:

@@ -303,7 +303,7 @@ func TestCompareQpsHigherIsBetter(t *testing.T) {
 // allocs/op and other custom metrics keep -tolerance.
 func TestCompareExactCountersVsTolerance(t *testing.T) {
 	baseRes := Result{Name: "BenchmarkTable2/SRRIP-FP-4", NsPerOp: 1000, BytesPerOp: 100, AllocsPerOp: 10,
-		Metrics: map[string]float64{"widgets/op": 100, "qps": 1000}}
+		Metrics: map[string]float64{"widgets/op": 100, "qps": 1000, "cold-ns": 1000}}
 	for unit := range exactUnits {
 		baseRes.Metrics[unit] = 224313
 	}
@@ -333,18 +333,18 @@ func TestCompareExactCountersVsTolerance(t *testing.T) {
 
 	// Toleranced values: inside their tolerance pass, past it fail.
 	within := run(func(r *Result) {
-		r.NsPerOp, r.Metrics["qps"] = 1900, 600
+		r.NsPerOp, r.Metrics["qps"], r.Metrics["cold-ns"] = 1900, 600, 1900
 		r.BytesPerOp, r.AllocsPerOp, r.Metrics["widgets/op"] = 120, 12, 120
 	})
 	if len(within.Regressions) != 0 {
 		t.Errorf("values inside their tolerance flagged: %v", within.Regressions)
 	}
 	past := run(func(r *Result) {
-		r.NsPerOp, r.Metrics["qps"] = 2100, 400
+		r.NsPerOp, r.Metrics["qps"], r.Metrics["cold-ns"] = 2100, 400, 2100
 		r.BytesPerOp, r.AllocsPerOp, r.Metrics["widgets/op"] = 130, 13, 130
 	})
-	if len(past.Regressions) != 5 {
-		t.Errorf("values past their tolerance: got %d regressions, want 5: %v", len(past.Regressions), past.Regressions)
+	if len(past.Regressions) != 6 {
+		t.Errorf("values past their tolerance: got %d regressions, want 6: %v", len(past.Regressions), past.Regressions)
 	}
 	for _, r := range append(within.Regressions, past.Regressions...) {
 		if strings.Contains(r, "exactly") {

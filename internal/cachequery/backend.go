@@ -69,18 +69,22 @@ type Backend struct {
 	opt BackendOptions
 
 	pool    []hw.Addr     // congruent lines, in block-universe order
+	lines   []hw.Line     // pool, resolved once when provisioning ends
 	byID    []int32       // dense block id -> pool index, -1 unbound (grown on demand)
 	byIDBig map[int]int32 // bindings for rare block ids past denseIDCap
 	bound   int           // number of blocks bound to pool addresses so far
 
-	l1Evict []hw.Addr // filters the pool's shared L1 set (targets >= L2)
-	l2Evict []hw.Addr // filters the pool's shared L2 set (L3 targets)
+	// The eviction sets are resolved to line handles too: the probe path
+	// replays them on every access and repetition.
+	l1Evict []hw.Line // filters the pool's shared L1 set (targets >= L2)
+	l2Evict []hw.Line // filters the pool's shared L2 set (L3 targets)
 	// calEvict evicts the calibration scratch block from the target level
 	// but not from the next one, yielding a "nearest miss" latency sample
 	// (unused for L3 targets, where clflush provides the DRAM sample).
-	calEvict []hw.Addr
+	calEvict []hw.Line
 
-	threshold float64 // hit-at-target-level classification bound
+	threshold float64   // hit-at-target-level classification bound
+	lats      []float64 // runOnce's latency buffer, reused (a backend is serial)
 
 	// Cost counters for the §7.2 experiments.
 	queriesRun int
@@ -151,6 +155,7 @@ func (b *Backend) provision() error {
 	l2Sets := b.cpu.Config().Config(hw.L2).SetsPerSlice
 	l2Set := b.tgt.Set % l2Sets
 
+	var l1Evict, l2Evict []hw.Addr
 	const maxPages = 1 << 17
 	for pages := 0; pages < maxPages; pages += 64 {
 		base := b.cpu.AllocBuffer(64)
@@ -162,17 +167,34 @@ func (b *Backend) provision() error {
 			switch {
 			case b.matches(pa) && len(b.pool) < wantPool:
 				b.pool = append(b.pool, va)
-			case b.tgt.Level >= hw.L2 && l1s == l1Set && !b.matchesLevelSet(pa) && len(b.l1Evict) < wantL1:
-				b.l1Evict = append(b.l1Evict, va)
-			case b.tgt.Level == hw.L3 && l2s == l2Set && !b.matches(pa) && len(b.l2Evict) < wantL2:
-				b.l2Evict = append(b.l2Evict, va)
+			case b.tgt.Level >= hw.L2 && l1s == l1Set && !b.matchesLevelSet(pa) && len(l1Evict) < wantL1:
+				l1Evict = append(l1Evict, va)
+			case b.tgt.Level == hw.L3 && l2s == l2Set && !b.matches(pa) && len(l2Evict) < wantL2:
+				l2Evict = append(l2Evict, va)
 			}
 		}
-		if len(b.pool) >= wantPool && len(b.l1Evict) >= wantL1 && len(b.l2Evict) >= wantL2 {
-			return b.provisionCalibration()
+		if len(b.pool) >= wantPool && len(l1Evict) >= wantL1 && len(l2Evict) >= wantL2 {
+			calEvict, err := b.provisionCalibration()
+			if err != nil {
+				return err
+			}
+			// Every address is translated by now, so resolving draws no
+			// page frames: the CPU's state is what it was before.
+			b.lines = b.resolve(b.pool)
+			b.l1Evict, b.l2Evict, b.calEvict = b.resolve(l1Evict), b.resolve(l2Evict), b.resolve(calEvict)
+			return nil
 		}
 	}
 	return fmt.Errorf("cachequery: could not provision %d congruent lines for %s", wantPool, b.tgt)
+}
+
+// resolve binds provisioned addresses to line handles.
+func (b *Backend) resolve(vas []hw.Addr) []hw.Line {
+	out := make([]hw.Line, len(vas))
+	for i, va := range vas {
+		out[i] = b.cpu.ResolveLine(va)
+	}
+	return out
 }
 
 // provisionCalibration builds the calibration eviction set: addresses that
@@ -180,9 +202,9 @@ func (b *Backend) provision() error {
 // leaving its copy at the next level untouched, so a post-eviction load
 // yields a next-level hit — the closest miss latency the threshold must
 // separate. L3 targets need none: their misses are DRAM accesses.
-func (b *Backend) provisionCalibration() error {
+func (b *Backend) provisionCalibration() ([]hw.Addr, error) {
 	if b.tgt.Level == hw.L3 {
-		return nil
+		return nil, nil
 	}
 	scratchPA := b.cpu.TranslateToPhys(b.pool[0])
 	sL2, sL2set := b.cpu.SetIndex(hw.L2, scratchPA)
@@ -190,6 +212,7 @@ func (b *Backend) provisionCalibration() error {
 	_, l1Set := b.cpu.SetIndex(hw.L1, scratchPA)
 	want := b.cpu.Config().Config(b.tgt.Level).Assoc*2 + 4
 
+	var calEvict []hw.Addr
 	const maxPages = 1 << 17
 	for pages := 0; pages < maxPages; pages += 64 {
 		base := b.cpu.AllocBuffer(64)
@@ -206,20 +229,20 @@ func (b *Backend) provisionCalibration() error {
 			case hw.L1:
 				// Conflict in L1, avoid the scratch L2 set.
 				if l1s == l1Set && !(l2Slice == sL2 && l2Set == sL2set) {
-					b.calEvict = append(b.calEvict, va)
+					calEvict = append(calEvict, va)
 				}
 			case hw.L2:
 				// Conflict in L2 (which also evicts from L1).
 				if l2Slice == sL2 && l2Set == sL2set {
-					b.calEvict = append(b.calEvict, va)
+					calEvict = append(calEvict, va)
 				}
 			}
-			if len(b.calEvict) >= want {
-				return nil
+			if len(calEvict) >= want {
+				return calEvict, nil
 			}
 		}
 	}
-	return fmt.Errorf("cachequery: could not provision a calibration eviction set for %s", b.tgt)
+	return nil, fmt.Errorf("cachequery: could not provision a calibration eviction set for %s", b.tgt)
 }
 
 // matchesLevelSet reports whether pa maps into the target's set at the
@@ -231,9 +254,9 @@ func (b *Backend) matchesLevelSet(pa hw.Addr) bool {
 }
 
 // load issues one timed access.
-func (b *Backend) load(va hw.Addr) float64 {
+func (b *Backend) load(l hw.Line) float64 {
 	b.loadsDone++
-	return b.cpu.Load(va)
+	return b.cpu.LoadLine(l)
 }
 
 // filter pushes the pool's blocks out of every level above the target by
@@ -243,11 +266,11 @@ func (b *Backend) filter() {
 		return
 	}
 	for round := 0; round < b.opt.EvictRounds; round++ {
-		for _, va := range b.l2Evict {
-			b.load(va)
+		for _, l := range b.l2Evict {
+			b.load(l)
 		}
-		for _, va := range b.l1Evict {
-			b.load(va)
+		for _, l := range b.l1Evict {
+			b.load(l)
 		}
 	}
 }
@@ -255,9 +278,19 @@ func (b *Backend) filter() {
 // AddressOf returns the virtual address backing an abstract block. Blocks
 // are bound to pool addresses in order of first use, so any well-formed
 // block name works until the pool of distinct congruent lines is exhausted.
-// The binding is indexed by the block's dense universe id, not its name, so
-// the per-access hot path does one slice read instead of a string-map probe.
 func (b *Backend) AddressOf(block blocks.Block) (hw.Addr, error) {
+	p, err := b.bind(block)
+	if err != nil {
+		return 0, err
+	}
+	return b.pool[p], nil
+}
+
+// bind returns the pool index of a block, binding the next free pool line
+// on first use. The binding is indexed by the block's dense universe id,
+// not its name, so the per-access hot path does one slice read instead of
+// a string-map probe.
+func (b *Backend) bind(block blocks.Block) (int32, error) {
 	id, err := blocks.Index(block)
 	if err != nil {
 		return 0, fmt.Errorf("cachequery: invalid block name %q", block)
@@ -277,25 +310,25 @@ func (b *Backend) AddressOf(block blocks.Block) (hw.Addr, error) {
 			b.byID = grown
 		}
 		if p := b.byID[id]; p >= 0 {
-			return b.pool[p], nil
+			return p, nil
 		}
 	} else if p, ok := b.byIDBig[id]; ok {
-		return b.pool[p], nil
+		return p, nil
 	}
 	if b.bound >= len(b.pool) {
 		return 0, fmt.Errorf("cachequery: block %s exceeds the provisioned pool of %d congruent lines", block, len(b.pool))
 	}
+	p := int32(b.bound)
 	if id < denseIDCap {
-		b.byID[id] = int32(b.bound)
+		b.byID[id] = p
 	} else {
 		if b.byIDBig == nil {
 			b.byIDBig = make(map[int]int32)
 		}
-		b.byIDBig[id] = int32(b.bound)
+		b.byIDBig[id] = p
 	}
-	va := b.pool[b.bound]
 	b.bound++
-	return va, nil
+	return p, nil
 }
 
 // FlushPool clflushes every provisioned block (including the calibration
@@ -303,33 +336,35 @@ func (b *Backend) AddressOf(block blocks.Block) (hw.Addr, error) {
 // emptying the target set without touching replacement metadata. This is
 // the set-local analog of the Flush step in Flush+Refill resets.
 func (b *Backend) FlushPool() {
-	for _, va := range b.pool {
-		b.cpu.CLFlush(va)
+	for _, l := range b.lines {
+		b.cpu.CLFlushLine(l)
 	}
-	for _, va := range b.calEvict {
-		b.cpu.CLFlush(va)
+	for _, l := range b.calEvict {
+		b.cpu.CLFlushLine(l)
 	}
 }
 
 // runOnce executes a query once and returns the raw latencies of the
-// profiled accesses.
+// profiled accesses, valid until the next call.
 func (b *Backend) runOnce(q mbl.Query) ([]float64, error) {
-	var lats []float64
+	lats := b.lats[:0]
 	for _, op := range q {
-		va, err := b.AddressOf(op.Block)
+		p, err := b.bind(op.Block)
 		if err != nil {
 			return nil, err
 		}
+		l := b.lines[p]
 		if op.Tag == mbl.TagFlush {
-			b.cpu.CLFlush(va)
+			b.cpu.CLFlushLine(l)
 			continue
 		}
-		lat := b.load(va)
+		lat := b.load(l)
 		if op.Tag == mbl.TagProfile {
 			lats = append(lats, lat)
 		}
 		b.filter()
 	}
+	b.lats = lats
 	return lats, nil
 }
 
@@ -412,7 +447,7 @@ func (b *Backend) DefaultReps() int { return b.opt.Reps }
 // by conflict-evicting the scratch line at the target level only) and a
 // DRAM access for L3 targets.
 func (b *Backend) calibrate() error {
-	scratch := b.pool[0]
+	scratch := b.lines[0]
 	var hits, misses []float64
 	for i := 0; i < b.opt.CalibrationSamples; i++ {
 		// Hit sample: install the line, filter higher levels, re-load.
@@ -421,11 +456,11 @@ func (b *Backend) calibrate() error {
 		hits = append(hits, b.load(scratch))
 		// Nearest-miss sample.
 		if b.tgt.Level == hw.L3 {
-			b.cpu.CLFlush(scratch)
+			b.cpu.CLFlushLine(scratch)
 		} else {
 			for round := 0; round < b.opt.EvictRounds; round++ {
-				for _, va := range b.calEvict {
-					b.load(va)
+				for _, l := range b.calEvict {
+					b.load(l)
 				}
 			}
 		}

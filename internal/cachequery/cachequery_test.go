@@ -119,7 +119,7 @@ func TestFilteringEvictsHigherLevels(t *testing.T) {
 			t.Fatalf("%s: %v", tgt, err)
 		}
 		va, _ := be.AddressOf("A")
-		be.load(va)
+		be.load(cpu.ResolveLine(va))
 		be.filter()
 		if got := cpu.ResidentLevel(va); got != int(tgt.Level) {
 			t.Errorf("%s: block resident at %d after filtering, want %d", tgt, got, int(tgt.Level))
@@ -358,6 +358,52 @@ func TestProbeFreshBypassesResultCache(t *testing.T) {
 	}
 	if fresh != first {
 		t.Errorf("fresh probe answered %v, first answered %v (deterministic CPU)", fresh, first)
+	}
+}
+
+// TestReprobeRemeasuresPlantedOutcome: the oracle's consistency re-probe
+// must re-execute on the CPU, not replay the result store. A wrong outcome
+// planted in the store is read once by the ordinary probe, fails the
+// "cached block must hit" check, and the re-probe then executes the query
+// (one execution, no further store hit) and overwrites the planted entry.
+func TestReprobeRemeasuresPlantedOutcome(t *testing.T) {
+	ctx := context.Background()
+	f := NewFrontend(hw.NewCPU(tinyCPU(), 5), testOptions())
+	tgt := Target{Level: hw.L1, Set: 9}
+	rst := FlushRefill(4)
+	pr, err := NewProber(f, tgt, rst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Ln(0) accesses the cached block A: after the reset it must hit.
+	q := []blocks.Block{"A"}
+	key, err := f.storeKey(tgt, pr.probeOps(q), rst.FlushFirst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.results.put(key, encodeOutcomes([]cache.Outcome{cache.Miss}))
+	before := f.Stats()
+
+	oracle := polca.NewOracle(pr)
+	out, err := oracle.OutputQuery(ctx, []int{0})
+	if err != nil {
+		t.Fatalf("reprobe did not correct the planted outcome: %v", err)
+	}
+	if out[0] != policy.Bottom {
+		t.Errorf("Ln(0) answered %d, want ⊥", out[0])
+	}
+	after := f.Stats()
+	if got := after.CacheHits - before.CacheHits; got != 1 {
+		t.Errorf("%d result-store hits, want 1 (the planted read only)", got)
+	}
+	if got := after.Executed - before.Executed; got != 1 {
+		t.Errorf("%d executions, want 1 (the re-probe)", got)
+	}
+	if got := oracle.Stats().Reprobes; got != 1 {
+		t.Errorf("%d reprobes, want 1", got)
+	}
+	if enc, _ := f.results.get(key); enc != "H" {
+		t.Errorf("result store holds %q after the re-probe, want the measured H", enc)
 	}
 }
 

@@ -48,6 +48,7 @@ type Prober struct {
 	f   *Frontend
 	tgt Target
 	rst Reset
+	ops mbl.Query // probeOps buffer, reused: a prober is as serial as its frontend
 }
 
 // NewProber builds a Polca prober for one target set and reset.
@@ -74,9 +75,10 @@ func (p *Prober) InitialContent() []blocks.Block {
 	return append([]blocks.Block(nil), p.rst.Content...)
 }
 
-// probeOps renders reset ++ q with the final access profiled.
+// probeOps renders reset ++ q with the final access profiled, into a
+// buffer that is valid until the next call.
 func (p *Prober) probeOps(q []blocks.Block) mbl.Query {
-	ops := make(mbl.Query, 0, len(p.rst.Sequence)+len(q))
+	ops := p.ops[:0]
 	for _, b := range p.rst.Sequence {
 		ops = append(ops, mbl.Op{Block: b})
 	}
@@ -87,6 +89,7 @@ func (p *Prober) probeOps(q []blocks.Block) mbl.Query {
 		}
 		ops = append(ops, op)
 	}
+	p.ops = ops
 	return ops
 }
 

@@ -7,8 +7,6 @@ import (
 	"strconv"
 	"sync"
 
-	"repro/internal/blocks"
-	"repro/internal/cache"
 	"repro/internal/policy"
 )
 
@@ -33,7 +31,7 @@ type CPU struct {
 	pages    map[uint64]uint64 // virtual page -> physical page
 	usedPhys map[uint64]bool
 	nextVirt Addr               // bump allocator for AllocBuffer
-	lines    map[Addr]*lineInfo // per-line memo: name, set mapping per level
+	lines    map[Addr]*lineInfo // per-line memo, keyed by physical line address
 
 	levels [3]*cacheLevel
 	psel   int // set-dueling counter, 0..pselMax
@@ -112,7 +110,7 @@ func (c *CPU) SetInterpreted(on bool) {
 	}
 	c.interpreted = on
 	for _, lv := range c.levels {
-		lv.sets = make(map[uint32]*cache.Set)
+		lv.drop()
 	}
 }
 
@@ -125,8 +123,19 @@ const (
 type cacheLevel struct {
 	lvl      Level
 	cfg      LevelConfig
-	sets     map[uint32]*cache.Set // key: slice<<20 | set
-	catAssoc int                   // 0 = CAT off (full associativity)
+	sets     []*lineSet // dense index slice*SetsPerSlice + set; nil until touched
+	catAssoc int        // 0 = CAT off (full associativity)
+}
+
+// drop invalidates every line of the level and discards its materialized
+// sets, so the next touch of each set builds it afresh.
+func (lv *cacheLevel) drop() {
+	for i, s := range lv.sets {
+		if s != nil {
+			s.flush()
+			lv.sets[i] = nil
+		}
+	}
 }
 
 // NewCPU builds a simulated processor. The seed fixes the page-frame
@@ -143,7 +152,8 @@ func NewCPU(cfg CPUConfig, seed int64) *CPU {
 		psel:     pselInit,
 	}
 	for _, l := range []Level{L1, L2, L3} {
-		c.levels[l] = &cacheLevel{lvl: l, cfg: cfg.Config(l), sets: make(map[uint32]*cache.Set)}
+		lc := cfg.Config(l)
+		c.levels[l] = &cacheLevel{lvl: l, cfg: lc, sets: make([]*lineSet, lc.Slices*lc.SetsPerSlice)}
 	}
 	return c
 }
@@ -206,18 +216,31 @@ func (c *CPU) SetIndex(l Level, pa Addr) (slice, set int) {
 	return slice, set
 }
 
-// blockName is the cache-internal name of the line containing pa.
-func blockName(pa Addr) blocks.Block {
-	return "H" + strconv.FormatUint(uint64(pa)/LineSize, 16)
+// lineInfo is the memoized record of one physical cache line: its dense
+// set index at every level, computed once (the slice hash dominated the
+// simulator's profile before this memo), its residency bits, and the way it
+// occupies where resident. Sets hold pointers to these records, so the load
+// path compares no names and looks up no maps once a line is resolved.
+type lineInfo struct {
+	pa  Addr     // physical line address
+	set [3]int32 // slice*SetsPerSlice + set, per level
+	res uint8    // bit l: resident in its level-l set
+	way [3]uint8 // way held at each level where resident
 }
 
-// lineInfo caches everything the load path needs per cache line: the block
-// name and the (slice, set) mapping at every level. Computing the slice
-// hash and formatting block names dominated the simulator's profile before
-// this memo.
-type lineInfo struct {
-	name blocks.Block
-	key  [3]uint32 // slice<<20 | set, per level
+// resident reports whether the line is in its level-l set.
+func (li *lineInfo) resident(l Level) bool { return li.res&(1<<l) != 0 }
+
+// Line is a resolved cache line: the handle LoadLine and CLFlushLine take.
+// Resolving translates the virtual address once (allocating the frame on
+// first touch, exactly as a load would) and binds the line's memoized
+// record, so callers that replay the same addresses — CacheQuery's backend
+// — pay neither page-table nor line lookups per access.
+type Line struct{ li *lineInfo }
+
+// ResolveLine translates va and returns the handle of its cache line.
+func (c *CPU) ResolveLine(va Addr) Line {
+	return Line{c.lineInfo(c.TranslateToPhys(va))}
 }
 
 func (c *CPU) lineInfo(pa Addr) *lineInfo {
@@ -225,17 +248,14 @@ func (c *CPU) lineInfo(pa Addr) *lineInfo {
 	if li, ok := c.lines[line]; ok {
 		return li
 	}
-	li := &lineInfo{name: blockName(line)}
+	li := &lineInfo{pa: line}
 	for _, l := range []Level{L1, L2, L3} {
 		slice, set := c.SetIndex(l, line)
-		li.key[l] = uint32(slice)<<20 | uint32(set)
+		li.set[l] = int32(slice*c.levels[l].cfg.SetsPerSlice + set)
 	}
 	c.lines[line] = li
 	return li
 }
-
-// lineName returns the memoized block name of pa's line.
-func (c *CPU) lineName(pa Addr) blocks.Block { return c.lineInfo(pa).name }
 
 // effectiveAssoc returns the associativity visible at a level, accounting
 // for CAT way masking.
@@ -246,20 +266,27 @@ func (lv *cacheLevel) effectiveAssoc() int {
 	return lv.cfg.Assoc
 }
 
-// setFor materializes the cache set a physical address maps to.
-func (c *CPU) setFor(l Level, pa Addr) *cache.Set {
-	return c.setForKey(l, c.lineInfo(pa).key[l])
-}
-
-func (c *CPU) setForKey(l Level, key uint32) *cache.Set {
+// set returns li's set at level l, materializing it on first touch.
+func (c *CPU) set(l Level, li *lineInfo) *lineSet {
 	lv := c.levels[l]
-	if s, ok := lv.sets[key]; ok {
+	idx := li.set[l]
+	if s := lv.sets[idx]; s != nil {
 		return s
 	}
-	slice, set := int(key>>20), int(key&(1<<20-1))
-	s := cache.NewEmptySet(c.newPolicyFor(l, slice, set, lv.effectiveAssoc()))
-	lv.sets[key] = s
+	slice, set := int(idx)/lv.cfg.SetsPerSlice, int(idx)%lv.cfg.SetsPerSlice
+	s := newLineSet(c.newPolicyFor(l, slice, set, lv.effectiveAssoc()), l)
+	if l == L3 {
+		s.leader = c.LeaderKindOf(slice, set)
+	}
+	lv.sets[idx] = s
 	return s
+}
+
+// invalidate removes li from its level-l set, if it is resident there.
+func (c *CPU) invalidate(l Level, li *lineInfo) {
+	if li.resident(l) {
+		c.levels[l].sets[li.set[l]].remove(li)
+	}
 }
 
 // newPolicyFor instantiates the replacement policy of one set. The adaptive
@@ -300,29 +327,22 @@ func (c *CPU) LeaderKindOf(slice, set int) LeaderKind {
 	return c.cfg.LeaderRule(slice, set)
 }
 
-// accessSet performs one access at a level and returns the outcome plus the
-// name of any evicted block.
-func accessSet(s *cache.Set, b blocks.Block) (cache.Outcome, blocks.Block) {
-	oc, _, evicted := s.AccessEvicted(b)
-	return oc, evicted
-}
-
 // Load performs one memory load and returns the measured latency in cycles,
 // as an rdtsc-based profiler would observe it.
-func (c *CPU) Load(va Addr) float64 {
-	pa := c.TranslateToPhys(va)
-	li := c.lineInfo(pa)
-	b := li.name
+func (c *CPU) Load(va Addr) float64 { return c.LoadLine(c.ResolveLine(va)) }
+
+// LoadLine is Load on a resolved line.
+func (c *CPU) LoadLine(l Line) float64 {
+	li := l.li
 	c.loadCount++
 
 	var base float64
-	if oc, _ := accessSet(c.setForKey(L1, li.key[L1]), b); oc == cache.Hit {
+	if hit, _ := c.set(L1, li).access(li); hit {
 		base = c.cfg.L1.HitLatency + c.noise(c.cfg.L1.LatencySigma)
-	} else if oc, _ := accessSet(c.setForKey(L2, li.key[L2]), b); oc == cache.Hit {
+	} else if hit, _ := c.set(L2, li).access(li); hit {
 		base = c.cfg.L2.HitLatency + c.noise(c.cfg.L2.LatencySigma)
-	} else if oc, ev := c.accessL3(li, b); oc == cache.Hit {
+	} else if c.accessL3(li) {
 		base = c.cfg.L3.HitLatency + c.noise(c.cfg.L3.LatencySigma)
-		_ = ev
 	} else {
 		base = c.cfg.MemLatency + c.noise(c.cfg.MemSigma)
 	}
@@ -331,20 +351,19 @@ func (c *CPU) Load(va Addr) float64 {
 	}
 	c.tsc += uint64(base)
 	if c.prefetchOn {
-		c.maybePrefetch(pa)
+		c.maybePrefetch(li.pa)
 	}
 	return base
 }
 
 // accessL3 accesses the (possibly adaptive) L3, maintaining the set-dueling
-// counter and the inclusive-hierarchy back-invalidation.
-func (c *CPU) accessL3(li *lineInfo, b blocks.Block) (cache.Outcome, blocks.Block) {
-	slice, set := int(li.key[L3]>>20), int(li.key[L3]&(1<<20-1))
-	s := c.setForKey(L3, li.key[L3])
-	oc, evicted := accessSet(s, b)
-	if oc == cache.Miss && c.cfg.L3Adaptive {
+// counter and the inclusive-hierarchy back-invalidation, and reports a hit.
+func (c *CPU) accessL3(li *lineInfo) bool {
+	s := c.set(L3, li)
+	hit, victim := s.access(li)
+	if !hit {
 		// Misses in leader sets steer PSEL towards the other policy.
-		switch c.cfg.LeaderRule(slice, set) {
+		switch s.leader {
 		case LeaderThrashable:
 			if c.psel < pselMax {
 				c.psel++
@@ -355,22 +374,12 @@ func (c *CPU) accessL3(li *lineInfo, b blocks.Block) (cache.Outcome, blocks.Bloc
 			}
 		}
 	}
-	if evicted != "" {
+	if victim != nil {
 		// Inclusive LLC: evicting a line invalidates it in L1 and L2.
-		c.invalidateAbove(evicted)
+		c.invalidate(L1, victim)
+		c.invalidate(L2, victim)
 	}
-	return oc, evicted
-}
-
-// invalidateAbove removes a block from L1 and L2 (back-invalidation).
-func (c *CPU) invalidateAbove(b blocks.Block) {
-	pa, err := strconv.ParseUint(string(b[1:]), 16, 64)
-	if err != nil {
-		return
-	}
-	line := Addr(pa * LineSize)
-	c.setFor(L1, line).FlushBlock(b)
-	c.setFor(L2, line).FlushBlock(b)
+	return hit
 }
 
 // noise draws latency noise: Gaussian jitter plus rare large outliers
@@ -401,20 +410,22 @@ func (c *CPU) maybePrefetch(pa Addr) {
 	}
 	c.lastLine = line
 	if c.streak >= 2 {
-		next := (line + 1) * LineSize
-		li := c.lineInfo(next)
-		if oc, _ := c.accessL3(li, li.name); oc == cache.Miss || oc == cache.Hit {
-			accessSet(c.setForKey(L2, li.key[L2]), li.name)
-		}
+		li := c.lineInfo((line + 1) * LineSize)
+		c.accessL3(li)
+		c.set(L2, li).access(li)
 	}
 }
 
 // CLFlush invalidates the line containing va throughout the hierarchy.
-func (c *CPU) CLFlush(va Addr) {
-	pa := c.TranslateToPhys(va)
-	b := c.lineName(pa)
-	for _, l := range []Level{L1, L2, L3} {
-		c.setFor(l, pa).FlushBlock(b)
+func (c *CPU) CLFlush(va Addr) { c.CLFlushLine(c.ResolveLine(va)) }
+
+// CLFlushLine is CLFlush on a resolved line. A line resident nowhere costs
+// only the instruction's timestamp charge.
+func (c *CPU) CLFlushLine(l Line) {
+	if l.li.res != 0 {
+		for _, lvl := range []Level{L1, L2, L3} {
+			c.invalidate(lvl, l.li)
+		}
 	}
 	c.tsc += 120
 }
@@ -424,7 +435,9 @@ func (c *CPU) CLFlush(va Addr) {
 func (c *CPU) WBInvd() {
 	for _, lv := range c.levels {
 		for _, s := range lv.sets {
-			s.Flush()
+			if s != nil {
+				s.flush()
+			}
 		}
 	}
 	c.tsc += 20000
@@ -450,7 +463,7 @@ func (c *CPU) SetCATWays(ways int) error {
 		return fmt.Errorf("hw: CAT ways %d out of range 0..%d", ways, c.cfg.L3.Assoc)
 	}
 	c.levels[L3].catAssoc = ways
-	c.levels[L3].sets = make(map[uint32]*cache.Set)
+	c.levels[L3].drop()
 	return nil
 }
 
@@ -471,10 +484,9 @@ func (c *CPU) PSEL() int { return c.psel }
 // ResidentLevel reports the lowest level holding va's line, or -1 when
 // uncached — a white-box hook for tests only.
 func (c *CPU) ResidentLevel(va Addr) int {
-	pa := c.TranslateToPhys(va)
-	b := c.lineName(pa)
+	li := c.ResolveLine(va).li
 	for _, l := range []Level{L1, L2, L3} {
-		if c.setFor(l, pa).Lookup(b) >= 0 {
+		if li.resident(l) {
 			return int(l)
 		}
 	}

@@ -3,7 +3,6 @@ package hw
 import (
 	"testing"
 
-	"repro/internal/cache"
 	"repro/internal/policy"
 )
 
@@ -332,37 +331,75 @@ func TestModelsMatchTableThree(t *testing.T) {
 func TestFollowerSetsShareDuelState(t *testing.T) {
 	c := skylake(t)
 	addrs := congruentLeader(c, Follower, 2)
-	pa := c.TranslateToPhys(addrs[0])
-	s := c.setFor(L3, pa)
-	if _, ok := s.Policy().(*duelPolicy); !ok {
-		t.Errorf("follower set runs %T, want duelPolicy", s.Policy())
+	s := c.set(L3, c.ResolveLine(addrs[0]).li)
+	if _, ok := s.policy().(*duelPolicy); !ok {
+		t.Errorf("follower set runs %T, want duelPolicy", s.policy())
 	}
 	// Leader sets run fixed policies.
 	la := congruentLeader(c, LeaderThrashable, 1)
-	lp := c.setFor(L3, c.TranslateToPhys(la[0])).Policy()
+	lp := c.set(L3, c.ResolveLine(la[0]).li).policy()
 	if lp.Name() != "New2" {
 		t.Errorf("thrashable leader runs %s, want New2", lp.Name())
 	}
 }
 
 func TestCacheOutcomeSanity(t *testing.T) {
-	// Guard the blockName/parse pair used by back-invalidation.
+	// Guard the victim path of back-invalidation: the moment a line leaves
+	// its L3 set it must leave L1 and L2 too, and every residency bit must
+	// agree with the ways of the line's sets.
 	c := skylake(t)
-	va := c.AllocBuffer(1)
-	pa := c.TranslateToPhys(va)
-	b := blockName(pa)
+	addrs := congruentL3(c, c.Config().L3.Assoc+4)
+	va := addrs[0]
 	c.Load(va)
-	if c.setFor(L1, pa).Lookup(b) < 0 {
-		t.Error("loaded block not found in its L1 set")
+	if c.ResidentLevel(va) != int(L1) {
+		t.Fatal("loaded line not resident in L1")
 	}
-	c.invalidateAbove(b)
-	if c.setFor(L1, pa).Lookup(b) >= 0 {
-		t.Error("invalidateAbove left the block in L1")
+	li := c.ResolveLine(va).li
+	for _, other := range addrs[1:] {
+		c.Load(other)
+		checkResidency(t, c)
+		if !li.resident(L3) {
+			if got := c.ResidentLevel(va); got != -1 {
+				t.Fatalf("line evicted from L3 still resident at level %d", got)
+			}
+			return
+		}
 	}
-	if c.setFor(L3, pa).Lookup(b) < 0 {
-		t.Error("invalidateAbove touched the L3 copy")
+	t.Fatal("overfilling the L3 set never evicted the first line")
+}
+
+// checkResidency verifies the residency bits against the materialized
+// sets: a line's bit l is set exactly when its level-l set holds it.
+func checkResidency(t *testing.T, c *CPU) {
+	t.Helper()
+	held := make(map[*lineInfo]uint8)
+	for l, lv := range c.levels {
+		for idx, s := range lv.sets {
+			if s == nil {
+				continue
+			}
+			for _, w := range s.ways {
+				if w == nil {
+					continue
+				}
+				if w.set[l] != int32(idx) {
+					t.Fatalf("line %#x in level %d set %d, maps to set %d", w.pa, l, idx, w.set[l])
+				}
+				if held[w]&(1<<l) != 0 {
+					t.Fatalf("line %#x held twice at level %d", w.pa, l)
+				}
+				if s.ways[w.way[l]] != w {
+					t.Fatalf("line %#x records way %d at level %d, not the way holding it", w.pa, w.way[l], l)
+				}
+				held[w] |= 1 << l
+			}
+		}
 	}
-	_ = cache.Hit // keep the import honest in case assertions above change
+	for _, li := range c.lines {
+		if li.res != held[li] {
+			t.Fatalf("line %#x: residency bits %03b, sets hold it at %03b", li.pa, li.res, held[li])
+		}
+	}
 }
 
 // TestCompiledCPUMatchesInterpreted drives two identically-seeded CPUs —
@@ -406,10 +443,10 @@ func TestCompiledCPUMatchesInterpreted(t *testing.T) {
 // compiled table instance (the process-wide cache), not per-set copies.
 func TestKernelTableIsShared(t *testing.T) {
 	c := skylake(t)
-	s1 := c.setForKey(L1, 0)
-	s2 := c.setForKey(L1, 1)
-	p1, ok1 := s1.Policy().(*policy.Table)
-	p2, ok2 := s2.Policy().(*policy.Table)
+	s1 := c.set(L1, &lineInfo{set: [3]int32{0, 0, 0}})
+	s2 := c.set(L1, &lineInfo{set: [3]int32{1, 0, 0}})
+	p1, ok1 := s1.policy().(*policy.Table)
+	p2, ok2 := s2.policy().(*policy.Table)
 	if !ok1 || !ok2 {
 		t.Fatal("L1 PLRU sets are not on the compiled kernel")
 	}

@@ -138,7 +138,7 @@ type Stats struct {
 	OutputQueries int `json:"output_queries"` // policy-level output queries answered
 	Symbols       int `json:"symbols"`        // policy input symbols processed
 	Probes        int `json:"probes"`         // reset-rooted cache probes issued (after memoization)
-	MemoHits      int `json:"memo_hits"`      // memo answers: word symbols from the output store, whole probes from the probe store
+	MemoHits      int `json:"memo_hits"`      // memo answers: word symbols from the simulator engine's output store; on the probe path, probes answered by the probe store or spared by recorded outputs
 	Accesses      int `json:"accesses"`       // total block accesses issued to the cache
 	Retries       int `json:"retries"`        // transient probe failures absorbed by the retry policy
 	Disagreements int `json:"disagreements"`  // probe re-executions (votes) that returned conflicting outcomes
@@ -469,10 +469,12 @@ func (o *Oracle) freshProbe(ctx context.Context, q []blocks.Block) (cache.Outcom
 // backends such a violation is overwhelmingly a measurement fault that
 // slipped past retry and voting, not true nondeterminism — so the outcome
 // is re-measured (re-voted) once and the memo corrected before the caller
-// decides whether to declare ErrNondeterministic. Every such re-measurement
-// is counted in Stats.Reprobes.
+// decides whether to declare ErrNondeterministic. The re-measurement is
+// fresh (FreshProber): a cached probing stack would otherwise replay the
+// suspect answer it stored. Every such re-measurement is counted in
+// Stats.Reprobes.
 func (o *Oracle) reprobe(ctx context.Context, q []blocks.Block, ids []int32) (cache.Outcome, error) {
-	oc, err := o.executeProbe(ctx, q, false)
+	oc, err := o.executeProbe(ctx, q, true)
 	if err != nil {
 		return Missed(), err
 	}
@@ -558,7 +560,14 @@ func (o *Oracle) OutputQuery(ctx context.Context, word []int) ([]int, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	seq := int(o.outputQueries.Add(1))
+	return o.outputQuery(ctx, int(o.outputQueries.Add(1)), word)
+}
+
+// outputQuery answers word as output query number seq on the probe path.
+func (o *Oracle) outputQuery(ctx context.Context, seq int, word []int) ([]int, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	o.symbols.Add(int64(len(word)))
 	out, err := o.probesQueryTrie(ctx, word)
 	if err != nil {
@@ -598,7 +607,10 @@ func (o *Oracle) audit(ctx context.Context, seq int, word, out []int) error {
 // when the prober supports concurrent probing (a replicated hardware
 // interface, a remote fleet), falling back to a serial loop. Answers, memo
 // contents and counters are identical to asking the words one by one;
-// only the wall-clock cost changes.
+// only the wall-clock cost changes. The fan-out reserves the batch's
+// query numbers up front and gives each word its index-ordered number, so
+// which words the determinism audit re-checks does not depend on
+// goroutine scheduling.
 func (o *Oracle) OutputQueryBatch(ctx context.Context, words [][]int) ([][]int, error) {
 	if o.sim != nil {
 		return o.engineBatch(ctx, words)
@@ -618,6 +630,10 @@ func (o *Oracle) OutputQueryBatch(ctx context.Context, words [][]int) ([][]int, 
 		}
 		return out, nil
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	first := int(o.outputQueries.Add(int64(len(words)))) - len(words) + 1
 	errs := make([]error, len(words))
 	bctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -628,12 +644,12 @@ func (o *Oracle) OutputQueryBatch(ctx context.Context, words [][]int) ([][]int, 
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				// OutputQuery checks ctx up front, so a batch cancelled by
+				// outputQuery checks ctx up front, so a batch cancelled by
 				// its first failure drains its remaining indices without
 				// prober work and every worker exits through the channel
 				// close — one exhausted retry ladder fails the batch, the
 				// other words do not each pay their own.
-				out[i], errs[i] = o.OutputQuery(bctx, words[i])
+				out[i], errs[i] = o.outputQuery(bctx, first+i, words[i])
 				if errs[i] != nil {
 					cancel()
 				}
@@ -791,7 +807,17 @@ func (o *Oracle) probesQueryTrie(ctx context.Context, word []int) ([]int, error)
 	if err != nil {
 		return nil, err
 	}
-	o.memoHits.Add(int64(k))
+	// A recorded symbol spares the probes this path would issue for it:
+	// the access, plus n eviction probes for an Evct. Counting those keeps
+	// MemoHits independent of whether a concurrent word sharing the prefix
+	// recorded it first or is still probing it.
+	spared := k
+	for _, ip := range word[:k] {
+		if ip == n {
+			spared += n
+		}
+	}
+	o.memoHits.Add(int64(spared))
 	if k == len(word) {
 		return out, nil
 	}
