@@ -83,7 +83,7 @@ func BenchmarkTable2(b *testing.B) {
 	for _, c := range cases {
 		b.Run(fmt.Sprintf("%s-%d", c.name, c.assoc), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				row := experiments.RunTable2Row(context.Background(), c.name, c.assoc)
+				row := experiments.RunTable2Row(context.Background(), c.name, c.assoc, experiments.Table2Config{})
 				if !row.Verified {
 					b.Fatalf("row failed: %+v", row)
 				}
@@ -237,7 +237,11 @@ func BenchmarkBaselines(b *testing.B) {
 	})
 	b.Run("learning-MRU4", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.LearnSimulated(context.Background(), "MRU", 4, learn.Options{Depth: 1}); err != nil {
+			if _, err := core.LearnSimulated(context.Background(), core.SimRequest{
+				Policy: "MRU",
+				Assoc:  4,
+				Learn:  learn.Options{Depth: 1},
+			}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -527,7 +531,11 @@ func BenchmarkAblationPolca(b *testing.B) {
 	b.Run("polca-LRU4", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := core.LearnSimulated(context.Background(), "LRU", 4, learn.Options{Depth: 1})
+			res, err := core.LearnSimulated(context.Background(), core.SimRequest{
+				Policy: "LRU",
+				Assoc:  4,
+				Learn:  learn.Options{Depth: 1},
+			})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -584,7 +592,11 @@ func BenchmarkAblationDepth(b *testing.B) {
 		b.Run(fmt.Sprintf("k=%d", depth), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := core.LearnSimulated(context.Background(), "MRU", 4, learn.Options{Depth: depth})
+				res, err := core.LearnSimulated(context.Background(), core.SimRequest{
+					Policy: "MRU",
+					Assoc:  4,
+					Learn:  learn.Options{Depth: depth},
+				})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -19,14 +19,13 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 
 	"repro/internal/cachequery"
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/hw"
 	"repro/internal/learn"
+	"repro/internal/remote"
 )
 
 func main() {
@@ -100,7 +99,6 @@ func runTable2(ctx context.Context, args []string) error {
 	seed := fs.Int64("seed", 1, "random-walk conformance seed (rw suite); fixed seeds make runs reproducible")
 	walkSteps := fs.Int("walk-steps", 0, "total symbols per random-walk conformance round (rw suite; 0 = default)")
 	snapshotDir := fs.String("snapshot-dir", "", "per-row oracle snapshot directory: existing snapshots warm-start rows, fresh stores are saved back")
-	compiled := fs.Bool("compiled", true, "run simulated caches on the compiled policy kernel; false interprets policies (bit-identical rows, slower)")
 	fs.Parse(args)
 	opt, err := learnOptions(*algoName, *suiteName, *seed, *walkSteps)
 	if err != nil {
@@ -115,27 +113,16 @@ func runTable2(ctx context.Context, args []string) error {
 	if *full {
 		spec = experiments.Table2Full()
 	}
-	sim := core.SimOptions{Interpreted: !*compiled}
+	cfg := experiments.Table2Config{Learn: opt, SnapshotDir: *snapshotDir}
 	if *workers != "" {
-		sim.FleetWorkers = splitAddrs(*workers)
-		sim.FleetLogf = func(format string, args ...any) {
+		cfg.Sim.FleetWorkers = remote.SplitAddrs(*workers)
+		cfg.Sim.FleetLogf = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "experiments: "+format+"\n", args...)
 		}
 	}
-	rows := experiments.RunTable2ConcurrentSim(ctx, spec, *concurrency, opt, *snapshotDir, sim)
+	rows := experiments.RunTable2(ctx, spec, *concurrency, cfg)
 	experiments.Table2Table(rows).Render(os.Stdout)
 	return nil
-}
-
-// splitAddrs splits a comma-separated worker address list, dropping blanks.
-func splitAddrs(s string) []string {
-	var addrs []string
-	for _, a := range strings.Split(s, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			addrs = append(addrs, a)
-		}
-	}
-	return addrs
 }
 
 // learnOptions assembles learner options from the shared flag values.
@@ -160,7 +147,6 @@ func runTable4(ctx context.Context, args []string) error {
 	suiteName := fs.String("suite", "wp", "conformance suite: wp, w, or rw (seeded random walk)")
 	seed := fs.Int64("seed", 1, "random-walk conformance seed (rw suite); fixed seeds make runs reproducible")
 	walkSteps := fs.Int("walk-steps", 0, "total symbols per random-walk conformance round (rw suite; 0 = default)")
-	compiled := fs.Bool("compiled", true, "run the simulated CPUs' policies on the compiled kernel; false interprets them (bit-identical rows, slower)")
 	fs.Parse(args)
 	opt, err := learnOptions(*algoName, *suiteName, *seed, *walkSteps)
 	if err != nil {
@@ -170,7 +156,6 @@ func runTable4(ctx context.Context, args []string) error {
 	for _, job := range experiments.Table4Jobs(!*full) {
 		job.Replicas = *replicas
 		job.Learn = opt
-		job.Interpreted = !*compiled
 		fmt.Fprintf(os.Stderr, "learning %s %s %s ...\n", job.Model.Name, job.Level, job.Target)
 		rows = append(rows, experiments.RunTable4Job(ctx, job, cachequery.DefaultBackendOptions()))
 	}

@@ -50,6 +50,7 @@ import (
 	"repro/internal/mealy"
 	"repro/internal/polca"
 	"repro/internal/policy"
+	"repro/internal/remote"
 	"repro/internal/synth"
 )
 
@@ -75,7 +76,6 @@ func main() {
 	quick := flag.Bool("quick", false, "skip the learning cross-check; extract the machines only")
 	verifyHeavy := flag.Bool("verify-heavy", false, "learning cross-check for the assoc-8 giants too (minutes per artifact)")
 	algoName := flag.String("algo", "lstar", "learning algorithm for the cross-check: lstar or tree")
-	compiled := flag.Bool("compiled", true, "run the cross-check's simulated caches on the compiled policy kernel; false interprets policies")
 	snapshotDir := flag.String("snapshot-dir", "", "per-policy oracle snapshot directory for the cross-check: existing snapshots warm-start the re-learn, fresh stores are saved back")
 	workers := flag.String("workers", "", "comma-separated polcaworker addresses (host:port,...): fan the cross-check's probes out over a distributed worker fleet — bit-identical artifacts")
 	timeout := flag.Duration("timeout", 0, "abort the regeneration after this long (0 = no deadline); Ctrl-C cancels cleanly either way")
@@ -95,13 +95,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	sim := core.SimOptions{Interpreted: !*compiled}
+	var sim core.SimOptions
 	if *workers != "" {
-		for _, a := range strings.Split(*workers, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				sim.FleetWorkers = append(sim.FleetWorkers, a)
-			}
-		}
+		sim.FleetWorkers = remote.SplitAddrs(*workers)
 		sim.FleetLogf = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "genmodels: "+format+"\n", args...)
 		}
@@ -181,8 +177,13 @@ func generate(ctx context.Context, dir string, a artifact, verify, zoo bool, alg
 	var learned *mealy.Machine
 	if verify {
 		if a.spec != nil {
-			snap := core.SnapshotInDir(snapshotDir, a.name, a.assoc)
-			res, err := core.LearnSimulatedSim(ctx, a.name, a.assoc, learn.Options{Algo: algo, Depth: 1}, snap, sim)
+			res, err := core.LearnSimulated(ctx, core.SimRequest{
+				Policy:   a.name,
+				Assoc:    a.assoc,
+				Learn:    learn.Options{Algo: algo, Depth: 1},
+				Snapshot: core.SnapshotInDir(snapshotDir, a.name, a.assoc),
+				Sim:      sim,
+			})
 			if err != nil {
 				return fmt.Errorf("learning: %w", err)
 			}

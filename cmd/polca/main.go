@@ -42,6 +42,7 @@ import (
 	"repro/internal/learn"
 	"repro/internal/mealy"
 	"repro/internal/policy"
+	"repro/internal/remote"
 	"repro/internal/synth"
 )
 
@@ -66,7 +67,6 @@ func main() {
 	jsonPath := flag.String("json", "", "write the learned automaton as JSON to this file")
 	warm := flag.String("warm", "", "warm start: load an oracle query-store snapshot from this file before learning")
 	snapshot := flag.String("snapshot", "", "save the oracle query-store snapshot to this file after learning")
-	compiled := flag.Bool("compiled", true, "run simulated caches on the compiled policy kernel (dense transition tables); false interprets policies through the Policy interface — bit-identical results, slower probes")
 	timeout := flag.Duration("timeout", 0, "abort the run after this long (0 = no deadline); Ctrl-C cancels cleanly either way")
 	faults := flag.String("faults", "", `deterministic fault-injection plan, e.g. "seed=42,err=0.05,flip=0.001,stall=0.01:5ms,die=1@500"`)
 	workers := flag.String("workers", "", "comma-separated polcaworker addresses (host:port,...): learn through a distributed worker fleet — bit-identical machine, probes fan out remotely (simulator mode)")
@@ -85,7 +85,7 @@ func main() {
 			snap.CheckpointEvery = 256
 		}
 	}
-	sim := core.SimOptions{Interpreted: !*compiled}
+	var sim core.SimOptions
 	if *faults != "" {
 		plan, err := faulty.ParsePlan(*faults)
 		if err != nil {
@@ -97,11 +97,7 @@ func main() {
 		if *hwName != "" {
 			fatal(fmt.Errorf("-workers drives a simulator fleet; it cannot combine with -hw"))
 		}
-		for _, a := range strings.Split(*workers, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				sim.FleetWorkers = append(sim.FleetWorkers, a)
-			}
-		}
+		sim.FleetWorkers = remote.SplitAddrs(*workers)
 		sim.FleetLogf = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "polca: "+format+"\n", args...)
 		}
@@ -140,7 +136,7 @@ func main() {
 	case *polName != "" && *hwName != "":
 		fatal(fmt.Errorf("choose either -policy (simulator) or -hw (hardware)"))
 	case *polName != "":
-		machine, err = learnSim(ctx, *polName, *assoc, lopt, snap, sim)
+		machine, err = learnSim(ctx, core.SimRequest{Policy: *polName, Assoc: *assoc, Learn: lopt, Snapshot: snap, Sim: sim})
 	case *hwName != "":
 		machine, err = learnHW(ctx, *hwName, *levelName, *slice, *set, *cat, *seed, lopt, *replicas, *reset, snap, sim)
 	default:
@@ -181,13 +177,13 @@ func main() {
 	}
 }
 
-func learnSim(ctx context.Context, name string, assoc int, lopt learn.Options, snap core.SnapshotOptions, sim core.SimOptions) (*mealy.Machine, error) {
-	res, err := core.LearnSimulatedSim(ctx, name, assoc, lopt, snap, sim)
+func learnSim(ctx context.Context, req core.SimRequest) (*mealy.Machine, error) {
+	res, err := core.LearnSimulated(ctx, req)
 	if err != nil {
 		return nil, err
 	}
 	fmt.Printf("simulator: %s assoc %d (%s learner), %d output queries, %v\n",
-		res.Policy, assoc, lopt.Algo, res.LearnStats.OutputQueries, res.LearnStats.Duration.Round(1e6))
+		res.Policy, req.Assoc, req.Learn.Algo, res.LearnStats.OutputQueries, res.LearnStats.Duration.Round(1e6))
 	// The oracle-side cost line is what warm-start tooling (the nightly
 	// snapshot job) parses: probes drop to ~0 on a warm re-learn.
 	fmt.Printf("oracle: %d probes, %d accesses, %d memo hits\n",
@@ -209,7 +205,7 @@ func learnSim(ctx context.Context, name string, assoc int, lopt learn.Options, s
 	}
 	// Verify against the installed ground truth, which we know in
 	// simulator mode.
-	pol := policy.MustNew(name, assoc)
+	pol := policy.MustNew(req.Policy, req.Assoc)
 	truth, err := mealy.FromPolicy(pol, 0)
 	if err == nil {
 		if eq, _ := res.Machine.Equivalent(truth); eq {
@@ -239,7 +235,7 @@ func learnHW(ctx context.Context, cpuName, levelName string, slice, set, cat int
 	if err != nil {
 		return nil, err
 	}
-	mkCPU := func() *hw.CPU { return hw.NewCPUSim(cfg, seed, sim.Interpreted) }
+	mkCPU := func() *hw.CPU { return hw.NewCPU(cfg, seed) }
 	req := core.HardwareRequest{
 		CPU:              mkCPU(),
 		NewCPU:           mkCPU,

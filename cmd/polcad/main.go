@@ -28,13 +28,13 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/daemon"
 	"repro/internal/faulty"
+	"repro/internal/remote"
 )
 
 func main() {
@@ -44,14 +44,13 @@ func main() {
 	ckEvery := flag.Int("checkpoint-every", 256, "auto-snapshot each engine's query store every N output queries during jobs (requires -snapshot-dir)")
 	quotaRate := flag.Float64("quota-rate", 0, "per-tenant token-bucket refill rate in tokens/second; queries cost 1 token per word, job submissions cost 10 (0 = quotas off)")
 	quotaBurst := flag.Float64("quota-burst", 64, "per-tenant token-bucket capacity (with -quota-rate)")
-	compiled := flag.Bool("compiled", true, "run engines on the compiled policy kernel (dense transition tables); false interprets policies — bit-identical answers, slower probes")
 	workers := flag.String("workers", "", "comma-separated polcaworker addresses (host:port,...): every engine fans its probes out over this distributed worker fleet — bit-identical answers")
 	faults := flag.String("faults", "", `deterministic fault-injection plan for every engine's probes, e.g. "seed=42,err=0.05,flip=0.001" (soak testing)`)
 	eventEvery := flag.Duration("event-interval", 250*time.Millisecond, "SSE job-progress event cadence")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long a SIGTERM/SIGINT drain waits for in-flight jobs to unwind before snapshotting anyway")
 	flag.Parse()
 
-	sim := core.SimOptions{Interpreted: !*compiled}
+	var sim core.SimOptions
 	if *faults != "" {
 		plan, err := faulty.ParsePlan(*faults)
 		if err != nil {
@@ -60,11 +59,7 @@ func main() {
 		sim.Faults = &plan
 	}
 	if *workers != "" {
-		for _, a := range strings.Split(*workers, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				sim.FleetWorkers = append(sim.FleetWorkers, a)
-			}
-		}
+		sim.FleetWorkers = remote.SplitAddrs(*workers)
 		sim.FleetLogf = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "polcad: "+format+"\n", args...)
 		}

@@ -9,7 +9,6 @@
 // single-box run.
 //
 //	polcaworker                             # serve on :8435
-//	polcaworker -addr :9000 -interpreted    # interpreted engines
 //	polcaworker -probe-cost 200us           # emulate hardware probe latency
 //
 //	curl -s localhost:8435/v1/status | jq .
@@ -37,14 +36,12 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8435", "listen address (host:port)")
-	interpreted := flag.Bool("interpreted", false, "interpret policies through the Policy interface instead of the compiled kernel — bit-identical answers, slower probes")
 	probeCost := flag.Duration("probe-cost", 0, "fixed latency charged per executed probe (emulates hardware measurement cost; memoized answers stay free)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "how long a SIGTERM/SIGINT drain waits for in-flight probe requests")
 	flag.Parse()
 
 	w := remote.NewWorker(remote.WorkerConfig{
-		Interpreted: *interpreted,
-		ProbeCost:   *probeCost,
+		ProbeCost: *probeCost,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "polcaworker: "+format+"\n", args...)
 		},
@@ -56,7 +53,7 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "polcaworker: serving on %s (interpreted=%v probe-cost=%v)\n", *addr, *interpreted, *probeCost)
+	fmt.Fprintf(os.Stderr, "polcaworker: serving on %s (probe-cost=%v)\n", *addr, *probeCost)
 
 	select {
 	case err := <-errc:

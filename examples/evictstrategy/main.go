@@ -25,7 +25,7 @@ import (
 
 func main() {
 	for _, name := range []string{"LRU", "PLRU", "New1", "New2"} {
-		res, err := core.LearnSimulated(context.Background(), name, 4, learn.Options{Depth: 1})
+		res, err := core.LearnSimulated(context.Background(), core.SimRequest{Policy: name, Assoc: 4, Learn: learn.Options{Depth: 1}})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -35,7 +35,7 @@ var paperDescriptions = map[string]string{
 func main() {
 	for _, name := range []string{"New1", "New2"} {
 		// Learn the policy from a simulated cache, as in §6.
-		res, err := core.LearnSimulated(context.Background(), name, 4, learn.Options{Depth: 1})
+		res, err := core.LearnSimulated(context.Background(), core.SimRequest{Policy: name, Assoc: 4, Learn: learn.Options{Depth: 1}})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -13,7 +13,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"time"
 
 	"repro/internal/blocks"
 	"repro/internal/cache"
@@ -60,7 +59,8 @@ type SnapshotOptions struct {
 	// checkpoint (pass the same path as WarmPath on the next run). Each
 	// checkpoint is written through a temp file and an atomic rename; a
 	// crash mid-checkpoint never destroys the previous one. Requires
-	// SavePath.
+	// SavePath: the pipelines refuse a cadence without one before their
+	// first probe.
 	CheckpointEvery int
 	// ColdOnDamage degrades a warm start to a cold run — instead of
 	// failing it — when WarmPath is missing (fs.ErrNotExist) or its
@@ -154,13 +154,23 @@ func SaveOracleSnapshot(oracle *polca.Oracle, path, scope string) error {
 	return nil
 }
 
+// check refuses options that would silently do less than asked: a
+// checkpoint cadence needs a SavePath to write its checkpoints to. The
+// pipelines call it before their first probe.
+func (s SnapshotOptions) check() error {
+	if s.CheckpointEvery > 0 && s.SavePath == "" {
+		return fmt.Errorf("core: CheckpointEvery %d needs a SavePath to write checkpoints to", s.CheckpointEvery)
+	}
+	return nil
+}
+
 // armCheckpoints wires periodic auto-snapshots into an oracle: every
 // CheckpointEvery output queries the store is saved to SavePath through the
 // same atomic-rename path as the final save. Checkpointing is best-effort —
 // a failed write is reported and the run continues; the next window tries
 // again.
 func armCheckpoints(oracle *polca.Oracle, snap SnapshotOptions, scope string) {
-	if snap.CheckpointEvery <= 0 || snap.SavePath == "" {
+	if snap.CheckpointEvery <= 0 {
 		return
 	}
 	oracle.SetCheckpointer(snap.CheckpointEvery, func() {
@@ -171,15 +181,10 @@ func armCheckpoints(oracle *polca.Oracle, snap SnapshotOptions, scope string) {
 }
 
 // SimOptions configures the simulated-cache learning stack below the
-// learner: the policy representation the prober runs on.
+// learner. The zero value probes an in-process simulator on the compiled
+// policy kernel; polca.NewSimProber falls back to the interpreted Policy
+// interface for policies that cannot be compiled.
 type SimOptions struct {
-	// Interpreted disables the compiled policy kernel and drives the
-	// simulator through the interpreted Policy interface — the pre-kernel
-	// path the -compiled=false toggles and the kernel ablation benchmarks
-	// select. Learned machines, learner trajectories and every
-	// deterministic oracle counter are bit-identical either way; only the
-	// wall-clock cost of simulated probes changes.
-	Interpreted bool
 	// Faults, when set, interposes a deterministic fault injector
 	// (internal/faulty) between the oracle and the simulator: probes
 	// suffer the plan's seeded mix of transient errors, stalls and
@@ -200,72 +205,101 @@ type SimOptions struct {
 	// merge back in submission order, and the oracle batches eviction
 	// probes so each Evct costs one round trip. Learned machines and
 	// learner trajectories are bit-identical to a single-box run. The
-	// fleet serves simulator scopes only — it composes with Interpreted
-	// (workers run interpreted engines) but not with Faults (fleet runs
-	// exercise real transport failures, not injected ones).
+	// fleet serves simulator scopes only and does not compose with Faults
+	// (fleet runs exercise real transport failures, not injected ones).
 	FleetWorkers []string
-	// FleetSlots is the per-worker concurrency of the fleet pool
-	// (remote.FleetOptions.Slots); 0 keeps the default.
-	FleetSlots int
-	// FleetHedge is the straggler hedge delay (remote.FleetOptions.
-	// HedgeAfter); 0 keeps the default, negative disables hedging.
-	FleetHedge time.Duration
 	// FleetLogf, when set, receives fleet resilience events (quarantine,
 	// re-admission, snapshot shipping).
 	FleetLogf func(format string, args ...any)
 }
 
-// SimProber builds the simulator prober for a policy according to the
-// options: compiled kernel by default (with the interpreted fallback for
-// uncompilable policies), forced-interpreted on demand.
-func (o SimOptions) SimProber(pol policy.Policy) *polca.SimProber {
-	if o.Interpreted {
-		return polca.NewInterpretedSimProber(pol)
+// SimRequest configures one §6 learning run against a software-simulated
+// cache.
+type SimRequest struct {
+	// Policy and Assoc name the simulated policy (policy.New).
+	Policy string
+	Assoc  int
+	// Learn configures the learner — algorithm (learn.AlgoLStar or
+	// learn.AlgoTree), conformance suite, budgets. Depth is taken as
+	// given: 0 runs the conformance suite at k = 0; the paper's k = 1 is
+	// Depth 1.
+	Learn learn.Options
+	// Snapshot controls oracle query-store persistence: an existing
+	// snapshot warm-starts the oracle (the learner replays recorded
+	// answers from disk and probes the simulator only for new words), and
+	// the store can be saved after the run for the next one. The learned
+	// machine — and the learner's whole query trajectory — is
+	// bit-identical cold or warm; only the backend probe count changes.
+	Snapshot SnapshotOptions
+	// Sim configures the stack below the learner: fault injection, retry
+	// policy, worker fleet.
+	Sim SimOptions
+}
+
+// LearnSimulated learns a policy from a software-simulated cache (the §6
+// case study). The Polca oracle implements learn.BatchTeacher, so the
+// learner's observation-table rows (or discrimination-tree experiments,
+// with Learn.Algo = learn.AlgoTree) and conformance words are answered a
+// chunk at a time through the oracle's query engine. The returned machine
+// is checked against nothing: callers that know the ground truth can
+// extract it with mealy.FromPolicy and compare.
+func LearnSimulated(ctx context.Context, req SimRequest) (*SimResult, error) {
+	if err := req.Snapshot.check(); err != nil {
+		return nil, err
 	}
-	return polca.NewSimProber(pol)
+	oracle, fleet, canonical, scope, err := OpenSimOracle(ctx, req.Policy, req.Assoc, req.Sim)
+	if err != nil {
+		return nil, err
+	}
+	if fleet != nil {
+		defer fleet.Close()
+	}
+	snap := req.Snapshot
+	if snap.WarmPath != "" {
+		if _, err := LoadOracleSnapshot(oracle, snap.WarmPath, scope, snap.ColdOnDamage); err != nil {
+			return nil, err
+		}
+	}
+	armCheckpoints(oracle, snap, scope)
+	res, err := learn.Learn(ctx, oracle, req.Learn)
+	if err != nil {
+		return nil, err
+	}
+	if snap.SavePath != "" {
+		if err := SaveOracleSnapshot(oracle, snap.SavePath, scope); err != nil {
+			return nil, err
+		}
+	}
+	sr := &SimResult{
+		Policy:      canonical,
+		Assoc:       req.Assoc,
+		Machine:     res.Machine,
+		LearnStats:  res.Stats,
+		OracleStats: oracle.Stats(),
+	}
+	if fleet != nil {
+		st := fleet.Stats()
+		sr.Fleet = &st
+	}
+	return sr, nil
 }
 
-// LearnSimulated learns a named policy of the given associativity from a
-// software-simulated cache (the §6 case study). The Polca oracle implements
-// learn.BatchTeacher, so the learner's observation-table rows (or
-// discrimination-tree experiments, with opt.Algo = learn.AlgoTree) and
-// conformance words are answered a chunk at a time through the oracle's
-// query engine. The returned machine is checked against nothing:
-// callers that know the ground truth can extract it with mealy.FromPolicy
-// and compare.
-func LearnSimulated(ctx context.Context, policyName string, assoc int, opt learn.Options) (*SimResult, error) {
-	return LearnSimulatedSnapshot(ctx, policyName, assoc, opt, SnapshotOptions{})
-}
-
-// LearnSimulatedSnapshot is LearnSimulated with oracle query-store
-// persistence: an existing snapshot warm-starts the oracle (the learner
-// replays recorded answers from disk and probes the simulator only for
-// new words), and the store can be saved after the run for the next one.
-// The learned machine — and the learner's whole query trajectory — is
-// bit-identical cold or warm; only the backend probe count changes.
-func LearnSimulatedSnapshot(ctx context.Context, policyName string, assoc int, opt learn.Options, snap SnapshotOptions) (*SimResult, error) {
-	return LearnSimulatedSim(ctx, policyName, assoc, opt, snap, SimOptions{})
-}
-
-// NewSimOracle builds the simulated-cache Polca oracle for a named policy
-// exactly as the learning pipelines do: compiled kernel by default, fault
-// injection / retry policy / worker fleet per SimOptions. It
-// returns the oracle, the policy's canonical name, and the snapshot scope
-// tagging its query store. The polcad daemon (internal/daemon) builds its
-// shared per-(policy, assoc) engines through this seam, so a daemon-served
-// learn is the same pipeline — and produces the same bytes — as cmd/polca.
-// With FleetWorkers configured the oracle's prober is a remote fleet; use
-// NewSimOracleFleet for the fleet handle (warm-up, stats, shutdown).
-func NewSimOracle(policyName string, assoc int, sim SimOptions) (oracle *polca.Oracle, canonical, scope string, err error) {
-	oracle, _, canonical, scope, err = NewSimOracleFleet(policyName, assoc, sim)
-	return oracle, canonical, scope, err
-}
-
-// NewSimOracleFleet is NewSimOracle exposing the fleet handle: nil for
-// local runs, otherwise the remote.Fleet serving as the oracle's prober —
-// the caller owns its lifecycle (Ping/SyncSnapshots before learning, Close
-// after; LearnSimulatedSim does all three).
-func NewSimOracleFleet(policyName string, assoc int, sim SimOptions) (oracle *polca.Oracle, fleet *remote.Fleet, canonical, scope string, err error) {
+// OpenSimOracle builds the simulated-cache Polca oracle for a named policy
+// exactly as LearnSimulated does: compiled kernel, fault injection, retry
+// policy and worker fleet per SimOptions. It returns the oracle, the fleet
+// handle (nil for local runs), the policy's canonical name, and the
+// snapshot scope tagging the oracle's query store. The polcad daemon
+// (internal/daemon) builds its shared per-(policy, assoc) engines here
+// too, so a daemon-served learn is the same pipeline — and produces the
+// same bytes — as cmd/polca.
+//
+// With FleetWorkers the fleet is warmed up before OpenSimOracle returns:
+// every worker must answer a ping (otherwise the fleet is closed and the
+// call fails), then each worker's probe memo is levelled to the best
+// snapshot in the fleet, best-effort, so a replaced or freshly booted
+// worker skips prefixes its peers already measured (FleetStats.Shipped
+// counts the snapshots shipped). The caller owns the fleet and closes it.
+func OpenSimOracle(ctx context.Context, policyName string, assoc int, sim SimOptions) (oracle *polca.Oracle, fleet *remote.Fleet, canonical, scope string, err error) {
 	pol, err := policy.New(policyName, assoc)
 	if err != nil {
 		return nil, nil, "", "", err
@@ -281,19 +315,25 @@ func NewSimOracleFleet(policyName string, assoc int, sim SimOptions) (oracle *po
 			return nil, nil, "", "", fmt.Errorf("core: fault injection and a worker fleet are mutually exclusive (fleet runs exercise real transport failures)")
 		}
 		fleet, err = remote.NewFleet(sim.FleetWorkers, scope, remote.FleetOptions{
-			Slots:      sim.FleetSlots,
-			HedgeAfter: sim.FleetHedge,
-			Retry:      sim.Retry,
-			Logf:       sim.FleetLogf,
+			Retry: sim.Retry,
+			Logf:  sim.FleetLogf,
 		})
 		if err != nil {
 			return nil, nil, "", "", err
 		}
+		if ctx == nil {
+			ctx = context.Background()
+		}
+		if err := fleet.Ping(ctx); err != nil {
+			fleet.Close()
+			return nil, nil, "", "", fmt.Errorf("core: fleet warm-up: %w", err)
+		}
+		fleet.SyncSnapshots(ctx)
 		// The fleet is a ProbeBatcher: the oracle groups each Evct's
 		// eviction probes into one round trip.
 		prober = fleet
 	} else {
-		prober = sim.SimProber(pol)
+		prober = polca.NewSimProber(pol)
 		if sim.Faults != nil {
 			prober = faulty.WrapProber(prober, faulty.NewInjector(*sim.Faults))
 			if sim.Faults.FlipRate > 0 {
@@ -304,54 +344,13 @@ func NewSimOracleFleet(policyName string, assoc int, sim SimOptions) (oracle *po
 	return polca.NewOracle(prober, opts...), fleet, canonical, scope, nil
 }
 
-// LearnSimulatedSim is LearnSimulatedSnapshot with an explicit simulator
-// configuration — the seam the -compiled toggles of cmd/polca,
-// cmd/experiments and cmd/genmodels thread through.
-func LearnSimulatedSim(ctx context.Context, policyName string, assoc int, opt learn.Options, snap SnapshotOptions, sim SimOptions) (*SimResult, error) {
-	oracle, fleet, canonical, scope, err := NewSimOracleFleet(policyName, assoc, sim)
-	if err != nil {
-		return nil, err
-	}
-	if fleet != nil {
-		defer fleet.Close()
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		if err := fleet.Ping(ctx); err != nil {
-			return nil, fmt.Errorf("core: fleet warm-up: %w", err)
-		}
-		// Warm-up: level every worker's probe memo to the best snapshot in
-		// the fleet (best-effort), so a replaced or freshly-booted worker
-		// skips re-probing prefixes its peers already measured.
-		fleet.SyncSnapshots(ctx)
-	}
-	if snap.WarmPath != "" {
-		if _, err := LoadOracleSnapshot(oracle, snap.WarmPath, scope, snap.ColdOnDamage); err != nil {
-			return nil, err
-		}
-	}
-	armCheckpoints(oracle, snap, scope)
-	res, err := learn.Learn(ctx, oracle, opt)
-	if err != nil {
-		return nil, err
-	}
-	if snap.SavePath != "" {
-		if err := SaveOracleSnapshot(oracle, snap.SavePath, scope); err != nil {
-			return nil, err
-		}
-	}
-	sr := &SimResult{
-		Policy:      canonical,
-		Assoc:       assoc,
-		Machine:     res.Machine,
-		LearnStats:  res.Stats,
-		OracleStats: oracle.Stats(),
-	}
-	if fleet != nil {
-		st := fleet.Stats()
-		sr.Fleet = &st
-	}
-	return sr, nil
+// NewSimOracle is OpenSimOracle for local oracles, the form the benchmark
+// harness and the tests use: no context, no fleet handle. A fleet built
+// here is warmed up but never closed; callers that configure FleetWorkers
+// use OpenSimOracle.
+func NewSimOracle(policyName string, assoc int, sim SimOptions) (oracle *polca.Oracle, canonical, scope string, err error) {
+	oracle, _, canonical, scope, err = OpenSimOracle(context.Background(), policyName, assoc, sim)
+	return oracle, canonical, scope, err
 }
 
 // HardwareRequest configures one §7 learning run against a simulated CPU.
@@ -415,6 +414,9 @@ type HardwareResult struct {
 // observation-table and conformance queries, Polca fans them out over
 // parallel goroutines, and each goroutine probes a pooled CPU replica.
 func LearnHardware(ctx context.Context, req HardwareRequest) (*HardwareResult, error) {
+	if err := req.Snapshot.check(); err != nil {
+		return nil, err
+	}
 	if req.CATWays > 0 {
 		if err := req.CPU.SetCATWays(req.CATWays); err != nil {
 			return nil, err

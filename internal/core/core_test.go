@@ -12,6 +12,7 @@ import (
 	"repro/internal/hw"
 	"repro/internal/learn"
 	"repro/internal/mealy"
+	"repro/internal/polca"
 	"repro/internal/policy"
 	"repro/internal/synth"
 )
@@ -28,7 +29,11 @@ func testCPU() hw.CPUConfig {
 }
 
 func TestLearnSimulated(t *testing.T) {
-	res, err := LearnSimulated(context.Background(), "MRU", 4, learn.Options{Depth: 1})
+	res, err := LearnSimulated(context.Background(), SimRequest{
+		Policy: "MRU",
+		Assoc:  4,
+		Learn:  learn.Options{Depth: 1},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +43,11 @@ func TestLearnSimulated(t *testing.T) {
 	if res.OracleStats.Probes == 0 || res.LearnStats.OutputQueries == 0 {
 		t.Error("stats not collected")
 	}
-	if _, err := LearnSimulated(context.Background(), "nope", 4, learn.Options{}); err == nil {
+	if _, err := LearnSimulated(context.Background(), SimRequest{
+		Policy: "nope",
+		Assoc:  4,
+		Learn:  learn.Options{},
+	}); err == nil {
 		t.Error("unknown policy accepted")
 	}
 }
@@ -264,11 +273,21 @@ func TestWarmStartSimulated(t *testing.T) {
 	}{{"LRU", 4}, {"SRRIP-HP", 4}} {
 		t.Run(c.name, func(t *testing.T) {
 			snap := filepath.Join(t.TempDir(), "oracle.qs")
-			cold, err := LearnSimulatedSnapshot(context.Background(), c.name, c.assoc, learn.Options{Depth: 1}, SnapshotOptions{SavePath: snap})
+			cold, err := LearnSimulated(context.Background(), SimRequest{
+				Policy:   c.name,
+				Assoc:    c.assoc,
+				Learn:    learn.Options{Depth: 1},
+				Snapshot: SnapshotOptions{SavePath: snap},
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			warm, err := LearnSimulatedSnapshot(context.Background(), c.name, c.assoc, learn.Options{Depth: 1}, SnapshotOptions{WarmPath: snap})
+			warm, err := LearnSimulated(context.Background(), SimRequest{
+				Policy:   c.name,
+				Assoc:    c.assoc,
+				Learn:    learn.Options{Depth: 1},
+				Snapshot: SnapshotOptions{WarmPath: snap},
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -293,10 +312,20 @@ func TestWarmStartSimulated(t *testing.T) {
 // refused when warm-starting another.
 func TestWarmStartScopeGuard(t *testing.T) {
 	snap := filepath.Join(t.TempDir(), "oracle.qs")
-	if _, err := LearnSimulatedSnapshot(context.Background(), "LRU", 4, learn.Options{Depth: 1}, SnapshotOptions{SavePath: snap}); err != nil {
+	if _, err := LearnSimulated(context.Background(), SimRequest{
+		Policy:   "LRU",
+		Assoc:    4,
+		Learn:    learn.Options{Depth: 1},
+		Snapshot: SnapshotOptions{SavePath: snap},
+	}); err != nil {
 		t.Fatal(err)
 	}
-	_, err := LearnSimulatedSnapshot(context.Background(), "MRU", 4, learn.Options{Depth: 1}, SnapshotOptions{WarmPath: snap})
+	_, err := LearnSimulated(context.Background(), SimRequest{
+		Policy:   "MRU",
+		Assoc:    4,
+		Learn:    learn.Options{Depth: 1},
+		Snapshot: SnapshotOptions{WarmPath: snap},
+	})
 	if err == nil || !strings.Contains(err.Error(), "recorded for") {
 		t.Fatalf("cross-policy warm start not rejected: %v", err)
 	}
@@ -333,11 +362,43 @@ func TestWarmStartHardware(t *testing.T) {
 	}
 }
 
+// TestCheckpointCadenceNeedsSavePath: a checkpoint cadence with nowhere to
+// write checkpoints is refused before the first probe, on both pipelines,
+// instead of running without checkpoints.
+func TestCheckpointCadenceNeedsSavePath(t *testing.T) {
+	snap := SnapshotOptions{CheckpointEvery: 100}
+	_, err := LearnSimulated(context.Background(), SimRequest{
+		Policy:   "LRU",
+		Assoc:    4,
+		Learn:    learn.Options{Depth: 1},
+		Snapshot: snap,
+	})
+	if err == nil || !strings.Contains(err.Error(), "SavePath") {
+		t.Errorf("simulator learn with CheckpointEvery and no SavePath: err = %v", err)
+	}
+	cpu := hw.NewCPU(testCPU(), 9)
+	_, err = LearnHardware(context.Background(), HardwareRequest{
+		CPU:      cpu,
+		Target:   cachequery.Target{Level: hw.L1, Set: 5},
+		Backend:  cachequery.BackendOptions{MaxBlocks: 12, Reps: 3, EvictRounds: 1, CalibrationSamples: 21},
+		Learn:    learn.Options{Depth: 1},
+		Snapshot: snap,
+	})
+	if err == nil || !strings.Contains(err.Error(), "SavePath") {
+		t.Errorf("hardware learn with CheckpointEvery and no SavePath: err = %v", err)
+	}
+	if n := cpu.LoadCount(); n != 0 {
+		t.Errorf("hardware learn issued %d loads before refusing the options", n)
+	}
+}
+
 // TestLearnSimulatedKernelBitIdentical is the end-to-end compiled↔interpreted
 // guarantee the kernel rides on: learning the same policy with the compiled
-// kernel (default) and with SimOptions.Interpreted produces byte-identical
-// model JSON, identical learner statistics, and bit-identical deterministic
-// oracle counters (queries, symbols, probes, accesses, memo hits).
+// kernel (LearnSimulated's default) and through the interpreted reference
+// prober (polca.NewInterpretedSimProber under an identically configured
+// oracle) produces byte-identical model JSON, identical learner statistics,
+// and bit-identical deterministic oracle counters (queries, symbols,
+// probes, accesses, memo hits).
 func TestLearnSimulatedKernelBitIdentical(t *testing.T) {
 	for _, c := range []struct {
 		name  string
@@ -348,14 +409,20 @@ func TestLearnSimulatedKernelBitIdentical(t *testing.T) {
 		{"SRRIP-HP", 4, learn.AlgoTree},
 	} {
 		opt := learn.Options{Depth: 1, Algo: c.algo}
-		compiled, err := LearnSimulatedSim(context.Background(), c.name, c.assoc, opt, SnapshotOptions{}, SimOptions{})
+		compiled, err := LearnSimulated(context.Background(), SimRequest{
+			Policy: c.name,
+			Assoc:  c.assoc,
+			Learn:  opt,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		interp, err := LearnSimulatedSim(context.Background(), c.name, c.assoc, opt, SnapshotOptions{}, SimOptions{Interpreted: true})
+		oracle := polca.NewOracle(polca.NewInterpretedSimProber(policy.MustNew(c.name, c.assoc)))
+		res, err := learn.Learn(context.Background(), oracle, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
+		interp := &SimResult{Machine: res.Machine, LearnStats: res.Stats, OracleStats: oracle.Stats()}
 		var cj, ij bytes.Buffer
 		if err := compiled.Machine.Save(&cj); err != nil {
 			t.Fatal(err)

@@ -51,12 +51,16 @@ func TestFleetLearnMatchesSingleBox(t *testing.T) {
 	for _, name := range policies {
 		t.Run(name, func(t *testing.T) {
 			opt := learn.Options{Depth: 1, BatchSize: 32}
-			local, err := LearnSimulatedSim(context.Background(), name, 4, opt, SnapshotOptions{}, SimOptions{})
+			local, err := LearnSimulated(context.Background(), SimRequest{Policy: name, Assoc: 4, Learn: opt})
 			if err != nil {
 				t.Fatalf("single-box: %v", err)
 			}
-			dist, err := LearnSimulatedSim(context.Background(), name, 4, opt, SnapshotOptions{},
-				SimOptions{FleetWorkers: addrs})
+			dist, err := LearnSimulated(context.Background(), SimRequest{
+				Policy: name,
+				Assoc:  4,
+				Learn:  opt,
+				Sim:    SimOptions{FleetWorkers: addrs},
+			})
 			if err != nil {
 				t.Fatalf("distributed: %v", err)
 			}
@@ -118,13 +122,17 @@ func TestFleetLearnSurvivesWorkerDeath(t *testing.T) {
 		name = "LRU" // same death window, ~20x fewer queries
 	}
 	opt := learn.Options{Depth: 1, BatchSize: 32}
-	local, err := LearnSimulatedSim(context.Background(), name, 4, opt, SnapshotOptions{}, SimOptions{})
+	local, err := LearnSimulated(context.Background(), SimRequest{Policy: name, Assoc: 4, Learn: opt})
 	if err != nil {
 		t.Fatalf("single-box: %v", err)
 	}
 	retry := &polca.RetryPolicy{MaxAttempts: 8, BaseDelay: time.Millisecond, MaxDelay: 16 * time.Millisecond, Seed: 1}
-	dist, err := LearnSimulatedSim(context.Background(), name, 4, opt, SnapshotOptions{},
-		SimOptions{FleetWorkers: addrs, Retry: retry})
+	dist, err := LearnSimulated(context.Background(), SimRequest{
+		Policy: name,
+		Assoc:  4,
+		Learn:  opt,
+		Sim:    SimOptions{FleetWorkers: addrs, Retry: retry},
+	})
 	if err != nil {
 		t.Fatalf("distributed with dying worker: %v", err)
 	}
@@ -146,19 +154,27 @@ func TestFleetLearnSurvivesWorkerDeath(t *testing.T) {
 }
 
 // TestFleetWarmupShipsSnapshots: when one worker already holds a probe
-// memo for the scope, LearnSimulatedSim's warm-up levels the fleet before
+// memo for the scope, OpenSimOracle's warm-up levels the fleet before
 // learning — the cold workers receive the snapshot instead of re-probing
 // everything from scratch.
 func TestFleetWarmupShipsSnapshots(t *testing.T) {
 	addrs := startFleet(t, 2)
 
 	// Warm worker 0 by learning through it alone.
-	if _, err := LearnSimulatedSim(context.Background(), "LRU", 4, learn.Options{Depth: 1}, SnapshotOptions{},
-		SimOptions{FleetWorkers: addrs[:1]}); err != nil {
+	if _, err := LearnSimulated(context.Background(), SimRequest{
+		Policy: "LRU",
+		Assoc:  4,
+		Learn:  learn.Options{Depth: 1},
+		Sim:    SimOptions{FleetWorkers: addrs[:1]},
+	}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := LearnSimulatedSim(context.Background(), "LRU", 4, learn.Options{Depth: 1}, SnapshotOptions{},
-		SimOptions{FleetWorkers: addrs})
+	res, err := LearnSimulated(context.Background(), SimRequest{
+		Policy: "LRU",
+		Assoc:  4,
+		Learn:  learn.Options{Depth: 1},
+		Sim:    SimOptions{FleetWorkers: addrs},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +187,7 @@ func TestFleetWarmupShipsSnapshots(t *testing.T) {
 // failures; combining it with the deterministic fault injector is a
 // configuration error, not a silent downgrade.
 func TestFleetRejectsFaultInjection(t *testing.T) {
-	_, _, _, _, err := NewSimOracleFleet("LRU", 4, SimOptions{
+	_, _, _, _, err := OpenSimOracle(context.Background(), "LRU", 4, SimOptions{
 		FleetWorkers: []string{"localhost:1"},
 		Faults:       &faulty.Plan{Seed: 1, ErrRate: 0.05, DieReplica: -1},
 	})

@@ -51,13 +51,17 @@ func TestFaultSoakSimulated(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			opt := learn.Options{Depth: 1, Algo: learn.AlgoTree}
-			clean, err := LearnSimulatedSim(context.Background(), name, 4, opt, SnapshotOptions{}, SimOptions{})
+			clean, err := LearnSimulated(context.Background(), SimRequest{Policy: name, Assoc: 4, Learn: opt})
 			if err != nil {
 				t.Fatal(err)
 			}
 			plan := faulty.Plan{Seed: 42, ErrRate: 0.05, FlipRate: 0.002, DieReplica: -1}
-			soak, err := LearnSimulatedSim(context.Background(), name, 4, opt, SnapshotOptions{},
-				SimOptions{Faults: &plan, Retry: fastRetry()})
+			soak, err := LearnSimulated(context.Background(), SimRequest{
+				Policy: name,
+				Assoc:  4,
+				Learn:  opt,
+				Sim:    SimOptions{Faults: &plan, Retry: fastRetry()},
+			})
 			if err != nil {
 				t.Fatalf("faulty learn failed outright: %v", err)
 			}
@@ -87,8 +91,12 @@ func TestFaultSoakReproducible(t *testing.T) {
 	run := func() *SimResult {
 		t.Helper()
 		plan := faulty.Plan{Seed: 7, ErrRate: 0.05, FlipRate: 0.002, DieReplica: -1}
-		res, err := LearnSimulatedSim(context.Background(), "New1", 4, opt, SnapshotOptions{},
-			SimOptions{Faults: &plan, Retry: fastRetry()})
+		res, err := LearnSimulated(context.Background(), SimRequest{
+			Policy: "New1",
+			Assoc:  4,
+			Learn:  opt,
+			Sim:    SimOptions{Faults: &plan, Retry: fastRetry()},
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,16 +155,20 @@ func TestFaultSoakHardwareReplicaDeath(t *testing.T) {
 func TestCrashResumeConvergesIdentically(t *testing.T) {
 	t.Parallel()
 	opt := learn.Options{Depth: 1, Algo: learn.AlgoTree}
-	clean, err := LearnSimulated(context.Background(), "New1", 4, opt)
+	clean, err := LearnSimulated(context.Background(), SimRequest{Policy: "New1", Assoc: 4, Learn: opt})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	ckpt := filepath.Join(t.TempDir(), "new1.qs")
 	crash := &faulty.Plan{Seed: 1, CrashAfter: 600, DieReplica: -1}
-	_, err = LearnSimulatedSim(context.Background(), "New1", 4, opt,
-		SnapshotOptions{SavePath: ckpt, CheckpointEvery: 16},
-		SimOptions{Faults: crash})
+	_, err = LearnSimulated(context.Background(), SimRequest{
+		Policy:   "New1",
+		Assoc:    4,
+		Learn:    opt,
+		Snapshot: SnapshotOptions{SavePath: ckpt, CheckpointEvery: 16},
+		Sim:      SimOptions{Faults: crash},
+	})
 	if !errors.Is(err, faulty.ErrCrash) {
 		t.Fatalf("crash plan returned %v, want ErrCrash", err)
 	}
@@ -164,8 +176,12 @@ func TestCrashResumeConvergesIdentically(t *testing.T) {
 		t.Fatalf("no checkpoint survived the crash: %v", err)
 	}
 
-	resumed, err := LearnSimulatedSnapshot(context.Background(), "New1", 4, opt,
-		SnapshotOptions{WarmPath: ckpt, SavePath: ckpt, CheckpointEvery: 16, ColdOnDamage: true})
+	resumed, err := LearnSimulated(context.Background(), SimRequest{
+		Policy:   "New1",
+		Assoc:    4,
+		Learn:    opt,
+		Snapshot: SnapshotOptions{WarmPath: ckpt, SavePath: ckpt, CheckpointEvery: 16, ColdOnDamage: true},
+	})
 	if err != nil {
 		t.Fatalf("resume failed: %v", err)
 	}
@@ -186,15 +202,23 @@ func TestCheckpointsWrittenDuringLearn(t *testing.T) {
 	dir := t.TempDir()
 	ckpt := filepath.Join(dir, "mru.qs")
 	crash := &faulty.Plan{Seed: 1, CrashAfter: 200, DieReplica: -1}
-	_, err := LearnSimulatedSim(context.Background(), "MRU", 4, learn.Options{Depth: 1},
-		SnapshotOptions{SavePath: ckpt, CheckpointEvery: 8},
-		SimOptions{Faults: crash})
+	_, err := LearnSimulated(context.Background(), SimRequest{
+		Policy:   "MRU",
+		Assoc:    4,
+		Learn:    learn.Options{Depth: 1},
+		Snapshot: SnapshotOptions{SavePath: ckpt, CheckpointEvery: 8},
+		Sim:      SimOptions{Faults: crash},
+	})
 	if !errors.Is(err, faulty.ErrCrash) {
 		t.Fatalf("crash plan returned %v", err)
 	}
 	// The checkpoint must be complete and warm-startable, not torn.
-	res, err := LearnSimulatedSnapshot(context.Background(), "MRU", 4, learn.Options{Depth: 1},
-		SnapshotOptions{WarmPath: ckpt})
+	res, err := LearnSimulated(context.Background(), SimRequest{
+		Policy:   "MRU",
+		Assoc:    4,
+		Learn:    learn.Options{Depth: 1},
+		Snapshot: SnapshotOptions{WarmPath: ckpt},
+	})
 	if err != nil {
 		t.Fatalf("checkpoint unusable: %v", err)
 	}
@@ -215,16 +239,24 @@ func TestColdOnDamageDegrades(t *testing.T) {
 
 	check := func(name, warm string) {
 		t.Helper()
-		res, err := LearnSimulatedSnapshot(context.Background(), "MRU", 4, opt,
-			SnapshotOptions{WarmPath: warm, ColdOnDamage: true})
+		res, err := LearnSimulated(context.Background(), SimRequest{
+			Policy:   "MRU",
+			Assoc:    4,
+			Learn:    opt,
+			Snapshot: SnapshotOptions{WarmPath: warm, ColdOnDamage: true},
+		})
 		if err != nil {
 			t.Fatalf("%s: degrade failed: %v", name, err)
 		}
 		if eq, _ := res.Machine.Equivalent(truth); !eq {
 			t.Errorf("%s: cold fallback mislearned", name)
 		}
-		if _, err := LearnSimulatedSnapshot(context.Background(), "MRU", 4, opt,
-			SnapshotOptions{WarmPath: warm}); err == nil {
+		if _, err := LearnSimulated(context.Background(), SimRequest{
+			Policy:   "MRU",
+			Assoc:    4,
+			Learn:    opt,
+			Snapshot: SnapshotOptions{WarmPath: warm},
+		}); err == nil {
 			t.Errorf("%s: damage accepted without ColdOnDamage", name)
 		}
 	}
@@ -233,8 +265,12 @@ func TestColdOnDamageDegrades(t *testing.T) {
 
 	// A truncated snapshot: record a good one, cut it in half.
 	good := filepath.Join(dir, "good.qs")
-	if _, err := LearnSimulatedSnapshot(context.Background(), "MRU", 4, opt,
-		SnapshotOptions{SavePath: good}); err != nil {
+	if _, err := LearnSimulated(context.Background(), SimRequest{
+		Policy:   "MRU",
+		Assoc:    4,
+		Learn:    opt,
+		Snapshot: SnapshotOptions{SavePath: good},
+	}); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(good)
@@ -255,8 +291,12 @@ func TestColdOnDamageDegrades(t *testing.T) {
 
 	// A scope mismatch is a caller bug, not damage: it must fail even with
 	// ColdOnDamage set.
-	if _, err := LearnSimulatedSnapshot(context.Background(), "LRU", 4, opt,
-		SnapshotOptions{WarmPath: good, ColdOnDamage: true}); err == nil {
+	if _, err := LearnSimulated(context.Background(), SimRequest{
+		Policy:   "LRU",
+		Assoc:    4,
+		Learn:    opt,
+		Snapshot: SnapshotOptions{WarmPath: good, ColdOnDamage: true},
+	}); err == nil {
 		t.Error("snapshot for MRU accepted as warm start for LRU")
 	}
 }

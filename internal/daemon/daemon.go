@@ -58,8 +58,8 @@ type Config struct {
 	// QuotaBurst is the per-tenant bucket capacity (default 64 when
 	// QuotaRate is set).
 	QuotaBurst float64
-	// Sim configures the simulator stack under every engine: compiled vs
-	// interpreted kernel, worker fleet, fault injection.
+	// Sim configures the simulator stack under every engine: worker
+	// fleet, fault injection, retry policy.
 	Sim core.SimOptions
 	// EventInterval is the SSE progress cadence (default 250ms).
 	EventInterval time.Duration
@@ -164,19 +164,12 @@ func (s *Server) engineFor(policyName string, assoc int) (*engine, error) {
 	if eng, ok := s.engines[key]; ok {
 		return eng, nil
 	}
-	oracle, fleet, canonical, scope, err := core.NewSimOracleFleet(policyName, assoc, s.cfg.Sim)
+	oracle, fleet, canonical, scope, err := core.OpenSimOracle(s.baseCtx, policyName, assoc, s.cfg.Sim)
 	if err != nil {
 		return nil, err
 	}
 	if fleet != nil {
-		// Warm-up mirrors LearnSimulatedSim: reachability is fatal (a
-		// misconfigured fleet should fail the first request loudly),
-		// snapshot leveling is best-effort.
-		if err := fleet.Ping(s.baseCtx); err != nil {
-			fleet.Close()
-			return nil, fmt.Errorf("daemon: fleet warm-up: %w", err)
-		}
-		if shipped := fleet.SyncSnapshots(s.baseCtx); shipped > 0 {
+		if shipped := fleet.Stats().Shipped; shipped > 0 {
 			s.cfg.Logf("daemon: engine %s-%d fleet warm-up shipped %d snapshots", canonical, assoc, shipped)
 		}
 	}

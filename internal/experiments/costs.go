@@ -39,7 +39,7 @@ func RunCosts(ctx context.Context, queryReps int) (*CostsResult, error) {
 
 	// (1a) Software-simulated cache.
 	start := time.Now()
-	if _, err := core.LearnSimulated(ctx, "PLRU", assoc, learn.Options{Depth: 1}); err != nil {
+	if _, err := core.LearnSimulated(ctx, core.SimRequest{Policy: "PLRU", Assoc: assoc, Learn: learn.Options{Depth: 1}}); err != nil {
 		return nil, err
 	}
 	res.SimTime = time.Since(start)

@@ -47,11 +47,11 @@ func TestFmtDuration(t *testing.T) {
 }
 
 func TestTable2RowLearnsAndVerifies(t *testing.T) {
-	row := RunTable2Row(context.Background(), "LRU", 4)
+	row := RunTable2Row(context.Background(), "LRU", 4, Table2Config{})
 	if !row.Verified || row.States != 24 || row.Err != "" {
 		t.Errorf("row = %+v", row)
 	}
-	bad := RunTable2Row(context.Background(), "NOPE", 4)
+	bad := RunTable2Row(context.Background(), "NOPE", 4, Table2Config{})
 	if bad.Err == "" {
 		t.Error("unknown policy accepted")
 	}
@@ -59,14 +59,14 @@ func TestTable2RowLearnsAndVerifies(t *testing.T) {
 
 func TestTable2RowSnapshotWarmStart(t *testing.T) {
 	dir := t.TempDir()
-	cold := RunTable2RowSnap(context.Background(), "LRU", 4, learn.Options{Depth: 1}, dir)
+	cold := RunTable2Row(context.Background(), "LRU", 4, Table2Config{Learn: learn.Options{Depth: 1}, SnapshotDir: dir})
 	if !cold.Verified || cold.Err != "" {
 		t.Fatalf("cold row = %+v", cold)
 	}
 	if _, err := os.Stat(core.SnapshotPathInDir(dir, "LRU", 4)); err != nil {
 		t.Fatalf("snapshot not written: %v", err)
 	}
-	warm := RunTable2RowSnap(context.Background(), "LRU", 4, learn.Options{Depth: 1}, dir)
+	warm := RunTable2Row(context.Background(), "LRU", 4, Table2Config{Learn: learn.Options{Depth: 1}, SnapshotDir: dir})
 	if !warm.Verified || warm.Err != "" {
 		t.Fatalf("warm row = %+v", warm)
 	}

@@ -64,42 +64,41 @@ type Table2Row struct {
 	Err      string
 }
 
-// RunTable2Row learns one policy from a software-simulated cache with the
-// paper's settings (L*, Wp-method, k = 1) and verifies the result against
-// the extracted ground truth.
-func RunTable2Row(ctx context.Context, name string, assoc int) Table2Row {
-	return RunTable2RowOpt(ctx, name, assoc, learn.Options{Depth: 1})
+// Table2Config configures a Table 2 run. The zero value is the paper's
+// setting: L*, Wp-method, k = 1, cold oracles, in-process simulators.
+type Table2Config struct {
+	// Learn configures the learner (algorithm, conformance suite,
+	// random-walk seed); a zero Depth means the paper's k = 1.
+	Learn learn.Options
+	// SnapshotDir, when set, persists each row's oracle query store: an
+	// existing per-row snapshot warm-starts the oracle (the row replays
+	// recorded answers and simulates only new words) and the store is
+	// saved back after the run (core.SnapshotInDir naming). Learned
+	// machines and learner trajectories are identical cold or warm.
+	SnapshotDir string
+	// Sim configures the stack below every row's learner (worker fleet,
+	// fault injection, retry policy).
+	Sim core.SimOptions
 }
 
-// RunTable2RowOpt is RunTable2Row with explicit learner options — the
-// algorithm (-algo), conformance suite and random-walk seed flow through
-// from cmd/experiments here.
-func RunTable2RowOpt(ctx context.Context, name string, assoc int, opt learn.Options) Table2Row {
-	return RunTable2RowSnap(ctx, name, assoc, opt, "")
-}
-
-// RunTable2RowSnap is RunTable2RowOpt with oracle query-store persistence:
-// when snapshotDir is non-empty, an existing per-row snapshot warm-starts
-// the oracle (the row replays recorded answers and simulates only new
-// words) and the store is saved back after the run (core.SnapshotInDir
-// naming). Learned machines and learner trajectories are identical cold
-// or warm.
-func RunTable2RowSnap(ctx context.Context, name string, assoc int, opt learn.Options, snapshotDir string) Table2Row {
-	return RunTable2RowSim(ctx, name, assoc, opt, snapshotDir, core.SimOptions{})
-}
-
-// RunTable2RowSim is RunTable2RowSnap with an explicit simulator
-// configuration: cmd/experiments' -compiled=false flows through here to run
-// the row on the interpreted Policy interface instead of the compiled
-// kernel (same machines and trajectories, different wall-clock).
-func RunTable2RowSim(ctx context.Context, name string, assoc int, opt learn.Options, snapshotDir string, sim core.SimOptions) Table2Row {
+// RunTable2Row learns one policy from a software-simulated cache and
+// verifies the result against the extracted ground truth. An unknown
+// policy or invalid associativity yields a row carrying the error.
+func RunTable2Row(ctx context.Context, name string, assoc int, cfg Table2Config) Table2Row {
+	opt := cfg.Learn
 	if opt.Depth == 0 {
 		opt.Depth = 1
 	}
-	snap := core.SnapshotInDir(snapshotDir, name, assoc)
+	req := core.SimRequest{
+		Policy:   name,
+		Assoc:    assoc,
+		Learn:    opt,
+		Snapshot: core.SnapshotInDir(cfg.SnapshotDir, name, assoc),
+		Sim:      cfg.Sim,
+	}
 	row := Table2Row{Policy: name, Assoc: assoc}
 	start := time.Now()
-	res, err := core.LearnSimulatedSim(ctx, name, assoc, opt, snap, sim)
+	res, err := core.LearnSimulated(ctx, req)
 	row.Time = time.Since(start)
 	if err != nil {
 		row.Err = err.Error()
@@ -125,38 +124,13 @@ func RunTable2RowSim(ctx context.Context, name string, assoc int, opt learn.Opti
 	return row
 }
 
-// RunTable2 learns every configuration of the spec, one after the other —
-// the faithful setting for per-row timing comparisons against the paper.
-func RunTable2(ctx context.Context, specs []Table2Spec) []Table2Row {
-	return RunTable2Concurrent(ctx, specs, 1)
-}
-
-// RunTable2Concurrent learns the spec's configurations on up to `workers`
-// parallel goroutines with the paper's learner settings.
-func RunTable2Concurrent(ctx context.Context, specs []Table2Spec, workers int) []Table2Row {
-	return RunTable2ConcurrentOpt(ctx, specs, workers, learn.Options{Depth: 1})
-}
-
-// RunTable2ConcurrentOpt learns the spec's configurations on up to `workers`
-// parallel goroutines (rows are independent learning runs, each against its
-// own simulated cache) with explicit learner options. Row order matches
-// RunTable2; per-row times include scheduling contention, so use workers = 1
-// when timing against the paper.
-func RunTable2ConcurrentOpt(ctx context.Context, specs []Table2Spec, workers int, opt learn.Options) []Table2Row {
-	return RunTable2ConcurrentSnap(ctx, specs, workers, opt, "")
-}
-
-// RunTable2ConcurrentSnap is RunTable2ConcurrentOpt with per-row oracle
-// snapshot persistence in snapshotDir (empty disables; see
-// RunTable2RowSnap). Rows are independent systems, so each gets its own
-// snapshot file.
-func RunTable2ConcurrentSnap(ctx context.Context, specs []Table2Spec, workers int, opt learn.Options, snapshotDir string) []Table2Row {
-	return RunTable2ConcurrentSim(ctx, specs, workers, opt, snapshotDir, core.SimOptions{})
-}
-
-// RunTable2ConcurrentSim is RunTable2ConcurrentSnap with an explicit
-// simulator configuration threaded to every row.
-func RunTable2ConcurrentSim(ctx context.Context, specs []Table2Spec, workers int, opt learn.Options, snapshotDir string, sim core.SimOptions) []Table2Row {
+// RunTable2 learns every configuration of the spec on up to `workers`
+// parallel goroutines (rows are independent learning runs, each against
+// its own simulated cache). Invalid (policy, associativity) pairs, such as
+// PLRU at a non-power of two, are skipped silently, like the paper's
+// dashes. Row order follows the spec; per-row times include scheduling
+// contention, so use workers = 1 when timing against the paper.
+func RunTable2(ctx context.Context, specs []Table2Spec, workers int, cfg Table2Config) []Table2Row {
 	type job struct {
 		policy string
 		assoc  int
@@ -165,8 +139,6 @@ func RunTable2ConcurrentSim(ctx context.Context, specs []Table2Spec, workers int
 	for _, spec := range specs {
 		for _, assoc := range spec.Assocs {
 			if _, err := policy.New(spec.Policy, assoc); err != nil {
-				// Associativity constraints (e.g. PLRU at non-powers of
-				// two) are skipped silently, like the paper's dashes.
 				continue
 			}
 			jobs = append(jobs, job{spec.Policy, assoc})
@@ -175,7 +147,7 @@ func RunTable2ConcurrentSim(ctx context.Context, specs []Table2Spec, workers int
 	rows := make([]Table2Row, len(jobs))
 	if workers <= 1 {
 		for i, j := range jobs {
-			rows[i] = RunTable2RowSim(ctx, j.policy, j.assoc, opt, snapshotDir, sim)
+			rows[i] = RunTable2Row(ctx, j.policy, j.assoc, cfg)
 		}
 		return rows
 	}
@@ -189,7 +161,7 @@ func RunTable2ConcurrentSim(ctx context.Context, specs []Table2Spec, workers int
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				rows[i] = RunTable2RowSim(ctx, jobs[i].policy, jobs[i].assoc, opt, snapshotDir, sim)
+				rows[i] = RunTable2Row(ctx, jobs[i].policy, jobs[i].assoc, cfg)
 			}
 		}()
 	}

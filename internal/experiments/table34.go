@@ -56,11 +56,6 @@ type Table4Job struct {
 	// RunTable4Job fills in the paper's depth (k = 1) and the state budget
 	// when left zero.
 	Learn learn.Options
-	// Interpreted drives the simulated CPUs' replacement policies through
-	// the interpreted Policy interface instead of the compiled kernel
-	// (cmd/experiments' -compiled=false). Observable behaviour — and hence
-	// the learned machine — is bit-identical.
-	Interpreted bool
 }
 
 // Table4Row is one row of Table 4.
@@ -135,7 +130,7 @@ func table4LearnOptions(opt learn.Options) learn.Options {
 // RunTable4Job learns one target and identifies the resulting policy.
 func RunTable4Job(ctx context.Context, job Table4Job, opt cachequery.BackendOptions) Table4Row {
 	row := Table4Row{CPU: job.Model.Name, Level: job.Level.String(), Sets: job.SetsNote}
-	mkCPU := func() *hw.CPU { return hw.NewCPUSim(job.Model, job.Seed, job.Interpreted) }
+	mkCPU := func() *hw.CPU { return hw.NewCPU(job.Model, job.Seed) }
 	cpu := mkCPU()
 	assoc := job.Model.Config(job.Level).Assoc
 	if job.CATWays > 0 {

@@ -97,13 +97,14 @@ func (c *CPU) newPolicy(name string, assoc int) policy.Policy {
 // SetInterpreted switches the CPU's replacement policies between the
 // compiled kernel (default) and the interpreted Policy interface, dropping
 // every materialized set so the change applies uniformly. Observable cache
-// behaviour is bit-identical either way; the toggle exists for the
-// -compiled=false ablations.
+// behaviour is bit-identical either way; the interpreted representation is
+// the reference the equivalence tests and kernel benchmarks compare
+// against.
 //
-// Call it on a fresh CPU, before any traffic (NewCPUSim does): toggling
-// mid-run would empty the caches like a wbinvd while TSC/PSEL keep
-// running — a state matching neither a pure-compiled nor a
-// pure-interpreted run — so it panics once traffic has flowed.
+// Call it on a fresh CPU, before any traffic: toggling mid-run would empty
+// the caches like a wbinvd while TSC/PSEL keep running — a state matching
+// neither a pure-compiled nor a pure-interpreted run — so it panics once
+// traffic has flowed.
 func (c *CPU) SetInterpreted(on bool) {
 	if c.loadCount != 0 || c.tsc != 0 {
 		panic("hw: SetInterpreted must be called on a fresh CPU, before any traffic")
@@ -154,18 +155,6 @@ func NewCPU(cfg CPUConfig, seed int64) *CPU {
 	for _, l := range []Level{L1, L2, L3} {
 		lc := cfg.Config(l)
 		c.levels[l] = &cacheLevel{lvl: l, cfg: lc, sets: make([]*lineSet, lc.Slices*lc.SetsPerSlice)}
-	}
-	return c
-}
-
-// NewCPUSim is NewCPU with an explicit policy representation: interpreted
-// skips the compiled kernel. It is the constructor the -compiled toggles
-// use, so every CPU (primary and replicas alike) is configured identically
-// before any traffic.
-func NewCPUSim(cfg CPUConfig, seed int64, interpreted bool) *CPU {
-	c := NewCPU(cfg, seed)
-	if interpreted {
-		c.SetInterpreted(true)
 	}
 	return c
 }

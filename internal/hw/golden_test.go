@@ -42,9 +42,20 @@ func goldenPool(c *CPU) []Addr {
 	return pool
 }
 
+// newCPUSim is NewCPU with an explicit policy representation: interpreted
+// skips the compiled kernel before any traffic, so every CPU of a test leg
+// is configured identically.
+func newCPUSim(cfg CPUConfig, seed int64, interpreted bool) *CPU {
+	c := NewCPU(cfg, seed)
+	if interpreted {
+		c.SetInterpreted(true)
+	}
+	return c
+}
+
 // goldenTrace runs the seeded mix on one CPU and returns its digest.
 func goldenTrace(cfg CPUConfig, interpreted bool) string {
-	c := NewCPUSim(cfg, 7, interpreted)
+	c := newCPUSim(cfg, 7, interpreted)
 	c.SetLowNoise(true)
 	pool := goldenPool(c)
 	stream := c.AllocBuffer(256)

@@ -26,7 +26,7 @@ func installedPolicies() []struct {
 	}
 	plain := func(name string, assoc int) entry {
 		return entry{fmt.Sprintf("%s-%d", name, assoc), func(interpreted bool) policy.Policy {
-			c := NewCPUSim(Skylake(), 1, interpreted)
+			c := newCPUSim(Skylake(), 1, interpreted)
 			return c.newPolicy(name, assoc)
 		}}
 	}
@@ -38,13 +38,13 @@ func installedPolicies() []struct {
 	for _, assoc := range []int{12, 16} {
 		assoc := assoc
 		out = append(out, entry{fmt.Sprintf("Duel-%d", assoc), func(interpreted bool) policy.Policy {
-			c := NewCPUSim(Skylake(), 1, interpreted)
+			c := newCPUSim(Skylake(), 1, interpreted)
 			c.psel = pselInit - 1 // start on the thrash-susceptible side
 			return c.newPolicyFor(L3, 0, 1, assoc)
 		}})
 	}
 	out = append(out, entry{"BRRIP-rand-16", func(interpreted bool) policy.Policy {
-		return newNondetThrottle(NewCPUSim(Haswell(), 5, interpreted), 16)
+		return newNondetThrottle(newCPUSim(Haswell(), 5, interpreted), 16)
 	}})
 	return out
 }

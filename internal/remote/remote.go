@@ -132,6 +132,19 @@ func ParseSimScope(scope string) (policyName string, assoc int, err error) {
 	return body[:i], assoc, nil
 }
 
+// SplitAddrs parses a comma-separated worker address list (the -workers
+// flag of the CLIs): entries are trimmed of spaces and blank entries are
+// dropped, so "a:1, b:2," lists two workers.
+func SplitAddrs(list string) []string {
+	var addrs []string
+	for _, a := range strings.Split(list, ",") {
+		if a = strings.TrimSpace(a); a != "" {
+			addrs = append(addrs, a)
+		}
+	}
+	return addrs
+}
+
 // transientErr marks fleet-side failures the retry policy may absorb:
 // connection failures, timeouts, 5xx answers, truncated bodies. The wrapped
 // cause is preserved for diagnostics.

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -40,6 +41,27 @@ func TestParseSimScope(t *testing.T) {
 		}
 		if c.wantOK && (name != c.name || assoc != c.assoc) {
 			t.Errorf("ParseSimScope(%q) = (%q, %d), want (%q, %d)", c.scope, name, assoc, c.name, c.assoc)
+		}
+	}
+}
+
+func TestSplitAddrs(t *testing.T) {
+	cases := []struct {
+		list string
+		want []string
+	}{
+		{"", nil},
+		{" , ,", nil},
+		{"a:1", []string{"a:1"}},
+		{"a:1,b:2", []string{"a:1", "b:2"}},
+		{" a:1 ,  b:2 ", []string{"a:1", "b:2"}},
+		{"a:1,,b:2", []string{"a:1", "b:2"}},
+		{"a:1,b:2,", []string{"a:1", "b:2"}},
+		{"http://h:8435, h2:8435", []string{"http://h:8435", "h2:8435"}},
+	}
+	for _, c := range cases {
+		if got := SplitAddrs(c.list); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("SplitAddrs(%q) = %q, want %q", c.list, got, c.want)
 		}
 	}
 }

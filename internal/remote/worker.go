@@ -30,9 +30,6 @@ const memoVersion = 1
 
 // WorkerConfig configures a probe worker.
 type WorkerConfig struct {
-	// Interpreted forces the interpreted simulator path (the cmd-level
-	// -compiled=false toggle); compiled kernel otherwise.
-	Interpreted bool
 	// ProbeCost sleeps this long per executed (non-memoized) probe,
 	// simulating the measurement latency of a hardware backend. The
 	// fan-out benchmarks use it: distribution pays off exactly when
@@ -98,12 +95,7 @@ func (w *Worker) engineFor(scope string) (*engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	var pr *polca.SimProber
-	if w.cfg.Interpreted {
-		pr = polca.NewInterpretedSimProber(pol)
-	} else {
-		pr = polca.NewSimProber(pol)
-	}
+	pr := polca.NewSimProber(pol)
 	e := &engine{
 		scope:  scope,
 		prober: pr,
