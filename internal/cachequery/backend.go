@@ -85,6 +85,7 @@ type Backend struct {
 
 	threshold float64   // hit-at-target-level classification bound
 	lats      []float64 // runOnce's latency buffer, reused (a backend is serial)
+	votes     []int     // Run's hit-vote buffer, reused likewise
 
 	// Cost counters for the §7.2 experiments.
 	queriesRun int
@@ -406,7 +407,8 @@ func (b *Backend) Run(ctx context.Context, q mbl.Query, reps int, flushFirst boo
 		return nil, fmt.Errorf("cachequery: invalid repetition count %d (must be positive)", reps)
 	}
 	nProf := q.ProfiledCount()
-	votes := make([]int, nProf)
+	votes := append(b.votes[:0], make([]int, nProf)...)
+	b.votes = votes
 	for r := 0; r < reps; r++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err

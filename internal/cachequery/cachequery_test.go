@@ -2,6 +2,7 @@ package cachequery
 
 import (
 	"context"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -381,7 +382,7 @@ func TestReprobeRemeasuresPlantedOutcome(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.results.put(key, encodeOutcomes([]cache.Outcome{cache.Miss}))
+	f.results.Set(key, encodeOutcomes([]cache.Outcome{cache.Miss}))
 	before := f.Stats()
 
 	oracle := polca.NewOracle(pr)
@@ -402,7 +403,7 @@ func TestReprobeRemeasuresPlantedOutcome(t *testing.T) {
 	if got := oracle.Stats().Reprobes; got != 1 {
 		t.Errorf("%d reprobes, want 1", got)
 	}
-	if enc, _ := f.results.get(key); enc != "H" {
+	if enc, _ := f.results.Get(key); enc != "H" {
 		t.Errorf("result store holds %q after the re-probe, want the measured H", enc)
 	}
 }
@@ -448,20 +449,38 @@ func TestParallelProberMatchesSerial(t *testing.T) {
 		}
 	}
 
-	// Shared result store: re-probing anywhere in the pool is answered from
-	// cache, never re-executed.
+	// Repeats are the oracle's to answer: its memo serves a repeated word
+	// with no new execution. The replicas keep no result cache, so a
+	// repeated raw pool probe executes again.
+	oracle := polca.NewOracle(pp, polca.WithParallelism(3))
+	word := []int{0, 4, 1, 4, 2} // Ln(0) Evct Ln(1) Evct Ln(2) at assoc 4
+	first, err := oracle.OutputQuery(context.Background(), word)
+	if err != nil {
+		t.Fatal(err)
+	}
 	before := pp.FrontendStats()
+	again, err := oracle.OutputQuery(context.Background(), word)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := pp.FrontendStats().Executed - before.Executed; got != 0 {
+		t.Errorf("repeated word executed %d probes, want 0 (oracle memo)", got)
+	}
+	if !reflect.DeepEqual(first, again) {
+		t.Errorf("repeated word answered %v, first %v", again, first)
+	}
+	before = pp.FrontendStats()
 	for _, q := range seqs {
 		if _, err := pp.Probe(context.Background(), q); err != nil {
 			t.Fatal(err)
 		}
 	}
 	after := pp.FrontendStats()
-	if after.Executed != before.Executed {
-		t.Errorf("repeated probes re-executed %d queries", after.Executed-before.Executed)
+	if got := after.Executed - before.Executed; got != len(seqs) {
+		t.Errorf("repeated raw probes executed %d queries, want %d", got, len(seqs))
 	}
-	if after.CacheHits <= before.CacheHits {
-		t.Error("repeated probes did not hit the shared result store")
+	if after.CacheHits != 0 {
+		t.Errorf("replica pool served %d result-cache hits, want 0", after.CacheHits)
 	}
 }
 

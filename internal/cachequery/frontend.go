@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/blocks"
@@ -52,89 +51,39 @@ func (s *FrontendStats) Add(o FrontendStats) {
 	s.Duration += o.Duration
 }
 
-// resultStoreStripes is the lock-stripe count of a ResultStore: replica
-// pools are typically core-count wide, so a few times that many shards
-// keeps collisions rare.
-const resultStoreStripes = 32
-
-// resultRouteDepth is how many leading key symbols route a result-store
-// key to its shard. The first four symbols (flush flag and target
-// coordinates) are near-constant within one learning run, so routing
-// folds in the first operation code too.
-const resultRouteDepth = 5
-
-// ResultStore is the lock-striped query-result cache (the LevelDB role),
-// an exact-match instance of the shared query store (internal/qstore).
-// One store may be shared by several frontends, so a query answered on
-// one CPU replica of a parallel prober is never re-executed on another —
-// and replicas writing results for different queries land on different
-// shards instead of serializing on one lock.
-//
-// Keys are integer sequences — a flush flag, target coordinates, then one
-// dense (block id, tag) code per operation — so no string keys are built
-// or hashed on the hot path.
-type ResultStore struct {
-	st *qstore.Store[int32, string]
-	n  atomic.Int64 // cached results (CountSet without a full scan)
-}
-
-// NewResultStore returns an empty shared result cache.
-func NewResultStore() *ResultStore {
-	return &ResultStore{st: qstore.New[int32, string](qstore.Options{
-		Stripes:    resultStoreStripes,
-		Sync:       true,
-		RouteDepth: resultRouteDepth,
-	})}
-}
-
-func (rs *ResultStore) get(key []int32) (string, bool) {
-	return rs.st.Get(key)
-}
-
-func (rs *ResultStore) put(key []int32, val string) {
-	if rs.st.Set(key, val) {
-		rs.n.Add(1)
-	}
-}
-
-// Len returns the number of cached query results.
-func (rs *ResultStore) Len() int { return int(rs.n.Load()) }
-
 // Frontend expands MBL expressions, routes them to per-set backends, and
 // caches results — the Python frontend plus LevelDB layer of the real tool.
 // A frontend drives one CPU and is not safe for concurrent use; concurrency
-// comes from pooling several frontends behind a ParallelProber, sharing one
-// ResultStore.
+// comes from pooling several frontends behind a ParallelProber. The result
+// cache is per frontend and unsynchronized; learning leaves it off, since
+// the oracle's probe memo answers every repeated probe first.
 type Frontend struct {
 	cpu      *hw.CPU
 	opt      BackendOptions
 	backends map[Target]*Backend
-	results  *ResultStore
-	useCache bool
-	keyBuf   []int32 // scratch for result-store keys (frontends are serial)
+	results  *qstore.Store[int32, string] // result cache; nil when off
+	keyBuf   []int32                      // scratch for result keys (frontends are serial)
 	stats    FrontendStats
 }
 
 // NewFrontend builds a frontend over a simulated CPU with result caching
 // enabled.
 func NewFrontend(cpu *hw.CPU, opt BackendOptions) *Frontend {
-	return NewFrontendWithStore(cpu, opt, NewResultStore())
-}
-
-// NewFrontendWithStore builds a frontend whose query-result cache is the
-// given shared store.
-func NewFrontendWithStore(cpu *hw.CPU, opt BackendOptions, store *ResultStore) *Frontend {
-	return &Frontend{
-		cpu:      cpu,
-		opt:      opt,
-		backends: make(map[Target]*Backend),
-		results:  store,
-		useCache: true,
-	}
+	f := &Frontend{cpu: cpu, opt: opt, backends: make(map[Target]*Backend)}
+	f.SetResultCache(true)
+	return f
 }
 
 // SetResultCache toggles the query-result cache (the LevelDB role).
-func (f *Frontend) SetResultCache(on bool) { f.useCache = on }
+// Turning it off drops the cached results.
+func (f *Frontend) SetResultCache(on bool) {
+	switch {
+	case !on:
+		f.results = nil
+	case f.results == nil:
+		f.results = qstore.New[int32, string](qstore.Options{})
+	}
+}
 
 // Stats returns a copy of the accumulated counters.
 func (f *Frontend) Stats() FrontendStats { return f.stats }
@@ -155,7 +104,7 @@ func (f *Frontend) Backend(tgt Target) (*Backend, error) {
 	return be, nil
 }
 
-// storeKey encodes one query as the integer key sequence the ResultStore
+// storeKey encodes one query as the integer key sequence the result cache
 // indexes by: a flush flag, the target coordinates, and one interned code
 // per operation (dense block id fused with the tag). It fails only on a
 // malformed block name, which the backend would reject anyway — the caller
@@ -227,13 +176,13 @@ const inconclusiveEscalations = 2
 
 func (f *Frontend) runQuery(ctx context.Context, tgt Target, q mbl.Query, flushFirst, readCache bool) ([]cache.Outcome, error) {
 	var key []int32
-	if f.useCache {
+	if f.results != nil {
 		if k, err := f.storeKey(tgt, q, flushFirst); err == nil {
 			key = k
 		}
 	}
 	if key != nil && readCache {
-		if enc, ok := f.results.get(key); ok {
+		if enc, ok := f.results.Get(key); ok {
 			f.stats.CacheHits++
 			return decodeOutcomes(enc), nil
 		}
@@ -259,7 +208,7 @@ func (f *Frontend) runQuery(ctx context.Context, tgt Target, q mbl.Query, flushF
 		return nil, err
 	}
 	if key != nil {
-		f.results.put(key, encodeOutcomes(ocs))
+		f.results.Set(key, encodeOutcomes(ocs))
 	}
 	return ocs, nil
 }

@@ -13,17 +13,17 @@ import (
 	"repro/internal/polca"
 )
 
-// NewReplicaFrontends builds n frontends over fresh CPU replicas sharing one
-// query-result store, and provisions each one's backend for tgt on parallel
-// goroutines (provisioning and calibration are themselves the first
-// beneficiaries of replication). Replicas built from the same configuration
-// and seed answer identically up to latency noise, which repetition voting
-// absorbs exactly as it does on a single CPU.
+// NewReplicaFrontends builds n frontends over fresh CPU replicas, and
+// provisions each one's backend for tgt on parallel goroutines (provisioning
+// and calibration are themselves the first beneficiaries of replication).
+// Replicas built from the same configuration and seed answer identically up
+// to latency noise, which repetition voting absorbs exactly as it does on a
+// single CPU. Replica frontends keep no result cache: they serve the oracle,
+// whose probe memo answers every repeated probe, so each probe executes.
 func NewReplicaFrontends(newCPU func() *hw.CPU, opt BackendOptions, tgt Target, n int) ([]*Frontend, error) {
 	if n < 1 {
 		n = 1
 	}
-	store := NewResultStore()
 	fronts := make([]*Frontend, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -31,7 +31,8 @@ func NewReplicaFrontends(newCPU func() *hw.CPU, opt BackendOptions, tgt Target, 
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			fronts[i] = NewFrontendWithStore(newCPU(), opt, store)
+			fronts[i] = NewFrontend(newCPU(), opt)
+			fronts[i].SetResultCache(false)
 			_, errs[i] = fronts[i].Backend(tgt)
 		}(i)
 	}
@@ -409,23 +410,33 @@ func (p *ProberPool) ProbeFresh(ctx context.Context, q []blocks.Block) (cache.Ou
 // ConcurrentProbes implements polca.ConcurrentProber.
 func (p *ProberPool) ConcurrentProbes() bool { return len(p.slots) > 1 }
 
-// ProbeBatch implements polca.ProbeBatcher: the queries fan out over the
-// pool on one goroutine each, so up to Size() of them execute concurrently
-// and the rest wait for a free slot. Reset-rooted probes are independent,
-// so results slot into place by index regardless of completion order. The
-// oracle uses this to group the associativity-many eviction probes of one
-// miss.
+// ProbeBatch implements polca.ProbeBatcher: the calling goroutine and at
+// most Size()-1 helpers claim probe indices in submission order and run
+// each through Probe, so a batch has no more probes in flight than the
+// pool has slots and starts no goroutine per probe. Answers land by index;
+// the error returned is the first by index. Once ctx is done no further
+// probe is issued. The oracle uses this to group the associativity-many
+// eviction probes of one miss.
 func (p *ProberPool) ProbeBatch(ctx context.Context, qs [][]blocks.Block) ([]cache.Outcome, error) {
 	out := make([]cache.Outcome, len(qs))
 	errs := make([]error, len(qs))
-	var wg sync.WaitGroup
-	for i, q := range qs {
-		wg.Add(1)
-		go func(i int, q []blocks.Block) {
-			defer wg.Done()
-			out[i], errs[i] = p.Probe(ctx, q)
-		}(i, q)
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1) - 1); i < len(qs); i = int(next.Add(1) - 1) {
+			if errs[i] = ctx.Err(); errs[i] == nil {
+				out[i], errs[i] = p.Probe(ctx, qs[i])
+			}
+		}
 	}
+	var wg sync.WaitGroup
+	for h := min(len(p.slots), len(qs)) - 1; h > 0; h-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
@@ -445,10 +456,10 @@ var (
 // CPU replicas. A simulated CPU — like the single hardware thread
 // CacheQuery pins itself to — is strictly serial, so concurrency has to
 // come from replication: every replica is a full (CPU, frontend, backend)
-// stack built from the same configuration, and all replicas share one
-// ResultStore, so a query answered anywhere is never re-executed.
-// polca.Oracle detects the ConcurrentProbes marker and answers batched
-// output queries on parallel goroutines.
+// stack built from the same configuration. Repeated probes are the
+// oracle's to answer, from its probe memo, so replicas keep no result
+// cache. polca.Oracle detects the ConcurrentProbes marker and answers
+// batched output queries on parallel goroutines.
 //
 // Health scoring, quarantine and probation re-admission are the embedded
 // ProberPool's; ParallelProber adds the replica construction and the

@@ -42,8 +42,10 @@ func (r Reset) Name() string {
 // probe replays the reset and then the block sequence, profiling the last
 // access. It deliberately implements only the plain polca.Prober interface
 // — hardware offers no state snapshots, so the oracle uses the faithful
-// reset-rooted probing path, and the frontend's result cache (LevelDB in
-// the real tool) is what keeps the cost manageable.
+// reset-rooted probing path, and the oracle's probe memo, which answers
+// every repeated probe before it reaches the prober, is what keeps the cost
+// manageable. A frontend with its result cache on (LevelDB in the real
+// tool) still answers repeats that bypass the oracle.
 type Prober struct {
 	f   *Frontend
 	tgt Target

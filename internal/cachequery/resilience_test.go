@@ -152,9 +152,6 @@ func poolForTest(t *testing.T, n int, opts ...PoolOption) *ParallelProber {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range fronts {
-		f.SetResultCache(false) // every probe must reach a replica
-	}
 	be, err := fronts[0].Backend(Target{Level: hw.L1, Set: 3})
 	if err != nil {
 		t.Fatal(err)

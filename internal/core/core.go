@@ -422,7 +422,11 @@ func LearnHardware(ctx context.Context, req HardwareRequest) (*HardwareResult, e
 			return nil, err
 		}
 	}
+	// The oracle's probe memo answers every repeated probe, so the
+	// frontend's result cache stays off: every probe that reaches a
+	// frontend executes, votes and determinism re-checks included.
 	f := cachequery.NewFrontend(req.CPU, req.Backend)
+	f.SetResultCache(false)
 	be, err := f.Backend(req.Target)
 	if err != nil {
 		return nil, err

@@ -8,13 +8,16 @@ import (
 	"repro/internal/cachequery"
 	"repro/internal/hw"
 	"repro/internal/learn"
+	"repro/internal/polca"
 )
 
 // TestLearnHardwareReplicaCountersDeterministic: on the replica engine the
 // oracle's words run on concurrent goroutines, but the determinism audit
 // must still re-check the same words, so every oracle and frontend counter
 // — not only the machine — is identical at any GOMAXPROCS. Only the
-// frontend's wall-clock Duration may differ.
+// frontend's wall-clock Duration may differ. The counters are pinned to
+// absolute values: every probe the oracle counts executes exactly once on
+// a replica, and no result cache answers any of them.
 func TestLearnHardwareReplicaCountersDeterministic(t *testing.T) {
 	run := func(procs int) *HardwareResult {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
@@ -35,6 +38,21 @@ func TestLearnHardwareReplicaCountersDeterministic(t *testing.T) {
 		return res
 	}
 	ref := run(1)
+	wantLearn := learn.Stats{OutputQueries: 557, QuerySymbols: 2557, Rounds: 3, TestWords: 452, Counterexample: 2}
+	wantOracle := polca.Stats{OutputQueries: 557, Symbols: 2557, Probes: 2963, MemoHits: 2643, Accesses: 15517}
+	wantFrontend := cachequery.FrontendStats{Executed: 2963}
+	if ref.Machine.NumStates != 8 {
+		t.Errorf("learned %d states, want 8", ref.Machine.NumStates)
+	}
+	if ref.LearnStats != wantLearn {
+		t.Errorf("learner stats %+v, want %+v", ref.LearnStats, wantLearn)
+	}
+	if ref.OracleStats != wantOracle {
+		t.Errorf("oracle stats %+v, want %+v", ref.OracleStats, wantOracle)
+	}
+	if ref.Frontend != wantFrontend {
+		t.Errorf("frontend stats %+v, want %+v", ref.Frontend, wantFrontend)
+	}
 	for _, procs := range []int{8, 8, 1} {
 		got := run(procs)
 		if eq, ce := got.Machine.Equivalent(ref.Machine); !eq {

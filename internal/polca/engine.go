@@ -561,15 +561,21 @@ func (br *batchRun) dropPlaceholders() {
 // policy wraps each ProbeBatch call, and WithProbeVotes re-issues the group
 // and majority-votes every probe.
 func (o *Oracle) executeProbeBatch(ctx context.Context, bpr ProbeBatcher, qs [][]blocks.Block) ([]cache.Outcome, error) {
+	var res []cache.Outcome
+	batch := func() (cache.Outcome, error) {
+		var err error
+		res, err = bpr.ProbeBatch(ctx, qs)
+		return Missed(), err
+	}
+	if o.votes <= 1 {
+		if _, err := o.retry.Do(ctx, &o.retriesN, batch); err != nil {
+			return nil, err
+		}
+		return res, nil
+	}
 	hits := make([]int, len(qs))
 	for v := 0; v < o.votes; v++ {
-		var res []cache.Outcome
-		_, err := o.retry.Do(ctx, &o.retriesN, func() (cache.Outcome, error) {
-			var err error
-			res, err = bpr.ProbeBatch(ctx, qs)
-			return Missed(), err
-		})
-		if err != nil {
+		if _, err := o.retry.Do(ctx, &o.retriesN, batch); err != nil {
 			return nil, err
 		}
 		for i, oc := range res {
@@ -598,82 +604,102 @@ func (o *Oracle) executeProbeBatch(ctx context.Context, bpr ProbeBatcher, qs [][
 // bit-for-bit. Only error delivery differs: a failing batch fails all
 // claimed probes after issuing them, where the serial loop stops at the
 // first.
+//
+// A group allocates per group, not per probe: the probe keys and block
+// sequences are carved from one backing array each, and the claimed probes
+// share one in-flight record array and one done channel, closed once the
+// whole claim is recorded. Nothing is reused across groups, because a
+// prober may still hold a batch's slices after it returns (a remote
+// fleet's losing hedge).
 func (o *Oracle) findEvictedTrieBatched(ctx context.Context, bpr ProbeBatcher, ic []int32, icN []blocks.Block, cc []int32) (int, error) {
 	n := o.prober.Assoc()
-	ocs := make([]cache.Outcome, n)
-	qs := make([][]blocks.Block, n)
-	pids := make([][]int32, n)
-	type flight struct {
-		i    int
-		node int32
-		fl   *inflightProbe
-	}
-	var claims, waits []flight
-	for i := 0; i < n; i++ {
-		pids[i] = append(append(make([]int32, 0, len(ic)+1), ic...), cc[i])
-		qs[i] = append(append(make([]blocks.Block, 0, len(icN)+1), icN...), blocks.Interned(int(cc[i])))
-		sh := o.pt.Acquire(pids[i])
-		node := sh.Ensure(pids[i])
+	m := len(ic) + 1
+	pidBuf := make([]int32, n*m)
+	qBuf := make([]blocks.Block, n*m)
+	g := make([]groupProbe, n)
+	var (
+		claims, waits []int // probe indices, in group order
+		claimed       []inflightProbe
+		done          chan struct{}
+	)
+	for i := range g {
+		p := &g[i]
+		p.ids = pidBuf[i*m : (i+1)*m : (i+1)*m]
+		copy(p.ids, ic)
+		p.ids[m-1] = cc[i]
+		p.q = qBuf[i*m : (i+1)*m : (i+1)*m]
+		copy(p.q, icN)
+		p.q[m-1] = blocks.Interned(int(cc[i]))
+		sh := o.pt.Acquire(p.ids)
+		p.node = sh.Ensure(p.ids)
 		switch {
-		case sh.Has(node):
-			ocs[i] = sh.Val(node).oc
+		case sh.Has(p.node):
+			p.oc = sh.Val(p.node).oc
 			o.memoHits.Add(1)
 			sh.Release()
-		case sh.Val(node).fl != nil:
-			fl := sh.Val(node).fl
+		case sh.Val(p.node).fl != nil:
+			p.fl = sh.Val(p.node).fl
 			sh.Release()
-			waits = append(waits, flight{i, node, fl})
+			waits = append(waits, i)
 		default:
-			fl := &inflightProbe{done: make(chan struct{})}
-			sh.Val(node).fl = fl
+			if claimed == nil {
+				claimed = make([]inflightProbe, n)
+				done = make(chan struct{})
+				claims = make([]int, 0, n)
+			}
+			p.fl = &claimed[len(claims)]
+			p.fl.done = done
+			sh.Val(p.node).fl = p.fl
 			sh.Release()
-			claims = append(claims, flight{i, node, fl})
+			claims = append(claims, i)
 		}
 	}
 	var groupErr error
 	if len(claims) > 0 {
 		sub := make([][]blocks.Block, len(claims))
-		for j, c := range claims {
-			sub[j] = qs[c.i]
+		for j, i := range claims {
+			sub[j] = g[i].q
 		}
 		res, err := o.executeProbeBatch(ctx, bpr, sub)
 		groupErr = err
-		for j, c := range claims {
+		for j, i := range claims {
+			p := &g[i]
 			if err == nil {
-				c.fl.oc = res[j]
-				ocs[c.i] = res[j]
+				p.fl.oc = res[j]
+				p.oc = res[j]
 			} else {
-				c.fl.err = err
+				p.fl.err = err
 			}
-			sh := o.pt.Acquire(pids[c.i])
-			sh.Val(c.node).fl = nil
+			sh := o.pt.Acquire(p.ids)
+			sh.Val(p.node).fl = nil
 			if err == nil {
 				o.probesN.Add(1)
-				o.accessesN.Add(int64(len(qs[c.i])))
-				sh.Put(c.node, probeVal{oc: c.fl.oc})
+				o.accessesN.Add(int64(len(p.q)))
+				sh.Put(p.node, probeVal{oc: p.oc})
 			}
 			sh.Release()
-			close(c.fl.done)
 		}
+		close(done)
 	}
-	for _, w := range waits {
-		<-w.fl.done
-		if w.fl.err != nil {
+	for _, i := range waits {
+		p := &g[i]
+		<-p.fl.done
+		if p.fl.err != nil {
 			if groupErr == nil {
-				groupErr = w.fl.err
+				groupErr = p.fl.err
 			}
 			continue
 		}
 		o.memoHits.Add(1)
-		ocs[w.i] = w.fl.oc
+		p.oc = p.fl.oc
 	}
 	if groupErr != nil {
 		return 0, groupErr
 	}
 	check := func() (int, error) {
 		evicted := -1
-		for i := 0; i < n; i++ {
-			if ocs[i] == cache.Miss {
+		for i := range g {
+			if g[i].oc == cache.Miss {
 				if evicted != -1 {
 					return 0, fmt.Errorf("%w: blocks %s and %s both evicted by one miss",
 						ErrNondeterministic, blocks.Interned(int(cc[evicted])), blocks.Interned(int(cc[i])))
@@ -691,14 +717,23 @@ func (o *Oracle) findEvictedTrieBatched(ctx context.Context, bpr ProbeBatcher, i
 		// An inconsistent eviction group means at least one probe in it is
 		// wrong — re-measure the whole group serially (correcting the memo,
 		// exactly as the serial scan's refresh pass) before giving up.
-		for i := 0; i < n; i++ {
-			poc, rerr := o.reprobe(ctx, qs[i], pids[i])
+		for i := range g {
+			poc, rerr := o.reprobe(ctx, g[i].q, g[i].ids)
 			if rerr != nil {
 				return 0, rerr
 			}
-			ocs[i] = poc
+			g[i].oc = poc
 		}
 		evicted, err = check()
 	}
 	return evicted, err
+}
+
+// groupProbe is one eviction probe of findEvictedTrieBatched.
+type groupProbe struct {
+	ids  []int32        // probe-store key
+	q    []blocks.Block // reset-rooted block sequence
+	node int32          // probe-store node of ids
+	oc   cache.Outcome
+	fl   *inflightProbe // joined flight, or this group's claim
 }

@@ -119,9 +119,10 @@ type ConcurrentProber interface {
 
 // FreshProber is an optional Prober extension that executes a probe
 // unconditionally, bypassing any result cache the probing stack keeps below
-// the oracle (cachequery's ResultStore, the LevelDB role). The determinism
-// audit requires it on cached stacks: re-running a query through Probe would
-// simply replay the cached first answer and the audit could never fire.
+// the oracle (a cachequery frontend's result cache, the LevelDB role). The
+// determinism audit requires it on cached stacks: re-running a query
+// through Probe would simply replay the cached first answer and the audit
+// could never fire.
 // Probers that re-execute the system on every Probe (software simulators)
 // do not need it.
 type FreshProber interface {

@@ -144,7 +144,7 @@ func TestNondeterminismDetection(t *testing.T) {
 }
 
 // replayingProber models a probing stack with a result cache below the
-// oracle (cachequery's ResultStore): Probe memoizes its own answers and
+// oracle (a cachequery frontend's result cache): Probe memoizes its own answers and
 // replays them forever; ProbeFresh re-executes against the real system.
 type replayingProber struct {
 	inner      Prober

@@ -8,21 +8,17 @@
 //
 // # Shard layout
 //
-// A Store partitions its key space into shards by the leading RouteDepth
-// symbols of each key: every key whose routing prefix hashes to shard i
-// lives entirely inside shard i's node arena, as a full path from that
+// A Store partitions its key space into shards by the first symbol of
+// each key: every key whose first symbol maps to shard i lives entirely
+// inside shard i's node arena, as a full path from that
 // shard's local root (the local empty prefix). Each shard carries its own
 // mutex, so concurrent operations on keys in different subtrees never
 // contend — this is what lets batched oracle workers record answers in
 // parallel where a single store-wide mutex would serialize them.
 //
-// With RouteDepth == 1 (the default) every non-empty prefix of a key
-// routes to the key's own shard, so prefix walks — answer a query from
-// its longest recorded prefix — are well-defined entirely within one
-// shard, under one lock acquisition. Stores routed deeper (RouteDepth >
-// 1) spread keys more evenly when leading symbols are near-constant (the
-// CacheQuery result store's target coordinates), at the price of
-// supporting exact-match access only.
+// Every non-empty prefix of a key routes to the key's own shard, so
+// prefix walks — answer a query from its longest recorded prefix — are
+// well-defined entirely within one shard, under one lock acquisition.
 //
 // # Edges
 //
@@ -72,10 +68,6 @@ type Options struct {
 	// by a single goroutine (the serial learner's memo): operations
 	// then cost no atomics beyond the epoch read.
 	Sync bool
-	// RouteDepth is how many leading symbols route a key to its shard
-	// (default 1). Prefix walks require 1; exact-match stores may route
-	// deeper to spread keys whose leading symbols are near-constant.
-	RouteDepth int
 	// Bloom attaches a per-shard blocked bloom filter consulted by Get
 	// before trie descent, so cold lookups cost one hash probe. The
 	// filter tracks keys recorded through Store.Set (snapshot Load
@@ -116,11 +108,10 @@ type Shard[K Key, V any] struct {
 // Store is a sharded prefix-trie store. See the package comment for the
 // layout; New for construction.
 type Store[K Key, V any] struct {
-	degree     int
-	routeDepth int
-	sync       bool
-	epoch      atomic.Uint32
-	shards     []Shard[K, V]
+	degree int
+	sync   bool
+	epoch  atomic.Uint32
+	shards []Shard[K, V]
 }
 
 // New builds an empty store.
@@ -128,17 +119,13 @@ func New[K Key, V any](opt Options) *Store[K, V] {
 	if opt.Stripes < 1 {
 		opt.Stripes = 1
 	}
-	if opt.RouteDepth < 1 {
-		opt.RouteDepth = 1
-	}
 	if opt.Degree < 0 {
 		panic(fmt.Sprintf("qstore: negative degree %d", opt.Degree))
 	}
 	s := &Store[K, V]{
-		degree:     opt.Degree,
-		routeDepth: opt.RouteDepth,
-		sync:       opt.Sync,
-		shards:     make([]Shard[K, V], opt.Stripes),
+		degree: opt.Degree,
+		sync:   opt.Sync,
+		shards: make([]Shard[K, V], opt.Stripes),
 	}
 	s.epoch.Store(1)
 	for i := range s.shards {
@@ -162,9 +149,6 @@ func (s *Store[K, V]) Degree() int { return s.degree }
 // Stripes returns the number of shards.
 func (s *Store[K, V]) Stripes() int { return len(s.shards) }
 
-// RouteDepth returns the number of leading symbols that route a key.
-func (s *Store[K, V]) RouteDepth() int { return s.routeDepth }
-
 // InRange reports whether every symbol of key is a valid edge label of a
 // fixed-degree store. Dynamic stores accept any label.
 func (s *Store[K, V]) InRange(key []K) bool {
@@ -179,34 +163,22 @@ func (s *Store[K, V]) InRange(key []K) bool {
 	return true
 }
 
-// route returns the shard index of key: a mix of its leading
-// min(RouteDepth, len) symbols. The empty key routes to shard 0.
+// route returns the shard index of key, chosen by its first symbol. The
+// empty key routes to shard 0.
 func (s *Store[K, V]) route(key []K) int {
 	n := len(s.shards)
 	if n == 1 || len(key) == 0 {
 		return 0
 	}
-	if s.routeDepth == 1 {
-		return int(uint64(key[0]) % uint64(n))
-	}
-	d := s.routeDepth
-	if d > len(key) {
-		d = len(key)
-	}
-	h := uint64(0)
-	for _, a := range key[:d] {
-		h = h*0x9E3779B97F4A7C15 + uint64(a) + 1
-	}
-	return int(h % uint64(n))
+	return int(uint64(key[0]) % uint64(n))
 }
 
 // Route returns the shard index of key without acquiring it.
 func (s *Store[K, V]) Route(key []K) int { return s.route(key) }
 
 // Acquire returns the shard owning key, locked when the store is Sync.
-// Every key sharing key's routing prefix — for RouteDepth 1, every key
-// with the same first symbol, including all of key's non-empty prefixes —
-// lives in the returned shard. Callers must Release.
+// Every key with the same first symbol, including all of key's non-empty
+// prefixes, lives in the returned shard. Callers must Release.
 func (s *Store[K, V]) Acquire(key []K) *Shard[K, V] {
 	return s.AcquireIdx(s.route(key))
 }

@@ -88,7 +88,7 @@ func TestEpochMarks(t *testing.T) {
 }
 
 func TestRouteDeterministicAndPrefixConsistent(t *testing.T) {
-	st := New[int32, string](Options{Degree: 0, Stripes: 7, RouteDepth: 4})
+	st := New[int32, string](Options{Degree: 0, Stripes: 7})
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 200; i++ {
 		key := make([]int32, 1+rng.Intn(8))
@@ -99,7 +99,7 @@ func TestRouteDeterministicAndPrefixConsistent(t *testing.T) {
 			t.Fatal("routing not deterministic")
 		}
 		ext := append(append([]int32(nil), key...), 1, 2, 3, 4)
-		if len(key) >= st.RouteDepth() && st.Route(key) != st.Route(ext) {
+		if st.Route(key) != st.Route(ext) || st.Route(key) != st.Route(key[:1]) {
 			t.Fatal("keys sharing the routing prefix routed to different shards")
 		}
 	}

@@ -3,7 +3,7 @@ package qstore
 // Versioned binary snapshots: Save serializes every recorded (key, value)
 // pair; Load verifies and replays them into a store. The format is
 //
-//	magic "QSNAP" | uvarint version | uvarint degree | uvarint routeDepth
+//	magic "QSNAP" | uvarint version | uvarint degree | uvarint reserved (1)
 //	uvarint entryCount
 //	entryCount × entry
 //	uint32 little-endian CRC-32 (IEEE) of all preceding bytes
@@ -127,7 +127,7 @@ func (s *Store[K, V]) Save(w io.Writer, c Codec[V]) error {
 	buf = append(buf, snapMagic...)
 	buf = binary.AppendUvarint(buf, SnapshotVersion)
 	buf = binary.AppendUvarint(buf, uint64(s.degree))
-	buf = binary.AppendUvarint(buf, uint64(s.routeDepth))
+	buf = binary.AppendUvarint(buf, 1) // reserved header field
 
 	var (
 		entries int
@@ -241,7 +241,7 @@ func (s *Store[K, V]) Load(r io.Reader, c Codec[V]) error {
 	if int(degree) != s.degree {
 		return snapErrf("snapshot degree %d does not match store degree %d", degree, s.degree)
 	}
-	if _, n = binary.Uvarint(p); n <= 0 { // routeDepth: informational
+	if _, n = binary.Uvarint(p); n <= 0 { // reserved header field
 		return snapErrf("snapshot header truncated")
 	}
 	p = p[n:]

@@ -56,7 +56,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	for _, opt := range []Options{
 		{Degree: 9, Stripes: 4, Sync: true},
 		{Degree: 0, Stripes: 1},
-		{Degree: 0, Stripes: 6, RouteDepth: 3, Sync: true},
+		{Degree: 0, Stripes: 6, Sync: true},
 	} {
 		st, want := randomStore(opt, 42, 500)
 		var buf bytes.Buffer
