@@ -438,49 +438,6 @@ func BenchmarkStoreParallel(b *testing.B) {
 	}
 	b.Run("store/stripes=1", func(b *testing.B) { store(b, 1) })
 	b.Run("store/striped", func(b *testing.B) { store(b, 5) })
-
-	// The fastpath legs quantify the store-side fast path of the batched
-	// refactor under the same 8-goroutine contention: trie-only builds a
-	// fresh store every iteration and pays the full node/arena build cost
-	// for each round of misses; bloom keeps one store alive across
-	// iterations (Reset reuses the arena blocks) with the per-shard bloom
-	// filter short-circuiting absent-key Gets before the trie descent. The
-	// pairing is deliberate — bloom exists to make the persistent,
-	// epoch-reset store the cheap configuration, so the leg carries its
-	// whole fast path: allocs/op must sit strictly below the trie-only leg.
-	fastpath := func(b *testing.B, bloom bool) {
-		b.ReportAllocs()
-		mk := func() *qstore.Store[int, int] {
-			return qstore.New[int, int](qstore.Options{Degree: 5, Stripes: 5, Sync: true, Bloom: bloom})
-		}
-		st := mk()
-		const workers = 8
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if bloom {
-				st.Reset()
-			} else {
-				st = mk()
-			}
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for j, word := range words {
-						if (j+w)%2 == 0 {
-							st.Set(word, j)
-						} else {
-							st.Get(word)
-						}
-					}
-				}(w)
-			}
-			wg.Wait()
-		}
-	}
-	b.Run("store/fastpath/trie-only", func(b *testing.B) { fastpath(b, false) })
-	b.Run("store/fastpath/bloom", func(b *testing.B) { fastpath(b, true) })
 }
 
 // BenchmarkSnapshotWarm quantifies warm-started learning: a cold run
@@ -608,7 +565,9 @@ func BenchmarkAblationDepth(b *testing.B) {
 
 // BenchmarkAblationSynthPrefilter compares CEGIS with seeded witness traces
 // against pure counterexample-driven CEGIS (every surviving candidate costs
-// a product-equivalence check) on the LRU synthesis.
+// a product-equivalence check) on the LRU synthesis. Both legs run one
+// synthesis worker: they ablate the prefilter, not the worker count, so
+// their B/op and allocs/op do not scale with the host's cores.
 func BenchmarkAblationSynthPrefilter(b *testing.B) {
 	m, err := mealy.FromPolicy(policy.MustNew("LRU", 4), 0)
 	if err != nil {
@@ -617,7 +576,7 @@ func BenchmarkAblationSynthPrefilter(b *testing.B) {
 	b.Run("seeded", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := synth.Synthesize(m, synth.Options{Seed: 1}); err != nil {
+			if _, err := synth.Synthesize(m, synth.Options{Seed: 1, Parallelism: 1}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -625,7 +584,7 @@ func BenchmarkAblationSynthPrefilter(b *testing.B) {
 	b.Run("pure-cegis", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := synth.Synthesize(m, synth.Options{Seed: 1, SeedWitnesses: -1}); err != nil {
+			if _, err := synth.Synthesize(m, synth.Options{Seed: 1, SeedWitnesses: -1, Parallelism: 1}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -50,7 +50,7 @@ func main() {
 		defer cancel()
 	}
 
-	cfg, err := model(*cpuName)
+	cfg, err := experiments.CPUModel(*cpuName)
 	if err != nil {
 		fatal(err)
 	}
@@ -76,20 +76,6 @@ func main() {
 		return
 	}
 	repl(ctx, front, tgt)
-}
-
-func model(name string) (hw.CPUConfig, error) {
-	switch strings.ToLower(name) {
-	case "haswell":
-		return hw.Haswell(), nil
-	case "skylake":
-		return hw.Skylake(), nil
-	case "kabylake", "kaby-lake", "kbl":
-		return hw.KabyLake(), nil
-	case "toy":
-		return experiments.ToyCPU(), nil
-	}
-	return hw.CPUConfig{}, fmt.Errorf("unknown CPU model %q", name)
 }
 
 func runQuery(ctx context.Context, front *cachequery.Frontend, tgt cachequery.Target, src string) error {

@@ -218,18 +218,9 @@ func learnSim(ctx context.Context, req core.SimRequest) (*mealy.Machine, error) 
 }
 
 func learnHW(ctx context.Context, cpuName, levelName string, slice, set, cat int, seed int64, lopt learn.Options, replicas int, reset string, snap core.SnapshotOptions, sim core.SimOptions) (*mealy.Machine, error) {
-	var cfg hw.CPUConfig
-	switch strings.ToLower(cpuName) {
-	case "haswell":
-		cfg = hw.Haswell()
-	case "skylake":
-		cfg = hw.Skylake()
-	case "kabylake", "kbl":
-		cfg = hw.KabyLake()
-	case "toy":
-		cfg = experiments.ToyCPU()
-	default:
-		return nil, fmt.Errorf("unknown CPU model %q", cpuName)
+	cfg, err := experiments.CPUModel(cpuName)
+	if err != nil {
+		return nil, err
 	}
 	level, err := hw.ParseLevel(levelName)
 	if err != nil {

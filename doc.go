@@ -18,7 +18,7 @@
 //     queries over block probes, with a prefix-trie probe memo and parked
 //     simulator sessions
 //   - internal/qstore — the generic lock-striped prefix-trie query store
-//     (memoization, session parking, snapshots, bloom/arena fast path)
+//     (memoization, session parking, snapshots)
 //   - internal/intern — dense integer interning for hot-path keys
 //   - internal/learn — two Mealy-machine learners (L*-style table and
 //     discrimination tree) over one batched, memoizing query engine

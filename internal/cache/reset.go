@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"repro/internal/blocks"
-	"repro/internal/mealy"
 	"repro/internal/policy"
 )
 
@@ -166,10 +165,4 @@ func FindResetSequence(pol policy.Policy, maxStates int) (*ResetResult, error) {
 		}
 	}
 	return nil, fmt.Errorf("cache: no reset sequence found for %s (assoc %d)", pol.Name(), n)
-}
-
-// ExtractMachine is a convenience wrapper over mealy.FromPolicy for callers
-// that already work with cache sets.
-func ExtractMachine(pol policy.Policy, maxStates int) (*mealy.Machine, error) {
-	return mealy.FromPolicy(pol, maxStates)
 }

@@ -440,9 +440,6 @@ func (b *Backend) Run(ctx context.Context, q mbl.Query, reps int, flushFirst boo
 	return out, nil
 }
 
-// DefaultReps returns the backend's configured repetition count.
-func (b *Backend) DefaultReps() int { return b.opt.Reps }
-
 // calibrate measures hit-at-target and nearest-miss latencies on a scratch
 // pool block and places the classification threshold between the two
 // medians. The nearest miss is a next-level hit for L1/L2 targets (produced

@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -125,33 +126,48 @@ func LoadOracleSnapshot(oracle *polca.Oracle, path, scope string, coldOnDamage b
 	return true, nil
 }
 
-// SaveOracleSnapshot persists an oracle's query store to a snapshot file.
-// The write goes through a temp file and an atomic rename, so a crash or a
-// full disk mid-write never destroys an existing good snapshot — which
-// the snapshot-dir auto-warm flows would otherwise keep failing on.
+// SaveOracleSnapshot persists an oracle's query store to a snapshot file
+// through WriteFileAtomic, so a crash, a power loss or a full disk
+// mid-write never destroys an existing good snapshot — which the
+// snapshot-dir auto-warm flows would otherwise keep failing on.
 func SaveOracleSnapshot(oracle *polca.Oracle, path, scope string) error {
-	fh, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	err := WriteFileAtomic(path, 0o600, func(w io.Writer) error {
+		return oracle.SaveSnapshot(w, scope)
+	})
 	if err != nil {
-		return fmt.Errorf("core: saving snapshot: %w", err)
-	}
-	tmp := fh.Name()
-	fail := func(err error) error {
-		fh.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("core: saving snapshot to %s: %w", path, err)
-	}
-	if err := oracle.SaveSnapshot(fh, scope); err != nil {
-		return fail(err)
-	}
-	if err := fh.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("core: saving snapshot to %s: %w", path, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
 		return fmt.Errorf("core: saving snapshot to %s: %w", path, err)
 	}
 	return nil
+}
+
+// WriteFileAtomic replaces path with the bytes write produces. It writes a
+// temp file in path's directory, syncs it, closes it, sets its mode to
+// perm and renames it over path. On any failure it removes the temp file
+// and leaves the previous file at path untouched; the sync before the
+// rename keeps a power loss from leaving an empty or partial file there.
+func WriteFileAtomic(path string, perm os.FileMode, write func(io.Writer) error) error {
+	fh, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	tmp := fh.Name()
+	err = write(fh)
+	if err == nil {
+		err = fh.Sync()
+	}
+	if cerr := fh.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Chmod(tmp, perm)
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
 }
 
 // check refuses options that would silently do less than asked: a

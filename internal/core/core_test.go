@@ -3,6 +3,9 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
+	"io"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -442,5 +445,46 @@ func TestLearnSimulatedKernelBitIdentical(t *testing.T) {
 			t.Errorf("%s-%d/%s: oracle counters diverged: %+v vs %+v",
 				c.name, c.assoc, c.algo, compiled.OracleStats, interp.OracleStats)
 		}
+	}
+}
+
+// TestWriteFileAtomicKeepsPreviousFileOnFailure: a write that fails part
+// way leaves the previous file byte-identical and no temp file behind; a
+// successful write replaces it with the requested mode.
+func TestWriteFileAtomicKeepsPreviousFileOnFailure(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "model.json")
+	writeString := func(s string) func(io.Writer) error {
+		return func(w io.Writer) error {
+			_, err := io.WriteString(w, s)
+			return err
+		}
+	}
+	if err := WriteFileAtomic(path, 0o644, writeString("good")); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("disk full")
+	err := WriteFileAtomic(path, 0o644, func(w io.Writer) error {
+		io.WriteString(w, "part")
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("failing write returned %v, want %v", err, boom)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "good" {
+		t.Fatalf("previous file after failed writes = %q, %v; want %q", got, err, "good")
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp*")); len(tmps) != 0 {
+		t.Fatalf("failed writes left temp files %v", tmps)
+	}
+	if err := WriteFileAtomic(path, 0o644, writeString("better")); err != nil {
+		t.Fatal(err)
+	}
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(path); string(got) != "better" || info.Mode().Perm() != 0o644 {
+		t.Fatalf("replaced file = %q mode %v, want %q mode 0644", got, info.Mode().Perm(), "better")
 	}
 }

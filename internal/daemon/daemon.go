@@ -273,9 +273,6 @@ func (s *Server) draining() bool {
 	return s.closed
 }
 
-// Uptime is the time since New.
-func (s *Server) Uptime() time.Duration { return time.Since(s.start) }
-
 // engineStatus is one engine's row in the status document.
 type engineStatus struct {
 	Policy     string      `json:"policy"`

@@ -5,12 +5,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
+	"io"
 	"path/filepath"
 	"sort"
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/learn"
 	"repro/internal/polca"
 )
@@ -196,7 +197,13 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 		j.learnStats = res.Stats
 		if s.cfg.ModelsDir != "" {
 			name := fmt.Sprintf("%s-%d.learned.json", j.eng.policy, j.eng.assoc)
-			if werr := writeFileAtomic(filepath.Join(s.cfg.ModelsDir, name), j.model); werr != nil {
+			// Published models are world-readable like the committed ones
+			// they sit next to.
+			path := filepath.Join(s.cfg.ModelsDir, name)
+			if werr := core.WriteFileAtomic(path, 0o644, func(w io.Writer) error {
+				_, err := w.Write(j.model)
+				return err
+			}); werr != nil {
 				s.cfg.Logf("daemon: job %s: artifact: %v", j.id, werr)
 			} else {
 				j.artifact = name
@@ -247,34 +254,4 @@ func (s *Server) jobList() []jobStatus {
 		out[i] = j.snapshot()
 	}
 	return out
-}
-
-// writeFileAtomic writes data through a temp file and a rename, mirroring
-// the snapshot layer's crash discipline for model artifacts.
-func writeFileAtomic(path string, data []byte) error {
-	fh, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmp := fh.Name()
-	if _, err := fh.Write(data); err != nil {
-		fh.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := fh.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	// CreateTemp opens 0600; published artifacts should be world-readable
-	// like the committed models they sit next to.
-	if err := os.Chmod(tmp, 0o644); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
 }

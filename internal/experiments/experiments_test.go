@@ -177,6 +177,29 @@ func TestRunFigure1Report(t *testing.T) {
 	}
 }
 
+func TestCPUModel(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		want hw.CPUConfig
+	}{
+		{"haswell", hw.Haswell()}, {"Haswell", hw.Haswell()},
+		{"skylake", hw.Skylake()}, {"SKYLAKE", hw.Skylake()},
+		{"kabylake", hw.KabyLake()}, {"kaby-lake", hw.KabyLake()},
+		{"Kaby-Lake", hw.KabyLake()}, {"kbl", hw.KabyLake()},
+		{"toy", ToyCPU()}, {"Toy", ToyCPU()},
+	} {
+		got, err := CPUModel(c.name)
+		if err != nil {
+			t.Errorf("CPUModel(%q): %v", c.name, err)
+		} else if got.Name != c.want.Name {
+			t.Errorf("CPUModel(%q) = %s, want %s", c.name, got.Name, c.want.Name)
+		}
+	}
+	if _, err := CPUModel("pentium"); err == nil {
+		t.Error("CPUModel accepted an unknown name")
+	}
+}
+
 func TestThrashQueryShape(t *testing.T) {
 	q := thrashQuery(4)
 	if q.ProfiledCount() != 2*(4+4) {

@@ -26,6 +26,22 @@ func ToyCPU() hw.CPUConfig {
 	}
 }
 
+// CPUModel returns the simulated CPU named by name, case-insensitively:
+// haswell, skylake, kabylake (or kaby-lake, kbl) or toy.
+func CPUModel(name string) (hw.CPUConfig, error) {
+	switch strings.ToLower(name) {
+	case "haswell":
+		return hw.Haswell(), nil
+	case "skylake":
+		return hw.Skylake(), nil
+	case "kabylake", "kaby-lake", "kbl":
+		return hw.KabyLake(), nil
+	case "toy":
+		return ToyCPU(), nil
+	}
+	return hw.CPUConfig{}, fmt.Errorf("unknown CPU model %q", name)
+}
+
 // RunFigure1 reproduces the end-to-end toy pipeline of Figure 1 and returns
 // a textual report showing all three abstraction layers: raw CacheQuery
 // latencies (1c), Polca's block-level translation (1b), and the learned

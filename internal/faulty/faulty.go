@@ -182,9 +182,6 @@ func NewInjector(plan Plan) *Injector {
 // Plan returns the injector's plan.
 func (inj *Injector) Plan() Plan { return inj.plan }
 
-// Executions returns the total number of decisions taken so far.
-func (inj *Injector) Executions() int64 { return inj.total.Load() }
-
 // nextAttempt returns the 0-based ordinal of this execution among all
 // executions of the same content hash.
 func (inj *Injector) nextAttempt(content uint64) int64 {
@@ -216,24 +213,6 @@ func hashBlocks(q []blocks.Block) uint64 {
 	for _, b := range q {
 		h.Write([]byte(b))
 		h.Write([]byte{0})
-	}
-	return h.Sum64()
-}
-
-// hashWord hashes a policy-level query word.
-func hashWord(w []int) uint64 {
-	h := fnv.New64a()
-	var buf [10]byte
-	for _, a := range w {
-		n := 0
-		for v := uint(a)<<1 ^ uint(int(a)>>63); ; n++ {
-			buf[n] = byte(v & 0x7f)
-			if v >>= 7; v == 0 {
-				break
-			}
-			buf[n] |= 0x80
-		}
-		h.Write(buf[:n+1])
 	}
 	return h.Sum64()
 }

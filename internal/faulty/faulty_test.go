@@ -190,19 +190,6 @@ func TestInjectedErrIsTransient(t *testing.T) {
 	}
 }
 
-// TestFaultyProberHidesForking: the wrapper must force the oracle onto the
-// reset-rooted probe path even when the inner prober supports sessions.
-func TestFaultyProberHidesForking(t *testing.T) {
-	inner := polca.NewSimProber(policy.MustNew("LRU", 4))
-	if _, ok := interface{}(inner).(polca.ForkingProber); !ok {
-		t.Skip("SimProber no longer forks; nothing to hide")
-	}
-	wrapped := WrapProber(inner, NewInjector(DefaultPlan()))
-	if _, ok := interface{}(wrapped).(polca.ForkingProber); ok {
-		t.Fatal("FaultyProber leaks the ForkingProber extension")
-	}
-}
-
 // TestFaultyProberFaultFreePassThrough: an empty plan never perturbs answers.
 func TestFaultyProberFaultFreePassThrough(t *testing.T) {
 	clean := polca.NewSimProber(policy.MustNew("LRU", 2))

@@ -7,15 +7,14 @@ import (
 
 	"repro/internal/blocks"
 	"repro/internal/cache"
-	"repro/internal/learn"
 	"repro/internal/polca"
 )
 
-// FaultyProber interposes an Injector on a polca.Prober. It deliberately
-// does NOT forward the ForkingProber extension: fault injection targets the
-// reset-rooted probe path (the one hardware uses and the one retry, voting,
-// and quarantine defend), and wrapping the simulator forces the oracle onto
-// it instead of its simulator query engine.
+// FaultyProber interposes an Injector on a polca.Prober. Fault injection
+// targets the reset-rooted probe path (the one hardware uses and the one
+// retry, voting, and quarantine defend): the oracle runs its simulator
+// query engine only for a bare *polca.SimProber, so a wrapped simulator
+// answers reset-rooted probes like hardware.
 // FreshProber and TraceProber are forwarded when the inner prober has them,
 // with the same fault roll applied.
 type FaultyProber struct {
@@ -24,8 +23,8 @@ type FaultyProber struct {
 }
 
 // WrapProber interposes inj on p. A nil injector or an empty plan returns a
-// wrapper that still hides ForkingProber (so clean and faulty runs take the
-// same oracle path) but never faults.
+// wrapper that never faults but still keeps the oracle off its simulator
+// engine, so clean and faulty runs take the same oracle path.
 func WrapProber(p polca.Prober, inj *Injector) *FaultyProber {
 	return &FaultyProber{inner: p, inj: inj}
 }
@@ -200,49 +199,3 @@ func (d *dyingProber) ProbeFresh(ctx context.Context, q []blocks.Block) (cache.O
 	}
 	return d.inner.Probe(ctx, q)
 }
-
-// FaultyTeacher interposes an Injector on a learn.Teacher at the
-// policy-query level, for exercising the learner's error paths without a
-// full oracle stack underneath.
-type FaultyTeacher struct {
-	inner learn.Teacher
-	inj   *Injector
-}
-
-// WrapTeacher interposes inj on t.
-func WrapTeacher(t learn.Teacher, inj *Injector) *FaultyTeacher {
-	return &FaultyTeacher{inner: t, inj: inj}
-}
-
-// NumInputs implements learn.Teacher.
-func (ft *FaultyTeacher) NumInputs() int { return ft.inner.NumInputs() }
-
-// OutputQuery implements learn.Teacher. Policy-level outputs are not
-// booleans, so a flip fault perturbs the final symbol by +1 instead of
-// inverting it.
-func (ft *FaultyTeacher) OutputQuery(ctx context.Context, word []int) ([]int, error) {
-	var d decision
-	if ft.inj != nil && !ft.inj.plan.Empty() {
-		d = ft.inj.decide(hashWord(word))
-	}
-	if d.stall > 0 {
-		t := time.NewTimer(d.stall)
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			t.Stop()
-			return nil, ctx.Err()
-		}
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	out, err := ft.inner.OutputQuery(ctx, word)
-	if err == nil && d.flip && len(out) > 0 {
-		out = append([]int(nil), out...)
-		out[len(out)-1]++
-	}
-	return out, err
-}
-
-var _ learn.Teacher = (*FaultyTeacher)(nil)

@@ -70,42 +70,3 @@ func (it *Interner) Word(w []int) int32 {
 	}
 	return acc
 }
-
-// Word32 is Word for an []int32 sequence.
-func (it *Interner) Word32(w []int32) int32 {
-	acc := Empty
-	for _, v := range w {
-		acc = it.Append(acc, int(v))
-	}
-	return acc
-}
-
-// LookupValue returns the id of v without interning it.
-func (it *Interner) LookupValue(v int) (int32, bool) {
-	id, ok := it.vals[v]
-	return id, ok
-}
-
-// LookupPair returns the id of (a, b) without interning it.
-func (it *Interner) LookupPair(a, b int32) (int32, bool) {
-	id, ok := it.pairs[pairKey{a, b}]
-	return id, ok
-}
-
-// LookupWord32 returns the id of w without interning anything, reporting
-// false as soon as any link of the chain is missing. It is the read-side of
-// a reader/writer-locked store: lookups mutate nothing.
-func (it *Interner) LookupWord32(w []int32) (int32, bool) {
-	acc := Empty
-	for _, v := range w {
-		vid, ok := it.vals[int(v)]
-		if !ok {
-			return 0, false
-		}
-		acc, ok = it.pairs[pairKey{acc, vid}]
-		if !ok {
-			return 0, false
-		}
-	}
-	return acc, true
-}

@@ -44,26 +44,3 @@ func TestAppendMatchesWord(t *testing.T) {
 		}
 	}
 }
-
-func TestLookupDoesNotIntern(t *testing.T) {
-	it := New()
-	if _, ok := it.LookupWord32([]int32{1, 2, 3}); ok {
-		t.Fatal("lookup of an unseen word succeeded")
-	}
-	if it.Len() != 0 {
-		t.Fatalf("lookup interned %d ids", it.Len())
-	}
-	id := it.Word32([]int32{1, 2, 3})
-	got, ok := it.LookupWord32([]int32{1, 2, 3})
-	if !ok || got != id {
-		t.Fatalf("lookup after intern = (%d, %v), want (%d, true)", got, ok, id)
-	}
-	// A prefix chain exists as a side effect of interning the longer word,
-	// but folds to its own distinct id.
-	if pid, ok := it.LookupWord32([]int32{1, 2}); ok && pid == id {
-		t.Fatal("prefix folded to the full word's id")
-	}
-	if _, ok := it.LookupWord32([]int32{9, 9}); ok {
-		t.Fatal("lookup of an unseen word succeeded after interning")
-	}
-}

@@ -2,6 +2,7 @@ package learn
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"strconv"
 	"strings"
@@ -47,46 +48,35 @@ func (t *countingTeacher) OutputQuery(_ context.Context, word []int) ([]int, err
 	return t.m.Run(word), nil
 }
 
-// maxAskCount returns the highest per-word ask count.
-func (t *countingTeacher) maxAskCount() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	max := 0
-	for _, n := range t.asked {
-		if n > max {
-			max = n
-		}
-	}
-	return max
-}
-
 func (t *countingTeacher) distinctWords() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.asked)
 }
 
-// TestPoolTeacherBatchMatchesSerial: a batch answer must equal the serial
-// answers word by word, including duplicated words within one batch.
-func TestPoolTeacherBatchMatchesSerial(t *testing.T) {
-	truth, _ := mealy.FromPolicy(policy.MustNew("MRU", 4), 0)
-	pool := NewPoolTeacher(newCountingTeacher(truth), 4)
-	words := [][]int{
-		{0}, {1, 2, 3}, {4, 4, 4, 4}, {0}, {1, 2, 3}, {2, 0, 4, 1, 3},
-	}
-	got, err := pool.OutputQueryBatch(context.Background(), words)
-	if err != nil {
-		t.Fatal(err)
-	}
+// poolTeacher turns a Teacher into a BatchTeacher that answers every word
+// of a batch on its own goroutine. Its hint of 8 makes the learner form
+// real prefetch chunks, so -race covers the learner's batch path.
+type poolTeacher struct{ Teacher }
+
+func (poolTeacher) BatchHint() int { return 8 }
+
+func (p poolTeacher) OutputQueryBatch(ctx context.Context, words [][]int) ([][]int, error) {
+	out := make([][]int, len(words))
+	errs := make([]error, len(words))
+	var wg sync.WaitGroup
 	for i, w := range words {
-		want := truth.Run(w)
-		if !reflect.DeepEqual(got[i], want) {
-			t.Errorf("word %v: batch answered %v, want %v", w, got[i], want)
-		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out[i], errs[i] = p.OutputQuery(ctx, w)
+		}()
 	}
+	wg.Wait()
+	return out, errors.Join(errs...)
 }
 
-// TestBatchedLearningIsDeterministic: learning through the worker pool must
+// TestBatchedLearningIsDeterministic: learning through a batch teacher must
 // produce the exact same machine as the serial reference — not just a
 // trace-equivalent one — because the batched learner examines answers in the
 // same order the serial learner asks them.
@@ -105,7 +95,7 @@ func TestBatchedLearningIsDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		batched, err := Learn(context.Background(), NewPoolTeacher(MachineTeacher{M: truth}, 8), Options{Depth: 1, BatchSize: 16})
+		batched, err := Learn(context.Background(), poolTeacher{MachineTeacher{M: truth}}, Options{Depth: 1, BatchSize: 16})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,98 +140,6 @@ func TestBatchedPolcaLearningIsDeterministic(t *testing.T) {
 	}
 }
 
-// TestSharedQueryCacheNeverReasks: the pool's mutex-guarded cache must
-// answer every repeated word without consulting the wrapped teacher again —
-// within a batch, across batches, across serial lookups, and across whole
-// learning runs sharing the adapter.
-func TestSharedQueryCacheNeverReasks(t *testing.T) {
-	truth, _ := mealy.FromPolicy(policy.MustNew("PLRU", 4), 0)
-	counter := newCountingTeacher(truth)
-	pool := NewPoolTeacher(counter, 4)
-
-	if _, err := Learn(context.Background(), pool, Options{Depth: 1, BatchSize: 8}); err != nil {
-		t.Fatal(err)
-	}
-	if max := counter.maxAskCount(); max > 1 {
-		t.Errorf("a word was asked %d times during learning", max)
-	}
-	asked := counter.distinctWords()
-	if asked == 0 {
-		t.Fatal("teacher never consulted")
-	}
-	if cached := pool.CachedWords(); cached != asked {
-		t.Errorf("cache holds %d words, teacher answered %d", cached, asked)
-	}
-
-	// A second learning run over the same adapter is answered entirely from
-	// the shared cache.
-	if _, err := Learn(context.Background(), pool, Options{Depth: 1, BatchSize: 8}); err != nil {
-		t.Fatal(err)
-	}
-	if counter.distinctWords() != asked {
-		t.Error("relearning consulted the teacher for new words")
-	}
-	if max := counter.maxAskCount(); max > 1 {
-		t.Errorf("relearning re-asked a seen word (%d times)", max)
-	}
-}
-
-// TestConcurrentBatchTeacherQueries drives one PoolTeacher from many
-// goroutines mixing batched and single queries over overlapping word sets.
-// Run with -race: it exists to prove the shared cache and worker pool are
-// data-race free.
-func TestConcurrentBatchTeacherQueries(t *testing.T) {
-	truth, _ := mealy.FromPolicy(policy.MustNew("MRU", 4), 0)
-	counter := newCountingTeacher(truth)
-	pool := NewPoolTeacher(counter, 4)
-
-	words := qstore.Enumerate(truth.NumInputs, 3)[1:] // skip ε
-	var wg sync.WaitGroup
-	errCh := make(chan error, 16)
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			if g%2 == 0 {
-				got, err := pool.OutputQueryBatch(context.Background(), words)
-				if err != nil {
-					errCh <- err
-					return
-				}
-				for i, w := range words {
-					if !reflect.DeepEqual(got[i], truth.Run(w)) {
-						t.Errorf("goroutine %d: wrong batch answer for %v", g, w)
-						return
-					}
-				}
-			} else {
-				for _, w := range words {
-					got, err := pool.OutputQuery(context.Background(), w)
-					if err != nil {
-						errCh <- err
-						return
-					}
-					if !reflect.DeepEqual(got, truth.Run(w)) {
-						t.Errorf("goroutine %d: wrong answer for %v", g, w)
-						return
-					}
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Fatal(err)
-	}
-	// Concurrent first asks may race past the cache check (at worst one ask
-	// per goroutine), but never more — every pass after the first write is
-	// answered from the cache.
-	if max := counter.maxAskCount(); max > 8 {
-		t.Errorf("a word reached the teacher %d times under concurrency", max)
-	}
-}
-
 // TestConcurrentOracleBatchQueries exercises the batched Polca oracle under
 // the race detector: parallel session probing with a shared memo table.
 func TestConcurrentOracleBatchQueries(t *testing.T) {
@@ -262,31 +160,5 @@ func TestConcurrentOracleBatchQueries(t *testing.T) {
 		if !reflect.DeepEqual(got[i], want) {
 			t.Errorf("word %v: batch answered %v, serial oracle %v", w, got[i], want)
 		}
-	}
-}
-
-// An out-of-alphabet word has no trie path; PoolTeacher must hand it to the
-// wrapped teacher (which rejects it) instead of panicking on a trie edge.
-func TestPoolTeacherOutOfAlphabetWord(t *testing.T) {
-	oracle := polca.NewOracle(polca.NewSimProber(policy.MustNew("LRU", 4)))
-	pt := NewPoolTeacher(oracle, 2)
-	// Populate the root's child slice first so the panic path would be live.
-	valid := []int{0, 1, 4}
-	want, err := oracle.OutputQuery(context.Background(), valid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := pt.OutputQuery(context.Background(), valid); err != nil || !reflect.DeepEqual(got, want) {
-		t.Fatalf("valid word: got %v, %v; want %v", got, err, want)
-	}
-	if _, err := pt.OutputQuery(context.Background(), []int{99}); err == nil {
-		t.Fatal("expected error for out-of-alphabet word")
-	}
-	if _, err := pt.OutputQueryBatch(context.Background(), [][]int{valid, {99}}); err == nil {
-		t.Fatal("expected batch error for out-of-alphabet word")
-	}
-	// The valid word must still be answerable after the failed batch.
-	if got, err := pt.OutputQuery(context.Background(), valid); err != nil || !reflect.DeepEqual(got, want) {
-		t.Fatalf("valid word after failed batch: got %v, %v; want %v", got, err, want)
 	}
 }

@@ -16,7 +16,7 @@ import (
 // been served, then signals armed and blocks every further query on ctx —
 // so a test can cancel a learn at a deterministic point in its middle and
 // the learner is guaranteed to be in flight when the cancel lands. Safe for
-// concurrent use (PoolTeacher workers).
+// concurrent use (poolTeacher goroutines).
 type gateTeacher struct {
 	inner   Teacher
 	trigger int64
@@ -44,8 +44,8 @@ func (g *gateTeacher) OutputQuery(ctx context.Context, word []int) ([]int, error
 
 // TestCancelMidLearn: canceling the context from a concurrent goroutine
 // while a learn is in flight must unwind the whole stack — both algorithms,
-// with and without a worker pool — returning context.Canceled, leaking no
-// pool workers, and leaving the teacher usable for a subsequent learn.
+// with and without batched goroutines — returning context.Canceled, leaking
+// no goroutines, and leaving the teacher usable for a subsequent learn.
 func TestCancelMidLearn(t *testing.T) {
 	truth, err := mealy.FromPolicy(policy.MustNew("New1", 4), 0)
 	if err != nil {
@@ -60,7 +60,7 @@ func TestCancelMidLearn(t *testing.T) {
 		mk   func(inner Teacher) Teacher
 	}{
 		{"serial", func(inner Teacher) Teacher { return inner }},
-		{"pool", func(inner Teacher) Teacher { return NewPoolTeacher(inner, 4) }},
+		{"pool", func(inner Teacher) Teacher { return poolTeacher{inner} }},
 	}
 	for _, al := range algos {
 		for _, tc := range teachers {
@@ -89,7 +89,7 @@ func TestCancelMidLearn(t *testing.T) {
 					t.Fatal("canceled learn never unwound")
 				}
 
-				// No leaked pool workers: the goroutine count must settle
+				// No leaked batch goroutines: the goroutine count must settle
 				// back to (roughly) the pre-learn level.
 				deadline := time.Now().Add(5 * time.Second)
 				for runtime.NumGoroutine() > before+2 && time.Now().Before(deadline) {
@@ -125,7 +125,7 @@ func TestDeadlineExpiryMidLearn(t *testing.T) {
 	gate := newGateTeacher(MachineTeacher{M: truth}, 20)
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	_, err = Learn(ctx, NewPoolTeacher(gate, 4), Options{Depth: 1, Algo: AlgoTree})
+	_, err = Learn(ctx, poolTeacher{gate}, Options{Depth: 1, Algo: AlgoTree})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expired learn returned %v, want context.DeadlineExceeded", err)
 	}

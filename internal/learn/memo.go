@@ -2,21 +2,18 @@ package learn
 
 // The learner's output-query memo over the shared query store
 // (internal/qstore). Edges are input symbols; every node is one word. The
-// memo plays three roles:
+// memo plays two roles:
 //
 //   - Output memo: each node records the output of the last symbol of its
 //     word, so the answer to any query whose word is a prefix of an
 //     already-answered word is read off the path, with no string key
 //     allocated per lookup.
-//   - Exact-match store: PoolTeacher keeps full answer slices at terminal
-//     nodes only, preserving its answered-word accounting (batch.go).
 //   - Word set: the store's epoch marks turn it into a reusable dedup set
 //     for suffix bookkeeping, conformance-suite streaming, and batch
 //     prefetch, with no per-word key materialization.
 //
 // The learner runs on one goroutine, so its stores are unsynchronized
-// single-shard instances; PoolTeacher's shared cache is the lock-striped
-// variant (see batch.go).
+// single-shard instances.
 
 import "repro/internal/qstore"
 

@@ -72,10 +72,11 @@ func TestTriePrefixSharingSavesQueries(t *testing.T) {
 }
 
 // TestConcurrentTrieInsertionUnderPoolTeacher drives a trie-backed Polca
-// oracle (concurrent session parking and output recording) through a
-// PoolTeacher from many goroutines over overlapping, prefix-sharing word
-// sets. It exists to run under -race: the shared tries must be data-race
-// free, and every answer must match the extracted ground truth.
+// oracle (concurrent session parking and output recording) from a pool of
+// goroutines, half batching and half asking single words, over
+// overlapping, prefix-sharing word sets. It exists to run under -race: the
+// shared tries must be data-race free, and every answer must match the
+// extracted ground truth.
 func TestConcurrentTrieInsertionUnderPoolTeacher(t *testing.T) {
 	truth, err := mealy.FromPolicy(policy.MustNew("SRRIP-HP", 4), 0)
 	if err != nil {
@@ -83,7 +84,6 @@ func TestConcurrentTrieInsertionUnderPoolTeacher(t *testing.T) {
 	}
 	oracle := polca.NewOracle(polca.NewSimProber(policy.MustNew("SRRIP-HP", 4)),
 		polca.WithParallelism(8), polca.WithSessionCap(16))
-	pool := NewPoolTeacher(oracle, 8)
 
 	words := qstore.Enumerate(truth.NumInputs, 3)[1:] // heavy prefix overlap
 	var wg sync.WaitGroup
@@ -93,7 +93,7 @@ func TestConcurrentTrieInsertionUnderPoolTeacher(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			if g%2 == 0 {
-				got, err := pool.OutputQueryBatch(context.Background(), words)
+				got, err := oracle.OutputQueryBatch(context.Background(), words)
 				if err != nil {
 					errCh <- err
 					return

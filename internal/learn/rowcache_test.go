@@ -116,7 +116,7 @@ func TestRowCacheMatchesFromScratchFold(t *testing.T) {
 			make func() Teacher
 		}{
 			{"serial", func() Teacher { return MachineTeacher{M: truth} }},
-			{"pool", func() Teacher { return NewPoolTeacher(MachineTeacher{M: truth}, 4) }},
+			{"pool", func() Teacher { return poolTeacher{MachineTeacher{M: truth}} }},
 			{"polca", func() Teacher { return polca.NewOracle(polca.NewSimProber(policy.MustNew(c.name, c.assoc))) }},
 		}
 		for _, tc := range teachers {
@@ -171,7 +171,7 @@ func TestRowCacheSurvivesBudgetAbort(t *testing.T) {
 			teacher Teacher
 		}{
 			{"serial", MachineTeacher{M: truth}},
-			{"pool", NewPoolTeacher(MachineTeacher{M: truth}, 4)},
+			{"pool", poolTeacher{MachineTeacher{M: truth}}},
 		} {
 			t.Run(fmt.Sprintf("%s/%d", tc.kind, budget), func(t *testing.T) {
 				_, l, err := learnChecked(t, tc.teacher, Options{Depth: 1, MaxQueries: budget})

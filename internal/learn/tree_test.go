@@ -110,7 +110,7 @@ func TestTreeMatchesLStarUnderBatchedTeachers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			batched, err := Learn(context.Background(), NewPoolTeacher(MachineTeacher{M: truth}, 8),
+			batched, err := Learn(context.Background(), poolTeacher{MachineTeacher{M: truth}},
 				Options{Depth: 1, Algo: algo, BatchSize: 16})
 			if err != nil {
 				t.Fatal(err)

@@ -47,44 +47,6 @@ func TestKernelOracleMatchesInterpreted(t *testing.T) {
 	}
 }
 
-// TestKernelSessionPeek pins the peek/fork equivalence the eviction probes
-// rely on: after any access sequence, Peek(b) equals the outcome a forked
-// session would observe accessing b, and peeking never advances the session.
-func TestKernelSessionPeek(t *testing.T) {
-	p := NewSimProber(policy.MustNew("SRRIP-HP", 4))
-	sess, err := p.NewSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ks, ok := sess.(PeekSession)
-	if !ok {
-		t.Fatal("kernel session does not implement PeekSession")
-	}
-	seq := []string{"A", "E", "B", "F", "G", "C", "A", "H"}
-	for _, b := range seq {
-		for _, probe := range []string{"A", "B", "C", "D", "E", "F", "G", "H"} {
-			fork, err := sess.Fork()
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := fork.Access(probe)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := ks.Peek(probe)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Fatalf("after %v: Peek(%s) = %v, fork access = %v", seq, probe, got, want)
-			}
-		}
-		if _, err := sess.Access(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 // TestKernelProberFallsBack: a policy over the compile bound (or violating
 // the StateKey contract) silently keeps the interpreted path.
 func TestKernelProberFallsBack(t *testing.T) {

@@ -69,35 +69,9 @@ type Session interface {
 	Fork() (Session, error)
 }
 
-// ForkingProber is an optional Prober extension for caches that support
-// cheap state snapshots (software simulators). The oracle's query engine
-// executes interpreted simulator lanes on its sessions (see engine.go);
-// the observable behaviour is identical to reset-rooted probing for
-// deterministic caches.
-type ForkingProber interface {
-	Prober
-	NewSession() (Session, error)
-}
-
-// PeekSession is an optional Session extension for sessions that can report
-// the outcome the next access of a block would produce without advancing
-// any state. For a deterministic cache this is content membership (an
-// access hits iff the block is resident), so the oracle's findEvicted
-// probes — n per Evct symbol — cost a scan instead of a forked session.
-// Compiled-kernel simulator sessions implement it; the access counters are
-// maintained identically on both paths.
-type PeekSession interface {
-	Session
-	Peek(b blocks.Block) (cache.Outcome, error)
-}
-
 // evictionProbe returns the outcome an access of b would produce on sess
-// without advancing sess: Peek when the session supports it, a discarded
-// fork otherwise. The two are observably identical on deterministic caches.
+// without advancing sess, by accessing b on a discarded fork.
 func evictionProbe(sess Session, b blocks.Block) (cache.Outcome, error) {
-	if ps, ok := sess.(PeekSession); ok {
-		return ps.Peek(b)
-	}
 	fork, err := sess.Fork()
 	if err != nil {
 		return Missed(), err

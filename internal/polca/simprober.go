@@ -102,9 +102,11 @@ func (p *SimProber) ProbeTrace(ctx context.Context, q []blocks.Block) ([]cache.O
 	return p.set.AccessAll(q), nil
 }
 
-// NewSession implements ForkingProber. Sessions are independent of each
-// other and of the prober (kernel sessions share only the immutable
-// table), so it is safe for concurrent use.
+// NewSession returns a session at the reset state: the oracle's query
+// engine runs interpreted lanes and parks resumable positions on these.
+// Sessions are independent of each other and of the prober (kernel
+// sessions share only the immutable table), so it is safe for concurrent
+// use.
 func (p *SimProber) NewSession() (Session, error) {
 	if p.tab != nil {
 		s := &kernelSession{tab: p.tab, state: p.tab.InitState(), content: append([]blocks.Block(nil), p.cc0...)}
@@ -157,22 +159,6 @@ func (s *kernelSession) Access(b blocks.Block) (cache.Outcome, error) {
 // copy with no policy clone.
 func (s *kernelSession) Fork() (Session, error) {
 	return &kernelSession{tab: s.tab, state: s.state, content: append([]blocks.Block(nil), s.content...)}, nil
-}
-
-// Peek implements PeekSession: the outcome the next access of b would
-// produce is pure content membership (an access hits iff the block is
-// resident), so the oracle's eviction probes cost a scan instead of a
-// forked session.
-func (s *kernelSession) Peek(b blocks.Block) (cache.Outcome, error) {
-	if b == "" {
-		panic("cache: access to empty block name")
-	}
-	for _, c := range s.content {
-		if c == b {
-			return cache.Hit, nil
-		}
-	}
-	return cache.Miss, nil
 }
 
 type simSession struct{ set *cache.Set }

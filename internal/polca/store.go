@@ -1,8 +1,7 @@
 package polca
 
 // The oracle's two memo layers over the shared query store
-// (internal/qstore), replacing the bespoke outTrie/probeTrie pair and the
-// single oracle mutex that guarded them.
+// (internal/qstore).
 //
 // The output store is keyed by *policy inputs*: every node is one
 // policy-input prefix, recording the policy output of its last symbol.
@@ -18,11 +17,13 @@ package polca
 // (hardware-style) probe memo plus single-flight, with the store's dense
 // edge interning keeping child arrays sized by the blocks actually seen.
 //
-// Both stores are lock-striped by first symbol: batched workers answering
-// words in different subtrees never contend. Session parking is a
-// decoration on the output store's values — the store knows nothing about
-// sessions, snapshots skip them, and the LRU bookkeeping below is the
-// oracle's, kept per shard and guarded by that shard's lock.
+// Both stores are lock-striped by first symbol, so probe-path workers over
+// a ConcurrentProber recording words in different subtrees never contend;
+// the simulator engine serializes on the oracle's engine mutex and takes a
+// shard lock only to read or record. Session parking is a decoration on
+// the output store's values — the store knows nothing about sessions,
+// snapshots skip them, and the LRU bookkeeping below is the oracle's, kept
+// per shard and guarded by that shard's lock.
 
 import (
 	"repro/internal/cache"

@@ -1,9 +1,6 @@
 package policy
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 // mustTable compiles a named policy or fails the test.
 func mustTable(t *testing.T, name string, assoc int) *Table {
@@ -15,159 +12,50 @@ func mustTable(t *testing.T, name string, assoc int) *Table {
 	return tab
 }
 
-// TestStepBatchMatchesStep drives a vector of states through a random
-// input word and checks every lane against scalar Step calls — StepBatch
-// and StepBatchOut are pure reshapes of the same transition arrays.
-func TestStepBatchMatchesStep(t *testing.T) {
-	for _, c := range []struct {
-		name  string
-		assoc int
-	}{{"LRU", 4}, {"PLRU", 8}, {"SRRIP-HP", 4}, {"New1", 4}} {
-		t.Run(c.name, func(t *testing.T) {
-			tab := mustTable(t, c.name, c.assoc)
-			rng := rand.New(rand.NewSource(7))
-			const lanes = 37
-			batch := make([]int32, lanes)
-			outs := make([]int32, lanes)
-			scalar := make([]int32, lanes)
-			for l := range batch {
-				// Scatter the lanes before stepping so the vector is not
-				// uniformly at the initial state.
-				s := tab.InitState()
-				for k := rng.Intn(6); k > 0; k-- {
-					s, _ = tab.Step(s, rng.Intn(tab.NumInputs()))
-				}
-				batch[l], scalar[l] = s, s
-			}
-			for step := 0; step < 40; step++ {
-				in := rng.Intn(tab.NumInputs())
-				tab.StepBatchOut(batch, int32(in), outs)
-				for l := range scalar {
-					next, out := tab.Step(scalar[l], in)
-					scalar[l] = next
-					if batch[l] != next || outs[l] != out {
-						t.Fatalf("step %d lane %d input %d: batch (%d, %d), scalar (%d, %d)",
-							step, l, in, batch[l], outs[l], next, out)
-					}
-				}
-				// StepBatch (no outputs) must advance identically.
-				cp := append([]int32(nil), scalar...)
-				tab.StepBatch(cp, int32(in))
-				for l := range cp {
-					want, _ := tab.Step(scalar[l], in)
-					if cp[l] != want {
-						t.Fatalf("StepBatch diverged at lane %d", l)
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestBatchAccessLaneMatchesApply runs full cache semantics on one batch
-// lane against the interpreted policy applied to a tracked content tuple.
-func TestBatchAccessLaneMatchesApply(t *testing.T) {
-	for _, c := range []struct {
-		name  string
-		assoc int
-	}{{"LRU", 4}, {"MRU", 4}, {"SRRIP-FP", 4}} {
-		t.Run(c.name, func(t *testing.T) {
-			tab := mustTable(t, c.name, c.assoc)
-			cc0 := make([]int32, c.assoc)
-			for i := range cc0 {
-				cc0[i] = int32(i)
-			}
-			b := NewBatch(tab, 3, cc0)
-			pol := MustNew(c.name, c.assoc)
-			content := append([]int32(nil), cc0...)
-			rng := rand.New(rand.NewSource(11))
-			for step := 0; step < 200; step++ {
-				id := int32(rng.Intn(c.assoc + 3)) // mix residents and misses
-				wantHit := -1
-				for i, cb := range content {
-					if cb == id {
-						wantHit = i
-						break
-					}
-				}
-				var wantVictim = -1
-				if wantHit >= 0 {
-					pol.OnHit(wantHit)
-				} else {
-					ev := pol.OnMiss()
-					wantVictim = ev
-					content[ev] = id
-				}
-				hit, victim := b.AccessLane(1, id)
-				if hit != wantHit || victim != wantVictim {
-					t.Fatalf("step %d id %d: lane (%d, %d), interpreted (%d, %d)",
-						step, id, hit, victim, wantHit, wantVictim)
-				}
-				if got := b.Scan(1, id); (wantHit >= 0 && got != wantHit) || (wantHit < 0 && got != wantVictim) {
-					t.Fatalf("step %d: Scan(%d) = %d after access", step, id, got)
-				}
-			}
-			// Untouched lanes stayed at the reset state.
-			for _, l := range []int{0, 2} {
-				if b.State(l) != tab.InitState() {
-					t.Errorf("lane %d state moved to %d", l, b.State(l))
-				}
-				for i, cb := range b.Row(l) {
-					if cb != cc0[i] {
-						t.Errorf("lane %d content[%d] = %d, want %d", l, i, cb, cc0[i])
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestBatchLaneOps covers the lane plumbing the polca batch planner leans
-// on: LoadLane, CopyLane, ResetLane and Row aliasing.
+// on: LoadLane, CopyLane, ResetLane, SetState and Row aliasing.
 func TestBatchLaneOps(t *testing.T) {
 	tab := mustTable(t, "LRU", 4)
 	cc0 := []int32{0, 1, 2, 3}
 	b := NewBatch(tab, 4, cc0)
-	if b.Lanes() != 4 || b.Table() != tab {
-		t.Fatalf("block shape wrong: %d lanes", b.Lanes())
+	for l := 0; l < 4; l++ {
+		if b.State(l) != tab.InitState() {
+			t.Fatalf("lane %d starts at state %d, want %d", l, b.State(l), tab.InitState())
+		}
+		for i, c := range b.Row(l) {
+			if c != cc0[i] {
+				t.Fatalf("lane %d content[%d] = %d, want %d", l, i, c, cc0[i])
+			}
+		}
 	}
-	// Drive lane 0 somewhere, fork it into lane 2, and check independence.
-	b.AccessLane(0, 9)
-	b.AccessLane(0, 1)
+	// Drive lane 0 somewhere the way the engine does (step the table,
+	// write the victim's row entry), fork it into lane 2, and check
+	// independence.
+	st, v := tab.Step(b.State(0), 4) // miss
+	b.Row(0)[v] = 9
+	st, _ = tab.Step(st, 1) // hit at line 1
+	b.SetState(0, st)
 	b.CopyLane(2, 0)
-	if b.State(2) != b.State(0) {
-		t.Fatal("CopyLane did not copy the state")
+	if b.State(2) != st || b.Row(2)[v] != 9 {
+		t.Fatal("CopyLane did not copy the state and row")
 	}
-	b.AccessLane(2, 11)
-	if b.Scan(0, 11) >= 0 {
-		t.Fatal("lane 2 access leaked into lane 0's row")
+	b.Row(2)[v] = 11
+	if b.Row(0)[v] != 9 {
+		t.Fatal("lane 2's row write leaked into lane 0")
 	}
-	// LoadLane round-trips an arbitrary position; Row aliases the matrix.
+	// LoadLane round-trips an arbitrary position.
 	row := append([]int32(nil), b.Row(2)...)
-	st := b.State(2)
 	b.ResetLane(2)
-	if b.State(2) != tab.InitState() || b.Scan(2, 11) >= 0 {
+	if b.State(2) != tab.InitState() || b.Row(2)[v] != cc0[v] {
 		t.Fatal("ResetLane did not rewind lane 2")
 	}
 	b.LoadLane(2, st, row)
-	if b.State(2) != st || b.Scan(2, 11) < 0 {
+	if b.State(2) != st || b.Row(2)[v] != 11 {
 		t.Fatal("LoadLane did not restore the forked position")
 	}
+	// Row aliases the content matrix and stays inside its lane.
 	b.Row(3)[0] = 42
-	if b.Scan(3, 42) != 0 {
-		t.Fatal("Row does not alias the content matrix")
-	}
-	// States exposes the contiguous vector StepRun slices into.
-	outs := make([]int32, 4)
-	states := append([]int32(nil), b.States()...)
-	b.StepRun(1, 3, 4, outs) // miss symbol for assoc 4
-	for l := 0; l < 4; l++ {
-		want := states[l]
-		if l >= 1 && l < 3 {
-			want, _ = tab.Step(states[l], 4)
-		}
-		if b.State(l) != want {
-			t.Fatalf("StepRun touched the wrong lanes: lane %d state %d, want %d", l, b.State(l), want)
-		}
+	if b.Row(3)[0] != 42 || b.Row(2)[0] == 42 || cap(b.Row(3)) != 4 {
+		t.Fatal("Row does not alias exactly its lane of the content matrix")
 	}
 }

@@ -7,11 +7,11 @@ package qstore
 // moves — so Val/Child pointers into the node arena obey the same
 // invalidation rules as before.
 //
-// Freed blocks (a dynamic node outgrowing its class, a Store.Reset) are
-// returned to a freebits-style two-level bitmap (bits + summary, after
-// bnclabs/gostore's malloc) and handed back by the next allocation, so
-// repeated learn/reset cycles reuse capacity instead of re-allocating the
-// trie and feeding the garbage collector.
+// A block freed when a dynamic node outgrows its class is returned to a
+// freebits-style two-level bitmap (bits + summary, after bnclabs/gostore's
+// malloc) and handed back by the next allocation of that class, so nodes
+// growing through the size classes reuse each other's outgrown blocks
+// instead of leaving them stranded in the arena.
 //
 // Fixed-degree stores have exactly one class (block = full fanout).
 // Dynamic stores round each child array up to a power of two; a node's
@@ -63,24 +63,6 @@ func (f *freebits) take() int32 {
 		return int32(w<<6 + b)
 	}
 	return -1
-}
-
-// freeAll marks every appended block free (Store.Reset).
-func (f *freebits) freeAll() {
-	for w := range f.bits {
-		n := int(f.nblocks) - w<<6
-		switch {
-		case n <= 0:
-			f.bits[w] = 0
-		case n >= 64:
-			f.bits[w] = ^uint64(0)
-		default:
-			f.bits[w] = 1<<uint(n) - 1
-		}
-		if f.bits[w] != 0 {
-			f.summary[w>>6] |= 1 << uint(w&63)
-		}
-	}
 }
 
 // classOf returns the size class of a child array holding length entries:
@@ -145,22 +127,11 @@ func (sh *Shard[K, V]) freeBlock(c int, off int32) {
 }
 
 // ArenaInts returns the shard's total arena capacity in int32 entries
-// (free and allocated alike) — the figure leak checks watch for a plateau.
+// (free and allocated alike) — the figure block-reuse checks watch.
 func (sh *Shard[K, V]) ArenaInts() int {
 	total := 0
 	for _, a := range sh.arenas {
 		total += len(a)
-	}
-	return total
-}
-
-// ArenaInts sums ArenaInts over all shards.
-func (s *Store[K, V]) ArenaInts() int {
-	total := 0
-	for i := range s.shards {
-		sh := s.AcquireIdx(i)
-		total += sh.ArenaInts()
-		sh.Release()
 	}
 	return total
 }

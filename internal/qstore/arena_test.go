@@ -1,106 +1,6 @@
 package qstore
 
-import (
-	"bytes"
-	"sync"
-	"testing"
-)
-
-// --- bloom semantics ---------------------------------------------------
-
-// The filter must never answer "absent" for a recorded key, whatever mix
-// of epoch resets and mark traffic happens around the values.
-func TestBloomNoFalseNegativesAcrossEpochReset(t *testing.T) {
-	st := New[int, int](Options{Degree: 3, Stripes: 4, Bloom: true})
-	words := Enumerate(3, 6)[1:]
-	for i, w := range words {
-		if i%2 == 0 {
-			st.Set(w, i)
-		}
-	}
-	check := func(stage string) {
-		t.Helper()
-		for i, w := range words {
-			v, ok := st.Get(w)
-			if i%2 == 0 {
-				if !ok || v != i {
-					t.Fatalf("%s: Get(%v) = (%d, %v), want (%d, true)", stage, w, v, ok, i)
-				}
-			} else if ok {
-				t.Fatalf("%s: Get(%v) found a value for an unset key", stage, w)
-			}
-		}
-	}
-	check("initial")
-	// Epoch marks are transient and must not disturb the value filter in
-	// either direction: inserting marks for unset keys must not make Get
-	// find values, and resetting epochs must not lose recorded ones.
-	for _, w := range words {
-		st.InsertMark(w)
-	}
-	st.ResetMarks()
-	check("after marks+reset")
-	st.ResetMarks()
-	st.ResetMarks()
-	check("after repeated reset")
-}
-
-func TestBloomRebuiltOnSnapshotLoad(t *testing.T) {
-	src := New[int, string](Options{Degree: 4, Stripes: 2})
-	words := Enumerate(4, 4)[1:]
-	for i, w := range words {
-		if i%3 == 0 {
-			src.Set(w, "v")
-		}
-	}
-	var buf bytes.Buffer
-	if err := src.Save(&buf, StringCodec{}); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	// Load into a bloom-equipped store: entries replay through Set, so the
-	// filter must cover every snapshotted key with no false negatives.
-	dst := New[int, string](Options{Degree: 4, Stripes: 3, Bloom: true})
-	if err := dst.Load(bytes.NewReader(buf.Bytes()), StringCodec{}); err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	for i, w := range words {
-		_, ok := dst.Get(w)
-		if want := i%3 == 0; ok != want {
-			t.Fatalf("after load, Get(%v) = %v, want %v", w, ok, want)
-		}
-	}
-}
-
-func TestBloomConcurrentStripedInsert(t *testing.T) {
-	// Concurrent writers on a Sync striped store: the per-shard filters are
-	// maintained under the shard locks, so -race must stay quiet and no
-	// recorded key may be lost.
-	st := New[int, int](Options{Degree: 5, Stripes: 8, Sync: true, Bloom: true})
-	words := Enumerate(5, 5)[1:]
-	const workers = 8
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := g; i < len(words); i += workers {
-				st.Set(words[i], i)
-				if _, ok := st.Get(words[i]); !ok {
-					t.Errorf("Get(%v) missed a just-set key", words[i])
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	for i, w := range words {
-		if v, ok := st.Get(w); !ok || v != i {
-			t.Fatalf("Get(%v) = (%d, %v), want (%d, true)", w, v, ok, i)
-		}
-	}
-}
-
-// --- arena semantics ---------------------------------------------------
+import "testing"
 
 // Node handles and recorded values must survive arbitrary arena growth:
 // blocks are appended or reallocated per node, never moved under a live id.
@@ -134,79 +34,22 @@ func TestArenaHandleStabilityAcrossGrowth(t *testing.T) {
 	}
 }
 
-func TestArenaFreebitsReuseAfterReset(t *testing.T) {
-	st := New[int, int](Options{Degree: 4, Stripes: 2})
-	words := Enumerate(4, 5)[1:]
-	fill := func() {
-		for i, w := range words {
-			st.Set(w, i)
-		}
-	}
-	fill()
-	grown := st.ArenaInts()
-	if grown == 0 {
-		t.Fatal("no arena capacity after fill")
-	}
-	st.Reset()
-	if n := st.CountSet(); n != 0 {
-		t.Fatalf("%d values survive Reset", n)
-	}
-	if got := st.ArenaInts(); got != grown {
-		t.Fatalf("Reset changed arena capacity: %d -> %d", grown, got)
-	}
-	// Refill: the same key population must be served entirely from freed
-	// blocks, with zero new arena capacity.
-	fill()
-	if got := st.ArenaInts(); got != grown {
-		t.Fatalf("refill after Reset grew the arena: %d -> %d", grown, got)
-	}
-	for i, w := range words {
-		if v, ok := st.Get(w); !ok || v != i {
-			t.Fatalf("after reuse, Get(%v) = (%d, %v), want (%d, true)", w, v, ok, i)
-		}
-	}
-}
-
-func TestArenaLengthPlateausAcrossCycles(t *testing.T) {
-	// The leak check: repeated fill/reset cycles — the shape of repeated
-	// learn runs against one warm store — must plateau in arena capacity
-	// after the first cycle, not creep.
-	st := New[int, int](Options{Degree: 3, Stripes: 4, Sync: true, Bloom: true})
-	words := Enumerate(3, 7)[1:]
-	var after1 int
-	for cycle := 0; cycle < 6; cycle++ {
-		for i, w := range words {
-			st.Set(w, cycle*len(words)+i)
-		}
-		for _, w := range words {
-			st.InsertMark(w)
-		}
-		if cycle == 0 {
-			after1 = st.ArenaInts()
-		} else if got := st.ArenaInts(); got != after1 {
-			t.Fatalf("cycle %d arena capacity %d, want plateau at %d", cycle, got, after1)
-		}
-		st.Reset()
-	}
-}
-
 func TestDynamicClassReallocationFreesOldBlocks(t *testing.T) {
 	// A dynamic node growing through size classes must hand its outgrown
-	// blocks back: re-growing a second node of the same shape after Reset
-	// must not enlarge the arena.
+	// blocks back: a second node grown through the same classes reuses
+	// them, so its top-class block is the only new arena capacity.
 	st := New[int32, struct{}](Options{Degree: 0, Stripes: 1})
-	grow := func() {
-		sh := st.Acquire(nil)
+	sh := st.Acquire(nil)
+	defer sh.Release()
+	grow := func(prefix ...int32) {
 		for e := int32(0); e < 33; e++ { // classes 1<<0 .. 1<<6
-			sh.Ensure([]int32{e})
+			sh.Ensure(append(prefix, e))
 		}
-		sh.Release()
 	}
 	grow()
-	cap1 := st.ArenaInts()
-	st.Reset()
-	grow()
-	if got := st.ArenaInts(); got != cap1 {
-		t.Fatalf("second growth cycle changed arena capacity: %d -> %d", cap1, got)
+	cap1 := sh.ArenaInts()
+	grow(0)
+	if got, want := sh.ArenaInts()-cap1, int(sh.blockSize(6)); got != want {
+		t.Fatalf("second node added %d arena entries, want %d (its class-6 block only)", got, want)
 	}
 }

@@ -68,13 +68,6 @@ type Options struct {
 	// by a single goroutine (the serial learner's memo): operations
 	// then cost no atomics beyond the epoch read.
 	Sync bool
-	// Bloom attaches a per-shard blocked bloom filter consulted by Get
-	// before trie descent, so cold lookups cost one hash probe. The
-	// filter tracks keys recorded through Store.Set (snapshot Load
-	// included); stores whose values are written through shard-level
-	// Put/SetHas bypass it and must leave Bloom off, or Get would
-	// miss their keys.
-	Bloom bool
 }
 
 // node is one key prefix in a shard's arena. Children live in the shard's
@@ -102,7 +95,6 @@ type Shard[K Key, V any] struct {
 	nodes  []node[V]
 	arenas [][]int32  // child blocks, one flat arena per size class
 	free   []freebits // freed blocks per class, for reuse
-	bloom  *shardBloom
 }
 
 // Store is a sharded prefix-trie store. See the package comment for the
@@ -135,9 +127,6 @@ func New[K Key, V any](opt Options) *Store[K, V] {
 		sh.nodes = []node[V]{{childOff: -1}}
 		if opt.Degree == 0 {
 			sh.dense = make(map[K]int32)
-		}
-		if opt.Bloom {
-			sh.bloom = newShardBloom()
 		}
 	}
 	return s
@@ -172,9 +161,6 @@ func (s *Store[K, V]) route(key []K) int {
 	}
 	return int(uint64(key[0]) % uint64(n))
 }
-
-// Route returns the shard index of key without acquiring it.
-func (s *Store[K, V]) Route(key []K) int { return s.route(key) }
 
 // Acquire returns the shard owning key, locked when the store is Sync.
 // Every key with the same first symbol, including all of key's non-empty
@@ -328,59 +314,15 @@ func (sh *Shard[K, V]) Mark(n int32) bool {
 // Len returns the shard's node count (including its root).
 func (sh *Shard[K, V]) Len() int { return len(sh.nodes) }
 
-// EdgeWidth returns the number of distinct dense edges the shard has
-// interned (dynamic stores; the fixed degree otherwise).
-func (sh *Shard[K, V]) EdgeWidth() int {
-	if sh.dense == nil {
-		return sh.st.degree
-	}
-	return len(sh.edges)
-}
-
 // ResetMarks starts a new epoch, emptying every shard's mark set in O(1).
-// Callers must not reset concurrently with marking. Recorded values — and
-// any bloom filter tracking them — are untouched.
+// Callers must not reset concurrently with marking. Recorded values are
+// untouched.
 func (s *Store[K, V]) ResetMarks() { s.epoch.Add(1) }
 
-// Reset empties the store — values, marks, interned edges, bloom filters —
-// while retaining capacity: every child block returns to its shard's
-// freebits bitmap and the node arrays keep their backing arrays, so the
-// next fill cycle reuses what this one allocated. Truncated node slots are
-// zeroed so caller-side decorations (parked sessions) are released to the
-// garbage collector. Callers must not reset concurrently with any other
-// operation.
-func (s *Store[K, V]) Reset() {
-	s.epoch.Add(1)
-	for i := range s.shards {
-		sh := s.AcquireIdx(i)
-		for c := range sh.free {
-			sh.free[c].freeAll()
-		}
-		for j := range sh.nodes {
-			sh.nodes[j] = node[V]{childOff: -1}
-		}
-		sh.nodes = sh.nodes[:1]
-		if sh.dense != nil {
-			clear(sh.dense)
-			sh.edges = sh.edges[:0]
-		}
-		if sh.bloom != nil {
-			sh.bloom.clear()
-		}
-		sh.Release()
-	}
-}
-
-// Get returns the recorded value at key, acquiring the shard itself. On a
-// bloom-equipped store, a definitely-absent key returns after one hash
-// probe of the shard's filter, with no trie descent.
+// Get returns the recorded value at key, acquiring the shard itself.
 func (s *Store[K, V]) Get(key []K) (V, bool) {
 	sh := s.Acquire(key)
 	defer sh.Release()
-	if sh.bloom != nil && !sh.bloom.mayContain(hashKey(key)) {
-		var zero V
-		return zero, false
-	}
 	n := sh.Find(key)
 	if n < 0 || !sh.nodes[n].set {
 		var zero V
@@ -393,9 +335,6 @@ func (s *Store[K, V]) Get(key []K) (V, bool) {
 func (s *Store[K, V]) Set(key []K, v V) bool {
 	sh := s.Acquire(key)
 	defer sh.Release()
-	if sh.bloom != nil {
-		sh.bloom.add(hashKey(key))
-	}
 	return sh.Put(sh.Ensure(key), v)
 }
 

@@ -55,7 +55,7 @@ func TestDynamicEdgesStayCompact(t *testing.T) {
 	big := int32(26_000_000)
 	sh := st.Acquire(nil)
 	sh.Ensure([]int32{0, big, 3, big, 7})
-	if w := sh.EdgeWidth(); w != 4 {
+	if w := len(sh.edges); w != 4 {
 		t.Fatalf("dense remap holds %d edges, want 4", w)
 	}
 	for n := 0; n < sh.Len(); n++ {
@@ -95,11 +95,11 @@ func TestRouteDeterministicAndPrefixConsistent(t *testing.T) {
 		for j := range key {
 			key[j] = int32(rng.Intn(5))
 		}
-		if st.Route(key) != st.Route(key) {
+		if st.route(key) != st.route(key) {
 			t.Fatal("routing not deterministic")
 		}
 		ext := append(append([]int32(nil), key...), 1, 2, 3, 4)
-		if st.Route(key) != st.Route(ext) || st.Route(key) != st.Route(key[:1]) {
+		if st.route(key) != st.route(ext) || st.route(key) != st.route(key[:1]) {
 			t.Fatal("keys sharing the routing prefix routed to different shards")
 		}
 	}
