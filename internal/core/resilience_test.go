@@ -113,6 +113,39 @@ func TestFaultSoakReproducible(t *testing.T) {
 	}
 }
 
+// TestFaultSoakCountersDeterministic pins the absolute counters of
+// TestFaultSoakReproducible's faulted simulator learn. The fault wrapper
+// hides the simulator from the oracle's engine, so every query takes the
+// reset-rooted probe path one probe at a time, with three votes per probe
+// against the plan's answer flips; retries, disagreements, probes and
+// memo hits all follow from the seeded plan alone.
+func TestFaultSoakCountersDeterministic(t *testing.T) {
+	t.Parallel()
+	plan := faulty.Plan{Seed: 7, ErrRate: 0.05, FlipRate: 0.002, DieReplica: -1}
+	res, err := LearnSimulated(context.Background(), SimRequest{
+		Policy: "New1",
+		Assoc:  4,
+		Learn:  learn.Options{Depth: 1, Algo: learn.AlgoTree},
+		Sim:    SimOptions{Faults: &plan, Retry: fastRetry()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.LearnStats.Duration = 0
+	wantLearn := learn.Stats{OutputQueries: 46373, QuerySymbols: 455606, Rounds: 148, TestWords: 899675, Counterexample: 151}
+	wantOracle := polca.Stats{OutputQueries: 46373, Symbols: 455606, Probes: 317225, MemoHits: 748653,
+		Accesses: 3243790, Retries: 50051, Disagreements: 1982, Reprobes: 14}
+	if res.LearnStats != wantLearn {
+		t.Errorf("learner stats %+v, want %+v", res.LearnStats, wantLearn)
+	}
+	if res.OracleStats != wantOracle {
+		t.Errorf("oracle stats %+v, want %+v", res.OracleStats, wantOracle)
+	}
+	if res.Fleet != nil {
+		t.Errorf("local learn reported fleet stats %+v", res.Fleet)
+	}
+}
+
 // TestFaultSoakHardwareReplicaDeath: the full hardware pipeline under ≥5%
 // transient errors plus one replica death mid-run must still learn the
 // byte-identical machine of a fault-free run — the pool quarantines the dead
