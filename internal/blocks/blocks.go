@@ -94,8 +94,7 @@ func Ordered(n int) []Block {
 }
 
 // Fresh returns the first block in universe order that does not occur in
-// taken. It is used by Polca's mapInput to materialize an Evct input as an
-// access to a block that is guaranteed to miss.
+// taken: a block that is guaranteed to miss in a cache holding taken.
 func Fresh(taken []Block) Block {
 	in := make(map[Block]bool, len(taken))
 	for _, b := range taken {

@@ -57,18 +57,6 @@ import (
 // learner's query trajectory does not depend on the core count.
 const engineHint = 16
 
-// ProbeBatcher is an optional Prober extension executing several
-// independent reset-rooted probes in one call — cachequery's replica pool
-// and remote fleets implement it by fanning the probes over their
-// frontends. The oracle groups the associativity-many findEvicted probes of
-// an Evct through it. Counters are maintained per probe exactly as on the
-// serial path; only error paths differ (a failing batch aborts after
-// issuing all probes where the serial loop stops at the first).
-type ProbeBatcher interface {
-	Prober
-	ProbeBatch(ctx context.Context, qs [][]blocks.Block) ([]cache.Outcome, error)
-}
-
 // errBatchPlaceholder surfaces if a placeholder session escapes its batch.
 var errBatchPlaceholder = errors.New("polca: batch placeholder session used outside its batch")
 
@@ -82,7 +70,7 @@ type batchPark struct {
 
 // Access implements Session (never legitimately called).
 func (p *batchPark) Access(blocks.Block) (cache.Outcome, error) {
-	return Missed(), errBatchPlaceholder
+	return cache.Miss, errBatchPlaceholder
 }
 
 // Fork implements Session (never legitimately called).
@@ -153,13 +141,8 @@ func (o *Oracle) engineBatch(ctx context.Context, words [][]int) ([][]int, error
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	n := o.sim.n
-	for _, w := range words {
-		for _, ip := range w {
-			if ip < 0 || ip > n {
-				return nil, fmt.Errorf("polca: input %d out of range for associativity %d", ip, n)
-			}
-		}
+	if err := checkInputs(o.sim.n, words...); err != nil {
+		return nil, err
 	}
 	out, err := o.engineRun(ctx, words)
 	if err != nil {
@@ -463,38 +446,24 @@ func (br *batchRun) executeSessions() error {
 // the accesses issued.
 func stepSession(sess Session, ip int, b int32, cc []int32) (int, int, error) {
 	n := len(cc)
-	blk := blocks.Interned(int(b))
-	oc, err := sess.Access(blk)
+	oc, err := sess.Access(blocks.Interned(int(b)))
 	if err != nil {
 		return 0, 0, err
 	}
+	if err := checkAccess(ip, n, oc, b); err != nil {
+		return 0, 1, err
+	}
 	if ip < n {
-		if oc != cache.Hit {
-			return 0, 1, fmt.Errorf("%w: access to cached block %s missed", ErrNondeterministic, blk)
-		}
 		return policy.Bottom, 1, nil
 	}
-	if oc != cache.Miss {
-		return 0, 1, fmt.Errorf("%w: access to fresh block %s hit", ErrNondeterministic, blk)
-	}
-	evicted := -1
-	for j := 0; j < n; j++ {
-		poc, err := evictionProbe(sess, blocks.Interned(int(cc[j])))
-		if err != nil {
+	ocs := make([]cache.Outcome, n)
+	for j := range ocs {
+		if ocs[j], err = evictionProbe(sess, blocks.Interned(int(cc[j]))); err != nil {
 			return 0, 1 + j, err
 		}
-		if poc == cache.Miss {
-			if evicted != -1 {
-				return 0, 1 + n, fmt.Errorf("%w: blocks %s and %s both evicted by one miss",
-					ErrNondeterministic, blocks.Interned(int(cc[evicted])), blocks.Interned(int(cc[j])))
-			}
-			evicted = j
-		}
 	}
-	if evicted == -1 {
-		return 0, 1 + n, fmt.Errorf("%w: no resident block evicted by a miss", ErrNondeterministic)
-	}
-	return evicted, 1 + n, nil
+	evicted, err := victim(ocs, cc)
+	return evicted, 1 + n, err
 }
 
 // record writes every pending word's outputs into the store and swaps
@@ -555,185 +524,4 @@ func (br *batchRun) dropPlaceholders() {
 		}
 		sh.Release()
 	}
-}
-
-// executeProbeBatch is executeProbe over a group of probes: the retry
-// policy wraps each ProbeBatch call, and WithProbeVotes re-issues the group
-// and majority-votes every probe.
-func (o *Oracle) executeProbeBatch(ctx context.Context, bpr ProbeBatcher, qs [][]blocks.Block) ([]cache.Outcome, error) {
-	var res []cache.Outcome
-	batch := func() (cache.Outcome, error) {
-		var err error
-		res, err = bpr.ProbeBatch(ctx, qs)
-		return Missed(), err
-	}
-	if o.votes <= 1 {
-		if _, err := o.retry.Do(ctx, &o.retriesN, batch); err != nil {
-			return nil, err
-		}
-		return res, nil
-	}
-	hits := make([]int, len(qs))
-	for v := 0; v < o.votes; v++ {
-		if _, err := o.retry.Do(ctx, &o.retriesN, batch); err != nil {
-			return nil, err
-		}
-		for i, oc := range res {
-			if oc == cache.Hit {
-				hits[i]++
-			}
-		}
-	}
-	out := make([]cache.Outcome, len(qs))
-	for i, h := range hits {
-		out[i] = o.tally(h)
-	}
-	return out, nil
-}
-
-// findEvictedTrieBatched is mapOutputTrie's eviction-probe loop grouped
-// into one ProbeBatch call on the memoized trie path — the shape a remote
-// fleet needs: the associativity-many probes of one Evct either answer
-// from the probe trie or ship together as a single round trip instead of
-// associativity sequential ones. Each probe first walks the exact serial
-// memo protocol (hit, join an in-flight execution, or claim the
-// single-flight slot); only the claimed residue is batched. Bookkeeping is
-// per probe identical to the serial loop — memoHits for hits and joins,
-// probesN/accessesN on execution, memo entries recorded under the same
-// trie nodes — so stores, counters and answers match a serial run
-// bit-for-bit. Only error delivery differs: a failing batch fails all
-// claimed probes after issuing them, where the serial loop stops at the
-// first.
-//
-// A group allocates per group, not per probe: the probe keys and block
-// sequences are carved from one backing array each, and the claimed probes
-// share one in-flight record array and one done channel, closed once the
-// whole claim is recorded. Nothing is reused across groups, because a
-// prober may still hold a batch's slices after it returns (a remote
-// fleet's losing hedge).
-func (o *Oracle) findEvictedTrieBatched(ctx context.Context, bpr ProbeBatcher, ic []int32, icN []blocks.Block, cc []int32) (int, error) {
-	n := o.prober.Assoc()
-	m := len(ic) + 1
-	pidBuf := make([]int32, n*m)
-	qBuf := make([]blocks.Block, n*m)
-	g := make([]groupProbe, n)
-	var (
-		claims, waits []int // probe indices, in group order
-		claimed       []inflightProbe
-		done          chan struct{}
-	)
-	for i := range g {
-		p := &g[i]
-		p.ids = pidBuf[i*m : (i+1)*m : (i+1)*m]
-		copy(p.ids, ic)
-		p.ids[m-1] = cc[i]
-		p.q = qBuf[i*m : (i+1)*m : (i+1)*m]
-		copy(p.q, icN)
-		p.q[m-1] = blocks.Interned(int(cc[i]))
-		sh := o.pt.Acquire(p.ids)
-		p.node = sh.Ensure(p.ids)
-		switch {
-		case sh.Has(p.node):
-			p.oc = sh.Val(p.node).oc
-			o.memoHits.Add(1)
-			sh.Release()
-		case sh.Val(p.node).fl != nil:
-			p.fl = sh.Val(p.node).fl
-			sh.Release()
-			waits = append(waits, i)
-		default:
-			if claimed == nil {
-				claimed = make([]inflightProbe, n)
-				done = make(chan struct{})
-				claims = make([]int, 0, n)
-			}
-			p.fl = &claimed[len(claims)]
-			p.fl.done = done
-			sh.Val(p.node).fl = p.fl
-			sh.Release()
-			claims = append(claims, i)
-		}
-	}
-	var groupErr error
-	if len(claims) > 0 {
-		sub := make([][]blocks.Block, len(claims))
-		for j, i := range claims {
-			sub[j] = g[i].q
-		}
-		res, err := o.executeProbeBatch(ctx, bpr, sub)
-		groupErr = err
-		for j, i := range claims {
-			p := &g[i]
-			if err == nil {
-				p.fl.oc = res[j]
-				p.oc = res[j]
-			} else {
-				p.fl.err = err
-			}
-			sh := o.pt.Acquire(p.ids)
-			sh.Val(p.node).fl = nil
-			if err == nil {
-				o.probesN.Add(1)
-				o.accessesN.Add(int64(len(p.q)))
-				sh.Put(p.node, probeVal{oc: p.oc})
-			}
-			sh.Release()
-		}
-		close(done)
-	}
-	for _, i := range waits {
-		p := &g[i]
-		<-p.fl.done
-		if p.fl.err != nil {
-			if groupErr == nil {
-				groupErr = p.fl.err
-			}
-			continue
-		}
-		o.memoHits.Add(1)
-		p.oc = p.fl.oc
-	}
-	if groupErr != nil {
-		return 0, groupErr
-	}
-	check := func() (int, error) {
-		evicted := -1
-		for i := range g {
-			if g[i].oc == cache.Miss {
-				if evicted != -1 {
-					return 0, fmt.Errorf("%w: blocks %s and %s both evicted by one miss",
-						ErrNondeterministic, blocks.Interned(int(cc[evicted])), blocks.Interned(int(cc[i])))
-				}
-				evicted = i
-			}
-		}
-		if evicted == -1 {
-			return 0, fmt.Errorf("%w: no resident block evicted by a miss", ErrNondeterministic)
-		}
-		return evicted, nil
-	}
-	evicted, err := check()
-	if err != nil {
-		// An inconsistent eviction group means at least one probe in it is
-		// wrong — re-measure the whole group serially (correcting the memo,
-		// exactly as the serial scan's refresh pass) before giving up.
-		for i := range g {
-			poc, rerr := o.reprobe(ctx, g[i].q, g[i].ids)
-			if rerr != nil {
-				return 0, rerr
-			}
-			g[i].oc = poc
-		}
-		evicted, err = check()
-	}
-	return evicted, err
-}
-
-// groupProbe is one eviction probe of findEvictedTrieBatched.
-type groupProbe struct {
-	ids  []int32        // probe-store key
-	q    []blocks.Block // reset-rooted block sequence
-	node int32          // probe-store node of ids
-	oc   cache.Outcome
-	fl   *inflightProbe // joined flight, or this group's claim
 }

@@ -41,12 +41,12 @@ func (f *fakeFleet) setWidth(w int) {
 func (f *fakeFleet) run(q []blocks.Block) (cache.Outcome, error) {
 	s, err := f.inner.NewSession()
 	if err != nil {
-		return Missed(), err
+		return cache.Miss, err
 	}
 	oc := cache.Miss
 	for _, b := range q {
 		if oc, err = s.Access(b); err != nil {
-			return Missed(), err
+			return cache.Miss, err
 		}
 	}
 	return oc, nil

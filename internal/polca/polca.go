@@ -74,7 +74,7 @@ type Session interface {
 func evictionProbe(sess Session, b blocks.Block) (cache.Outcome, error) {
 	fork, err := sess.Fork()
 	if err != nil {
-		return Missed(), err
+		return cache.Miss, err
 	}
 	return fork.Access(b)
 }
@@ -133,8 +133,8 @@ type Stats struct {
 // A simulator oracle (*SimProber) answers every query through one engine —
 // plan → execute → record, serialized per oracle (see engine.go) — so its
 // answers and cost counters do not depend on the host or on how callers
-// chunk their queries. Any other prober takes the reset-rooted probe path,
-// and independent words of a batch fan out on parallel goroutines when the
+// chunk their queries. Any other prober takes the reset-rooted probe path
+// (see probe.go), and independent words of a batch fan out on parallel goroutines when the
 // prober is a ConcurrentProber (a replicated hardware interface, a remote
 // fleet). The stores are lock-striped — one shard per leading input symbol
 // — so those workers recording answers in different subtrees never contend
@@ -175,15 +175,6 @@ type Oracle struct {
 	pt     *qstore.Store[int32, probeVal] // block-level probe memo + single-flight
 	lru    []lruList                      // per-shard parked-session LRU (see store.go)
 	lruCap int                            // parked-session budget per shard
-}
-
-// inflightProbe is a single-flight slot: the first goroutine to miss the
-// memo on a key executes the probe, every concurrent requester of the same
-// key waits on done instead of duplicating the (expensive) execution.
-type inflightProbe struct {
-	done chan struct{}
-	oc   cache.Outcome
-	err  error
 }
 
 // Option configures an Oracle.
@@ -379,163 +370,17 @@ func (o *Oracle) parallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// probe issues one memoized reset-rooted probe through the block-id probe
-// store: ids carries q as dense block indices, so the memo key is a trie
-// path, not an allocated string. The probe's shard stays locked only
-// around the memo bookkeeping; the execution itself is single-flighted so
-// parallel batch goroutines that miss the memo on the same key (words
-// sharing an input prefix probe identical block sequences) wait for one
-// execution instead of duplicating it.
-func (o *Oracle) probe(ctx context.Context, q []blocks.Block, ids []int32) (cache.Outcome, error) {
-	sh := o.pt.Acquire(ids)
-	n := sh.Ensure(ids)
-	if sh.Has(n) {
-		oc := sh.Val(n).oc
-		o.memoHits.Add(1)
-		sh.Release()
-		return oc, nil
-	}
-	if fl := sh.Val(n).fl; fl != nil {
-		sh.Release()
-		<-fl.done
-		if fl.err != nil {
-			return Missed(), fl.err
-		}
-		o.memoHits.Add(1)
-		return fl.oc, nil
-	}
-	fl := &inflightProbe{done: make(chan struct{})}
-	sh.Val(n).fl = fl
-	sh.Release()
-
-	fl.oc, fl.err = o.executeProbe(ctx, q, false)
-	sh = o.pt.Acquire(ids)
-	sh.Val(n).fl = nil
-	if fl.err == nil {
-		o.probesN.Add(1)
-		o.accessesN.Add(int64(len(q)))
-		sh.Put(n, probeVal{oc: fl.oc})
-	}
-	sh.Release()
-	close(fl.done)
-	if fl.err != nil {
-		return Missed(), fl.err
-	}
-	return fl.oc, nil
-}
-
-// freshProbe is the determinism audit's probe: it bypasses the memo
-// entirely AND forces a real execution on cached probing stacks
-// (FreshProber) — a cached replay of the first answer would make the audit
-// vacuous.
-func (o *Oracle) freshProbe(ctx context.Context, q []blocks.Block) (cache.Outcome, error) {
-	oc, err := o.executeProbe(ctx, q, true)
-	if err != nil {
-		return Missed(), err
-	}
-	o.probesN.Add(1)
-	o.accessesN.Add(int64(len(q)))
-	return oc, nil
-}
-
-// reprobe forcibly re-executes a probe whose memoized or just-measured
-// outcome failed a consistency check (a cached access that missed, a fresh
-// access that hit, an eviction group without exactly one victim). On noisy
-// backends such a violation is overwhelmingly a measurement fault that
-// slipped past retry and voting, not true nondeterminism — so the outcome
-// is re-measured (re-voted) once and the memo corrected before the caller
-// decides whether to declare ErrNondeterministic. The re-measurement is
-// fresh (FreshProber): a cached probing stack would otherwise replay the
-// suspect answer it stored. Every such re-measurement is counted in
-// Stats.Reprobes.
-func (o *Oracle) reprobe(ctx context.Context, q []blocks.Block, ids []int32) (cache.Outcome, error) {
-	oc, err := o.executeProbe(ctx, q, true)
-	if err != nil {
-		return Missed(), err
-	}
-	o.reprobesN.Add(1)
-	o.probesN.Add(1)
-	o.accessesN.Add(int64(len(q)))
-	sh := o.pt.Acquire(ids)
-	sh.Put(sh.Ensure(ids), probeVal{oc: oc})
-	sh.Release()
-	return oc, nil
-}
-
-// executeProbe runs one probe on the prober, absorbing transient failures
-// through the retry policy and — when WithProbeVotes is set — re-executing
-// the probe and majority-voting the outcome to defend against wrong-answer
-// flips. Vote disagreements are counted; a probe whose executions split
-// evenly is decided by the majority count (strictly more than half of the
-// votes cast), which exists because vote counts are chosen odd by callers.
-func (o *Oracle) executeProbe(ctx context.Context, q []blocks.Block, fresh bool) (cache.Outcome, error) {
-	if o.votes <= 1 {
-		return o.retryProbe(ctx, q, fresh)
-	}
-	hits := 0
-	for v := 0; v < o.votes; v++ {
-		oc, err := o.retryProbe(ctx, q, fresh)
-		if err != nil {
-			return Missed(), err
-		}
-		if oc == cache.Hit {
-			hits++
-		}
-	}
-	return o.tally(hits), nil
-}
-
-// tally turns the hit count of o.votes executions into the majority
-// outcome, counting a split vote as a disagreement.
-func (o *Oracle) tally(hits int) cache.Outcome {
-	if hits != 0 && hits != o.votes {
-		o.disagreeN.Add(1)
-	}
-	if hits*2 > o.votes {
-		return cache.Hit
-	}
-	return cache.Miss
-}
-
-// retryProbe is one voted execution: the raw probe wrapped in the
-// exponential-backoff retry loop of retry.go.
-func (o *Oracle) retryProbe(ctx context.Context, q []blocks.Block, fresh bool) (cache.Outcome, error) {
-	return o.retry.Do(ctx, &o.retriesN, func() (cache.Outcome, error) {
-		return o.rawProbe(ctx, q, fresh)
-	})
-}
-
-// rawProbe runs one probe on the prober, through ProbeFresh when the audit
-// demands an uncached execution and the prober supports it.
-func (o *Oracle) rawProbe(ctx context.Context, q []blocks.Block, fresh bool) (cache.Outcome, error) {
-	if fresh {
-		if fp, ok := o.prober.(FreshProber); ok {
-			return fp.ProbeFresh(ctx, q)
-		}
-	}
-	return o.prober.Probe(ctx, q)
-}
-
-// Missed is a zero Outcome helper used on error paths.
-func Missed() cache.Outcome { return cache.Miss }
-
 // OutputQuery runs the policy-input word (encoded as in package policy:
 // 0..n-1 are Ln(i), n is Evct) against the cache and returns the policy
 // output word: policy.Bottom for every Ln input and the evicted line for
 // every Evct input. This is the oracle the learner consumes; Membership
 // (Algorithm 1 verbatim) is a comparison on top of it.
 func (o *Oracle) OutputQuery(ctx context.Context, word []int) ([]int, error) {
-	if o.sim != nil {
-		out, err := o.engineBatch(ctx, [][]int{word})
-		if err != nil {
-			return nil, err
-		}
-		return out[0], nil
-	}
-	if err := ctx.Err(); err != nil {
+	out, err := o.OutputQueryBatch(ctx, [][]int{word})
+	if err != nil {
 		return nil, err
 	}
-	return o.outputQuery(ctx, int(o.outputQueries.Add(1)), word)
+	return out[0], nil
 }
 
 // outputQuery answers word as output query number seq on the probe path.
@@ -580,15 +425,22 @@ func (o *Oracle) audit(ctx context.Context, seq int, word, out []int) error {
 // independent output queries. A simulator oracle answers the whole batch
 // in one engine pass; otherwise the words fan out across a worker pool
 // when the prober supports concurrent probing (a replicated hardware
-// interface, a remote fleet), falling back to a serial loop. Answers, memo
-// contents and counters are identical to asking the words one by one;
-// only the wall-clock cost changes. The fan-out reserves the batch's
-// query numbers up front and gives each word its index-ordered number, so
-// which words the determinism audit re-checks does not depend on
-// goroutine scheduling.
+// interface, a remote fleet), falling back to a serial loop. A word with an
+// out-of-range symbol fails the whole call before any counter, store or
+// probe is touched. Answers, memo contents and counters are identical to
+// asking the words one by one; only the wall-clock cost changes. The
+// fan-out reserves the batch's query numbers up front and gives each word
+// its index-ordered number, so which words the determinism audit re-checks
+// does not depend on goroutine scheduling.
 func (o *Oracle) OutputQueryBatch(ctx context.Context, words [][]int) ([][]int, error) {
 	if o.sim != nil {
 		return o.engineBatch(ctx, words)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if err := checkInputs(o.prober.Assoc(), words...); err != nil {
+		return nil, err
 	}
 	workers := o.parallelism()
 	if workers > len(words) {
@@ -597,16 +449,13 @@ func (o *Oracle) OutputQueryBatch(ctx context.Context, words [][]int) ([][]int, 
 	out := make([][]int, len(words))
 	if workers <= 1 {
 		for i, w := range words {
-			ans, err := o.OutputQuery(ctx, w)
+			ans, err := o.outputQuery(ctx, int(o.outputQueries.Add(1)), w)
 			if err != nil {
 				return nil, err
 			}
 			out[i] = ans
 		}
 		return out, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
 	}
 	first := int(o.outputQueries.Add(int64(len(words)))) - len(words) + 1
 	errs := make([]error, len(words))
@@ -657,247 +506,22 @@ func (o *Oracle) OutputQueryBatch(ctx context.Context, words [][]int) ([][]int, 
 	return out, nil
 }
 
-// outputQueryProbes is the faithful Algorithm 1 loop over fresh
-// reset-rooted probes, which every prober implements. It is the
-// determinism audit's re-execution: no memo, no re-probing — an
-// inconsistency here is exactly what the audit exists to catch.
-func (o *Oracle) outputQueryProbes(ctx context.Context, word []int) ([]int, error) {
-	n := o.prober.Assoc()
-	cc := append([]blocks.Block(nil), o.cc0...)
-	ic := make([]blocks.Block, 0, len(word))
-	out := make([]int, len(word))
-
-	for i, ip := range word {
-		b, err := mapInput(ip, cc, n)
-		if err != nil {
-			return nil, err
-		}
-		ic = append(ic, b)
-		oc, err := o.freshProbe(ctx, ic)
-		if err != nil {
-			return nil, err
-		}
-		op, err := o.mapOutputProbes(ctx, ip, oc, ic, cc)
-		if err != nil {
-			return nil, err
-		}
-		if op != policy.Bottom {
-			cc[op] = b
-		}
-		out[i] = op
-	}
-	return out, nil
-}
-
-// mapOutputProbes maps a cache outcome back to a policy output, issuing the
-// findEvicted probes on a miss.
-func (o *Oracle) mapOutputProbes(ctx context.Context, ip int, oc cache.Outcome, ic []blocks.Block, cc []blocks.Block) (int, error) {
-	n := o.prober.Assoc()
-	if ip < n { // Ln(i): the block is cached, the access must hit
-		if oc != cache.Hit {
-			return 0, fmt.Errorf("%w: access to cached block %s missed", ErrNondeterministic, ic[len(ic)-1])
-		}
-		return policy.Bottom, nil
-	}
-	// Evct: the access must miss, and exactly one resident block must have
-	// been displaced.
-	if oc != cache.Miss {
-		return 0, fmt.Errorf("%w: access to fresh block %s hit", ErrNondeterministic, ic[len(ic)-1])
-	}
-	evicted := -1
-	for i := 0; i < n; i++ {
-		poc, err := o.freshProbe(ctx, append(append([]blocks.Block(nil), ic...), cc[i]))
-		if err != nil {
-			return 0, err
-		}
-		if poc == cache.Miss {
-			if evicted != -1 {
-				return 0, fmt.Errorf("%w: blocks %s and %s both evicted by one miss", ErrNondeterministic, cc[evicted], cc[i])
-			}
-			evicted = i
-		}
-	}
-	if evicted == -1 {
-		return 0, fmt.Errorf("%w: no resident block evicted by a miss", ErrNondeterministic)
-	}
-	return evicted, nil
-}
-
-// walkKnownPrefix walks word through the output store under the word's
-// shard lock, filling out[] and evolving cc for every symbol whose output
-// is recorded. It returns the number of known symbols k and the block fed
-// at each known position. The caller answers symbols 0..k-1 with zero
-// prober work.
-func (o *Oracle) walkKnownPrefix(sh *outShard, word, out []int, cc []int32, feed []int32) (k int, fed []int32, err error) {
-	n := o.prober.Assoc()
-	node := int32(0)
-	for k < len(word) {
-		ip := word[k]
-		if ip < 0 || ip > n {
-			return 0, feed, fmt.Errorf("polca: input %d out of range for associativity %d", ip, n)
-		}
-		c := sh.Child(node, ip)
-		if c < 0 || !sh.Has(c) {
-			break
-		}
-		b := mapInputID(ip, cc)
-		op := int(sh.Val(c).out)
-		out[k] = op
-		if op != policy.Bottom {
-			cc[op] = b
-		}
-		feed = append(feed, b)
-		node = c
-		k++
-	}
-	return k, feed, nil
-}
-
-// recordOutputs stores the outputs of word in the output store, under the
-// word's shard lock.
-func (o *Oracle) recordOutputs(word, out []int) {
-	sh := o.out.Acquire(word)
-	node := int32(0)
-	for d, ip := range word {
-		node = sh.Extend(node, ip)
-		sh.Val(node).out = int16(out[d])
-		sh.SetHas(node)
-	}
-	sh.Release()
-}
-
-// probesQueryTrie answers one output query over reset-rooted probes, for
-// probers the engine does not drive: the recorded prefix skips its probes
-// entirely, and the remaining symbols go through the block-id probe store
-// (exact-match memo + single-flight).
-func (o *Oracle) probesQueryTrie(ctx context.Context, word []int) ([]int, error) {
-	n := o.prober.Assoc()
-	out := make([]int, len(word))
-	cc := append([]int32(nil), o.cc0IDs...)
-	feed := make([]int32, 0, len(word))
-
-	sh := o.out.Acquire(word)
-	k, feed, err := o.walkKnownPrefix(sh, word, out, cc, feed)
-	sh.Release()
-	if err != nil {
-		return nil, err
-	}
-	// A recorded symbol spares the probes this path would issue for it:
-	// the access, plus n eviction probes for an Evct. Counting those keeps
-	// MemoHits independent of whether a concurrent word sharing the prefix
-	// recorded it first or is still probing it.
-	spared := k
-	for _, ip := range word[:k] {
-		if ip == n {
-			spared += n
-		}
-	}
-	o.memoHits.Add(int64(spared))
-	if k == len(word) {
-		return out, nil
-	}
-
-	ic := feed // reuse the prefix's block ids as the probe id sequence
-	icN := make([]blocks.Block, len(ic), len(word))
-	for i, b := range ic {
-		icN[i] = blocks.Interned(int(b))
-	}
-	for i := k; i < len(word); i++ {
-		ip := word[i]
-		if ip < 0 || ip > n {
-			return nil, fmt.Errorf("polca: input %d out of range for associativity %d", ip, n)
-		}
-		b := mapInputID(ip, cc)
-		ic = append(ic, b)
-		icN = append(icN, blocks.Interned(int(b)))
-		oc, err := o.probe(ctx, icN, ic)
-		if err != nil {
-			return nil, err
-		}
-		op, err := o.mapOutputTrie(ctx, ip, oc, ic, icN, cc)
-		if err != nil {
-			return nil, err
-		}
-		if op != policy.Bottom {
-			cc[op] = b
-		}
-		out[i] = op
-	}
-	o.recordOutputs(word, out)
-	return out, nil
-}
-
-// mapOutputTrie maps a cache outcome back to a policy output on the trie
-// probe path, issuing the findEvicted probes by block id. Over a
-// ProbeBatcher (a remote fleet, a replica pool) the eviction-probe group
-// ships as one grouped call with identical memo and counter bookkeeping —
-// see findEvictedTrieBatched.
-func (o *Oracle) mapOutputTrie(ctx context.Context, ip int, oc cache.Outcome, ic []int32, icN []blocks.Block, cc []int32) (int, error) {
-	n := o.prober.Assoc()
-	if ip < n { // Ln(i): the block is cached, the access must hit
-		if oc != cache.Hit {
-			// Suspected measurement fault: re-measure (and correct the
-			// memo) once before declaring nondeterminism.
-			roc, rerr := o.reprobe(ctx, icN, ic)
-			if rerr != nil {
-				return 0, rerr
-			}
-			if roc != cache.Hit {
-				return 0, fmt.Errorf("%w: access to cached block %s missed", ErrNondeterministic, icN[len(icN)-1])
+// checkInputs rejects any word with a symbol outside the policy alphabet of
+// associativity n. Every query entry point runs it over the whole call
+// before touching a counter, a store or the prober.
+func checkInputs(n int, words ...[]int) error {
+	for _, w := range words {
+		for _, ip := range w {
+			if ip < 0 || ip > n {
+				return fmt.Errorf("polca: input %d out of range for associativity %d", ip, n)
 			}
 		}
-		return policy.Bottom, nil
 	}
-	if oc != cache.Miss {
-		roc, rerr := o.reprobe(ctx, icN, ic)
-		if rerr != nil {
-			return 0, rerr
-		}
-		if roc != cache.Miss {
-			return 0, fmt.Errorf("%w: access to fresh block %s hit", ErrNondeterministic, icN[len(icN)-1])
-		}
-	}
-	if bpr, ok := o.prober.(ProbeBatcher); ok {
-		return o.findEvictedTrieBatched(ctx, bpr, ic, icN, cc)
-	}
-	scan := func(refresh bool) (int, error) {
-		evicted := -1
-		for i := 0; i < n; i++ {
-			pids := append(append([]int32(nil), ic...), cc[i])
-			pN := append(append([]blocks.Block(nil), icN...), blocks.Interned(int(cc[i])))
-			var poc cache.Outcome
-			var err error
-			if refresh {
-				poc, err = o.reprobe(ctx, pN, pids)
-			} else {
-				poc, err = o.probe(ctx, pN, pids)
-			}
-			if err != nil {
-				return 0, err
-			}
-			if poc == cache.Miss {
-				if evicted != -1 {
-					return 0, fmt.Errorf("%w: blocks %s and %s both evicted by one miss",
-						ErrNondeterministic, blocks.Interned(int(cc[evicted])), blocks.Interned(int(cc[i])))
-				}
-				evicted = i
-			}
-		}
-		if evicted == -1 {
-			return 0, fmt.Errorf("%w: no resident block evicted by a miss", ErrNondeterministic)
-		}
-		return evicted, nil
-	}
-	evicted, err := scan(false)
-	if err != nil && errors.Is(err, ErrNondeterministic) {
-		// An inconsistent eviction group means at least one probe in it is
-		// wrong — re-measure the whole group before giving up.
-		evicted, err = scan(true)
-	}
-	return evicted, err
+	return nil
 }
 
-// mapInputID is mapInput over dense block ids; the input must already be
+// mapInputID is the paper's mapInput over dense block ids: Ln(i) feeds the
+// block tracked at line i, Evct a fresh block. The input must already be
 // range-checked.
 func mapInputID(ip int, cc []int32) int32 {
 	if ip < len(cc) {
@@ -921,18 +545,6 @@ func freshID(cc []int32) int32 {
 			return id
 		}
 	}
-}
-
-// mapInput maps a policy input to a memory block given the tracked content
-// (the paper's mapInput).
-func mapInput(ip int, cc []blocks.Block, n int) (blocks.Block, error) {
-	if ip < 0 || ip > n {
-		return "", fmt.Errorf("polca: input %d out of range for associativity %d", ip, n)
-	}
-	if ip < n {
-		return cc[ip], nil
-	}
-	return blocks.Fresh(cc), nil
 }
 
 // Pair is one input/output pair of a policy trace.

@@ -293,6 +293,52 @@ func TestOracleRejectsBadInput(t *testing.T) {
 	}
 }
 
+// callCountingProber counts every call that reaches the prober.
+type callCountingProber struct {
+	inner Prober
+	calls int
+}
+
+func (p *callCountingProber) Assoc() int                     { return p.inner.Assoc() }
+func (p *callCountingProber) InitialContent() []blocks.Block { return p.inner.InitialContent() }
+func (p *callCountingProber) Probe(ctx context.Context, q []blocks.Block) (cache.Outcome, error) {
+	p.calls++
+	return p.inner.Probe(ctx, q)
+}
+
+// TestProbePathRejectsBadInputBeforeProbing: on the reset-rooted probe
+// path a word with an out-of-range symbol is rejected before any counter
+// moves or any probe runs — a trailing bad symbol must not cost the probes
+// of the valid prefix, and a bad word anywhere in a batch must not cost
+// the probes of the words before it.
+func TestProbePathRejectsBadInputBeforeProbing(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ask  func(*Oracle) error
+	}{
+		{"query", func(o *Oracle) error {
+			_, err := o.OutputQuery(context.Background(), []int{0, 4, 7})
+			return err
+		}},
+		{"batch", func(o *Oracle) error {
+			_, err := o.OutputQueryBatch(context.Background(), [][]int{{1, 2}, {0, -1}})
+			return err
+		}},
+	} {
+		cp := &callCountingProber{inner: SlowProber{P: NewSimProber(policy.MustNew("LRU", 4))}}
+		o := NewOracle(cp)
+		if err := tc.ask(o); err == nil {
+			t.Errorf("%s: out-of-range input accepted", tc.name)
+		}
+		if st := o.Stats(); st != (Stats{}) {
+			t.Errorf("%s: rejected input left stats %+v, want zero", tc.name, st)
+		}
+		if cp.calls != 0 {
+			t.Errorf("%s: rejected input cost %d prober calls, want 0", tc.name, cp.calls)
+		}
+	}
+}
+
 func TestSimProberProbe(t *testing.T) {
 	p := NewSimProber(policy.MustNew("LRU", 2))
 	oc, err := p.Probe(context.Background(), []string{"A", "B", "C", "A"})

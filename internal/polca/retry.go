@@ -93,7 +93,7 @@ func (rp RetryPolicy) Do(ctx context.Context, retries *atomic.Int64, fn func() (
 		select {
 		case <-ctx.Done():
 			t.Stop()
-			return Missed(), ctx.Err()
+			return cache.Miss, ctx.Err()
 		case <-t.C:
 		}
 		oc, err = fn()
@@ -101,5 +101,5 @@ func (rp RetryPolicy) Do(ctx context.Context, retries *atomic.Int64, fn func() (
 			return oc, err
 		}
 	}
-	return Missed(), err
+	return cache.Miss, err
 }

@@ -66,7 +66,7 @@ func (p *SimProber) InitialContent() []blocks.Block {
 // Probe implements Prober.
 func (p *SimProber) Probe(ctx context.Context, q []blocks.Block) (cache.Outcome, error) {
 	if err := ctx.Err(); err != nil {
-		return Missed(), err
+		return cache.Miss, err
 	}
 	if p.tab != nil {
 		p.scratch.reset(p.tab, p.cc0)
