@@ -632,13 +632,13 @@ func BenchmarkSynthParallel(b *testing.B) {
 
 // BenchmarkOracleFanout measures the distributed oracle fan-out: one probe
 // batch dispatched through remote.Fleet's sub-batch splitter at 1, 4 and 16
-// loopback workers. Each worker charges a fixed per-executed-probe latency
+// loopback workers. Each worker charges a fixed per-probe latency
 // (WorkerConfig.ProbeCost) serialized per worker — emulating the pinned
 // measurement core of a hardware backend — so throughput scales with fleet
 // width, not local core count; pure simulator probes would be too cheap to
-// be worth shipping over HTTP at all. Every iteration probes fresh,
-// never-seen words (a base-NumInputs counter encoding), so worker memos
-// never convert the load into free hits.
+// be worth shipping over HTTP at all. Workers keep no memo, so every probe
+// pays the cost; each iteration probes fresh, never-seen words (a
+// base-NumInputs counter encoding).
 //
 // queries/op is deterministic. qps is the criterion metric — cmd/benchjson
 // gates it inverted — and the 4-worker leg exceeding the 1-worker leg is

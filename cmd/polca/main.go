@@ -193,7 +193,7 @@ func learnSim(ctx context.Context, req core.SimRequest) (*mealy.Machine, error) 
 			res.OracleStats.Retries, res.OracleStats.Disagreements, res.OracleStats.Reprobes)
 	}
 	if fs := res.Fleet; fs != nil {
-		fmt.Printf("fleet: %d workers, %d snapshots shipped\n", len(fs.Workers), fs.Shipped)
+		fmt.Printf("fleet: %d workers\n", len(fs.Workers))
 		for _, w := range fs.Workers {
 			fmt.Printf("fleet: %s: %d probes over %d requests (%d failures)\n",
 				w.Addr, w.Probes, w.Requests, w.Failures)

@@ -35,7 +35,6 @@ import (
 	"net/http"
 	"os"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -151,12 +150,7 @@ func randomRequest(rng *rand.Rand, policy string, assoc, maxLen, words int) ([]b
 // per-worker throughput. Exits non-zero on zero successful queries or any
 // failed batch, like the daemon mode.
 func fleetLoad(workerList, polName string, assoc, clients int, duration time.Duration, seed int64, maxLen, words int) {
-	var addrs []string
-	for _, a := range strings.Split(workerList, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			addrs = append(addrs, a)
-		}
-	}
+	addrs := remote.SplitAddrs(workerList)
 	pol, err := policy.New(polName, assoc)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "polcaload:", err)

@@ -1,11 +1,11 @@
 // Command polcaworker serves the polca oracle's probe batches over HTTP:
 // one member of the distributed oracle fan-out fleet. A worker wraps the
 // same compiled simulator stack the local pipelines run — it answers
-// reset-rooted probe batches for "sim:<policy>-<assoc>" scopes, memoizes
-// every outcome per scope, and serves/accepts CRC'd snapshots of that memo
-// so a fresh or recovered worker starts warm. Because probes are
-// deterministic, any mix of workers produces the same answers, and a
-// distributed learn (cmd/polca -workers) stays bit-identical to a
+// reset-rooted probe batches for "sim:<policy>-<assoc>" scopes, executing
+// every query and remembering nothing: the learner's oracle memo (and its
+// -snapshot/-warm files) is the one memo on the distributed path. Because
+// probes are deterministic, any mix of workers produces the same answers,
+// and a distributed learn (cmd/polca -workers) stays bit-identical to a
 // single-box run.
 //
 //	polcaworker                             # serve on :8435
@@ -14,10 +14,10 @@
 //	curl -s localhost:8435/v1/status | jq .
 //	curl -s localhost:8435/v1/probe -d '{"scope":"sim:LRU-4","queries":[["E","A"]]}'
 //
-// -probe-cost charges a fixed latency per executed (non-memoized) probe,
-// emulating the measurement cost of a hardware-backed worker; it is what
-// makes fan-out benchmarks honest on a single box, where pure simulator
-// probes are too cheap to need distributing.
+// -probe-cost charges a fixed latency per probe, emulating the measurement
+// cost of a hardware-backed worker; it is what makes fan-out benchmarks
+// honest on a single box, where pure simulator probes are too cheap to
+// need distributing.
 package main
 
 import (
@@ -36,7 +36,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8435", "listen address (host:port)")
-	probeCost := flag.Duration("probe-cost", 0, "fixed latency charged per executed probe (emulates hardware measurement cost; memoized answers stay free)")
+	probeCost := flag.Duration("probe-cost", 0, "fixed latency charged per probe (emulates hardware measurement cost; every probe executes and pays it)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "how long a SIGTERM/SIGINT drain waits for in-flight probe requests")
 	flag.Parse()
 
@@ -67,9 +67,7 @@ func main() {
 	if err := httpSrv.Shutdown(drainCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		fmt.Fprintf(os.Stderr, "polcaworker: shutdown: %v\n", err)
 	}
-	tot := w.Totals()
-	fmt.Fprintf(os.Stderr, "polcaworker: drained, bye (%d probes, %d executed, %d memo hits)\n",
-		tot.Probes, tot.Executed, tot.MemoHits)
+	fmt.Fprintf(os.Stderr, "polcaworker: drained, bye (%d probes)\n", w.Totals().Probes)
 }
 
 func fatal(err error) {

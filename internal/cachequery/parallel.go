@@ -77,7 +77,6 @@ type poolConfig struct {
 	threshold int
 	cooldown  time.Duration
 	wrap      func(int, polca.Prober) polca.Prober
-	onReadmit func(int)
 }
 
 func defaultPoolConfig() poolConfig {
@@ -111,15 +110,6 @@ func WithProbationCooldown(d time.Duration) PoolOption {
 // (including replica death) under the pool's quarantine logic.
 func WithReplicaWrapper(wrap func(i int, p polca.Prober) polca.Prober) PoolOption {
 	return func(c *poolConfig) { c.wrap = wrap }
-}
-
-// WithReadmitHook registers fn to run (on the probation timer's goroutine)
-// each time a quarantined slot is re-admitted, before the slot re-enters
-// rotation. The remote fleet uses it to re-ship the latest query-store
-// snapshot to a worker that just came back, so a recovered worker resumes
-// warm instead of re-probing memoized prefixes.
-func WithReadmitHook(fn func(id int)) PoolOption {
-	return func(c *poolConfig) { c.onReadmit = fn }
 }
 
 // ProberPool multiplexes reset-rooted probes over a pool of independent
@@ -351,9 +341,6 @@ func (p *ProberPool) readmit(s *PoolSlot) {
 	}
 	delete(p.timers, s)
 	p.mu.Unlock()
-	if p.cfg.onReadmit != nil {
-		p.cfg.onReadmit(s.id)
-	}
 	p.readmitted.Add(1)
 	p.live.Add(1)
 	p.pool <- s

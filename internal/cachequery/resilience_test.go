@@ -275,15 +275,8 @@ func TestPoolProbationReadmitsRecoveredReplica(t *testing.T) {
 	var failing atomic.Bool
 	failing.Store(true)
 	var served atomic.Int32
-	readmissions := make(chan int, 64)
 	pp := poolForTest(t, 2,
 		WithProbationCooldown(5*time.Millisecond),
-		WithReadmitHook(func(id int) {
-			select {
-			case readmissions <- id:
-			default:
-			}
-		}),
 		WithReplicaWrapper(func(i int, p polca.Prober) polca.Prober {
 			if i != 1 {
 				return p
@@ -343,8 +336,10 @@ func TestPoolProbationReadmitsRecoveredReplica(t *testing.T) {
 	if pp.Live() != 2 {
 		t.Errorf("recovered replica not live: %d live", pp.Live())
 	}
-	if got := <-readmissions; got != 1 {
-		t.Errorf("readmit hook saw replica %d, want 1", got)
+	// Every quarantine ended in a re-admission: the recovered replica is
+	// back for good, not parked on a pending probation timer.
+	if q, r := pp.Quarantined(), pp.Readmitted(); q != r {
+		t.Errorf("%d quarantines but %d readmissions after recovery", q, r)
 	}
 }
 

@@ -309,12 +309,10 @@ func LearnSimulated(ctx context.Context, req SimRequest) (*SimResult, error) {
 // too, so a daemon-served learn is the same pipeline — and produces the
 // same bytes — as cmd/polca.
 //
-// With FleetWorkers the fleet is warmed up before OpenSimOracle returns:
-// every worker must answer a ping (otherwise the fleet is closed and the
-// call fails), then each worker's probe memo is levelled to the best
-// snapshot in the fleet, best-effort, so a replaced or freshly booted
-// worker skips prefixes its peers already measured (FleetStats.Shipped
-// counts the snapshots shipped). The caller owns the fleet and closes it.
+// With FleetWorkers every worker must answer a ping before OpenSimOracle
+// returns (otherwise the fleet is closed and the call fails). Workers keep
+// no memo: the oracle's probe memo, warm-started from its snapshot, is the
+// one memo a fleet learn consults. The caller owns the fleet and closes it.
 func OpenSimOracle(ctx context.Context, policyName string, assoc int, sim SimOptions) (oracle *polca.Oracle, fleet *remote.Fleet, canonical, scope string, err error) {
 	pol, err := policy.New(policyName, assoc)
 	if err != nil {
@@ -342,9 +340,8 @@ func OpenSimOracle(ctx context.Context, policyName string, assoc int, sim SimOpt
 		}
 		if err := fleet.Ping(ctx); err != nil {
 			fleet.Close()
-			return nil, nil, "", "", fmt.Errorf("core: fleet warm-up: %w", err)
+			return nil, nil, "", "", fmt.Errorf("core: fleet ping: %w", err)
 		}
-		fleet.SyncSnapshots(ctx)
 		// The fleet is a ProbeBatcher: the oracle groups each Evct's
 		// eviction probes into one round trip.
 		prober = fleet
@@ -362,7 +359,7 @@ func OpenSimOracle(ctx context.Context, policyName string, assoc int, sim SimOpt
 
 // NewSimOracle is OpenSimOracle for local oracles, the form the benchmark
 // harness and the tests use: no context, no fleet handle. A fleet built
-// here is warmed up but never closed; callers that configure FleetWorkers
+// here is pinged but never closed; callers that configure FleetWorkers
 // use OpenSimOracle.
 func NewSimOracle(policyName string, assoc int, sim SimOptions) (oracle *polca.Oracle, canonical, scope string, err error) {
 	oracle, _, canonical, scope, err = OpenSimOracle(context.Background(), policyName, assoc, sim)
@@ -377,7 +374,8 @@ type HardwareRequest struct {
 	// NewCPU, when set, builds additional CPU replicas from the same
 	// configuration and enables the concurrent membership-query engine:
 	// batched output queries are answered by a pool of replicated
-	// (CPU, frontend, backend) stacks sharing one query-result store. A
+	// (CPU, frontend, backend) stacks. Each replica frontend keeps no
+	// result cache — the oracle's probe memo answers every repeat. A
 	// physical deployment would hand out one factory per reserved core.
 	NewCPU func() *hw.CPU
 	// Replicas is the parallel pool size used when NewCPU is set; 0

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -153,33 +154,58 @@ func TestFleetLearnSurvivesWorkerDeath(t *testing.T) {
 	}
 }
 
-// TestFleetWarmupShipsSnapshots: when one worker already holds a probe
-// memo for the scope, OpenSimOracle's warm-up levels the fleet before
-// learning — the cold workers receive the snapshot instead of re-probing
-// everything from scratch.
-func TestFleetWarmupShipsSnapshots(t *testing.T) {
-	addrs := startFleet(t, 2)
-
-	// Warm worker 0 by learning through it alone.
-	if _, err := LearnSimulated(context.Background(), SimRequest{
-		Policy: "LRU",
-		Assoc:  4,
-		Learn:  learn.Options{Depth: 1},
-		Sim:    SimOptions{FleetWorkers: addrs[:1]},
-	}); err != nil {
-		t.Fatal(err)
+// TestFleetWarmStartSendsNoProbes: the oracle's snapshot is the one memo
+// on the distributed path. A fleet learn saved with SavePath and re-learned
+// with WarmPath sends no probe to the workers, and the warm learn is the
+// cold one byte for byte: same machine JSON, same learner trajectory.
+func TestFleetWarmStartSendsNoProbes(t *testing.T) {
+	var workers []*remote.Worker
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		w := remote.NewWorker(remote.WorkerConfig{})
+		srv := httptest.NewServer(w.Handler())
+		t.Cleanup(srv.Close)
+		workers = append(workers, w)
+		addrs = append(addrs, srv.URL)
 	}
-	res, err := LearnSimulated(context.Background(), SimRequest{
+	probes := func() (n int64) {
+		for _, w := range workers {
+			n += w.Totals().Probes
+		}
+		return n
+	}
+	snap := filepath.Join(t.TempDir(), "lru.qs")
+	req := SimRequest{
 		Policy: "LRU",
 		Assoc:  4,
 		Learn:  learn.Options{Depth: 1},
 		Sim:    SimOptions{FleetWorkers: addrs},
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	if res.Fleet.Shipped == 0 {
-		t.Error("warm-up shipped no snapshot to the cold worker")
+	req.Snapshot.SavePath = snap
+	cold, err := LearnSimulated(context.Background(), req)
+	if err != nil {
+		t.Fatalf("cold learn: %v", err)
+	}
+	coldProbes := probes()
+	if coldProbes == 0 {
+		t.Fatal("cold learn sent no probes to the fleet")
+	}
+
+	req.Snapshot = SnapshotOptions{WarmPath: snap}
+	warm, err := LearnSimulated(context.Background(), req)
+	if err != nil {
+		t.Fatalf("warm learn: %v", err)
+	}
+	if got := probes() - coldProbes; got != 0 {
+		t.Errorf("warm re-learn sent %d probes to the workers, want 0", got)
+	}
+	jc, _ := json.Marshal(cold.Machine)
+	jw, _ := json.Marshal(warm.Machine)
+	if !bytes.Equal(jc, jw) {
+		t.Error("warm re-learn produced different machine JSON")
+	}
+	if !sameTrajectory(cold.LearnStats, warm.LearnStats) {
+		t.Errorf("warm re-learn changed the learner trajectory: cold %+v, warm %+v", cold.LearnStats, warm.LearnStats)
 	}
 }
 

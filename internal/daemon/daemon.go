@@ -168,11 +168,6 @@ func (s *Server) engineFor(policyName string, assoc int) (*engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if fleet != nil {
-		if shipped := fleet.Stats().Shipped; shipped > 0 {
-			s.cfg.Logf("daemon: engine %s-%d fleet warm-up shipped %d snapshots", canonical, assoc, shipped)
-		}
-	}
 	eng := &engine{
 		policy:  canonical,
 		assoc:   assoc,

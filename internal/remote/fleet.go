@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -20,10 +19,10 @@ import (
 )
 
 // RemoteProber is the client of one probe worker: it implements
-// polca.Prober (plus the fresh and batch extensions) by POSTing probe
-// requests to the worker's /v1/probe endpoint. It is stateless beyond its
-// counters — probes are reset-rooted, so any worker can answer any probe —
-// and safe for concurrent use. Fleets pool several of them behind the
+// polca.Prober (plus the batch extension) by POSTing probe requests to the
+// worker's /v1/probe endpoint. It is stateless beyond its counters —
+// probes are reset-rooted, so any worker can answer any probe — and safe
+// for concurrent use. Fleets pool several of them behind the
 // shared health-scored cachequery.ProberPool; a single RemoteProber is
 // also a fine serial prober for one remote box.
 type RemoteProber struct {
@@ -73,9 +72,9 @@ func (p *RemoteProber) InitialContent() []blocks.Block { return blocks.Ordered(p
 // failures, timeouts, 5xx answers and truncated bodies come back transient
 // (another worker may answer); 4xx answers are protocol-level bugs and
 // propagate as they are.
-func (p *RemoteProber) post(ctx context.Context, qs [][]blocks.Block, fresh bool) ([]cache.Outcome, error) {
+func (p *RemoteProber) post(ctx context.Context, qs [][]blocks.Block) ([]cache.Outcome, error) {
 	p.batches.Add(1)
-	body, err := json.Marshal(probeRequest{Scope: p.scope, Fresh: fresh, Queries: qs})
+	body, err := json.Marshal(probeRequest{Scope: p.scope, Queries: qs})
 	if err != nil {
 		return nil, fmt.Errorf("remote: encoding probe request: %w", err)
 	}
@@ -118,17 +117,7 @@ func (p *RemoteProber) post(ctx context.Context, qs [][]blocks.Block, fresh bool
 
 // Probe implements polca.Prober.
 func (p *RemoteProber) Probe(ctx context.Context, q []blocks.Block) (cache.Outcome, error) {
-	out, err := p.post(ctx, [][]blocks.Block{q}, false)
-	if err != nil {
-		return cache.Miss, err
-	}
-	return out[0], nil
-}
-
-// ProbeFresh implements polca.FreshProber: the worker bypasses its probe
-// memo, so the oracle's determinism audit re-measures for real.
-func (p *RemoteProber) ProbeFresh(ctx context.Context, q []blocks.Block) (cache.Outcome, error) {
-	out, err := p.post(ctx, [][]blocks.Block{q}, true)
+	out, err := p.post(ctx, [][]blocks.Block{q})
 	if err != nil {
 		return cache.Miss, err
 	}
@@ -138,7 +127,7 @@ func (p *RemoteProber) ProbeFresh(ctx context.Context, q []blocks.Block) (cache.
 // ProbeBatch implements polca.ProbeBatcher: one request, results in
 // submission order.
 func (p *RemoteProber) ProbeBatch(ctx context.Context, qs [][]blocks.Block) ([]cache.Outcome, error) {
-	return p.post(ctx, qs, false)
+	return p.post(ctx, qs)
 }
 
 // Healthz checks the worker's health endpoint.
@@ -159,53 +148,7 @@ func (p *RemoteProber) Healthz(ctx context.Context) error {
 	return nil
 }
 
-// fetchSnapshot GETs the worker's probe-memo snapshot, or (nil, nil) when
-// the worker has none recorded (cold).
-func (p *RemoteProber) fetchSnapshot(ctx context.Context) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		p.base+"/v1/snapshot?scope="+url.QueryEscape(p.scope), nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := p.hc.Do(req)
-	if err != nil {
-		return nil, transient(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		return nil, nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, transient(fmt.Errorf("remote: %s snapshot GET answered %s", p.base, resp.Status))
-	}
-	return io.ReadAll(io.LimitReader(resp.Body, 256<<20))
-}
-
-// shipSnapshot PUTs a probe-memo snapshot to the worker. A worker that
-// rejects the payload (corrupt, wrong scope) reports the rejection; the
-// worker stays cold and keeps serving.
-func (p *RemoteProber) shipSnapshot(ctx context.Context, data []byte) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut,
-		p.base+"/v1/snapshot?scope="+url.QueryEscape(p.scope), bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	resp, err := p.hc.Do(req)
-	if err != nil {
-		return transient(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
-		return fmt.Errorf("remote: %s snapshot PUT answered %s: %s", p.base, resp.Status, strings.TrimSpace(string(msg)))
-	}
-	return nil
-}
-
-var (
-	_ polca.FreshProber  = (*RemoteProber)(nil)
-	_ polca.ProbeBatcher = (*RemoteProber)(nil)
-)
+var _ polca.ProbeBatcher = (*RemoteProber)(nil)
 
 // FleetOptions configures a worker fleet.
 type FleetOptions struct {
@@ -230,8 +173,8 @@ type FleetOptions struct {
 	// Timeout bounds each HTTP request (default 2m — generous, because a
 	// large sub-batch on a probe-cost worker legitimately takes a while).
 	Timeout time.Duration
-	// Logf receives resilience events (quarantines survived, snapshot
-	// shipping outcomes); nil disables logging.
+	// Logf receives resilience events (quarantines survived); nil
+	// disables logging.
 	Logf func(format string, args ...any)
 }
 
@@ -242,7 +185,6 @@ type FleetStats struct {
 	Retries     int64         // transient sub-batch failures absorbed by backoff
 	Quarantined int           // pool quarantines (cumulative, probation included)
 	Readmitted  int           // probation re-admissions
-	Shipped     int           // snapshots shipped to workers
 	Workers     []WorkerStats // per-worker breakdown, fleet order
 }
 
@@ -255,8 +197,8 @@ type WorkerStats struct {
 }
 
 // Fleet fans probes over a set of remote workers. It implements
-// polca.Prober, polca.FreshProber, polca.ConcurrentProber,
-// polca.ProbeBatcher and polca.FleetWidther:
+// polca.Prober, polca.ConcurrentProber, polca.ProbeBatcher and
+// polca.FleetWidther:
 //
 //   - ProbeBatch splits the batch into contiguous sub-batches (one per
 //     live pool slot), dispatches them concurrently, and merges answers
@@ -264,9 +206,7 @@ type WorkerStats struct {
 //     learner trajectories bit-identical to single-box runs.
 //   - Worker health runs on the shared cachequery.ProberPool: a worker
 //     that keeps failing is quarantined and its sub-batch transparently
-//     re-executes elsewhere; probation re-admits it after a cooldown, and
-//     the re-admission hook re-ships the latest memo snapshot so a
-//     restarted worker comes back warm.
+//     re-executes elsewhere; probation re-admits it after a cooldown.
 //   - A sub-batch that stalls past HedgeAfter is hedged onto a second
 //     worker; whichever answers first wins (answers are deterministic, so
 //     the race has one outcome).
@@ -287,7 +227,6 @@ type Fleet struct {
 
 	hedges  atomic.Int64
 	retries atomic.Int64
-	shipped atomic.Int64
 }
 
 // NewFleet builds the fleet client for the given worker addresses and
@@ -334,9 +273,7 @@ func NewFleet(addrs []string, scope string, opt FleetOptions) (*Fleet, error) {
 	for i := range raw {
 		raw[i] = f.workers[i%len(f.workers)]
 	}
-	poolOpts := []cachequery.PoolOption{
-		cachequery.WithReadmitHook(func(id int) { f.rewarm(id % len(f.workers)) }),
-	}
+	var poolOpts []cachequery.PoolOption
 	if opt.QuarantineThreshold > 0 {
 		poolOpts = append(poolOpts, cachequery.WithQuarantineThreshold(opt.QuarantineThreshold))
 	}
@@ -377,7 +314,6 @@ func (f *Fleet) Stats() FleetStats {
 		Retries:     f.retries.Load(),
 		Quarantined: f.pool.Quarantined(),
 		Readmitted:  f.pool.Readmitted(),
-		Shipped:     int(f.shipped.Load()),
 	}
 	for _, w := range f.workers {
 		st.Workers = append(st.Workers, WorkerStats{
@@ -411,16 +347,7 @@ func (f *Fleet) FleetWidth() int {
 
 // Probe implements polca.Prober.
 func (f *Fleet) Probe(ctx context.Context, q []blocks.Block) (cache.Outcome, error) {
-	out, err := f.do(ctx, [][]blocks.Block{q}, false)
-	if err != nil {
-		return cache.Miss, err
-	}
-	return out[0], nil
-}
-
-// ProbeFresh implements polca.FreshProber.
-func (f *Fleet) ProbeFresh(ctx context.Context, q []blocks.Block) (cache.Outcome, error) {
-	out, err := f.do(ctx, [][]blocks.Block{q}, true)
+	out, err := f.do(ctx, [][]blocks.Block{q})
 	if err != nil {
 		return cache.Miss, err
 	}
@@ -450,7 +377,7 @@ func (f *Fleet) ProbeBatch(ctx context.Context, qs [][]blocks.Block) ([]cache.Ou
 		wg.Add(1)
 		go func(c, lo, hi int) {
 			defer wg.Done()
-			res, err := f.do(ctx, qs[lo:hi], false)
+			res, err := f.do(ctx, qs[lo:hi])
 			if err != nil {
 				errs[c] = err
 				return
@@ -483,10 +410,10 @@ func chunkBounds(n, width, c int) (lo, hi int) {
 // re-execution, wrapped in the fleet's seeded-backoff retry for transient
 // failures that survive the pool (systemic faults, a fully-dark fleet
 // waiting out probation).
-func (f *Fleet) do(ctx context.Context, qs [][]blocks.Block, fresh bool) ([]cache.Outcome, error) {
+func (f *Fleet) do(ctx context.Context, qs [][]blocks.Block) ([]cache.Outcome, error) {
 	var out []cache.Outcome
 	_, err := f.retry.Do(ctx, &f.retries, func() (cache.Outcome, error) {
-		res, err := f.doOnce(ctx, qs, fresh)
+		res, err := f.doOnce(ctx, qs)
 		if err != nil {
 			return cache.Miss, err
 		}
@@ -503,7 +430,7 @@ func (f *Fleet) do(ctx context.Context, qs [][]blocks.Block, fresh bool) ([]cach
 // deadline a duplicate on another worker; the first answer wins. Probes
 // are deterministic, so both attempts agree and the loser is simply
 // canceled.
-func (f *Fleet) doOnce(ctx context.Context, qs [][]blocks.Block, fresh bool) ([]cache.Outcome, error) {
+func (f *Fleet) doOnce(ctx context.Context, qs [][]blocks.Block) ([]cache.Outcome, error) {
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	type result struct {
@@ -512,7 +439,7 @@ func (f *Fleet) doOnce(ctx context.Context, qs [][]blocks.Block, fresh bool) ([]
 	}
 	ch := make(chan result, 2)
 	launch := func() {
-		out, err := f.attempt(actx, qs, fresh)
+		out, err := f.attempt(actx, qs)
 		ch <- result{out, err}
 	}
 	go launch()
@@ -553,14 +480,14 @@ func (f *Fleet) doOnce(ctx context.Context, qs [][]blocks.Block, fresh bool) ([]
 // threshold is quarantined and the sub-batch transparently re-executes on
 // another slot; below the threshold the transient error propagates to the
 // retry layer.
-func (f *Fleet) attempt(ctx context.Context, qs [][]blocks.Block, fresh bool) ([]cache.Outcome, error) {
+func (f *Fleet) attempt(ctx context.Context, qs [][]blocks.Block) ([]cache.Outcome, error) {
 	for {
 		s, err := f.pool.Checkout(ctx)
 		if err != nil {
 			return nil, err
 		}
 		w := s.Prober().(*RemoteProber)
-		out, err := w.post(ctx, qs, fresh)
+		out, err := w.post(ctx, qs)
 		if err == nil {
 			f.pool.Succeed(s)
 			return out, nil
@@ -585,80 +512,7 @@ func (f *Fleet) attempt(ctx context.Context, qs [][]blocks.Block, fresh bool) ([
 	}
 }
 
-// SyncSnapshots levels the fleet's probe memos: every worker's snapshot is
-// fetched, the richest one wins, and it is shipped to every other worker.
-// Workers that reject the payload (damaged in transit, scope mix-up) stay
-// cold and keep serving — warmth is an optimization, never a correctness
-// requirement. Returns how many workers were warmed.
-func (f *Fleet) SyncSnapshots(ctx context.Context) int {
-	snaps := make([][]byte, len(f.workers))
-	var wg sync.WaitGroup
-	for i, w := range f.workers {
-		wg.Add(1)
-		go func(i int, w *RemoteProber) {
-			defer wg.Done()
-			data, err := w.fetchSnapshot(ctx)
-			if err != nil {
-				f.logf("remote: snapshot fetch from %s: %v", w.base, err)
-				return
-			}
-			snaps[i] = data
-		}(i, w)
-	}
-	wg.Wait()
-	best := -1
-	for i, s := range snaps {
-		if s != nil && (best < 0 || len(s) > len(snaps[best])) {
-			best = i
-		}
-	}
-	if best < 0 {
-		return 0 // whole fleet cold: nothing to level
-	}
-	warmed := 0
-	for i, w := range f.workers {
-		if i == best || len(snaps[i]) == len(snaps[best]) {
-			continue
-		}
-		if err := w.shipSnapshot(ctx, snaps[best]); err != nil {
-			f.logf("remote: snapshot ship to %s: %v (worker stays cold)", w.base, err)
-			continue
-		}
-		warmed++
-		f.shipped.Add(1)
-	}
-	return warmed
-}
-
-// rewarm re-ships the richest live snapshot to a worker that probation
-// just re-admitted, so a restarted worker resumes warm. Best-effort, on
-// the probation timer's goroutine, before the slot re-enters rotation.
-func (f *Fleet) rewarm(worker int) {
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	var best []byte
-	for i, w := range f.workers {
-		if i == worker {
-			continue
-		}
-		data, err := w.fetchSnapshot(ctx)
-		if err == nil && len(data) > len(best) {
-			best = data
-		}
-	}
-	if best == nil {
-		return
-	}
-	if err := f.workers[worker].shipSnapshot(ctx, best); err != nil {
-		f.logf("remote: re-warm of %s: %v (worker resumes cold)", f.workers[worker].base, err)
-		return
-	}
-	f.shipped.Add(1)
-	f.logf("remote: re-warmed %s after probation re-admission", f.workers[worker].base)
-}
-
 var (
-	_ polca.FreshProber      = (*Fleet)(nil)
 	_ polca.ConcurrentProber = (*Fleet)(nil)
 	_ polca.ProbeBatcher     = (*Fleet)(nil)
 )

@@ -4,10 +4,10 @@
 //
 // A worker (cmd/polcaworker) is a thin stdlib net/http server wrapping the
 // same compiled simulator stack the local pipelines run: it answers probe
-// batches for "sim:<policy>-<assoc>" scopes, memoizes probe results per
-// scope in a qstore prefix trie, and serves/accepts CRC'd snapshots of
-// that memo so a new or recovered worker skips re-probing memoized
-// prefixes. The client side (Fleet) implements polca.Prober and
+// batches for "sim:<policy>-<assoc>" scopes and remembers nothing between
+// probes. The oracle's probe memo (and its snapshots, which warm-start a
+// re-learn with no worker traffic at all) is the one memo on the
+// distributed path. The client side (Fleet) implements polca.Prober and
 // polca.ProbeBatcher over the fleet: ProbeBatch splits a batch into
 // contiguous sub-batches, fans them over the workers through the shared
 // health-scored pool (cachequery.ProberPool — quarantine, probation
@@ -22,22 +22,17 @@
 //
 // # Wire format
 //
-// Endpoints (all JSON unless noted):
+// Endpoints (all JSON):
 //
-//	GET  /healthz              -> 200 "ok"
-//	GET  /v1/status            -> workerStatus (scopes, probe counters)
-//	POST /v1/probe             -> probeRequest -> probeResponse
-//	GET  /v1/snapshot?scope=S  -> binary probe-memo snapshot, 404 if none
-//	PUT  /v1/snapshot?scope=S  -> 204; 400/409/422 reject bad snapshots
+//	GET  /healthz    -> 200 "ok"
+//	GET  /v1/status  -> workerStatus (scopes, probe counter)
+//	POST /v1/probe   -> probeRequest -> probeResponse
 //
-// A probe request carries the scope, a fresh flag (bypass the worker
-// memo — the oracle's determinism audit depends on it), and the queries
-// as block-name arrays. Outcomes come back as one character per query,
-// 'H' or 'M', in request order. The snapshot payload is the qstore
-// delta-encoded CRC-32 format behind an oracle-style header (magic,
-// version, scope), so a truncated or tampered body fails loudly as
-// qstore.ErrCorrupt on the worker and the fleet degrades that worker to
-// cold instead of failing the learn.
+// A probe request carries the scope and the queries as block-name arrays.
+// Every query executes; outcomes come back as one character per query,
+// 'H' or 'M', in request order. A malformed scope or block name is a 400
+// (a client bug, never retried); 5xx answers and transport failures are
+// transient.
 package remote
 
 import (
@@ -52,9 +47,6 @@ import (
 type probeRequest struct {
 	// Scope names the system under probe, e.g. "sim:LRU-4".
 	Scope string `json:"scope"`
-	// Fresh bypasses the worker's probe memo: every query re-executes
-	// the simulator even when a memoized outcome exists.
-	Fresh bool `json:"fresh,omitempty"`
 	// Queries are reset-rooted probe words, one block-name array each.
 	Queries [][]string `json:"queries"`
 }
@@ -67,17 +59,14 @@ type probeResponse struct {
 
 // workerStatus is the body of GET /v1/status.
 type workerStatus struct {
-	Scopes   map[string]scopeStatus `json:"scopes"`
-	Probes   int64                  `json:"probes"`    // queries answered (memo hits included)
-	Executed int64                  `json:"executed"`  // simulator executions
-	MemoHits int64                  `json:"memo_hits"` // queries answered from the probe memo
+	Scopes map[string]scopeStatus `json:"scopes"`
+	Probes int64                  `json:"probes"` // queries executed
 }
 
-// scopeStatus describes one scope's engine.
+// scopeStatus describes one scope's simulator prober.
 type scopeStatus struct {
-	Assoc       int  `json:"assoc"`
-	MemoEntries int  `json:"memo_entries"`
-	Compiled    bool `json:"compiled"`
+	Assoc    int  `json:"assoc"`
+	Compiled bool `json:"compiled"`
 }
 
 // encodeOutcomes renders outcomes as the wire's per-query character string.

@@ -3,7 +3,6 @@ package remote
 import (
 	"bytes"
 	"context"
-	"errors"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -112,9 +111,10 @@ func probeWords(n, assoc int) [][]blocks.Block {
 }
 
 // TestWorkerProbesMatchLocalSimulator: a worker answers exactly what the
-// local compiled simulator answers, memo on or off.
+// local compiled simulator answers, and a repeated batch executes again
+// (the worker keeps no memo).
 func TestWorkerProbesMatchLocalSimulator(t *testing.T) {
-	_, srv := startWorker(t, WorkerConfig{})
+	w, srv := startWorker(t, WorkerConfig{})
 	rp, err := NewRemoteProber(srv.URL, "sim:LRU-4", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +125,7 @@ func TestWorkerProbesMatchLocalSimulator(t *testing.T) {
 	}
 	local := polca.NewSimProber(pol)
 	words := probeWords(60, 4)
-	for round := 0; round < 2; round++ { // round 2 replays from the worker memo
+	for round := 0; round < 2; round++ {
 		got, err := rp.ProbeBatch(context.Background(), words)
 		if err != nil {
 			t.Fatal(err)
@@ -139,46 +139,17 @@ func TestWorkerProbesMatchLocalSimulator(t *testing.T) {
 				t.Fatalf("round %d query %d (%v): worker says %v, local says %v", round, i, q, got[i], want)
 			}
 		}
-	}
-}
-
-// TestWorkerMemoAndFresh: the second identical batch answers from the memo
-// (no new executions); fresh probes bypass it.
-func TestWorkerMemoAndFresh(t *testing.T) {
-	w, srv := startWorker(t, WorkerConfig{})
-	rp, err := NewRemoteProber(srv.URL, "sim:FIFO-4", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	words := probeWords(20, 4)
-	if _, err := rp.ProbeBatch(context.Background(), words); err != nil {
-		t.Fatal(err)
-	}
-	execAfterFirst := w.executed.Load()
-	if execAfterFirst == 0 {
-		t.Fatal("no executions recorded")
-	}
-	if _, err := rp.ProbeBatch(context.Background(), words); err != nil {
-		t.Fatal(err)
-	}
-	if got := w.executed.Load(); got != execAfterFirst {
-		t.Errorf("memoized batch re-executed: %d -> %d executions", execAfterFirst, got)
-	}
-	if w.memoHits.Load() == 0 {
-		t.Error("no memo hits recorded")
-	}
-	if _, err := rp.ProbeFresh(context.Background(), words[0]); err != nil {
-		t.Fatal(err)
-	}
-	if got := w.executed.Load(); got != execAfterFirst+1 {
-		t.Errorf("fresh probe did not re-execute: %d -> %d executions", execAfterFirst, got)
+		if got, want := w.Totals().Probes, int64((round+1)*len(words)); got != want {
+			t.Fatalf("round %d: worker executed %d probes, want %d", round, got, want)
+		}
 	}
 }
 
 // TestWorkerRejectsBadScopes: malformed scopes and block names are 4xx
-// (non-transient) — client bugs, not worker health.
+// (non-transient) — client bugs, not worker health — and the worker keeps
+// serving after each.
 func TestWorkerRejectsBadScopes(t *testing.T) {
-	_, srv := startWorker(t, WorkerConfig{})
+	w, srv := startWorker(t, WorkerConfig{})
 	for _, scope := range []string{"sim:NoSuchPolicy-4", "hw:skylake", "sim:LRU--1"} {
 		rp := &RemoteProber{base: srv.URL, hc: srv.Client(), scope: scope, assoc: 4}
 		_, err := rp.Probe(context.Background(), []blocks.Block{"A"})
@@ -189,6 +160,27 @@ func TestWorkerRejectsBadScopes(t *testing.T) {
 		if polca.IsTransient(err) {
 			t.Errorf("scope %q rejected transiently: %v", scope, err)
 		}
+	}
+	rp, err := NewRemoteProber(srv.URL, "sim:LRU-4", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pastMax := blocks.Name(blocks.MaxIndex + 1)
+	for _, b := range []blocks.Block{"", "a", "A0", "A01", pastMax} {
+		_, err := rp.ProbeBatch(context.Background(), [][]blocks.Block{{"A", "B"}, {"A", b, "C"}})
+		if err == nil {
+			t.Errorf("block name %q accepted", b)
+		} else if polca.IsTransient(err) || !strings.Contains(err.Error(), "400") {
+			t.Errorf("block name %q: %v, want a non-transient 400", b, err)
+		}
+		if _, err := rp.Probe(context.Background(), []blocks.Block{"E", "A"}); err != nil {
+			t.Fatalf("worker stopped serving after block name %q: %v", b, err)
+		}
+	}
+	// A rejected batch executes none of its queries, not even the valid
+	// ones ahead of the bad name.
+	if got := w.Totals().Probes; got != 5 {
+		t.Errorf("worker executed %d probes, want 5 (one per follow-up probe)", got)
 	}
 }
 
@@ -340,170 +332,14 @@ func TestFleetHedgesStragglers(t *testing.T) {
 	}
 }
 
-// TestSnapshotShippingWarmsColdWorker: worker A builds a probe memo; after
-// SyncSnapshots worker B answers the same words without executing its
-// simulator once.
-func TestSnapshotShippingWarmsColdWorker(t *testing.T) {
-	wa, srvA := startWorker(t, WorkerConfig{})
-	wb, srvB := startWorker(t, WorkerConfig{})
-	f, err := NewFleet([]string{srvA.URL, srvB.URL}, "sim:LRU-4", FleetOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(f.Close)
-
-	words := probeWords(40, 4)
-	// Warm worker A only, through its own client.
-	ra, err := NewRemoteProber(srvA.URL, "sim:LRU-4", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ra.ProbeBatch(context.Background(), words)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wa.executed.Load() == 0 {
-		t.Fatal("worker A executed nothing")
-	}
-
-	if warmed := f.SyncSnapshots(context.Background()); warmed != 1 {
-		t.Fatalf("SyncSnapshots warmed %d workers, want 1", warmed)
-	}
-	rb, err := NewRemoteProber(srvB.URL, "sim:LRU-4", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := rb.ProbeBatch(context.Background(), words)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("query %d: shipped memo answers %v, original %v", i, got[i], want[i])
-		}
-	}
-	if wb.executed.Load() != 0 {
-		t.Errorf("worker B executed %d probes despite the shipped memo", wb.executed.Load())
-	}
-}
-
-// TestSnapshotCorruptionDegradesToCold: a truncated or tampered snapshot
-// over HTTP is rejected with the qstore.ErrCorrupt semantics — the worker
-// stays exactly as warm as it was and keeps serving probes; a missing
-// snapshot (cold worker) is ErrMissing semantics: a clean 404, not an
-// error. The learn never fails over either.
-func TestSnapshotCorruptionDegradesToCold(t *testing.T) {
-	_, srvA := startWorker(t, WorkerConfig{})
-	ra, err := NewRemoteProber(srvA.URL, "sim:LRU-4", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// ErrMissing: a cold worker has no snapshot; fetch reports (nil, nil).
-	if data, err := ra.fetchSnapshot(context.Background()); err != nil || data != nil {
-		t.Fatalf("cold fetch = (%d bytes, %v), want (nil, nil)", len(data), err)
-	}
-
-	// Warm the worker, snapshot it, and damage the payload.
-	words := probeWords(30, 4)
-	if _, err := ra.ProbeBatch(context.Background(), words); err != nil {
-		t.Fatal(err)
-	}
-	good, err := ra.fetchSnapshot(context.Background())
-	if err != nil || good == nil {
-		t.Fatalf("warm fetch = (%v, %v)", good, err)
-	}
-
-	_, srvB := startWorker(t, WorkerConfig{})
-	rb, err := NewRemoteProber(srvB.URL, "sim:LRU-4", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, bad := range map[string][]byte{
-		"truncated":  good[:len(good)/2],
-		"bit-flip":   append(append([]byte{}, good[:len(good)-3]...), good[len(good)-3]^0x40, good[len(good)-2], good[len(good)-1]),
-		"bad magic":  append([]byte("NOTASNAP"), good...),
-		"wrong kind": {0x50, 0x4f, 0x4c, 0x43, 0x41, 0x51, 0x53, 0x01}, // "POLCAQS" oracle header
-	} {
-		err := rb.shipSnapshot(context.Background(), bad)
-		if err == nil {
-			t.Fatalf("%s snapshot accepted", name)
-		}
-		if !strings.Contains(err.Error(), "422") {
-			t.Errorf("%s snapshot rejected with %v, want 422 (corrupt)", name, err)
-		}
-	}
-	// Scope mismatch is a caller bug, not damage: 409, not 422.
-	rb2 := &RemoteProber{base: srvB.URL, hc: srvB.Client(), scope: "sim:FIFO-4", assoc: 4}
-	if err := rb2.shipSnapshot(context.Background(), good); err == nil || !strings.Contains(err.Error(), "409") {
-		t.Errorf("scope-mismatched snapshot: %v, want 409", err)
-	}
-
-	// The worker is still cold (damage never touched the memo) and serves.
-	got, err := rb.ProbeBatch(context.Background(), words)
-	if err != nil {
-		t.Fatalf("worker stopped serving after rejected snapshots: %v", err)
-	}
-	want, err := ra.ProbeBatch(context.Background(), words)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("query %d diverged after rejected snapshots", i)
-		}
-	}
-	// And the good snapshot still loads after all the rejects.
-	if err := rb.shipSnapshot(context.Background(), good); err != nil {
-		t.Fatalf("good snapshot rejected after damage attempts: %v", err)
-	}
-}
-
-// TestWorkerSnapshotRoundTrip: the worker-level save/load path preserves
-// the memo bit-for-bit through the binary format.
-func TestWorkerSnapshotRoundTrip(t *testing.T) {
-	w := NewWorker(WorkerConfig{})
-	e, err := w.engineFor("sim:LRU-4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	words := probeWords(25, 4)
-	for _, q := range words {
-		if _, err := w.probe(context.Background(), e, q, false); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var buf bytes.Buffer
-	if err := w.WriteMemoSnapshot(&buf, "sim:LRU-4"); err != nil {
-		t.Fatal(err)
-	}
-	w2 := NewWorker(WorkerConfig{})
-	if err := w2.LoadMemoSnapshot(bytes.NewReader(buf.Bytes()), "sim:LRU-4"); err != nil {
-		t.Fatal(err)
-	}
-	e2, err := w2.engineFor("sim:LRU-4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a, b := e.memo.CountSet(), e2.memo.CountSet(); a != b {
-		t.Fatalf("round trip lost entries: %d -> %d", a, b)
-	}
-	// Wrong-scope load is ErrSnapshotScope, not corruption.
-	w3 := NewWorker(WorkerConfig{})
-	if err := w3.LoadMemoSnapshot(bytes.NewReader(buf.Bytes()), "sim:FIFO-4"); !errors.Is(err, polca.ErrSnapshotScope) {
-		t.Fatalf("wrong-scope load: %v, want ErrSnapshotScope", err)
-	}
-}
-
 // TestFleetProbationRewarmsRestartedWorker: a worker dies, is quarantined,
-// and "restarts" (a fresh cold worker on the same address); probation
-// re-admits it and the re-admission hook ships the richest memo over, so
-// the restarted worker serves warm.
+// and "restarts" (a fresh worker on the same address); probation re-admits
+// it, it serves traffic again, and no answer changes across the restart.
 func TestFleetProbationRewarmsRestartedWorker(t *testing.T) {
 	_, srvA := startWorker(t, WorkerConfig{})
 
 	// Worker B is a proxy we can point at a live backend, kill, and revive.
-	wbFirst, backB := startWorker(t, WorkerConfig{})
+	_, backB := startWorker(t, WorkerConfig{})
 	var down atomic.Bool
 	var target atomic.Value
 	target.Store(backB.URL)
@@ -534,12 +370,10 @@ func TestFleetProbationRewarmsRestartedWorker(t *testing.T) {
 		rw.Write(buf.Bytes())   //nolint:errcheck
 	}))
 	t.Cleanup(proxy.Close)
-	_ = wbFirst
 
 	// The probation cooldown is long enough that the worker "restarts"
-	// while still quarantined — the first re-admission after the restart
-	// runs the re-warm hook against the live replacement, so the slot
-	// re-enters rotation already warm (no cold window).
+	// while still quarantined, so the first re-admission lands on the live
+	// replacement.
 	f, err := NewFleet([]string{srvA.URL, proxy.URL}, "sim:LRU-4", FleetOptions{
 		Slots:    1,
 		Cooldown: 300 * time.Millisecond,
@@ -550,8 +384,7 @@ func TestFleetProbationRewarmsRestartedWorker(t *testing.T) {
 	}
 	t.Cleanup(f.Close)
 
-	// Warm worker A with every word the test will ever probe, so the
-	// shipped memo is complete and the restarted worker need not execute.
+	// The reference answers, straight from worker A.
 	words := probeWords(40, 4)
 	ra, err := NewRemoteProber(srvA.URL, "sim:LRU-4", nil)
 	if err != nil {
@@ -574,7 +407,7 @@ func TestFleetProbationRewarmsRestartedWorker(t *testing.T) {
 		}
 	}
 
-	// "Restart" B as a fresh cold worker while it is still in quarantine.
+	// "Restart" B as a fresh worker while it is still in quarantine.
 	wbSecond, backB2 := startWorker(t, WorkerConfig{})
 	target.Store(backB2.URL)
 	down.Store(false)
@@ -585,8 +418,8 @@ func TestFleetProbationRewarmsRestartedWorker(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	// The re-admission hook shipped worker A's memo: B answers its share
-	// of the full word set without executing its simulator once.
+	// The re-admitted worker takes its share of the traffic again, and
+	// every answer matches the reference.
 	deadline = time.Now().Add(10 * time.Second)
 	for wbSecond.probes.Load() == 0 {
 		if time.Now().After(deadline) {
@@ -601,13 +434,6 @@ func TestFleetProbationRewarmsRestartedWorker(t *testing.T) {
 				t.Fatalf("query %d changed answer across the restart", i)
 			}
 		}
-	}
-	if wbSecond.executed.Load() != 0 {
-		t.Errorf("restarted worker executed %d probes; the shipped memo should have answered all %d",
-			wbSecond.executed.Load(), wbSecond.probes.Load())
-	}
-	if f.Stats().Shipped == 0 {
-		t.Error("no snapshot recorded as shipped")
 	}
 }
 
