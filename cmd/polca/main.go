@@ -252,8 +252,8 @@ func learnHW(ctx context.Context, cpuName, levelName string, slice, set, cat int
 	if err != nil {
 		return nil, err
 	}
-	fmt.Printf("hardware: %s %s %s, reset %q, %d output queries, %d MBL queries executed\n",
-		cfg.Name, level, req.Target, res.Reset.Name(), res.LearnStats.OutputQueries, res.Frontend.Executed)
+	fmt.Printf("hardware: %s %s %s, reset %q, %d output queries, %d MBL queries executed in %d repetitions\n",
+		cfg.Name, level, req.Target, res.Reset.Name(), res.LearnStats.OutputQueries, res.Frontend.Executed, res.Frontend.Repetitions)
 	return res.Machine, nil
 }
 

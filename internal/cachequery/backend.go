@@ -83,12 +83,14 @@ type Backend struct {
 	// (unused for L3 targets, where clflush provides the DRAM sample).
 	calEvict []hw.Line
 
-	threshold float64   // hit-at-target-level classification bound
-	lats      []float64 // runOnce's latency buffer, reused (a backend is serial)
-	votes     []int     // Run's hit-vote buffer, reused likewise
+	threshold float64         // hit-at-target-level classification bound
+	lats      []float64       // runOnce's latency buffer, reused (a backend is serial)
+	votes     []int           // Run's hit-vote buffer, reused likewise
+	out       []cache.Outcome // Run's outcome buffer, reused likewise
 
 	// Cost counters for the §7.2 experiments.
 	queriesRun int
+	repsRun    int // repetitions Run executed
 	loadsDone  uint64
 }
 
@@ -260,6 +262,13 @@ func (b *Backend) load(l hw.Line) float64 {
 	return b.cpu.LoadLine(l)
 }
 
+// touch issues one access whose latency nobody reads: the same cache
+// effects as load, without the latency noise draw.
+func (b *Backend) touch(l hw.Line) {
+	b.loadsDone++
+	b.cpu.TouchLine(l)
+}
+
 // filter pushes the pool's blocks out of every level above the target by
 // walking the non-interfering eviction sets (§4.3 "Cache Filtering").
 func (b *Backend) filter() {
@@ -268,10 +277,10 @@ func (b *Backend) filter() {
 	}
 	for round := 0; round < b.opt.EvictRounds; round++ {
 		for _, l := range b.l2Evict {
-			b.load(l)
+			b.touch(l)
 		}
 		for _, l := range b.l1Evict {
-			b.load(l)
+			b.touch(l)
 		}
 	}
 }
@@ -346,7 +355,8 @@ func (b *Backend) FlushPool() {
 }
 
 // runOnce executes a query once and returns the raw latencies of the
-// profiled accesses, valid until the next call.
+// profiled accesses, valid until the next call. Only profiled accesses are
+// timed; every other access is an untimed touch.
 func (b *Backend) runOnce(q mbl.Query) ([]float64, error) {
 	lats := b.lats[:0]
 	for _, op := range q {
@@ -359,9 +369,10 @@ func (b *Backend) runOnce(q mbl.Query) ([]float64, error) {
 			b.cpu.CLFlushLine(l)
 			continue
 		}
-		lat := b.load(l)
 		if op.Tag == mbl.TagProfile {
-			lats = append(lats, lat)
+			lats = append(lats, b.load(l))
+		} else {
+			b.touch(l)
 		}
 		b.filter()
 	}
@@ -392,45 +403,70 @@ func (e *InconclusiveError) Error() string {
 // Unwrap marks the error as ErrInconclusive.
 func (e *InconclusiveError) Unwrap() error { return ErrInconclusive }
 
-// Run executes a query (the generated access plan) reps times, classifies
-// every profiled access against the calibrated threshold, and majority-votes
-// across repetitions. reps must be positive: callers pick the repetition
+// Run executes a query (the generated access plan) up to reps times,
+// classifies every profiled access against the calibrated threshold, and
+// majority-votes across repetitions. The vote is sequential: it stops as
+// soon as every profiled access has more than reps/2 votes one way, which
+// the remaining repetitions cannot overturn, so on the same measurements
+// it returns exactly the full vote's outcomes (with reps 3, two agreeing
+// repetitions decide). reps must be positive: callers pick the repetition
 // count explicitly (the frontend passes its configured default), and an
 // accidental zero would silently measure nothing. A vote tie — possible
-// whenever reps is even — returns an InconclusiveError naming the tied
-// access instead of silently picking a winner; callers retry with more
-// (odd) reps. If flushFirst is set, every repetition starts by flushing the
-// pool. Repetition is only sound for reset-prefixed queries, which is what
-// the learning pipeline issues. Cancellation is honored between repetitions.
+// whenever reps is even — runs every repetition and returns an
+// InconclusiveError naming the tied access instead of silently picking a
+// winner; callers retry with more (odd) reps. If flushFirst is set, every
+// repetition starts by flushing the pool. Repetition is only sound for
+// reset-prefixed queries, which is what the learning pipeline issues.
+// Cancellation is honored between repetitions. The returned slice is the
+// backend's buffer, valid until the next Run: callers that keep outcomes
+// copy them.
 func (b *Backend) Run(ctx context.Context, q mbl.Query, reps int, flushFirst bool) ([]cache.Outcome, error) {
 	if reps <= 0 {
 		return nil, fmt.Errorf("cachequery: invalid repetition count %d (must be positive)", reps)
 	}
-	nProf := q.ProfiledCount()
-	votes := append(b.votes[:0], make([]int, nProf)...)
-	b.votes = votes
-	for r := 0; r < reps; r++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+	return b.vote(ctx, reps, q.ProfiledCount(), func() ([]float64, error) {
 		if flushFirst {
 			b.FlushPool()
 		}
-		lats, err := b.runOnce(q)
+		return b.runOnce(q)
+	})
+}
+
+// vote is Run's sequential majority over nProf profiled accesses; measure
+// executes one repetition and returns the profiled latencies.
+func (b *Backend) vote(ctx context.Context, reps, nProf int, measure func() ([]float64, error)) ([]cache.Outcome, error) {
+	votes := append(b.votes[:0], make([]int, nProf)...)
+	b.votes = votes
+	for done := 0; done < reps; {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		lats, err := measure()
 		if err != nil {
 			return nil, err
 		}
 		if len(lats) != nProf {
 			return nil, fmt.Errorf("cachequery: profiled %d accesses, expected %d", len(lats), nProf)
 		}
+		done++
+		b.repsRun++
+		decided := true
 		for i, l := range lats {
 			if l <= b.threshold {
 				votes[i]++
 			}
+			// Decided once hits or misses are a strict majority of reps.
+			if v := votes[i]; v*2 <= reps && (done-v)*2 <= reps {
+				decided = false
+			}
+		}
+		if decided {
+			break
 		}
 	}
 	b.queriesRun++
-	out := make([]cache.Outcome, nProf)
+	out := append(b.out[:0], make([]cache.Outcome, nProf)...)
+	b.out = out
 	for i, v := range votes {
 		if v*2 == reps {
 			return nil, &InconclusiveError{Index: i, Hits: v, Reps: reps, Margin: 0}
@@ -459,7 +495,7 @@ func (b *Backend) calibrate() error {
 		} else {
 			for round := 0; round < b.opt.EvictRounds; round++ {
 				for _, l := range b.calEvict {
-					b.load(l)
+					b.touch(l)
 				}
 			}
 		}

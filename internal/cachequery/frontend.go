@@ -36,6 +36,7 @@ func (r QueryResult) Pattern() string {
 type FrontendStats struct {
 	Expanded     int           // queries after MBL expansion
 	Executed     int           // queries actually run on the backend
+	Repetitions  int           // repetitions the backend ran for them, escalations included
 	CacheHits    int           // queries answered from the result cache
 	Inconclusive int           // vote ties retried with escalated repetitions
 	Duration     time.Duration // cumulative backend execution time
@@ -46,6 +47,7 @@ type FrontendStats struct {
 func (s *FrontendStats) Add(o FrontendStats) {
 	s.Expanded += o.Expanded
 	s.Executed += o.Executed
+	s.Repetitions += o.Repetitions
 	s.CacheHits += o.CacheHits
 	s.Inconclusive += o.Inconclusive
 	s.Duration += o.Duration
@@ -157,7 +159,8 @@ func decodeOutcomes(s string) []cache.Outcome {
 }
 
 // RunQuery executes one already-expanded query against a target set,
-// consulting the result cache first.
+// consulting the result cache first. Like Backend.Run, the outcomes are
+// valid until the frontend's next query: callers that keep them copy them.
 func (f *Frontend) RunQuery(ctx context.Context, tgt Target, q mbl.Query, flushFirst bool) ([]cache.Outcome, error) {
 	return f.runQuery(ctx, tgt, q, flushFirst, true)
 }
@@ -192,6 +195,7 @@ func (f *Frontend) runQuery(ctx context.Context, tgt Target, q mbl.Query, flushF
 		return nil, err
 	}
 	start := time.Now()
+	repsBefore := be.repsRun
 	reps := f.opt.Reps
 	ocs, err := be.Run(ctx, q, reps, flushFirst)
 	// A vote tie (only possible with an even repetition count) escalates to
@@ -204,6 +208,7 @@ func (f *Frontend) runQuery(ctx context.Context, tgt Target, q mbl.Query, flushF
 	}
 	f.stats.Duration += time.Since(start)
 	f.stats.Executed++
+	f.stats.Repetitions += be.repsRun - repsBefore
 	if err != nil {
 		return nil, err
 	}
@@ -233,7 +238,7 @@ func (f *Frontend) Query(ctx context.Context, tgt Target, src string) ([]QueryRe
 		if err != nil {
 			return nil, err
 		}
-		results = append(results, QueryResult{Query: q, Outcomes: ocs})
+		results = append(results, QueryResult{Query: q, Outcomes: append([]cache.Outcome(nil), ocs...)})
 	}
 	return results, nil
 }

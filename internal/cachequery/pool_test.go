@@ -282,3 +282,40 @@ func TestPoolProbeVotesExecuteEveryVote(t *testing.T) {
 		t.Errorf("%d backend executions for %d voted probes, want %d", executed, probes, 3*probes)
 	}
 }
+
+// TestRepetitionsStopAtTheMajority: on a toy CPU without latency jitter the
+// first two of Reps: 3 repetitions always agree, so every backend execution
+// runs exactly 2 — through a frontend, and summed over a replica pool's
+// frontends by FrontendStats.Add.
+func TestRepetitionsStopAtTheMajority(t *testing.T) {
+	noiseless := func() *hw.CPU {
+		cfg := tinyCPU()
+		cfg.L1.LatencySigma, cfg.L2.LatencySigma, cfg.L3.LatencySigma, cfg.MemSigma = 0, 0, 0, 0
+		return hw.NewCPU(cfg, 5)
+	}
+	tgt := Target{Level: hw.L1, Set: 7}
+	f := NewFrontend(noiseless(), testOptions())
+	f.SetResultCache(false)
+	if _, err := f.Query(context.Background(), tgt, "@ M _?"); err != nil {
+		t.Fatal(err)
+	}
+	if s := f.Stats(); s.Executed == 0 || s.Repetitions != 2*s.Executed {
+		t.Errorf("frontend: %d repetitions for %d executions, want 2 each", s.Repetitions, s.Executed)
+	}
+
+	fronts, err := NewReplicaFrontends(noiseless, testOptions(), tgt, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pp, err := NewParallelProber(fronts, tgt, FlushRefill(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := polca.NewOracle(pp, polca.WithParallelism(2))
+	if _, err := oracle.OutputQuery(context.Background(), []int{0, 4, 1, 4, 2, 4, 3}); err != nil {
+		t.Fatal(err)
+	}
+	if s := pp.FrontendStats(); s.Executed == 0 || s.Repetitions != 2*s.Executed {
+		t.Errorf("pool: %d repetitions for %d executions, want 2 each", s.Repetitions, s.Executed)
+	}
+}

@@ -134,7 +134,11 @@ func (p *Prober) ProbeTrace(ctx context.Context, q []blocks.Block) ([]cache.Outc
 	for _, b := range q {
 		ops = append(ops, mbl.Op{Block: b, Tag: mbl.TagProfile})
 	}
-	return p.f.RunQuery(ctx, p.tgt, ops, p.rst.FlushFirst)
+	ocs, err := p.f.RunQuery(ctx, p.tgt, ops, p.rst.FlushFirst)
+	if err != nil {
+		return nil, err
+	}
+	return append([]cache.Outcome(nil), ocs...), nil
 }
 
 // DiscoverInitialContent probes which blocks of the reset sequence are

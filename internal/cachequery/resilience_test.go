@@ -91,35 +91,43 @@ func TestBackendRunSurfacesVoteTies(t *testing.T) {
 // visible in FrontendStats.Inconclusive. Escalation fires only on exact
 // ties — both repetitions misclassifying the same way is a wrong majority,
 // not a tie — so with a deliberately even, deliberately tiny repetition
-// count the answers are only near-correct; the bound below is a fixed-seed
-// regression value, not a soundness claim.
+// count the answers are only near-correct. The bound is on the error rate
+// over 40 CPU seeds, not on one seed's count, so it does not pin the noise
+// stream of any single run: at most 0.5% of the profiled answers may be
+// wrong.
 func TestFrontendEscalatesVoteTies(t *testing.T) {
-	cpu := hw.NewCPU(noisyCPU(), 123)
-	opt := testOptions()
-	opt.Reps = 2 // even on purpose: ties are possible until escalation
-	opt.CalibrationSamples = 81
-	f := NewFrontend(cpu, opt)
-	f.SetResultCache(false)
-	tgt := Target{Level: hw.L1, Set: 6}
+	const seeds, queries = 40, 200
 	want := []cache.Outcome{cache.Hit, cache.Miss, cache.Hit}
-	wrong := 0
-	for i := 0; i < 200; i++ {
-		res, err := f.Query(context.Background(), tgt, "@ B? X? C?")
-		if err != nil {
-			t.Fatalf("query %d: %v", i, err)
-		}
-		for j, oc := range res[0].Outcomes {
-			if oc != want[j] {
-				wrong++
+	wrong, total, escalations := 0, 0, 0
+	for seed := int64(100); seed < 100+seeds; seed++ {
+		cpu := hw.NewCPU(noisyCPU(), seed)
+		opt := testOptions()
+		opt.Reps = 2 // even on purpose: ties are possible until escalation
+		opt.CalibrationSamples = 81
+		f := NewFrontend(cpu, opt)
+		f.SetResultCache(false)
+		tgt := Target{Level: hw.L1, Set: 6}
+		for i := 0; i < queries; i++ {
+			res, err := f.Query(context.Background(), tgt, "@ B? X? C?")
+			if err != nil {
+				t.Fatalf("seed %d query %d: %v", seed, i, err)
+			}
+			for j, oc := range res[0].Outcomes {
+				total++
+				if oc != want[j] {
+					wrong++
+				}
 			}
 		}
+		escalations += f.Stats().Inconclusive
 	}
-	if wrong > 3 {
-		t.Errorf("%d misclassifications of 600; 2-rep voting with escalation should stay near-correct", wrong)
+	if wrong*200 > total {
+		t.Errorf("%d misclassifications of %d; 2-rep voting with escalation should stay near-correct", wrong, total)
 	}
-	if f.Stats().Inconclusive == 0 {
+	if escalations == 0 {
 		t.Error("no vote tie escalations recorded; the escalation path never ran")
 	}
+	t.Logf("%d misclassifications of %d, %d escalations", wrong, total, escalations)
 }
 
 // transientErr is a minimal retryable fault for quarantine tests.

@@ -20,11 +20,13 @@ import (
 // of a seeded query mix, and the CPU's final TSC and load count.
 // Provisioning, calibration, filtering and pool flushes must replay the
 // same loads and clflushes in the same order however the backend holds
-// its addresses.
+// its addresses. The digests hash the CPU's noise stream, which only timed
+// loads draw from, and the number of repetitions each sequential vote
+// runs, so they move whenever either does.
 var backendTraceDigests = map[string]string{
-	"l1_sets/0":    "3af72458ffd864317871e37b182082167443eb808f241b3cc55142d5bd6f7d3a",
-	"l2_sets/33":   "2d39f5467ad8ef9dc2c70155868eca16fad6129ac61c93286c8bbd7c68bcefa0",
-	"l3_sets/1.96": "071ea235dc44ec469eb3617884f5288c7c32e973faccd4fff52d3a66cb02657b",
+	"l1_sets/0":    "175cb97a5d15a7aa45d1133a4a8a3b3f55c5a204ecd9315b39bd898dfa3c10c6",
+	"l2_sets/33":   "849cc664028485f2dccbbee1937b8c51349a7ca243c467734119b24eb717398d",
+	"l3_sets/1.96": "b2ab9e4462e500ee6acc98eea7a324f7ae37f07f2481d944ae1dd415bae1d37c",
 }
 
 // TestBackendTraceBitIdentical replays the seeded query mix on each target.

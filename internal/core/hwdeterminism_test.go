@@ -40,7 +40,7 @@ func TestLearnHardwareReplicaCountersDeterministic(t *testing.T) {
 	ref := run(1)
 	wantLearn := learn.Stats{OutputQueries: 557, QuerySymbols: 2557, Rounds: 3, TestWords: 452, Counterexample: 2}
 	wantOracle := polca.Stats{OutputQueries: 557, Symbols: 2557, Probes: 2963, MemoHits: 2643, Accesses: 15517}
-	wantFrontend := cachequery.FrontendStats{Executed: 2963}
+	wantFrontend := cachequery.FrontendStats{Executed: 2963, Repetitions: 5926}
 	if ref.Machine.NumStates != 8 {
 		t.Errorf("learned %d states, want 8", ref.Machine.NumStates)
 	}
@@ -96,7 +96,7 @@ func TestLearnHardwareSerialCountersDeterministic(t *testing.T) {
 	}
 	wantLearn := learn.Stats{OutputQueries: 559, QuerySymbols: 2563, Rounds: 3, TestWords: 452, Counterexample: 2}
 	wantOracle := polca.Stats{OutputQueries: 559, Symbols: 2563, Probes: 2984, MemoHits: 2653, Accesses: 15683}
-	wantFrontend := cachequery.FrontendStats{Executed: 2984}
+	wantFrontend := cachequery.FrontendStats{Executed: 2984, Repetitions: 5968}
 	for _, procs := range []int{1, 8} {
 		got := run(procs)
 		if got.Machine.NumStates != 8 {

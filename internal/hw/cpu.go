@@ -322,27 +322,48 @@ func (c *CPU) Load(va Addr) float64 { return c.LoadLine(c.ResolveLine(va)) }
 
 // LoadLine is Load on a resolved line.
 func (c *CPU) LoadLine(l Line) float64 {
-	li := l.li
-	c.loadCount++
+	lat, sigma := c.serve(l.li)
+	return c.retire(l.li, lat+c.noise(sigma))
+}
 
-	var base float64
+// TouchLine is an untimed load: it has exactly LoadLine's cache effects
+// (set states, victims, back-invalidation, PSEL, prefetcher, load count)
+// and advances the TSC by the serving level's base latency, but draws no
+// latency noise. Loads whose latency nobody reads — CacheQuery's filter
+// and eviction traffic — use it to skip the noise draws.
+func (c *CPU) TouchLine(l Line) {
+	lat, _ := c.serve(l.li)
+	c.retire(l.li, lat)
+}
+
+// serve walks the hierarchy for one load of li and returns the serving
+// level's base latency and noise sigma. A timed load draws its noise only
+// after the whole walk: the L3 access can draw from the same RNG stream
+// (Haswell's randomized throttle), and the golden traces pin that order.
+func (c *CPU) serve(li *lineInfo) (lat, sigma float64) {
+	c.loadCount++
 	if hit, _ := c.set(L1, li).access(li); hit {
-		base = c.cfg.L1.HitLatency + c.noise(c.cfg.L1.LatencySigma)
-	} else if hit, _ := c.set(L2, li).access(li); hit {
-		base = c.cfg.L2.HitLatency + c.noise(c.cfg.L2.LatencySigma)
-	} else if c.accessL3(li) {
-		base = c.cfg.L3.HitLatency + c.noise(c.cfg.L3.LatencySigma)
-	} else {
-		base = c.cfg.MemLatency + c.noise(c.cfg.MemSigma)
+		return c.cfg.L1.HitLatency, c.cfg.L1.LatencySigma
 	}
-	if base < 1 {
-		base = 1
+	if hit, _ := c.set(L2, li).access(li); hit {
+		return c.cfg.L2.HitLatency, c.cfg.L2.LatencySigma
 	}
-	c.tsc += uint64(base)
+	if c.accessL3(li) {
+		return c.cfg.L3.HitLatency, c.cfg.L3.LatencySigma
+	}
+	return c.cfg.MemLatency, c.cfg.MemSigma
+}
+
+// retire charges a load's latency to the TSC and trains the prefetcher.
+func (c *CPU) retire(li *lineInfo, lat float64) float64 {
+	if lat < 1 {
+		lat = 1
+	}
+	c.tsc += uint64(lat)
 	if c.prefetchOn {
 		c.maybePrefetch(li.pa)
 	}
-	return base
+	return lat
 }
 
 // accessL3 accesses the (possibly adaptive) L3, maintaining the set-dueling
