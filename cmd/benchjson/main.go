@@ -1,8 +1,11 @@
 // Command benchjson seeds and extends the repository's performance
-// trajectory: it runs the benchmark suite once (go test -run=NONE -bench
-// -benchtime=1x, -short by default) and writes the parsed results to a
-// dated BENCH_<date>.json file, so successive PRs leave comparable
-// machine-readable baselines behind.
+// trajectory: it runs the benchmark suite (go test -run=NONE -bench
+// -benchtime=1x -count=3, -short by default) and writes the parsed results
+// to a dated BENCH_<date>.json file, so successive PRs leave comparable
+// machine-readable baselines behind. Each leg runs three times and is
+// recorded by its best sample: the lowest ns/op, B/op, allocs/op and
+// custom metric, the highest qps. The deterministic counters must read the
+// same in all three samples, or the command fails.
 //
 // With -compare it becomes the CI regression gate: the fresh run is compared
 // against a committed baseline and the command exits nonzero when any named
@@ -29,6 +32,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"os/exec"
 	"runtime"
@@ -95,7 +99,7 @@ func main() {
 		}
 	}
 
-	args := []string{"test", "-run=NONE", "-bench=" + *bench, "-benchtime=" + *benchtime}
+	args := []string{"test", "-run=NONE", "-bench=" + *bench, "-benchtime=" + *benchtime, "-count=" + strconv.Itoa(samples)}
 	if *short {
 		args = append(args, "-short")
 	}
@@ -110,6 +114,15 @@ func main() {
 	}
 
 	b := parseRun(string(raw))
+	var unstable []string
+	b.Results, unstable = mergeSamples(b.Results)
+	for _, u := range unstable {
+		fmt.Fprintf(os.Stderr, "benchjson: UNSTABLE: %s\n", u)
+	}
+	if len(unstable) > 0 {
+		fmt.Fprintf(os.Stderr, "benchjson: %d deterministic counters differ across the %d samples of one run\n", len(unstable), samples)
+		os.Exit(1)
+	}
 	b.Date = date
 	b.Bench = *bench
 	b.Benchtime = *benchtime
@@ -245,6 +258,58 @@ func parseLine(line string) (Result, bool) {
 		}
 	}
 	return r, true
+}
+
+// samples is how many times every leg runs (go test -count): one
+// -benchtime=1x timing on a shared runner is too noisy to gate, so a leg
+// is recorded and gated by its best sample.
+const samples = 3
+
+// mergeSamples folds the repeated lines of each benchmark into one result,
+// in first-seen order: the lowest ns/op, B/op, allocs/op and custom metric
+// of its samples, except qps, where higher is better. Each exactUnits
+// counter must read the same in every sample; every one that does not is
+// reported in unstable.
+func mergeSamples(rs []Result) (merged []Result, unstable []string) {
+	idx := make(map[string]int)
+	reported := make(map[string]bool)
+	for _, r := range rs {
+		i, seen := idx[r.Name]
+		if !seen {
+			idx[r.Name] = len(merged)
+			r.Metrics = maps.Clone(r.Metrics)
+			merged = append(merged, r)
+			continue
+		}
+		m := &merged[i]
+		m.NsPerOp = min(m.NsPerOp, r.NsPerOp)
+		m.BytesPerOp = min(m.BytesPerOp, r.BytesPerOp)
+		m.AllocsPerOp = min(m.AllocsPerOp, r.AllocsPerOp)
+		for unit := range exactUnits {
+			got, gok := r.Metrics[unit]
+			want, wok := m.Metrics[unit]
+			if (got != want || gok != wok) && !reported[r.Name+" "+unit] {
+				reported[r.Name+" "+unit] = true
+				unstable = append(unstable, fmt.Sprintf("%s %s: %.10g in one sample, %.10g in another", r.Name, unit, want, got))
+			}
+		}
+		for unit, v := range r.Metrics {
+			old, ok := m.Metrics[unit]
+			switch {
+			case exactUnits[unit]:
+			case !ok:
+				if m.Metrics == nil {
+					m.Metrics = make(map[string]float64)
+				}
+				m.Metrics[unit] = v
+			case unit == "qps":
+				m.Metrics[unit] = max(old, v)
+			default:
+				m.Metrics[unit] = min(old, v)
+			}
+		}
+	}
+	return merged, unstable
 }
 
 // stripProc removes the exact "-<procs>" suffix testing appends to benchmark

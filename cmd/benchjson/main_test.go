@@ -352,3 +352,31 @@ func TestCompareExactCountersVsTolerance(t *testing.T) {
 		}
 	}
 }
+
+// TestMergeSamplesKeepsBestAndFlagsUnstableCounters: the repeated samples
+// of one leg fold into its lowest ns/op, allocs/op and custom metric and
+// its highest qps, and a deterministic counter that differs between two
+// samples is reported once.
+func TestMergeSamplesKeepsBestAndFlagsUnstableCounters(t *testing.T) {
+	raw := `BenchmarkA-2   1   300 ns/op   10 qps   7 probes/op   9 wall-ms   6 allocs/op
+BenchmarkB-2   1   50 ns/op   7 probes/op
+BenchmarkA-2   1   100 ns/op   30 qps   7 probes/op   8 wall-ms   5 allocs/op
+BenchmarkB-2   1   60 ns/op   8 probes/op
+BenchmarkA-2   1   200 ns/op   20 qps   7 probes/op   12 wall-ms   4 allocs/op
+BenchmarkB-2   1   40 ns/op   9 probes/op
+`
+	merged, unstable := mergeSamples(parseRun(raw).Results)
+	if len(merged) != 2 || merged[0].Name != "BenchmarkA-2" || merged[1].Name != "BenchmarkB-2" {
+		t.Fatalf("merged %+v, want A then B", merged)
+	}
+	a := merged[0]
+	if a.NsPerOp != 100 || a.AllocsPerOp != 4 || a.Metrics["qps"] != 30 || a.Metrics["wall-ms"] != 8 || a.Metrics["probes/op"] != 7 {
+		t.Errorf("A merged to %+v, want ns/op 100, allocs/op 4, qps 30, wall-ms 8, probes/op 7", a)
+	}
+	if merged[1].NsPerOp != 40 {
+		t.Errorf("B merged to %v ns/op, want 40", merged[1].NsPerOp)
+	}
+	if len(unstable) != 1 || !strings.Contains(unstable[0], "BenchmarkB-2 probes/op") {
+		t.Errorf("unstable %q, want one report of B's probes/op", unstable)
+	}
+}

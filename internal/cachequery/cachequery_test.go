@@ -378,7 +378,7 @@ func TestReprobeRemeasuresPlantedOutcome(t *testing.T) {
 	}
 	// Ln(0) accesses the cached block A: after the reset it must hit.
 	q := []blocks.Block{"A"}
-	key, err := f.storeKey(tgt, pr.probeOps(q), rst.FlushFirst)
+	key, err := f.storeKey(tgt, pr.probeOps(q, 1), rst.FlushFirst)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -353,90 +353,69 @@ func (p *ProberPool) readmit(s *PoolSlot) {
 // below the threshold the transient error propagates (the oracle's retry
 // policy backs off and re-enters here), so a systemic fault is still
 // visible upstream while a single dying slot is not.
-func (p *ProberPool) run(ctx context.Context, fn func(*PoolSlot) (cache.Outcome, error)) (cache.Outcome, error) {
+func (p *ProberPool) run(ctx context.Context, fn func(polca.Prober) error) error {
 	for {
 		s, err := p.Checkout(ctx)
 		if err != nil {
-			return cache.Miss, err
+			return err
 		}
-		oc, err := fn(s)
+		err = fn(s.p)
 		if err == nil {
 			p.Succeed(s)
-			return oc, nil
+			return nil
 		}
 		if !polca.IsTransient(err) {
 			p.Release(s)
-			return cache.Miss, err
+			return err
 		}
 		if p.Fail(s) && p.live.Load() > 0 {
 			continue // invisible to the caller: re-probe on another slot
 		}
-		return cache.Miss, err
+		return err
 	}
 }
 
 // Probe implements polca.Prober by checking a slot out of the pool for
 // the duration of one probe. It blocks while all slots are busy.
-func (p *ProberPool) Probe(ctx context.Context, q []blocks.Block) (cache.Outcome, error) {
-	return p.run(ctx, func(s *PoolSlot) (cache.Outcome, error) {
-		return s.p.Probe(ctx, q)
+func (p *ProberPool) Probe(ctx context.Context, q []blocks.Block) (oc cache.Outcome, err error) {
+	err = p.run(ctx, func(s polca.Prober) (err error) {
+		oc, err = s.Probe(ctx, q)
+		return err
 	})
+	return oc, err
 }
 
 // ProbeFresh implements polca.FreshProber: the checked-out slot re-executes
 // the probe, bypassing any result cache below it.
-func (p *ProberPool) ProbeFresh(ctx context.Context, q []blocks.Block) (cache.Outcome, error) {
-	return p.run(ctx, func(s *PoolSlot) (cache.Outcome, error) {
-		if fp, ok := s.p.(polca.FreshProber); ok {
-			return fp.ProbeFresh(ctx, q)
+func (p *ProberPool) ProbeFresh(ctx context.Context, q []blocks.Block) (oc cache.Outcome, err error) {
+	err = p.run(ctx, func(s polca.Prober) (err error) {
+		if fp, ok := s.(polca.FreshProber); ok {
+			oc, err = fp.ProbeFresh(ctx, q)
+		} else {
+			oc, err = s.Probe(ctx, q)
 		}
-		return s.p.Probe(ctx, q)
+		return err
 	})
+	return oc, err
+}
+
+// ProbeTrace implements polca.Prober: the whole run executes on one
+// checked-out slot, since its profiled outcomes come from one pass over
+// one cache. A slot quarantined mid-run re-executes the run elsewhere.
+func (p *ProberPool) ProbeTrace(ctx context.Context, q []blocks.Block, k int) (tr []cache.Outcome, err error) {
+	err = p.run(ctx, func(s polca.Prober) (err error) {
+		tr, err = s.ProbeTrace(ctx, q, k)
+		return err
+	})
+	return tr, err
 }
 
 // ConcurrentProbes implements polca.ConcurrentProber.
 func (p *ProberPool) ConcurrentProbes() bool { return len(p.slots) > 1 }
 
-// ProbeBatch implements polca.ProbeBatcher: the calling goroutine and at
-// most Size()-1 helpers claim probe indices in submission order and run
-// each through Probe, so a batch has no more probes in flight than the
-// pool has slots and starts no goroutine per probe. Answers land by index;
-// the error returned is the first by index. Once ctx is done no further
-// probe is issued. The oracle uses this to group the associativity-many
-// eviction probes of one miss.
-func (p *ProberPool) ProbeBatch(ctx context.Context, qs [][]blocks.Block) ([]cache.Outcome, error) {
-	out := make([]cache.Outcome, len(qs))
-	errs := make([]error, len(qs))
-	var next atomic.Int64
-	work := func() {
-		for i := int(next.Add(1) - 1); i < len(qs); i = int(next.Add(1) - 1) {
-			if errs[i] = ctx.Err(); errs[i] == nil {
-				out[i], errs[i] = p.Probe(ctx, qs[i])
-			}
-		}
-	}
-	var wg sync.WaitGroup
-	for h := min(len(p.slots), len(qs)) - 1; h > 0; h-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 var (
 	_ polca.ConcurrentProber = (*ProberPool)(nil)
 	_ polca.FreshProber      = (*ProberPool)(nil)
-	_ polca.ProbeBatcher     = (*ProberPool)(nil)
 )
 
 // ParallelProber multiplexes reset-rooted probes over a pool of independent

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -30,6 +31,22 @@ func (s *fakeSlot) Assoc() int                     { return 4 }
 func (s *fakeSlot) InitialContent() []blocks.Block { return blocks.Ordered(4) }
 
 func (s *fakeSlot) Probe(ctx context.Context, q []blocks.Block) (cache.Outcome, error) {
+	if err := s.enter(ctx, q); err != nil {
+		return cache.Miss, err
+	}
+	return fakeAnswer(q), nil
+}
+
+func (s *fakeSlot) ProbeTrace(ctx context.Context, q []blocks.Block, k int) ([]cache.Outcome, error) {
+	if err := s.enter(ctx, q); err != nil {
+		return nil, err
+	}
+	return fakeTrace(q, k), nil
+}
+
+// enter counts one call in flight and applies the slot's gate, delay and
+// fault to it.
+func (s *fakeSlot) enter(ctx context.Context, q []blocks.Block) error {
 	s.calls.Add(1)
 	n := s.inflight.Add(1)
 	defer s.inflight.Add(-1)
@@ -39,23 +56,30 @@ func (s *fakeSlot) Probe(ctx context.Context, q []blocks.Block) (cache.Outcome, 
 		select {
 		case <-s.gate:
 		case <-ctx.Done():
-			return cache.Miss, ctx.Err()
+			return ctx.Err()
 		}
 	}
 	if s.delay != nil {
 		time.Sleep(s.delay(q))
 	}
 	if s.fail != nil {
-		if err := s.fail(q); err != nil {
-			return cache.Miss, err
-		}
+		return s.fail(q)
 	}
-	return fakeAnswer(q), nil
+	return nil
 }
 
 func fakeAnswer(q []blocks.Block) cache.Outcome {
 	id, _ := blocks.Index(q[len(q)-1])
 	return cache.Outcome(id%2 == 0)
+}
+
+// fakeTrace is fakeAnswer for each of the last k accesses of q.
+func fakeTrace(q []blocks.Block, k int) []cache.Outcome {
+	out := make([]cache.Outcome, k)
+	for i := range out {
+		out[i] = fakeAnswer(q[:len(q)-k+i+1])
+	}
+	return out
 }
 
 // fakePool pools n fake slots sharing one pair of in-flight counters; setup
@@ -100,92 +124,11 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestProbeBatchBoundedInFlight: a batch never has more probes in flight
-// than the pool has slots, even with several batches running at once, and
-// it runs on the caller plus at most Size()-1 helper goroutines rather than
-// one goroutine per probe.
-func TestProbeBatchBoundedInFlight(t *testing.T) {
-	gate := make(chan struct{})
-	pool, slots := fakePool(t, 3, func(_ int, s *fakeSlot) { s.gate = gate })
-	base := runtime.NumGoroutine()
-	qs := fakeBatch(64)
-	done := make(chan error, 1)
-	go func() {
-		_, err := pool.ProbeBatch(context.Background(), qs)
-		done <- err
-	}()
-	waitFor(t, "every slot busy", func() bool { return slots[0].inflight.Load() == int32(pool.Size()) })
-	// The batch's goroutine plus its helpers; a goroutine per probe would
-	// show 64 here.
-	if got := runtime.NumGoroutine() - base; got > pool.Size() {
-		t.Errorf("%d goroutines behind one batch of %d probes, want at most %d", got, len(qs), pool.Size())
-	}
-	close(gate)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-
-	var wg sync.WaitGroup
-	for b := 0; b < 4; b++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := pool.ProbeBatch(context.Background(), qs); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	wg.Wait()
-	if peak := slots[0].peak.Load(); peak > int32(pool.Size()) {
-		t.Errorf("%d probes in flight, pool has %d slots", peak, pool.Size())
-	}
-}
-
-// TestProbeBatchOrderAndFirstError: answers land by index whatever order
-// the probes complete in, and a batch with several failing probes reports
-// the failure with the lowest index, even when a later one fails first.
-func TestProbeBatchOrderAndFirstError(t *testing.T) {
-	errLow, errHigh := errors.New("probe 5 failed"), errors.New("probe 12 failed")
-	var failing atomic.Bool
-	pool, _ := fakePool(t, 3, func(_ int, s *fakeSlot) {
-		s.delay = func(q []blocks.Block) time.Duration {
-			id, _ := blocks.Index(q[len(q)-1])
-			return time.Duration((id*7)%5) * 100 * time.Microsecond
-		}
-		s.fail = func(q []blocks.Block) error {
-			if !failing.Load() {
-				return nil
-			}
-			switch q[len(q)-1] {
-			case blocks.Name(5):
-				time.Sleep(20 * time.Millisecond) // fail after probe 12 does
-				return errLow
-			case blocks.Name(12):
-				return errHigh
-			}
-			return nil
-		}
-	})
-	qs := fakeBatch(20)
-	out, err := pool.ProbeBatch(context.Background(), qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, q := range qs {
-		if out[i] != fakeAnswer(q) {
-			t.Errorf("answer %d = %v, want %v", i, out[i], fakeAnswer(q))
-		}
-	}
-	failing.Store(true)
-	if _, err := pool.ProbeBatch(context.Background(), qs); !errors.Is(err, errLow) {
-		t.Errorf("batch error %v, want the lowest-index failure %v", err, errLow)
-	}
-}
-
-// TestProbeBatchQuarantineReexecutes: a slot that starts failing
-// transiently mid-batch is quarantined and its probe re-executes on
-// another slot, so the batch still answers every probe correctly.
-func TestProbeBatchQuarantineReexecutes(t *testing.T) {
+// TestProbeTraceQuarantineReexecutes: a slot that starts failing
+// transiently is quarantined and the run it failed re-executes on another
+// slot, so every trace still answers correctly. Each trace runs on one
+// slot: the slots see one call per trace plus the one re-execution.
+func TestProbeTraceQuarantineReexecutes(t *testing.T) {
 	var served atomic.Int32
 	pool, slots := fakePool(t, 2, func(i int, s *fakeSlot) {
 		if i == 0 {
@@ -201,63 +144,63 @@ func TestProbeBatchQuarantineReexecutes(t *testing.T) {
 			return 50 * time.Microsecond
 		}
 	}, WithQuarantineThreshold(1), WithProbationCooldown(0))
-	qs := fakeBatch(24)
-	out, err := pool.ProbeBatch(context.Background(), qs)
-	if err != nil {
-		t.Fatalf("quarantine mid-batch surfaced an error: %v", err)
+	const traces = 24
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < traces; i += 2 {
+				q := []blocks.Block{"A", blocks.Name(i), blocks.Name(i + 1), blocks.Name(i + 2)}
+				tr, err := pool.ProbeTrace(context.Background(), q, 3)
+				if err != nil {
+					t.Errorf("quarantine mid-run surfaced an error: %v", err)
+					return
+				}
+				if want := fakeTrace(q, 3); !slices.Equal(tr, want) {
+					t.Errorf("trace %d = %v, want %v", i, tr, want)
+				}
+			}
+		}(g)
 	}
-	for i, q := range qs {
-		if out[i] != fakeAnswer(q) {
-			t.Errorf("answer %d = %v, want %v", i, out[i], fakeAnswer(q))
-		}
-	}
+	wg.Wait()
 	if pool.Quarantined() != 1 || pool.Live() != 1 {
 		t.Errorf("%d quarantined, %d live; want slot 0 quarantined", pool.Quarantined(), pool.Live())
 	}
-	// Every probe reached a slot once, plus one re-execution of the probe
-	// whose failure quarantined slot 0.
-	if got := slots[0].calls.Load() + slots[1].calls.Load(); got != int32(len(qs))+1 {
-		t.Errorf("%d slot calls for %d probes, want %d", got, len(qs), len(qs)+1)
+	if got := slots[0].calls.Load() + slots[1].calls.Load(); got != traces+1 {
+		t.Errorf("%d slot calls for %d traces, want %d", got, traces, traces+1)
 	}
 }
 
-// TestProbeBatchCancelReturnsPromptly: cancelling the context of a batch
-// blocked on its slots returns the context error at once, issues none of
-// the remaining probes, and leaves no goroutine behind.
-func TestProbeBatchCancelReturnsPromptly(t *testing.T) {
-	gate := make(chan struct{}) // never opened: probes block until cancel
-	pool, slots := fakePool(t, 3, func(_ int, s *fakeSlot) { s.gate = gate })
+// TestProbeTraceCancelReturnsPromptly: cancelling the context of traces
+// blocked on a busy pool returns the context error at once, both to the
+// trace holding the slot and to the one waiting for it, and leaves no
+// goroutine behind.
+func TestProbeTraceCancelReturnsPromptly(t *testing.T) {
+	gate := make(chan struct{}) // never opened: traces block until cancel
+	pool, slots := fakePool(t, 1, func(_ int, s *fakeSlot) { s.gate = gate })
 	base := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := pool.ProbeBatch(ctx, fakeBatch(32))
-		done <- err
-	}()
-	waitFor(t, "every slot busy", func() bool { return slots[0].inflight.Load() == int32(pool.Size()) })
+	done := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			_, err := pool.ProbeTrace(ctx, fakeBatch(4)[3], 2)
+			done <- err
+		}()
+	}
+	waitFor(t, "the slot busy", func() bool { return slots[0].inflight.Load() == 1 })
 	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("cancelled batch returned %v", err)
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-done:
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("cancelled trace returned %v", err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("cancelled trace did not return")
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("cancelled batch did not return")
 	}
-	calls := int32(0)
-	for _, s := range slots {
-		calls += s.calls.Load()
-	}
-	if calls != int32(pool.Size()) {
-		t.Errorf("%d probes issued, want only the %d in flight at cancel", calls, pool.Size())
-	}
-	waitFor(t, "batch goroutines to exit", func() bool { return runtime.NumGoroutine() <= base })
-	if _, err := pool.ProbeBatch(ctx, fakeBatch(8)); !errors.Is(err, context.Canceled) {
-		t.Errorf("batch on a cancelled context returned %v", err)
-	}
-	if calls2 := slots[0].calls.Load() + slots[1].calls.Load() + slots[2].calls.Load(); calls2 != calls {
-		t.Errorf("batch on a cancelled context issued %d probes", calls2-calls)
-	}
+	waitFor(t, "trace goroutines to exit", func() bool { return runtime.NumGoroutine() <= base })
 }
 
 // TestPoolProbeVotesExecuteEveryVote: the oracle's probe votes each reach

@@ -77,16 +77,16 @@ func (p *Prober) InitialContent() []blocks.Block {
 	return append([]blocks.Block(nil), p.rst.Content...)
 }
 
-// probeOps renders reset ++ q with the final access profiled, into a
+// probeOps renders reset ++ q with the last k accesses profiled, into a
 // buffer that is valid until the next call.
-func (p *Prober) probeOps(q []blocks.Block) mbl.Query {
+func (p *Prober) probeOps(q []blocks.Block, k int) mbl.Query {
 	ops := p.ops[:0]
 	for _, b := range p.rst.Sequence {
 		ops = append(ops, mbl.Op{Block: b})
 	}
 	for i, b := range q {
 		op := mbl.Op{Block: b}
-		if i == len(q)-1 {
+		if i >= len(q)-k {
 			op.Tag = mbl.TagProfile
 		}
 		ops = append(ops, op)
@@ -100,7 +100,7 @@ func (p *Prober) Probe(ctx context.Context, q []blocks.Block) (cache.Outcome, er
 	if len(q) == 0 {
 		return cache.Miss, fmt.Errorf("cachequery: empty probe")
 	}
-	ocs, err := p.f.RunQuery(ctx, p.tgt, p.probeOps(q), p.rst.FlushFirst)
+	ocs, err := p.f.RunQuery(ctx, p.tgt, p.probeOps(q, 1), p.rst.FlushFirst)
 	if err != nil {
 		return cache.Miss, err
 	}
@@ -114,27 +114,20 @@ func (p *Prober) ProbeFresh(ctx context.Context, q []blocks.Block) (cache.Outcom
 	if len(q) == 0 {
 		return cache.Miss, fmt.Errorf("cachequery: empty probe")
 	}
-	ocs, err := p.f.RunQueryFresh(ctx, p.tgt, p.probeOps(q), p.rst.FlushFirst)
+	ocs, err := p.f.RunQueryFresh(ctx, p.tgt, p.probeOps(q, 1), p.rst.FlushFirst)
 	if err != nil {
 		return cache.Miss, err
 	}
 	return ocs[0], nil
 }
 
-// ProbeTrace implements polca.TraceProber: reset ++ q with every access of
-// q profiled, returning the full hit/miss trace.
-func (p *Prober) ProbeTrace(ctx context.Context, q []blocks.Block) ([]cache.Outcome, error) {
-	if len(q) == 0 {
-		return nil, fmt.Errorf("cachequery: empty probe")
+// ProbeTrace implements polca.Prober: reset ++ q as one MBL query with its
+// last k accesses profiled, returning their hit/miss outcomes.
+func (p *Prober) ProbeTrace(ctx context.Context, q []blocks.Block, k int) ([]cache.Outcome, error) {
+	if err := polca.CheckSuffix(q, k); err != nil {
+		return nil, err
 	}
-	ops := make(mbl.Query, 0, len(p.rst.Sequence)+len(q))
-	for _, b := range p.rst.Sequence {
-		ops = append(ops, mbl.Op{Block: b})
-	}
-	for _, b := range q {
-		ops = append(ops, mbl.Op{Block: b, Tag: mbl.TagProfile})
-	}
-	ocs, err := p.f.RunQuery(ctx, p.tgt, ops, p.rst.FlushFirst)
+	ocs, err := p.f.RunQuery(ctx, p.tgt, p.probeOps(q, k), p.rst.FlushFirst)
 	if err != nil {
 		return nil, err
 	}
@@ -185,5 +178,4 @@ func DiscoverInitialContent(ctx context.Context, f *Frontend, tgt Target, rst Re
 var (
 	_ polca.Prober      = (*Prober)(nil)
 	_ polca.FreshProber = (*Prober)(nil)
-	_ polca.TraceProber = (*Prober)(nil)
 )

@@ -152,6 +152,12 @@ func (fp *flakyProber) Probe(ctx context.Context, q []blocks.Block) (cache.Outco
 	}
 	return fp.inner.Probe(ctx, q)
 }
+func (fp *flakyProber) ProbeTrace(ctx context.Context, q []blocks.Block, k int) ([]cache.Outcome, error) {
+	if err := fp.fail(); err != nil {
+		return nil, err
+	}
+	return fp.inner.ProbeTrace(ctx, q, k)
+}
 
 func poolForTest(t *testing.T, n int, opts ...PoolOption) *ParallelProber {
 	t.Helper()

@@ -39,8 +39,8 @@ func TestLearnHardwareReplicaCountersDeterministic(t *testing.T) {
 	}
 	ref := run(1)
 	wantLearn := learn.Stats{OutputQueries: 557, QuerySymbols: 2557, Rounds: 3, TestWords: 452, Counterexample: 2}
-	wantOracle := polca.Stats{OutputQueries: 557, Symbols: 2557, Probes: 2963, MemoHits: 2643, Accesses: 15517}
-	wantFrontend := cachequery.FrontendStats{Executed: 2963, Repetitions: 5926}
+	wantOracle := polca.Stats{OutputQueries: 557, Symbols: 2557, Probes: 2056, MemoHits: 2643, Accesses: 11578}
+	wantFrontend := cachequery.FrontendStats{Executed: 2056, Repetitions: 4112}
 	if ref.Machine.NumStates != 8 {
 		t.Errorf("learned %d states, want 8", ref.Machine.NumStates)
 	}
@@ -72,10 +72,9 @@ func TestLearnHardwareReplicaCountersDeterministic(t *testing.T) {
 
 // TestLearnHardwareSerialCountersDeterministic pins the serial hardware
 // pipeline: one replica and no CPU factory, so the oracle runs a bare
-// cachequery.Prober (no ProbeBatcher, no concurrency) and issues every
-// eviction probe one at a time through the reset-rooted probe path. Its
-// learner, oracle and frontend counters are absolute and must not move at
-// any GOMAXPROCS.
+// cachequery.Prober (no concurrency) and issues every probe and group run
+// one at a time through the reset-rooted probe path. Its learner, oracle
+// and frontend counters are absolute and must not move at any GOMAXPROCS.
 func TestLearnHardwareSerialCountersDeterministic(t *testing.T) {
 	run := func(procs int) *HardwareResult {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
@@ -95,8 +94,8 @@ func TestLearnHardwareSerialCountersDeterministic(t *testing.T) {
 		return res
 	}
 	wantLearn := learn.Stats{OutputQueries: 559, QuerySymbols: 2563, Rounds: 3, TestWords: 452, Counterexample: 2}
-	wantOracle := polca.Stats{OutputQueries: 559, Symbols: 2563, Probes: 2984, MemoHits: 2653, Accesses: 15683}
-	wantFrontend := cachequery.FrontendStats{Executed: 2984, Repetitions: 5968}
+	wantOracle := polca.Stats{OutputQueries: 559, Symbols: 2563, Probes: 2077, MemoHits: 2653, Accesses: 11744}
+	wantFrontend := cachequery.FrontendStats{Executed: 2077, Repetitions: 4154}
 	for _, procs := range []int{1, 8} {
 		got := run(procs)
 		if got.Machine.NumStates != 8 {

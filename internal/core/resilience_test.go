@@ -116,9 +116,10 @@ func TestFaultSoakReproducible(t *testing.T) {
 // TestFaultSoakCountersDeterministic pins the absolute counters of
 // TestFaultSoakReproducible's faulted simulator learn. The fault wrapper
 // hides the simulator from the oracle's engine, so every query takes the
-// reset-rooted probe path one probe at a time, with three votes per probe
-// against the plan's answer flips; retries, disagreements, probes and
-// memo hits all follow from the seeded plan alone.
+// reset-rooted probe path one probe or group run at a time, with three
+// votes per execution against the plan's answer flips; retries,
+// disagreements, probes and memo hits all follow from the seeded plan
+// alone.
 func TestFaultSoakCountersDeterministic(t *testing.T) {
 	t.Parallel()
 	plan := faulty.Plan{Seed: 7, ErrRate: 0.05, FlipRate: 0.002, DieReplica: -1}
@@ -133,8 +134,8 @@ func TestFaultSoakCountersDeterministic(t *testing.T) {
 	}
 	res.LearnStats.Duration = 0
 	wantLearn := learn.Stats{OutputQueries: 46373, QuerySymbols: 455606, Rounds: 148, TestWords: 899675, Counterexample: 151}
-	wantOracle := polca.Stats{OutputQueries: 46373, Symbols: 455606, Probes: 317225, MemoHits: 748653,
-		Accesses: 3243790, Retries: 50051, Disagreements: 1982, Reprobes: 14}
+	wantOracle := polca.Stats{OutputQueries: 46373, Symbols: 455606, Probes: 198334, MemoHits: 748653,
+		Accesses: 2187258, Retries: 31106, Disagreements: 1268, Reprobes: 6}
 	if res.LearnStats != wantLearn {
 		t.Errorf("learner stats %+v, want %+v", res.LearnStats, wantLearn)
 	}

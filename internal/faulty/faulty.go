@@ -222,6 +222,7 @@ type decision struct {
 	err   error
 	stall time.Duration
 	flip  bool
+	at    float64 // where in a profiled suffix a flip lands, as a fraction in [0,1)
 }
 
 // decide rolls the plan for one execution of content.
@@ -241,6 +242,7 @@ func (inj *Injector) decide(content uint64) decision {
 	}
 	if inj.plan.FlipRate > 0 && inj.roll(content, attempt, 3) < inj.plan.FlipRate {
 		d.flip = true
+		d.at = inj.roll(content, attempt, 4)
 	}
 	return d
 }

@@ -3,11 +3,13 @@ package faulty
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/blocks"
+	"repro/internal/cache"
 	"repro/internal/polca"
 	"repro/internal/policy"
 )
@@ -272,6 +274,109 @@ func TestDyingReplica(t *testing.T) {
 		}
 		if !polca.IsTransient(err) {
 			t.Fatal("replica death not transient; pool cannot retry elsewhere")
+		}
+	}
+}
+
+// TestFaultyProberTraceFlipsOneSuffixOutcome: a flip fault on ProbeTrace
+// inverts exactly one outcome of the profiled suffix. Where it lands is
+// drawn from the plan's seeded stream, so equal seeds flip equal
+// positions, and the position varies from probe to probe.
+func TestFaultyProberTraceFlipsOneSuffixOutcome(t *testing.T) {
+	ctx := context.Background()
+	clean := polca.NewSimProber(policy.MustNew("LRU", 4))
+	plan := Plan{Seed: 5, FlipRate: 1, DieReplica: -1}
+	a := WrapProber(polca.NewSimProber(policy.MustNew("LRU", 4)), NewInjector(plan))
+	b := WrapProber(polca.NewSimProber(policy.MustNew("LRU", 4)), NewInjector(plan))
+	seen := make(map[int]bool)
+	for i := 0; i < 20; i++ {
+		q := []blocks.Block{blocks.Name(4 + i%3), "A", "B", blocks.Name(5 + i), "C", "D"}
+		want, err := clean.ProbeTrace(ctx, q, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := a.ProbeTrace(ctx, q, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := b.ProbeTrace(ctx, q, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flipped := -1
+		for j := range want {
+			if got[j] != want[j] {
+				if flipped >= 0 {
+					t.Fatalf("probe %v: outcomes %v, clean %v: more than one flip", q, got, want)
+				}
+				flipped = j
+			}
+		}
+		if flipped < 0 {
+			t.Fatalf("probe %v: a flip-rate-1 plan flipped nothing", q)
+		}
+		seen[flipped] = true
+		if !slices.Equal(got, again) {
+			t.Errorf("probe %v: equal seeds flipped %v and %v", q, got, again)
+		}
+	}
+	if len(seen) < 2 {
+		t.Errorf("every flip landed on suffix position %v", seen)
+	}
+}
+
+// runFaults routes an oracle's eviction-group runs through a fault
+// wrapper and its access probes past it. Its re-measures (ProbeFresh) go
+// through the wrapper too when persistent is set.
+type runFaults struct {
+	clean      polca.Prober
+	faulty     *FaultyProber
+	persistent bool
+}
+
+func (p runFaults) Assoc() int                     { return p.clean.Assoc() }
+func (p runFaults) InitialContent() []blocks.Block { return p.clean.InitialContent() }
+func (p runFaults) Probe(ctx context.Context, q []blocks.Block) (cache.Outcome, error) {
+	return p.clean.Probe(ctx, q)
+}
+func (p runFaults) ProbeFresh(ctx context.Context, q []blocks.Block) (cache.Outcome, error) {
+	if p.persistent {
+		return p.faulty.ProbeFresh(ctx, q)
+	}
+	return p.clean.Probe(ctx, q)
+}
+func (p runFaults) ProbeTrace(ctx context.Context, q []blocks.Block, k int) ([]cache.Outcome, error) {
+	return p.faulty.ProbeTrace(ctx, q, k)
+}
+
+// TestFlippedGroupRunIsRemeasured: every group run of LRU-4's first Evct
+// has one outcome flipped. Whatever it flips, the group shows no victim or
+// two, so the member re-measure answers it — one counted reprobe per line
+// — and the oracle still names line 0. When the re-measures flip too, the
+// group stays inconsistent and the oracle reports nondeterminism.
+func TestFlippedGroupRunIsRemeasured(t *testing.T) {
+	ctx := context.Background()
+	plan := Plan{Seed: 9, FlipRate: 1, DieReplica: -1}
+	for _, persistent := range []bool{false, true} {
+		sim := polca.SlowProber{P: polca.NewSimProber(policy.MustNew("LRU", 4))}
+		o := polca.NewOracle(runFaults{clean: sim, faulty: WrapProber(sim, NewInjector(plan)), persistent: persistent})
+		out, err := o.OutputQuery(ctx, []int{4})
+		if persistent {
+			if !errors.Is(err, polca.ErrNondeterministic) {
+				t.Errorf("persistent flips answered (%v, %v), want ErrNondeterministic", out, err)
+			}
+			continue
+		}
+		if err != nil || out[0] != 0 {
+			t.Fatalf("flipped run answered (%v, %v), want [0]", out, err)
+		}
+		if st := o.Stats(); st.Reprobes != 4 {
+			t.Errorf("%d reprobes, want one per line of the group (4)", st.Reprobes)
+		}
+		// The re-measured answers are memoized: the later access of a
+		// surviving line is a memo hit that must hit.
+		if out, err := o.OutputQuery(ctx, []int{4, 1}); err != nil || out[1] != policy.Bottom {
+			t.Errorf("Evct Ln(1) answered (%v, %v)", out, err)
 		}
 	}
 }

@@ -15,8 +15,10 @@ import (
 // retry, voting, and quarantine defend): the oracle runs its simulator
 // query engine only for a bare *polca.SimProber, so a wrapped simulator
 // answers reset-rooted probes like hardware.
-// FreshProber and TraceProber are forwarded when the inner prober has them,
-// with the same fault roll applied.
+// FreshProber is forwarded when the inner prober has it, with the same
+// fault roll applied. A flip fault inverts Probe's outcome, or one
+// outcome of ProbeTrace's profiled suffix, drawn from the plan's seeded
+// stream.
 type FaultyProber struct {
 	inner polca.Prober
 	inj   *Injector
@@ -35,11 +37,11 @@ func (fp *FaultyProber) Assoc() int { return fp.inner.Assoc() }
 // InitialContent implements polca.Prober.
 func (fp *FaultyProber) InitialContent() []blocks.Block { return fp.inner.InitialContent() }
 
-// apply rolls the plan for one execution of q and stalls or fails as told.
-// It returns (flip, err); on err the inner probe must not run.
-func (fp *FaultyProber) apply(ctx context.Context, q []blocks.Block) (bool, error) {
+// apply rolls the plan for one execution of q and stalls or fails as
+// told. On d.err the inner probe must not run.
+func (fp *FaultyProber) apply(ctx context.Context, q []blocks.Block) decision {
 	if fp.inj == nil || fp.inj.plan.Empty() {
-		return false, nil
+		return decision{}
 	}
 	d := fp.inj.decide(hashBlocks(q))
 	if d.stall > 0 {
@@ -48,20 +50,20 @@ func (fp *FaultyProber) apply(ctx context.Context, q []blocks.Block) (bool, erro
 		case <-t.C:
 		case <-ctx.Done():
 			t.Stop()
-			return false, ctx.Err()
+			d.err = ctx.Err()
 		}
 	}
-	return d.flip, d.err
+	return d
 }
 
 // Probe implements polca.Prober.
 func (fp *FaultyProber) Probe(ctx context.Context, q []blocks.Block) (cache.Outcome, error) {
-	flip, err := fp.apply(ctx, q)
-	if err != nil {
-		return cache.Miss, err
+	d := fp.apply(ctx, q)
+	if d.err != nil {
+		return cache.Miss, d.err
 	}
 	oc, err := fp.inner.Probe(ctx, q)
-	if err == nil && flip {
+	if err == nil && d.flip {
 		oc = !oc
 	}
 	return oc, err
@@ -70,40 +72,34 @@ func (fp *FaultyProber) Probe(ctx context.Context, q []blocks.Block) (cache.Outc
 // ProbeFresh implements polca.FreshProber, falling back to Probe when the
 // inner prober lacks the extension.
 func (fp *FaultyProber) ProbeFresh(ctx context.Context, q []blocks.Block) (cache.Outcome, error) {
-	flip, err := fp.apply(ctx, q)
-	if err != nil {
-		return cache.Miss, err
+	d := fp.apply(ctx, q)
+	if d.err != nil {
+		return cache.Miss, d.err
 	}
 	var oc cache.Outcome
+	var err error
 	if f, ok := fp.inner.(polca.FreshProber); ok {
 		oc, err = f.ProbeFresh(ctx, q)
 	} else {
 		oc, err = fp.inner.Probe(ctx, q)
 	}
-	if err == nil && flip {
+	if err == nil && d.flip {
 		oc = !oc
 	}
 	return oc, err
 }
 
-// ProbeTrace implements polca.TraceProber when the inner prober does; a flip
-// fault inverts the final outcome of the trace (the one Probe would return).
-func (fp *FaultyProber) ProbeTrace(ctx context.Context, q []blocks.Block) ([]cache.Outcome, error) {
-	tp, ok := fp.inner.(polca.TraceProber)
-	if !ok {
-		oc, err := fp.Probe(ctx, q)
-		if err != nil {
-			return nil, err
-		}
-		return []cache.Outcome{oc}, nil
+// ProbeTrace implements polca.Prober; a flip fault inverts one outcome of
+// the profiled suffix.
+func (fp *FaultyProber) ProbeTrace(ctx context.Context, q []blocks.Block, k int) ([]cache.Outcome, error) {
+	d := fp.apply(ctx, q)
+	if d.err != nil {
+		return nil, d.err
 	}
-	flip, err := fp.apply(ctx, q)
-	if err != nil {
-		return nil, err
-	}
-	tr, err := tp.ProbeTrace(ctx, q)
-	if err == nil && flip && len(tr) > 0 {
-		tr[len(tr)-1] = !tr[len(tr)-1]
+	tr, err := fp.inner.ProbeTrace(ctx, q, k)
+	if err == nil && d.flip {
+		i := int(d.at * float64(len(tr)))
+		tr[i] = !tr[i]
 	}
 	return tr, err
 }
@@ -111,7 +107,6 @@ func (fp *FaultyProber) ProbeTrace(ctx context.Context, q []blocks.Block) ([]cac
 var (
 	_ polca.Prober      = (*FaultyProber)(nil)
 	_ polca.FreshProber = (*FaultyProber)(nil)
-	_ polca.TraceProber = (*FaultyProber)(nil)
 )
 
 // DeadReplicaErr is the permanent fault a dead replica answers with. It is
@@ -188,6 +183,13 @@ func (d *dyingProber) Probe(ctx context.Context, q []blocks.Block) (cache.Outcom
 		return cache.Miss, &DeadReplicaErr{Replica: d.id}
 	}
 	return d.inner.Probe(ctx, q)
+}
+
+func (d *dyingProber) ProbeTrace(ctx context.Context, q []blocks.Block, k int) ([]cache.Outcome, error) {
+	if !d.alive() {
+		return nil, &DeadReplicaErr{Replica: d.id}
+	}
+	return d.inner.ProbeTrace(ctx, q, k)
 }
 
 func (d *dyingProber) ProbeFresh(ctx context.Context, q []blocks.Block) (cache.Outcome, error) {

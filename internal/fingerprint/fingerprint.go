@@ -69,7 +69,7 @@ type Result struct {
 // state up to block naming — the standard Flush+Refill contract. For
 // policies with other reset behaviour the caller should compare against
 // machines instead (see internal/experiments' identifyPolicy).
-func Identify(ctx context.Context, pr polca.TraceProber, pool []string, opt Options) (*Result, error) {
+func Identify(ctx context.Context, pr polca.Prober, pool []string, opt Options) (*Result, error) {
 	assoc := pr.Assoc()
 	opt.defaults(assoc)
 	rng := rand.New(rand.NewSource(opt.Seed))
@@ -99,7 +99,7 @@ func Identify(ctx context.Context, pr polca.TraceProber, pool []string, opt Opti
 		for i := range seq {
 			seq[i] = universe[rng.Intn(len(universe))]
 		}
-		observed, err := pr.ProbeTrace(ctx, seq)
+		observed, err := pr.ProbeTrace(ctx, seq, len(seq))
 		if err != nil {
 			return nil, err
 		}

@@ -47,6 +47,19 @@ func (g *gatedProber) Probe(ctx context.Context, q []blocks.Block) (cache.Outcom
 	return g.inner.Probe(ctx, q)
 }
 
+func (g *gatedProber) ProbeTrace(ctx context.Context, q []blocks.Block, k int) ([]cache.Outcome, error) {
+	if g.served.Add(1) > atomic.LoadInt64(&g.trigger) {
+		if g.once.CompareAndSwap(false, true) {
+			close(g.armed)
+		}
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.inner.ProbeTrace(ctx, q, k)
+}
+
 // TestOracleCancelMidLearnStoresUsable: canceling a learn that is deep in
 // oracle probing must unwind with context.Canceled, leave no goroutines
 // behind, and leave the oracle's memo stores and parked sessions in a state

@@ -10,17 +10,12 @@ import (
 	"repro/internal/policy"
 )
 
-// fakeFleet wraps a simulator behind the fleet-shaped prober surface —
-// Probe/ProbeBatch only, concurrency-safe, with an adjustable reported
-// fleet width — and records how eviction probes arrive: grouped through
-// ProbeBatch or one by one.
+// fakeFleet wraps a simulator behind the fleet-shaped prober surface:
+// concurrency-safe, with an adjustable reported fleet width.
 type fakeFleet struct {
-	mu       sync.Mutex
-	inner    *SimProber
-	width    int
-	batches  int
-	maxBatch int
-	singles  int
+	mu    sync.Mutex
+	inner *SimProber
+	width int
 }
 
 func (f *fakeFleet) Assoc() int                     { return f.inner.Assoc() }
@@ -38,47 +33,19 @@ func (f *fakeFleet) setWidth(w int) {
 	f.width = w
 }
 
-func (f *fakeFleet) run(q []blocks.Block) (cache.Outcome, error) {
-	s, err := f.inner.NewSession()
-	if err != nil {
-		return cache.Miss, err
-	}
-	oc := cache.Miss
-	for _, b := range q {
-		if oc, err = s.Access(b); err != nil {
-			return cache.Miss, err
-		}
-	}
-	return oc, nil
-}
-
 func (f *fakeFleet) Probe(ctx context.Context, q []blocks.Block) (cache.Outcome, error) {
 	f.mu.Lock()
-	f.singles++
-	f.mu.Unlock()
-	return f.run(q)
+	defer f.mu.Unlock()
+	return f.inner.Probe(ctx, q)
 }
 
-func (f *fakeFleet) ProbeBatch(ctx context.Context, qs [][]blocks.Block) ([]cache.Outcome, error) {
+func (f *fakeFleet) ProbeTrace(ctx context.Context, q []blocks.Block, k int) ([]cache.Outcome, error) {
 	f.mu.Lock()
-	f.batches++
-	if len(qs) > f.maxBatch {
-		f.maxBatch = len(qs)
-	}
-	f.mu.Unlock()
-	out := make([]cache.Outcome, len(qs))
-	for i, q := range qs {
-		oc, err := f.run(q)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = oc
-	}
-	return out, nil
+	defer f.mu.Unlock()
+	return f.inner.ProbeTrace(ctx, q, k)
 }
 
 var (
-	_ ProbeBatcher     = (*fakeFleet)(nil)
 	_ ConcurrentProber = (*fakeFleet)(nil)
 	_ FleetWidther     = (*fakeFleet)(nil)
 )
@@ -118,66 +85,5 @@ func TestBatchHintTracksFleetWidth(t *testing.T) {
 	f.setWidth(0)
 	if h := o.BatchHint(); h < 1 {
 		t.Errorf("width-0 hint %d, want >= 1", h)
-	}
-}
-
-// unbatchedFleet hides fakeFleet's ProbeBatch, so the oracle issues the
-// eviction probes one by one.
-type unbatchedFleet struct{ f *fakeFleet }
-
-func (u unbatchedFleet) Assoc() int                     { return u.f.Assoc() }
-func (u unbatchedFleet) InitialContent() []blocks.Block { return u.f.InitialContent() }
-func (u unbatchedFleet) ConcurrentProbes() bool         { return true }
-func (u unbatchedFleet) Probe(ctx context.Context, q []blocks.Block) (cache.Outcome, error) {
-	return u.f.Probe(ctx, q)
-}
-
-// TestFleetTrieBatchedEvictionMatchesSerial: on the memoized trie path, an
-// oracle over a fleet-shaped prober groups each Evct's associativity-many
-// eviction probes into one ProbeBatch call, and its answers, memo sizes and
-// counters are identical to the serial loop's.
-func TestFleetTrieBatchedEvictionMatchesSerial(t *testing.T) {
-	mk := func() *fakeFleet {
-		return &fakeFleet{inner: NewSimProber(policy.MustNew("PLRU", 4)), width: 4}
-	}
-	grouped := mk()
-	serial := mk()
-	og := NewOracle(grouped)
-	os := NewOracle(unbatchedFleet{serial})
-
-	words := [][]int{
-		{4, 4, 0, 4},
-		{4, 0, 4, 1, 4, 4},
-		{4, 4, 4, 4, 2, 0},
-		{4, 4, 0, 4}, // repeat: must be pure memo on both oracles
-	}
-	for _, w := range words {
-		got, err := og.OutputQuery(context.Background(), w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := os.OutputQuery(context.Background(), w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("word %v: grouped answered %v, serial %v", w, got, want)
-			}
-		}
-	}
-
-	sg, ss := og.Stats(), os.Stats()
-	if sg != ss {
-		t.Errorf("grouped stats %+v != serial stats %+v", sg, ss)
-	}
-	if grouped.batches == 0 {
-		t.Fatal("no eviction group ever travelled through ProbeBatch")
-	}
-	if grouped.maxBatch != 4 {
-		t.Errorf("largest grouped call carried %d probes, want assoc=4", grouped.maxBatch)
-	}
-	if serial.batches != 0 {
-		t.Errorf("serial oracle issued %d batched calls, want 0", serial.batches)
 	}
 }

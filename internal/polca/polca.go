@@ -7,7 +7,10 @@
 // blocks currently stored in the cache. A hit on line i becomes an access to
 // the block stored there; an eviction request becomes an access to a block
 // that is not cached; and the identity of the evicted line is recovered by
-// re-probing the cache with each previously cached block (findEvicted).
+// re-accessing the previously cached blocks after the eviction
+// (findEvicted). A hit never changes a set's content (Definition 2.3), so
+// one run that profiles every re-access answers each of them up to its
+// first miss, and at most a second run settles the blocks after that miss.
 // This inversion of the cache's transition rules (Figure 2) exposes the
 // policy's data-independence symmetry to the learner and is what makes
 // automata learning scale to hardware caches.
@@ -29,7 +32,7 @@ import (
 
 // ErrNondeterministic is returned when the cache under observation behaves
 // inconsistently with any deterministic replacement policy — for example
-// when an access that must hit misses, or when the eviction probes identify
+// when an access that must hit misses, or when an eviction group identifies
 // zero or several evicted lines. On real hardware this is the symptom of an
 // incorrect reset sequence or of an adaptive/randomized policy (§7).
 var ErrNondeterministic = errors.New("polca: cache behaves nondeterministically")
@@ -38,7 +41,8 @@ var ErrNondeterministic = errors.New("polca: cache behaves nondeterministically"
 // Every Probe conceptually starts from the cache's fixed initial state:
 // implementations reset the cache (replaying the reset sequence on
 // hardware), access all blocks of q in order, and report whether the last
-// access hit.
+// access hit. ProbeTrace does the same but reports the last k outcomes;
+// CacheQuery profiles several accesses of one MBL query the same way.
 type Prober interface {
 	// Assoc returns the associativity of the probed cache set.
 	Assoc() int
@@ -49,15 +53,19 @@ type Prober interface {
 	// Implementations backed by slow or remote systems must honor ctx
 	// cancellation; simulators may only check its terminal state.
 	Probe(ctx context.Context, q []blocks.Block) (cache.Outcome, error)
+	// ProbeTrace runs q from the initial state and returns the outcomes of
+	// its last k accesses, 1 <= k <= len(q), in access order. The slice
+	// belongs to the caller.
+	ProbeTrace(ctx context.Context, q []blocks.Block, k int) ([]cache.Outcome, error)
 }
 
-// TraceProber is an optional Prober extension returning the full hit/miss
-// trace of a probe rather than only the final outcome. CacheQuery supports
-// it by tagging every access for profiling; the fingerprinting baseline
-// (internal/fingerprint) depends on it.
-type TraceProber interface {
-	Prober
-	ProbeTrace(ctx context.Context, q []blocks.Block) ([]cache.Outcome, error)
+// CheckSuffix rejects a profiled-suffix length k that ProbeTrace cannot
+// honour for q: every run profiles between one and all of its accesses.
+func CheckSuffix(q []blocks.Block, k int) error {
+	if k < 1 || k > len(q) {
+		return fmt.Errorf("polca: %d profiled accesses out of range for a %d-access probe", k, len(q))
+	}
+	return nil
 }
 
 // Session is an incremental probing session rooted at the cache's initial

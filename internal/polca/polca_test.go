@@ -3,6 +3,7 @@ package polca
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -144,16 +145,30 @@ func TestNondeterminismDetection(t *testing.T) {
 }
 
 // replayingProber models a probing stack with a result cache below the
-// oracle (a cachequery frontend's result cache): Probe memoizes its own answers and
-// replays them forever; ProbeFresh re-executes against the real system.
+// oracle (a cachequery frontend's result cache): Probe and ProbeTrace
+// memoize their own answers and replay them forever; ProbeFresh
+// re-executes against the real system.
 type replayingProber struct {
 	inner      Prober
 	memo       map[string]cache.Outcome
+	traces     map[string][]cache.Outcome
 	freshCalls int
 }
 
 func newReplayingProber(inner Prober) *replayingProber {
-	return &replayingProber{inner: inner, memo: make(map[string]cache.Outcome)}
+	return &replayingProber{inner: inner, memo: make(map[string]cache.Outcome), traces: make(map[string][]cache.Outcome)}
+}
+
+func (p *replayingProber) ProbeTrace(ctx context.Context, q []blocks.Block, k int) ([]cache.Outcome, error) {
+	key := fmt.Sprint(q, k)
+	if tr, ok := p.traces[key]; ok {
+		return append([]cache.Outcome(nil), tr...), nil
+	}
+	tr, err := p.inner.ProbeTrace(ctx, q, k)
+	if err == nil {
+		p.traces[key] = append([]cache.Outcome(nil), tr...)
+	}
+	return tr, err
 }
 
 func (p *replayingProber) Assoc() int                     { return p.inner.Assoc() }
@@ -240,6 +255,13 @@ func (p *countingConcurrentProber) Probe(ctx context.Context, q []blocks.Block) 
 	return p.inner.Probe(ctx, q)
 }
 
+func (p *countingConcurrentProber) ProbeTrace(ctx context.Context, q []blocks.Block, k int) ([]cache.Outcome, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.counts[fmt.Sprint(q, k)]++
+	return p.inner.ProbeTrace(ctx, q, k)
+}
+
 // TestProbeSingleFlight: concurrent batch goroutines that miss the memo on
 // the same probe key must not duplicate the execution — the batch below
 // repeats one word eight times, yet every underlying probe runs exactly once.
@@ -304,6 +326,10 @@ func (p *callCountingProber) InitialContent() []blocks.Block { return p.inner.In
 func (p *callCountingProber) Probe(ctx context.Context, q []blocks.Block) (cache.Outcome, error) {
 	p.calls++
 	return p.inner.Probe(ctx, q)
+}
+func (p *callCountingProber) ProbeTrace(ctx context.Context, q []blocks.Block, k int) ([]cache.Outcome, error) {
+	p.calls++
+	return p.inner.ProbeTrace(ctx, q, k)
 }
 
 // TestProbePathRejectsBadInputBeforeProbing: on the reset-rooted probe

@@ -6,227 +6,124 @@ package polca
 // loop — mapInput → probe → mapOutput, with mapOutput calling findEvicted
 // on an Evct — run once per symbol the output store does not know yet.
 //
-// Every probe of the learn path goes through one memo protocol on the
-// block-id probe store: claim (a recorded outcome is a memo hit, an
-// execution in flight is joined, otherwise the caller claims the key's
-// single-flight slot), execute the claimed probes, settle them (memoize
-// and count the successes, free every slot), then wait for the joined
-// executions. The access probe of a symbol claims one key; the eviction
-// group of an Evct claims its associativity-many keys before executing
-// any of them, so a ProbeBatcher receives the whole claimed residue in one
-// call. The determinism audit runs the same loop with fresh probes, no
-// memo and no re-probes.
+// Every execution of the learn path goes through one single-flight memo
+// protocol on the block-id probe store: a recorded answer is a memo hit,
+// an execution in flight is joined, and otherwise the caller claims the
+// node's slot, executes, records the answer and wakes the joiners. The
+// access probe of a symbol claims the node of its key. The eviction group
+// of an Evct claims the node of the Evct's prefix as one unit and records
+// its victim there. A group needs at most two suffix-profiled runs, not
+// one probe per cached line: a hit never changes a set's content
+// (Definition 2.3), so each answer of the run prefix · c1 … cn up to and
+// including its first miss is the answer of the single probe prefix · ci,
+// and a second run prefix · c(f+1) … cn settles the lines after a first
+// miss at cf. Every answer is memoized under its single-probe key, where
+// the later Ln access probes of the word find it. A group with no victim
+// or two is re-measured member by member before the victim check declares
+// nondeterminism. The determinism audit probes every member fresh, with
+// no memo and no re-measure, so it checks the runs against the paper's
+// single probes.
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/blocks"
 	"repro/internal/cache"
 	"repro/internal/policy"
 )
 
-// ProbeBatcher is an optional Prober extension executing several
-// independent reset-rooted probes in one call — cachequery's replica pool
-// and remote fleets implement it by fanning the probes over their
-// frontends. The oracle ships the probes an eviction group claims through
-// it whenever it claims more than one. Counters are maintained per probe
-// exactly as on one-by-one execution; only the error path differs: a
-// failing group records none of its claimed probes, where one-by-one
-// execution records the probes that succeeded before the first failure.
-type ProbeBatcher interface {
-	Prober
-	ProbeBatch(ctx context.Context, qs [][]blocks.Block) ([]cache.Outcome, error)
-}
-
 // inflightProbe is a single-flight slot: the first goroutine to miss the
-// memo on a key executes the probe, every concurrent requester of the same
-// key waits on done instead of duplicating the (expensive) execution.
+// memo at a probe-store node executes, and every concurrent requester of
+// the same node waits on done instead of duplicating the (expensive)
+// execution. The node of an Evct's prefix hosts two executions in turn:
+// the Evct's access probe while the node holds no outcome, then the
+// eviction group, which is only claimed once the access has answered.
 type inflightProbe struct {
-	done chan struct{}
-	oc   cache.Outcome
-	err  error
+	done   chan struct{}
+	oc     cache.Outcome // access probe answer
+	victim int           // eviction group answer
+	err    error
 }
 
-// memoProbe is one probe through the block-id probe store.
-type memoProbe struct {
-	ids  []int32        // probe-store key
-	q    []blocks.Block // reset-rooted block sequence
-	node int32          // probe-store node of ids
-	fl   *inflightProbe // joined execution, or this caller's claim when own
-	own  bool
-}
-
-// flights hands out the single-flight records of one claim pass, allocated
-// on the first claim: every claim of the pass shares one done channel,
-// which the caller closes once all of them are settled.
-type flights struct {
-	max  int // claims the pass can make
-	recs []inflightProbe
-	done chan struct{}
-}
-
-func (f *flights) next() *inflightProbe {
-	if f.done == nil {
-		f.recs = make([]inflightProbe, 0, f.max)
-		f.done = make(chan struct{})
-	}
-	f.recs = append(f.recs, inflightProbe{done: f.done})
-	return &f.recs[len(f.recs)-1]
-}
-
-// errUnexecuted releases a claim whose group stopped before executing it.
-// Its joiners execute the probe themselves; it never reaches a caller.
-var errUnexecuted = errors.New("polca: claimed probe released unexecuted")
-
-// claim walks p's key in the probe store: a recorded outcome is returned
-// as a memo hit (p.fl stays nil); an execution in flight is joined; and
-// otherwise p claims the key's single-flight slot with a record from fl
-// (p.own) and must be settled.
-func (o *Oracle) claim(p *memoProbe, fl *flights) cache.Outcome {
-	sh := o.pt.Acquire(p.ids)
+// claimNode looks up the probe-store node of key under its shard lock.
+// The recorded answer of an eviction group (group) is the node's victim,
+// that of a probe its outcome; a recorded answer comes back in val with a
+// nil fl. Otherwise the caller joins the execution in flight (fl, own
+// false) or claims the node's slot (fl, own true) and must publish.
+func (o *Oracle) claimNode(key []int32, group bool) (node int32, val probeVal, fl *inflightProbe, own bool) {
+	sh := o.pt.Acquire(key)
 	defer sh.Release()
-	p.node = sh.Ensure(p.ids)
-	v := sh.Val(p.node)
+	node = sh.Ensure(key)
+	v := sh.Val(node)
 	switch {
-	case sh.Has(p.node):
-		o.memoHits.Add(1)
-		return v.oc
+	case group && v.victim > 0, !group && sh.Has(node):
+		return node, *v, nil, false
 	case v.fl != nil:
-		p.fl = v.fl
-	default:
-		p.fl, p.own = fl.next(), true
-		v.fl = p.fl
+		return node, *v, v.fl, false
 	}
-	return cache.Miss
+	v.fl = &inflightProbe{done: make(chan struct{})}
+	return node, *v, v.fl, true
 }
 
-// settle publishes the execution of a claimed probe: a success is
-// memoized and counted, and the slot is freed either way. Joiners wake
-// when the claim pass closes its done channel.
-func (o *Oracle) settle(p *memoProbe, oc cache.Outcome, err error) {
-	p.fl.oc, p.fl.err = oc, err
-	sh := o.pt.Acquire(p.ids)
-	sh.Val(p.node).fl = nil
-	if err == nil {
-		o.probesN.Add(1)
-		o.accessesN.Add(int64(len(p.q)))
-		sh.Put(p.node, probeVal{oc: oc})
+// publish frees the slot fl of node, records a successful execution's
+// answer and wakes the joiners.
+func (o *Oracle) publish(key []int32, node int32, fl *inflightProbe, group bool) {
+	sh := o.pt.Acquire(key)
+	v := sh.Val(node)
+	v.fl = nil
+	switch {
+	case fl.err != nil:
+	case group:
+		v.victim = int8(fl.victim + 1)
+	default:
+		recordOutcome(sh, node, fl.oc)
 	}
 	sh.Release()
+	close(fl.done)
 }
 
-// join waits for the execution p joined; its answer counts as a memo hit.
-func (o *Oracle) join(ctx context.Context, p *memoProbe) (cache.Outcome, error) {
-	<-p.fl.done
-	switch {
-	case p.fl.err == errUnexecuted:
-		return o.probe(ctx, p.q, p.ids)
-	case p.fl.err != nil:
-		return cache.Miss, p.fl.err
+// await waits for the execution fl joined. A joined answer counts as hits
+// memo hits.
+func (o *Oracle) await(fl *inflightProbe, hits int) error {
+	<-fl.done
+	if fl.err == nil {
+		o.memoHits.Add(int64(hits))
 	}
-	o.memoHits.Add(1)
-	return p.fl.oc, nil
+	return fl.err
+}
+
+// recordOutcome memoizes oc at node, leaving any single-flight slot or
+// victim the node holds in place.
+func recordOutcome(sh *probeShard, node int32, oc cache.Outcome) {
+	sh.Val(node).oc = oc
+	sh.SetHas(node)
 }
 
 // probe issues one memoized reset-rooted probe: ids carries q as dense
 // block indices, so the memo key is a trie path, not an allocated string.
-// The shard stays locked only around the memo bookkeeping; parallel batch
-// goroutines that miss the memo on the same key (words sharing an input
-// prefix probe identical block sequences) wait for one execution instead
-// of duplicating it.
+// Parallel batch goroutines that miss the memo on the same key (words
+// sharing an input prefix probe identical block sequences) wait for one
+// execution instead of duplicating it.
 func (o *Oracle) probe(ctx context.Context, q []blocks.Block, ids []int32) (cache.Outcome, error) {
-	p := memoProbe{ids: ids, q: q}
-	fl := flights{max: 1}
-	oc := o.claim(&p, &fl)
+	node, v, fl, own := o.claimNode(ids, false)
 	switch {
-	case p.fl == nil:
-		return oc, nil
-	case !p.own:
-		return o.join(ctx, &p)
+	case fl == nil:
+		o.memoHits.Add(1)
+		return v.oc, nil
+	case !own:
+		if err := o.await(fl, 1); err != nil {
+			return cache.Miss, err
+		}
+		return fl.oc, nil
 	}
-	oc, err := o.executeProbe(ctx, q, false)
-	o.settle(&p, oc, err)
-	close(fl.done)
-	return oc, err
-}
-
-// probeGroup answers the probes of g into ocs through the memo protocol:
-// it claims every key first, executes and settles only the claimed probes
-// (executeGroup), and then waits for the executions it joined.
-func (o *Oracle) probeGroup(ctx context.Context, g []memoProbe, ocs []cache.Outcome) error {
-	fl := flights{max: len(g)}
-	claimed := 0
-	for i := range g {
-		if ocs[i] = o.claim(&g[i], &fl); g[i].own {
-			claimed++
-		}
+	if fl.oc, fl.err = o.executeProbe(ctx, q, false); fl.err == nil {
+		o.probesN.Add(1)
+		o.accessesN.Add(int64(len(q)))
 	}
-	var err error
-	if claimed > 0 {
-		err = o.executeGroup(ctx, g, ocs, claimed)
-		close(fl.done)
-	}
-	for i := range g {
-		if g[i].fl == nil || g[i].own {
-			continue
-		}
-		oc, jerr := o.join(ctx, &g[i])
-		if jerr != nil && err == nil {
-			err = jerr
-		}
-		ocs[i] = oc
-	}
-	return err
-}
-
-// executeGroup executes and settles the claimed members of g, writing
-// their outcomes to ocs. A ProbeBatcher gets one ProbeBatch call when more
-// than one member is claimed. Otherwise the members run through
-// executeProbe one by one in group order, stopping at the first failure or
-// at the group's second miss, which already fails the victim check: the
-// re-measure pass probes every member again. Claims left unexecuted are
-// released unrecorded.
-func (o *Oracle) executeGroup(ctx context.Context, g []memoProbe, ocs []cache.Outcome, claimed int) error {
-	if bpr, ok := o.prober.(ProbeBatcher); ok && claimed > 1 {
-		qs := make([][]blocks.Block, 0, claimed)
-		for i := range g {
-			if g[i].own {
-				qs = append(qs, g[i].q)
-			}
-		}
-		res, err := o.executeProbeBatch(ctx, bpr, qs)
-		for i := range g {
-			if g[i].own {
-				if err == nil {
-					ocs[i], res = res[0], res[1:]
-				}
-				o.settle(&g[i], ocs[i], err)
-			}
-		}
-		return err
-	}
-	var err error
-	misses := 0
-	for i := range g {
-		switch {
-		case !g[i].own:
-			if g[i].fl == nil && ocs[i] == cache.Miss {
-				misses++
-			}
-			continue
-		case err != nil || misses > 1:
-			o.settle(&g[i], cache.Miss, errUnexecuted)
-			continue
-		}
-		ocs[i], err = o.executeProbe(ctx, g[i].q, false)
-		if err == nil && ocs[i] == cache.Miss {
-			misses++
-		}
-		o.settle(&g[i], ocs[i], err)
-	}
-	return err
+	o.publish(ids, node, fl, false)
+	return fl.oc, fl.err
 }
 
 // freshProbe is the determinism audit's probe: it bypasses the memo
@@ -260,7 +157,7 @@ func (o *Oracle) reprobe(ctx context.Context, q []blocks.Block, ids []int32) (ca
 	}
 	o.reprobesN.Add(1)
 	sh := o.pt.Acquire(ids)
-	sh.Put(sh.Ensure(ids), probeVal{oc: oc})
+	recordOutcome(sh, sh.Ensure(ids), oc)
 	sh.Release()
 	return oc, nil
 }
@@ -288,26 +185,29 @@ func (o *Oracle) executeProbe(ctx context.Context, q []blocks.Block, fresh bool)
 	return o.tally(hits), nil
 }
 
-// executeProbeBatch is executeProbe over a group of probes: the retry
-// policy wraps each ProbeBatch call, and WithProbeVotes re-issues the group
-// and majority-votes every probe.
-func (o *Oracle) executeProbeBatch(ctx context.Context, bpr ProbeBatcher, qs [][]blocks.Block) ([]cache.Outcome, error) {
+// executeTrace executes one run of an eviction group: q with its last k
+// accesses profiled. The retry policy wraps each ProbeTrace call, and
+// WithProbeVotes re-issues the run and majority-votes every profiled
+// position. A run counts as one probe of len(q) accesses.
+func (o *Oracle) executeTrace(ctx context.Context, q []blocks.Block, k int) ([]cache.Outcome, error) {
 	var res []cache.Outcome
-	batch := func() (cache.Outcome, error) {
+	run := func() (cache.Outcome, error) {
 		var err error
-		res, err = bpr.ProbeBatch(ctx, qs)
+		if res, err = o.prober.ProbeTrace(ctx, q, k); err == nil && len(res) != k {
+			err = fmt.Errorf("polca: prober answered %d outcomes for %d profiled accesses", len(res), k)
+		}
 		return cache.Miss, err
 	}
-	if o.votes <= 1 {
-		if _, err := o.retry.Do(ctx, &o.retriesN, batch); err != nil {
+	var hits []int
+	if o.votes > 1 {
+		hits = make([]int, k)
+	}
+	for v := 0; v < o.votes; v++ {
+		if _, err := o.retry.Do(ctx, &o.retriesN, run); err != nil {
 			return nil, err
 		}
-		return res, nil
-	}
-	hits := make([]int, len(qs))
-	for v := 0; v < o.votes; v++ {
-		if _, err := o.retry.Do(ctx, &o.retriesN, batch); err != nil {
-			return nil, err
+		if hits == nil {
+			continue
 		}
 		for i, oc := range res {
 			if oc == cache.Hit {
@@ -315,11 +215,12 @@ func (o *Oracle) executeProbeBatch(ctx context.Context, bpr ProbeBatcher, qs [][
 			}
 		}
 	}
-	out := make([]cache.Outcome, len(qs))
 	for i, h := range hits {
-		out[i] = o.tally(h)
+		res[i] = o.tally(h)
 	}
-	return out, nil
+	o.probesN.Add(1)
+	o.accessesN.Add(int64(len(q)))
+	return res, nil
 }
 
 // tally turns the hit count of o.votes executions into the majority
@@ -363,11 +264,11 @@ func (o *Oracle) probesQueryTrie(ctx context.Context, word []int) ([]int, error)
 	out := make([]int, len(word))
 	cc := append([]int32(nil), o.cc0IDs...)
 	fed := make([]int32, 0, len(word))
-	// A recorded symbol spares the probes this path would issue for it:
-	// the access, plus n eviction probes for an Evct (a symbol with a
-	// victim). Counting those keeps
-	// MemoHits independent of whether a concurrent word sharing the prefix
-	// recorded it first or is still probing it.
+	// A recorded symbol spares the answers this path would look up for it:
+	// the access, plus the n member answers of an Evct's eviction group (a
+	// symbol with a victim). Counting those keeps MemoHits independent of
+	// whether a concurrent word sharing the prefix recorded it first or is
+	// still probing it.
 	spared := 0
 	sh := o.out.Acquire(word)
 	k, node := 0, int32(0)
@@ -476,35 +377,18 @@ func (o *Oracle) mapOutput(ctx context.Context, ip int, oc cache.Outcome, ic []i
 	return o.findEvicted(ctx, ic, icN, cc, audit)
 }
 
-// findEvicted identifies the line an Evct's miss displaced: one probe per
-// tracked line re-accesses that line's block after ic, and exactly one of
-// them must miss. Outside the audit the group runs through the memo
-// protocol (probeGroup), and an inconsistent group — at least one of its
-// probes is wrong — is re-measured member by member once before the
-// victim check declares nondeterminism.
-//
-// The group allocates per group, not per probe: the probe keys and block
-// sequences are carved from one backing array each. Nothing is reused
-// across groups, because a prober may still hold a batch's slices after
-// it returns (a remote fleet's losing hedge).
+// findEvicted identifies the line an Evct's miss displaced: re-accessing
+// the tracked lines cc after ic, exactly one of them must miss. The audit
+// probes each line fresh, one probe per line as in Algorithm 1. Outside
+// the audit the group is one single-flight unit at the probe-store node
+// of ic, which records its victim: a recorded or joined group is answered
+// without executing, and a claimed one executes through runGroup.
 func (o *Oracle) findEvicted(ctx context.Context, ic []int32, icN []blocks.Block, cc []int32, audit bool) (int, error) {
-	n, m := len(cc), len(ic)+1
-	pidBuf := make([]int32, n*m)
-	qBuf := make([]blocks.Block, n*m)
-	g := make([]memoProbe, n)
-	ocs := make([]cache.Outcome, n)
-	for i := range g {
-		p := &g[i]
-		p.ids = pidBuf[i*m : (i+1)*m : (i+1)*m]
-		copy(p.ids, ic)
-		p.ids[m-1] = cc[i]
-		p.q = qBuf[i*m : (i+1)*m : (i+1)*m]
-		copy(p.q, icN)
-		p.q[m-1] = blocks.Interned(int(cc[i]))
-	}
 	if audit {
-		for i := range g {
-			oc, err := o.freshProbe(ctx, g[i].q)
+		_, qs := memberProbes(ic, icN, cc)
+		ocs := make([]cache.Outcome, len(cc))
+		for i, q := range qs {
+			oc, err := o.freshProbe(ctx, q)
 			if err != nil {
 				return 0, err
 			}
@@ -512,19 +396,87 @@ func (o *Oracle) findEvicted(ctx context.Context, ic []int32, icN []blocks.Block
 		}
 		return victim(ocs, cc)
 	}
-	if err := o.probeGroup(ctx, g, ocs); err != nil {
+	node, v, fl, own := o.claimNode(ic, true)
+	switch {
+	case fl == nil:
+		o.memoHits.Add(int64(len(cc)))
+		return int(v.victim) - 1, nil
+	case !own:
+		if err := o.await(fl, len(cc)); err != nil {
+			return 0, err
+		}
+		return fl.victim, nil
+	}
+	fl.victim, fl.err = o.runGroup(ctx, ic, icN, cc)
+	o.publish(ic, node, fl, true)
+	return fl.victim, fl.err
+}
+
+// runGroup executes the eviction group of ic in at most two runs. Run 1
+// re-accesses every line of cc in line order; when its first miss is not
+// its last access, run 2 re-accesses the lines after that miss straight
+// after ic. Only a run's answers up to and including its first miss are
+// single-probe answers, so a group is consistent only when run 2 (if any)
+// has no miss and run 1 has one. A consistent group memoizes every member
+// answer under its single-probe key ic · cc[i]; any other group has each
+// member re-measured once (reprobe) before the victim check declares
+// nondeterminism.
+func (o *Oracle) runGroup(ctx context.Context, ic []int32, icN []blocks.Block, cc []int32) (int, error) {
+	n, m := len(cc), len(icN)
+	q := make([]blocks.Block, m+n)
+	copy(q, icN)
+	for i, c := range cc {
+		q[m+i] = blocks.Interned(int(c))
+	}
+	ocs, err := o.executeTrace(ctx, q, n)
+	if err != nil {
 		return 0, err
 	}
-	evicted, err := victim(ocs, cc)
-	if err != nil {
-		for i := range g {
-			if ocs[i], err = o.reprobe(ctx, g[i].q, g[i].ids); err != nil {
-				return 0, err
-			}
+	if f := slices.Index(ocs, cache.Miss); f >= 0 && f < n-1 {
+		rest, err := o.executeTrace(ctx, append(q[:m:m], q[m+f+1:]...), n-f-1)
+		if err != nil {
+			return 0, err
 		}
-		evicted, err = victim(ocs, cc)
+		copy(ocs[f+1:], rest)
 	}
-	return evicted, err
+	evicted, err := victim(ocs, cc)
+	if err == nil {
+		sh := o.pt.Acquire(ic)
+		base := sh.Ensure(ic)
+		for i, c := range cc {
+			recordOutcome(sh, sh.Extend(base, c), ocs[i])
+		}
+		sh.Release()
+		return evicted, nil
+	}
+	ids, qs := memberProbes(ic, icN, cc)
+	for i := range cc {
+		if ocs[i], err = o.reprobe(ctx, qs[i], ids[i]); err != nil {
+			return 0, err
+		}
+	}
+	return victim(ocs, cc)
+}
+
+// memberProbes returns the single probes of a group: the keys ic · cc[i]
+// and the block sequences icN · cc[i], carved from one backing array
+// each. No two share storage, because a prober may still hold a probe's
+// slice after it returns (a remote fleet's losing hedge).
+func memberProbes(ic []int32, icN []blocks.Block, cc []int32) ([][]int32, [][]blocks.Block) {
+	n, m := len(cc), len(ic)+1
+	idBuf := make([]int32, n*m)
+	qBuf := make([]blocks.Block, n*m)
+	ids := make([][]int32, n)
+	qs := make([][]blocks.Block, n)
+	for i, c := range cc {
+		ids[i] = idBuf[i*m : (i+1)*m : (i+1)*m]
+		copy(ids[i], ic)
+		ids[i][m-1] = c
+		qs[i] = qBuf[i*m : (i+1)*m : (i+1)*m]
+		copy(qs[i], icN)
+		qs[i][m-1] = blocks.Interned(int(c))
+	}
+	return ids, qs
 }
 
 // checkAccess is the consistency check of feeding block b for input ip:

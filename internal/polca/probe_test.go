@@ -2,6 +2,10 @@ package polca
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -10,126 +14,246 @@ import (
 	"repro/internal/policy"
 )
 
-// missingProber answers every probe with a miss, the answer of a cache whose
-// eviction group names every line. Its first probe closes started and
-// waits on gate, and it counts executions per final block.
-type missingProber struct {
+// groupRecorder serves a simulated cache on the reset-rooted probe path,
+// serialized so that batches may fan out over it, and records every
+// eviction-group run: runs counts the runs per Evct prefix (the blocks a
+// run re-accesses lines after), and firsts keeps each run that covers the
+// whole group.
+type groupRecorder struct {
+	inner  Prober
+	mu     sync.Mutex
+	runs   map[string]int
+	firsts [][]blocks.Block
+}
+
+func newGroupRecorder(pol policy.Policy) *groupRecorder {
+	return &groupRecorder{inner: SlowProber{P: NewSimProber(pol)}, runs: make(map[string]int)}
+}
+
+func (r *groupRecorder) Assoc() int                     { return r.inner.Assoc() }
+func (r *groupRecorder) InitialContent() []blocks.Block { return r.inner.InitialContent() }
+func (r *groupRecorder) ConcurrentProbes() bool         { return true }
+
+func (r *groupRecorder) Probe(ctx context.Context, q []blocks.Block) (cache.Outcome, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.inner.Probe(ctx, q)
+}
+
+func (r *groupRecorder) ProbeTrace(ctx context.Context, q []blocks.Block, k int) ([]cache.Outcome, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.runs[fmt.Sprint(q[:len(q)-k])]++
+	if k == r.inner.Assoc() {
+		r.firsts = append(r.firsts, append([]blocks.Block(nil), q...))
+	}
+	return r.inner.ProbeTrace(ctx, q, k)
+}
+
+// groupWord draws a word in which Evct is frequent, so that words carry
+// several eviction groups.
+func groupWord(rng *rand.Rand, assoc, length int) []int {
+	w := make([]int, length)
+	for i := range w {
+		if rng.Intn(5) < 2 {
+			w[i] = assoc
+		} else {
+			w[i] = rng.Intn(assoc)
+		}
+	}
+	return w
+}
+
+// probeKey is the probe-store key of a block sequence.
+func probeKey(t *testing.T, q []blocks.Block) []int32 {
+	t.Helper()
+	ids := make([]int32, len(q))
+	for i, b := range q {
+		id, err := blocks.Index(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = int32(id)
+	}
+	return ids
+}
+
+// TestGroupedAndOneByOneGroupsAgree: eviction groups answered by at most
+// two suffix-profiled runs agree with the audit's one fresh probe per
+// member, over the ten published policies plus New1-8 and seeded words.
+// Each distinct Evct prefix runs at most twice, no member needs a
+// re-measure, and every member answer a run memoized equals a fresh single
+// probe of its key — answers past a run's first miss are never trusted.
+func TestGroupedAndOneByOneGroupsAgree(t *testing.T) {
+	cases := append(tenPolicies[:len(tenPolicies):len(tenPolicies)], struct {
+		name  string
+		assoc int
+	}{"New1", 8})
+	ctx := context.Background()
+	for _, c := range cases {
+		t.Run(fmt.Sprintf("%s-%d", c.name, c.assoc), func(t *testing.T) {
+			pol := policy.MustNew(c.name, c.assoc)
+			rec := newGroupRecorder(pol)
+			o := NewOracle(rec)
+			rng := rand.New(rand.NewSource(int64(17 + c.assoc)))
+			for i := 0; i < 30; i++ {
+				word := groupWord(rng, c.assoc, 12)
+				got, err := o.OutputQuery(ctx, word)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := o.outputQueryProbes(ctx, word)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("word %v: group runs answered %v, single probes %v", word, got, want)
+				}
+			}
+			if st := o.Stats(); st.Reprobes != 0 {
+				t.Errorf("%d members re-measured on a deterministic cache", st.Reprobes)
+			}
+			if len(rec.firsts) == 0 {
+				t.Fatal("no eviction group ran")
+			}
+			for prefix, n := range rec.runs {
+				if n > 2 {
+					t.Errorf("Evct prefix %s ran %d times, want at most 2", prefix, n)
+				}
+			}
+			single := NewSimProber(pol)
+			for _, q := range rec.firsts {
+				prefix := q[:len(q)-c.assoc]
+				for _, b := range q[len(prefix):] {
+					member := append(prefix[:len(prefix):len(prefix)], b)
+					want, err := single.Probe(ctx, member)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, ok := o.pt.Get(probeKey(t, member))
+					if !ok || got.oc != want {
+						t.Fatalf("member %v: memo holds (%v, %v), a fresh single probe answers %v", member, got.oc, ok, want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestGroupRunCountersDeterministic: parallel words that share Evct
+// prefixes claim each eviction group as one unit, so every distinct group
+// runs once (at most two runs) and the oracle counters are identical at
+// GOMAXPROCS 1 and 8.
+func TestGroupRunCountersDeterministic(t *testing.T) {
+	for _, name := range []string{"PLRU", "New1"} {
+		pol := policy.MustNew(name, 8)
+		rng := rand.New(rand.NewSource(3))
+		var words [][]int
+		for p := 0; p < 6; p++ {
+			prefix := groupWord(rng, 8, 6)
+			for s := 0; s < 6; s++ {
+				w := append(append([]int(nil), prefix...), groupWord(rng, 8, 5)...)
+				words = append(words, w, w)
+			}
+		}
+		run := func(procs int) (Stats, map[string]int, [][]int) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			rec := newGroupRecorder(pol)
+			o := NewOracle(rec, WithParallelism(8))
+			outs, err := o.OutputQueryBatch(context.Background(), words)
+			if err != nil {
+				t.Fatalf("%s at GOMAXPROCS=%d: %v", name, procs, err)
+			}
+			return o.Stats(), rec.runs, outs
+		}
+		refStats, refRuns, refOuts := run(1)
+		for prefix, n := range refRuns {
+			if n > 2 {
+				t.Errorf("%s: Evct prefix %s ran %d times, want at most 2", name, prefix, n)
+			}
+		}
+		for _, procs := range []int{8, 8} {
+			st, runs, outs := run(procs)
+			if st != refStats {
+				t.Errorf("%s at GOMAXPROCS=%d: stats %+v, want %+v", name, procs, st, refStats)
+			}
+			if !reflect.DeepEqual(runs, refRuns) {
+				t.Errorf("%s at GOMAXPROCS=%d: group runs differ from the serial learn", name, procs)
+			}
+			if !reflect.DeepEqual(outs, refOuts) {
+				t.Errorf("%s at GOMAXPROCS=%d: answers differ from the serial learn", name, procs)
+			}
+		}
+	}
+}
+
+// gatedTrace holds its first group run until gate closes.
+type gatedTrace struct {
+	inner         Prober
 	started, gate chan struct{}
 	once          sync.Once
 	mu            sync.Mutex
-	calls         map[blocks.Block]int
+	runs          int
 }
 
-func (p *missingProber) Assoc() int                     { return 4 }
-func (p *missingProber) InitialContent() []blocks.Block { return blocks.Ordered(4) }
-func (p *missingProber) Probe(ctx context.Context, q []blocks.Block) (cache.Outcome, error) {
+func (p *gatedTrace) Assoc() int                     { return p.inner.Assoc() }
+func (p *gatedTrace) InitialContent() []blocks.Block { return p.inner.InitialContent() }
+func (p *gatedTrace) Probe(ctx context.Context, q []blocks.Block) (cache.Outcome, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.inner.Probe(ctx, q)
+}
+func (p *gatedTrace) ProbeTrace(ctx context.Context, q []blocks.Block, k int) ([]cache.Outcome, error) {
 	p.once.Do(func() {
 		close(p.started)
 		<-p.gate
 	})
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.calls[q[len(q)-1]]++
-	return cache.Miss, nil
+	p.runs++
+	return p.inner.ProbeTrace(ctx, q, k)
 }
 
-// TestStoppedGroupHandsClaimsToJoiners: one-by-one group execution stops at
-// the group's second miss, and a claim it leaves unexecuted is released
-// unrecorded. A concurrent requester that joined that claim must then run
-// the probe itself — once — instead of failing or waiting forever.
-func TestStoppedGroupHandsClaimsToJoiners(t *testing.T) {
-	p := &missingProber{started: make(chan struct{}), gate: make(chan struct{}), calls: make(map[blocks.Block]int)}
+// TestGroupClaimJoinersShareOneRun: an eviction group holds the claim at
+// its Evct prefix while it runs. A concurrent requester joins it instead
+// of running the group again, and a later one reads the recorded victim;
+// both count the group's members as memo hits.
+func TestGroupClaimJoinersShareOneRun(t *testing.T) {
+	p := &gatedTrace{inner: NewSimProber(policy.MustNew("LRU", 4)), started: make(chan struct{}), gate: make(chan struct{})}
 	o := NewOracle(p)
-	g := make([]memoProbe, 3)
-	for i := range g {
-		g[i].ids = []int32{4, int32(i)}
-		g[i].q = []blocks.Block{blocks.Interned(4), blocks.Interned(i)}
+	ctx := context.Background()
+	ic, icN, cc := []int32{4}, []blocks.Block{blocks.Interned(4)}, []int32{0, 1, 2, 3}
+	type answer struct {
+		victim int
+		err    error
 	}
-	ocs := make([]cache.Outcome, len(g))
-	errc := make(chan error, 1)
-	go func() { errc <- o.probeGroup(context.Background(), g, ocs) }()
+	first := make(chan answer, 1)
+	go func() {
+		v, err := o.findEvicted(ctx, ic, icN, cc, false)
+		first <- answer{v, err}
+	}()
 
-	// Join the third member's claim while the group is stuck in its first
-	// execution: the group claims all its keys before executing any.
 	<-p.started
-	joiner := memoProbe{ids: g[2].ids, q: g[2].q}
-	o.claim(&joiner, &flights{max: 1})
-	if joiner.fl == nil || joiner.own {
-		t.Fatal("the group did not hold its third key while executing its first")
+	_, _, fl, own := o.claimNode(ic, true)
+	if fl == nil || own {
+		t.Fatal("the running group did not hold the claim at its Evct prefix")
 	}
 	close(p.gate)
-	oc, err := o.join(context.Background(), &joiner)
-	if err != nil || oc != cache.Miss {
-		t.Fatalf("joiner got (%v, %v), want (Miss, nil)", oc, err)
+	if err := o.await(fl, len(cc)); err != nil || fl.victim != 0 {
+		t.Fatalf("joiner got (%d, %v), want victim 0", fl.victim, err)
 	}
-	if err := <-errc; err != nil {
-		t.Fatalf("group failed: %v", err)
+	if a := <-first; a.err != nil || a.victim != 0 {
+		t.Fatalf("group got (%d, %v), want victim 0", a.victim, a.err)
 	}
-	for i, b := range []blocks.Block{blocks.Interned(0), blocks.Interned(1), blocks.Interned(2)} {
-		if p.calls[b] != 1 {
-			t.Errorf("member %d executed %d times, want 1", i, p.calls[b])
-		}
+	// LRU-4 evicts line 0, the first access of run 1, so run 2 covers
+	// lines 1..3: 5 + 4 accesses.
+	if st := o.Stats(); p.runs != 2 || st.Probes != 2 || st.Accesses != 9 || st.MemoHits != 4 {
+		t.Errorf("%d runs, stats %+v; want 2 runs, 2 probes, 9 accesses, 4 memo hits", p.runs, st)
 	}
-	if st := o.Stats(); st.Probes != 3 || st.MemoHits != 0 {
-		t.Errorf("stats %+v, want 3 probes and no memo hits", st)
+	if v, err := o.findEvicted(ctx, ic, icN, cc, false); err != nil || v != 0 {
+		t.Fatalf("recorded group answered (%d, %v), want victim 0", v, err)
 	}
-	again := memoProbe{ids: g[2].ids}
-	if o.claim(&again, &flights{max: 1}); again.fl != nil {
-		t.Error("the joiner's execution was not memoized")
-	}
-}
-
-// TestGroupedAndOneByOneGroupsAgree: the same eviction groups answer with
-// identical outcomes, stores and counters whether their claims travel in
-// one ProbeBatch call or one by one, including groups that are partly
-// answered by the memo.
-func TestGroupedAndOneByOneGroupsAgree(t *testing.T) {
-	mk := func() *fakeFleet { return &fakeFleet{inner: NewSimProber(policy.MustNew("LRU", 4)), width: 1} }
-	grouped, serial := mk(), mk()
-	og, os := NewOracle(grouped), NewOracle(unbatchedFleet{serial})
-	ctx := context.Background()
-	for _, o := range []*Oracle{og, os} {
-		// Memoize one member of the first group before it is asked.
-		if _, err := o.probe(ctx, []blocks.Block{blocks.Interned(4), blocks.Interned(1)}, []int32{4, 1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The Evct groups of the word Evct Evct on LRU-4: each fed block evicts
-	// the least recently used line. The first group has one member in the
-	// memo, so its grouped call carries three probes; the last repeats it
-	// and is answered by the memo alone.
-	for _, tc := range []struct {
-		ic, cc  []int32
-		want    int
-		batches int // grouped calls so far
-		largest int // largest grouped call so far
-	}{
-		{[]int32{4}, []int32{0, 1, 2, 3}, 0, 1, 3},
-		{[]int32{4, 5}, []int32{4, 1, 2, 3}, 1, 2, 4},
-		{[]int32{4}, []int32{0, 1, 2, 3}, 0, 2, 4},
-	} {
-		icN := make([]blocks.Block, len(tc.ic))
-		for i, b := range tc.ic {
-			icN[i] = blocks.Interned(int(b))
-		}
-		a, err1 := og.findEvicted(ctx, tc.ic, icN, tc.cc, false)
-		b, err2 := os.findEvicted(ctx, tc.ic, icN, tc.cc, false)
-		if err1 != nil || err2 != nil || a != tc.want || b != tc.want {
-			t.Fatalf("group after %v: grouped (%d, %v), one by one (%d, %v), want victim %d",
-				tc.ic, a, err1, b, err2, tc.want)
-		}
-		if grouped.batches != tc.batches || grouped.maxBatch != tc.largest {
-			t.Errorf("after group %v: %d grouped calls, largest %d; want %d, largest %d",
-				tc.ic, grouped.batches, grouped.maxBatch, tc.batches, tc.largest)
-		}
-	}
-	if sg, ss := og.Stats(), os.Stats(); sg != ss {
-		t.Errorf("grouped stats %+v != one-by-one stats %+v", sg, ss)
-	}
-	if gn, sn := og.pt.NodeCount(), os.pt.NodeCount(); gn != sn {
-		t.Errorf("probe store nodes: grouped %d, one by one %d", gn, sn)
-	}
-	if serial.batches != 0 {
-		t.Errorf("one-by-one oracle issued %d grouped calls", serial.batches)
+	if st := o.Stats(); p.runs != 2 || st.MemoHits != 8 {
+		t.Errorf("recorded group: %d runs, %d memo hits; want 2 runs, 8 memo hits", p.runs, st.MemoHits)
 	}
 }

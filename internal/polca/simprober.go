@@ -68,38 +68,44 @@ func (p *SimProber) Probe(ctx context.Context, q []blocks.Block) (cache.Outcome,
 	if err := ctx.Err(); err != nil {
 		return cache.Miss, err
 	}
-	if p.tab != nil {
-		p.scratch.reset(p.tab, p.cc0)
-		var last cache.Outcome
-		for _, b := range q {
-			last, _ = p.scratch.Access(b)
-		}
-		return last, nil
-	}
-	p.set.Reset()
-	var last cache.Outcome
-	for _, b := range q {
-		last, _ = p.set.Access(b)
-	}
-	return last, nil
+	return p.run(q, nil), nil
 }
 
-// ProbeTrace implements TraceProber: the full hit/miss trace of one
+// ProbeTrace implements Prober: the outcomes of the last k accesses of one
 // reset-rooted run.
-func (p *SimProber) ProbeTrace(ctx context.Context, q []blocks.Block) ([]cache.Outcome, error) {
+func (p *SimProber) ProbeTrace(ctx context.Context, q []blocks.Block, k int) ([]cache.Outcome, error) {
+	if err := CheckSuffix(q, k); err != nil {
+		return nil, err
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	out := make([]cache.Outcome, k)
+	p.run(q, out)
+	return out, nil
+}
+
+// run replays q from the reset state, writes the outcomes of its last
+// len(out) accesses to out, and returns the last outcome.
+func (p *SimProber) run(q []blocks.Block, out []cache.Outcome) cache.Outcome {
 	if p.tab != nil {
 		p.scratch.reset(p.tab, p.cc0)
-		out := make([]cache.Outcome, len(q))
-		for i, b := range q {
-			out[i], _ = p.scratch.Access(b)
-		}
-		return out, nil
+	} else {
+		p.set.Reset()
 	}
-	p.set.Reset()
-	return p.set.AccessAll(q), nil
+	skip := len(q) - len(out)
+	var last cache.Outcome
+	for i, b := range q {
+		if p.tab != nil {
+			last, _ = p.scratch.Access(b)
+		} else {
+			last, _ = p.set.Access(b)
+		}
+		if i >= skip {
+			out[i-skip] = last
+		}
+	}
+	return last
 }
 
 // NewSession returns a session at the reset state: the oracle's query
@@ -186,4 +192,9 @@ func (p SlowProber) InitialContent() []blocks.Block { return p.P.InitialContent(
 // Probe implements Prober.
 func (p SlowProber) Probe(ctx context.Context, q []blocks.Block) (cache.Outcome, error) {
 	return p.P.Probe(ctx, q)
+}
+
+// ProbeTrace implements Prober.
+func (p SlowProber) ProbeTrace(ctx context.Context, q []blocks.Block, k int) ([]cache.Outcome, error) {
+	return p.P.ProbeTrace(ctx, q, k)
 }

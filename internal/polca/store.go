@@ -14,8 +14,10 @@ package polca
 // prober work per new symbol.
 //
 // The probe store is keyed by *block ids*: it is the reset-rooted
-// (hardware-style) probe memo plus single-flight, with the store's dense
-// edge interning keeping child arrays sized by the blocks actually seen.
+// (hardware-style) probe memo plus single-flight, and the node of an
+// Evct's prefix also records its eviction group's victim. The store's
+// dense edge interning keeps child arrays sized by the blocks actually
+// seen.
 //
 // Both stores are lock-striped by first symbol, so probe-path workers over
 // a ConcurrentProber recording words in different subtrees never contend;
@@ -39,9 +41,13 @@ type outVal struct {
 
 // probeVal is the per-node payload of the block-id probe store.
 type probeVal struct {
-	fl *inflightProbe // single-flight slot while a probe is executing
-	oc cache.Outcome  // memoized final outcome
+	fl     *inflightProbe // single-flight slot while the node's probe or eviction group executes
+	oc     cache.Outcome  // memoized final outcome
+	victim int8           // 1 + the recorded victim of the eviction group rooted here, 0 if none
 }
+
+// probeShard is the locked view of one probe-store shard.
+type probeShard = qstore.Shard[int32, probeVal]
 
 // outShard is the locked view of one output-store shard.
 type outShard = qstore.Shard[int, outVal]

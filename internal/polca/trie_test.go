@@ -33,6 +33,9 @@ func (f freshOnly) Probe(ctx context.Context, q []blocks.Block) (cache.Outcome, 
 func (f freshOnly) ProbeFresh(ctx context.Context, q []blocks.Block) (cache.Outcome, error) {
 	return f.p.Probe(ctx, q)
 }
+func (f freshOnly) ProbeTrace(ctx context.Context, q []blocks.Block, k int) ([]cache.Outcome, error) {
+	return f.p.ProbeTrace(ctx, q, k)
+}
 
 var _ FreshProber = freshOnly{}
 

@@ -19,7 +19,7 @@ import (
 )
 
 // RemoteProber is the client of one probe worker: it implements
-// polca.Prober (plus the batch extension) by POSTing probe requests to the
+// polca.Prober by POSTing probe requests to the
 // worker's /v1/probe endpoint. It is stateless beyond its counters —
 // probes are reset-rooted, so any worker can answer any probe — and safe
 // for concurrent use. Fleets pool several of them behind the
@@ -68,13 +68,14 @@ func (p *RemoteProber) Assoc() int { return p.assoc }
 // 0..n-1 with the first n blocks, on the worker exactly as locally.
 func (p *RemoteProber) InitialContent() []blocks.Block { return blocks.Ordered(p.assoc) }
 
-// post ships one probe request and decodes the outcomes. Connection
+// post ships one probe request, profiling the last k accesses of every
+// query, and decodes the k outcomes per query. Connection
 // failures, timeouts, 5xx answers and truncated bodies come back transient
 // (another worker may answer); 4xx answers are protocol-level bugs and
 // propagate as they are.
-func (p *RemoteProber) post(ctx context.Context, qs [][]blocks.Block) ([]cache.Outcome, error) {
+func (p *RemoteProber) post(ctx context.Context, qs [][]blocks.Block, k int) ([]cache.Outcome, error) {
 	p.batches.Add(1)
-	body, err := json.Marshal(probeRequest{Scope: p.scope, Queries: qs})
+	body, err := json.Marshal(probeRequest{Scope: p.scope, Queries: qs, Profile: k})
 	if err != nil {
 		return nil, fmt.Errorf("remote: encoding probe request: %w", err)
 	}
@@ -106,7 +107,7 @@ func (p *RemoteProber) post(ctx context.Context, qs [][]blocks.Block) ([]cache.O
 		p.fails.Add(1)
 		return nil, transient(fmt.Errorf("remote: %s: decoding probe response: %w", p.base, err))
 	}
-	out, err := decodeOutcomes(pr.Outcomes, len(qs))
+	out, err := decodeOutcomes(pr.Outcomes, k*len(qs))
 	if err != nil {
 		p.fails.Add(1)
 		return nil, transient(err)
@@ -117,17 +118,20 @@ func (p *RemoteProber) post(ctx context.Context, qs [][]blocks.Block) ([]cache.O
 
 // Probe implements polca.Prober.
 func (p *RemoteProber) Probe(ctx context.Context, q []blocks.Block) (cache.Outcome, error) {
-	out, err := p.post(ctx, [][]blocks.Block{q})
+	out, err := p.post(ctx, [][]blocks.Block{q}, 1)
 	if err != nil {
 		return cache.Miss, err
 	}
 	return out[0], nil
 }
 
-// ProbeBatch implements polca.ProbeBatcher: one request, results in
-// submission order.
-func (p *RemoteProber) ProbeBatch(ctx context.Context, qs [][]blocks.Block) ([]cache.Outcome, error) {
-	return p.post(ctx, qs)
+// ProbeTrace implements polca.Prober: one request profiling the last k
+// accesses of q.
+func (p *RemoteProber) ProbeTrace(ctx context.Context, q []blocks.Block, k int) ([]cache.Outcome, error) {
+	if err := polca.CheckSuffix(q, k); err != nil {
+		return nil, err
+	}
+	return p.post(ctx, [][]blocks.Block{q}, k)
 }
 
 // Healthz checks the worker's health endpoint.
@@ -148,7 +152,7 @@ func (p *RemoteProber) Healthz(ctx context.Context) error {
 	return nil
 }
 
-var _ polca.ProbeBatcher = (*RemoteProber)(nil)
+var _ polca.Prober = (*RemoteProber)(nil)
 
 // FleetOptions configures a worker fleet.
 type FleetOptions struct {
@@ -197,8 +201,8 @@ type WorkerStats struct {
 }
 
 // Fleet fans probes over a set of remote workers. It implements
-// polca.Prober, polca.ConcurrentProber, polca.ProbeBatcher and
-// polca.FleetWidther:
+// polca.Prober, polca.ConcurrentProber and polca.FleetWidther, plus
+// ProbeBatch for load generators:
 //
 //   - ProbeBatch splits the batch into contiguous sub-batches (one per
 //     live pool slot), dispatches them concurrently, and merges answers
@@ -347,14 +351,23 @@ func (f *Fleet) FleetWidth() int {
 
 // Probe implements polca.Prober.
 func (f *Fleet) Probe(ctx context.Context, q []blocks.Block) (cache.Outcome, error) {
-	out, err := f.do(ctx, [][]blocks.Block{q})
+	out, err := f.do(ctx, [][]blocks.Block{q}, 1)
 	if err != nil {
 		return cache.Miss, err
 	}
 	return out[0], nil
 }
 
-// ProbeBatch implements polca.ProbeBatcher: contiguous sub-batches, one
+// ProbeTrace implements polca.Prober: one sub-batch of one query that
+// profiles its last k accesses.
+func (f *Fleet) ProbeTrace(ctx context.Context, q []blocks.Block, k int) ([]cache.Outcome, error) {
+	if err := polca.CheckSuffix(q, k); err != nil {
+		return nil, err
+	}
+	return f.do(ctx, [][]blocks.Block{q}, k)
+}
+
+// ProbeBatch answers several probes at once: contiguous sub-batches, one
 // per live slot, dispatched concurrently; answers merge by index, so the
 // result order is the submission order regardless of which worker answered
 // what and in which order the sub-batches landed.
@@ -377,7 +390,7 @@ func (f *Fleet) ProbeBatch(ctx context.Context, qs [][]blocks.Block) ([]cache.Ou
 		wg.Add(1)
 		go func(c, lo, hi int) {
 			defer wg.Done()
-			res, err := f.do(ctx, qs[lo:hi])
+			res, err := f.do(ctx, qs[lo:hi], 1)
 			if err != nil {
 				errs[c] = err
 				return
@@ -406,14 +419,15 @@ func chunkBounds(n, width, c int) (lo, hi int) {
 	return lo, hi
 }
 
-// do answers one sub-batch: hedged dispatch with transparent quarantine
+// do answers one sub-batch, profiling the last k accesses of each query:
+// hedged dispatch with transparent quarantine
 // re-execution, wrapped in the fleet's seeded-backoff retry for transient
 // failures that survive the pool (systemic faults, a fully-dark fleet
 // waiting out probation).
-func (f *Fleet) do(ctx context.Context, qs [][]blocks.Block) ([]cache.Outcome, error) {
+func (f *Fleet) do(ctx context.Context, qs [][]blocks.Block, k int) ([]cache.Outcome, error) {
 	var out []cache.Outcome
 	_, err := f.retry.Do(ctx, &f.retries, func() (cache.Outcome, error) {
-		res, err := f.doOnce(ctx, qs)
+		res, err := f.doOnce(ctx, qs, k)
 		if err != nil {
 			return cache.Miss, err
 		}
@@ -430,7 +444,7 @@ func (f *Fleet) do(ctx context.Context, qs [][]blocks.Block) ([]cache.Outcome, e
 // deadline a duplicate on another worker; the first answer wins. Probes
 // are deterministic, so both attempts agree and the loser is simply
 // canceled.
-func (f *Fleet) doOnce(ctx context.Context, qs [][]blocks.Block) ([]cache.Outcome, error) {
+func (f *Fleet) doOnce(ctx context.Context, qs [][]blocks.Block, k int) ([]cache.Outcome, error) {
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	type result struct {
@@ -439,7 +453,7 @@ func (f *Fleet) doOnce(ctx context.Context, qs [][]blocks.Block) ([]cache.Outcom
 	}
 	ch := make(chan result, 2)
 	launch := func() {
-		out, err := f.attempt(actx, qs)
+		out, err := f.attempt(actx, qs, k)
 		ch <- result{out, err}
 	}
 	go launch()
@@ -480,14 +494,14 @@ func (f *Fleet) doOnce(ctx context.Context, qs [][]blocks.Block) ([]cache.Outcom
 // threshold is quarantined and the sub-batch transparently re-executes on
 // another slot; below the threshold the transient error propagates to the
 // retry layer.
-func (f *Fleet) attempt(ctx context.Context, qs [][]blocks.Block) ([]cache.Outcome, error) {
+func (f *Fleet) attempt(ctx context.Context, qs [][]blocks.Block, k int) ([]cache.Outcome, error) {
 	for {
 		s, err := f.pool.Checkout(ctx)
 		if err != nil {
 			return nil, err
 		}
 		w := s.Prober().(*RemoteProber)
-		out, err := w.post(ctx, qs)
+		out, err := w.post(ctx, qs, k)
 		if err == nil {
 			f.pool.Succeed(s)
 			return out, nil
@@ -512,7 +526,4 @@ func (f *Fleet) attempt(ctx context.Context, qs [][]blocks.Block) ([]cache.Outco
 	}
 }
 
-var (
-	_ polca.ConcurrentProber = (*Fleet)(nil)
-	_ polca.ProbeBatcher     = (*Fleet)(nil)
-)
+var _ polca.ConcurrentProber = (*Fleet)(nil)

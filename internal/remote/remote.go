@@ -7,9 +7,9 @@
 // batches for "sim:<policy>-<assoc>" scopes and remembers nothing between
 // probes. The oracle's probe memo (and its snapshots, which warm-start a
 // re-learn with no worker traffic at all) is the one memo on the
-// distributed path. The client side (Fleet) implements polca.Prober and
-// polca.ProbeBatcher over the fleet: ProbeBatch splits a batch into
-// contiguous sub-batches, fans them over the workers through the shared
+// distributed path. The client side (Fleet) implements polca.Prober over
+// the fleet, plus ProbeBatch for load generators: ProbeBatch splits a
+// batch into contiguous sub-batches, fans them over the workers through the shared
 // health-scored pool (cachequery.ProberPool — quarantine, probation
 // re-admission), hedges straggler sub-batches onto a second worker, and
 // retries transient failures under the oracle's seeded-backoff policy.
@@ -28,11 +28,12 @@
 //	GET  /v1/status  -> workerStatus (scopes, probe counter)
 //	POST /v1/probe   -> probeRequest -> probeResponse
 //
-// A probe request carries the scope and the queries as block-name arrays.
-// Every query executes; outcomes come back as one character per query,
-// 'H' or 'M', in request order. A malformed scope or block name is a 400
-// (a client bug, never retried); 5xx answers and transport failures are
-// transient.
+// A probe request carries the scope, the queries as block-name arrays and
+// the profiled-suffix count k (absent means 1): every query profiles its
+// last k accesses. Every query executes; outcomes come back as k
+// characters per query, 'H' or 'M', in request and access order. A
+// malformed scope, block name or suffix count is a 400 (a client bug,
+// never retried); 5xx answers and transport failures are transient.
 package remote
 
 import (
@@ -49,11 +50,15 @@ type probeRequest struct {
 	Scope string `json:"scope"`
 	// Queries are reset-rooted probe words, one block-name array each.
 	Queries [][]string `json:"queries"`
+	// Profile is how many trailing accesses of every query are profiled;
+	// 0 means 1, the last access only.
+	Profile int `json:"profile,omitempty"`
 }
 
 // probeResponse is the body answering POST /v1/probe.
 type probeResponse struct {
-	// Outcomes has one character per query, in request order: 'H' or 'M'.
+	// Outcomes has Profile characters per query, in request and access
+	// order: 'H' or 'M'.
 	Outcomes string `json:"outcomes"`
 }
 
@@ -69,7 +74,7 @@ type scopeStatus struct {
 	Compiled bool `json:"compiled"`
 }
 
-// encodeOutcomes renders outcomes as the wire's per-query character string.
+// encodeOutcomes renders outcomes as the wire's character string.
 func encodeOutcomes(ocs []cache.Outcome) string {
 	b := make([]byte, len(ocs))
 	for i, oc := range ocs {
@@ -85,7 +90,7 @@ func encodeOutcomes(ocs []cache.Outcome) string {
 // decodeOutcomes parses the wire's outcome string, expecting exactly n.
 func decodeOutcomes(s string, n int) ([]cache.Outcome, error) {
 	if len(s) != n {
-		return nil, fmt.Errorf("remote: %d outcomes for %d queries", len(s), n)
+		return nil, fmt.Errorf("remote: %d outcomes, want %d", len(s), n)
 	}
 	out := make([]cache.Outcome, n)
 	for i := 0; i < n; i++ {

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -126,7 +127,7 @@ func TestWorkerProbesMatchLocalSimulator(t *testing.T) {
 	local := polca.NewSimProber(pol)
 	words := probeWords(60, 4)
 	for round := 0; round < 2; round++ {
-		got, err := rp.ProbeBatch(context.Background(), words)
+		got, err := rp.post(context.Background(), words, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,9 +144,26 @@ func TestWorkerProbesMatchLocalSimulator(t *testing.T) {
 			t.Fatalf("round %d: worker executed %d probes, want %d", round, got, want)
 		}
 	}
+	// A profiled suffix comes back as k outcomes per query.
+	for _, q := range words {
+		for _, k := range []int{1, len(q)} {
+			got, err := rp.ProbeTrace(context.Background(), q, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := local.ProbeTrace(context.Background(), q, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("query %v, last %d: worker says %v, local says %v", q, k, got, want)
+			}
+		}
+	}
 }
 
-// TestWorkerRejectsBadScopes: malformed scopes and block names are 4xx
+// TestWorkerRejectsBadScopes: malformed scopes, block names and suffix
+// counts are 4xx
 // (non-transient) — client bugs, not worker health — and the worker keeps
 // serving after each.
 func TestWorkerRejectsBadScopes(t *testing.T) {
@@ -167,7 +185,7 @@ func TestWorkerRejectsBadScopes(t *testing.T) {
 	}
 	pastMax := blocks.Name(blocks.MaxIndex + 1)
 	for _, b := range []blocks.Block{"", "a", "A0", "A01", pastMax} {
-		_, err := rp.ProbeBatch(context.Background(), [][]blocks.Block{{"A", "B"}, {"A", b, "C"}})
+		_, err := rp.post(context.Background(), [][]blocks.Block{{"A", "B"}, {"A", b, "C"}}, 1)
 		if err == nil {
 			t.Errorf("block name %q accepted", b)
 		} else if polca.IsTransient(err) || !strings.Contains(err.Error(), "400") {
@@ -176,6 +194,12 @@ func TestWorkerRejectsBadScopes(t *testing.T) {
 		if _, err := rp.Probe(context.Background(), []blocks.Block{"E", "A"}); err != nil {
 			t.Fatalf("worker stopped serving after block name %q: %v", b, err)
 		}
+	}
+	// So is a profiled suffix longer than one of the queries.
+	if _, err := rp.post(context.Background(), [][]blocks.Block{{"A", "B", "C"}, {"A", "B"}}, 3); err == nil {
+		t.Error("a 3-access suffix of a 2-access query accepted")
+	} else if polca.IsTransient(err) || !strings.Contains(err.Error(), "400") {
+		t.Errorf("over-long suffix: %v, want a non-transient 400", err)
 	}
 	// A rejected batch executes none of its queries, not even the valid
 	// ones ahead of the bad name.
@@ -390,7 +414,7 @@ func TestFleetProbationRewarmsRestartedWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ra.ProbeBatch(context.Background(), words)
+	want, err := ra.post(context.Background(), words, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

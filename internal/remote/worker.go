@@ -78,25 +78,28 @@ func (w *Worker) proberFor(scope string) (*polca.SimProber, error) {
 }
 
 // probe executes one reset-rooted query on an independent session, so
-// concurrent requests never contend on simulator state; the configured
-// probe cost is paid first, serially, the way a pinned measurement core
-// would pay it.
-func (w *Worker) probe(ctx context.Context, pr *polca.SimProber, q []blocks.Block) (cache.Outcome, error) {
+// concurrent requests never contend on simulator state, and appends the
+// outcomes of its last k accesses to out. The configured probe cost is
+// paid first, serially, the way a pinned measurement core would pay it.
+func (w *Worker) probe(ctx context.Context, pr *polca.SimProber, q []blocks.Block, k int, out []cache.Outcome) ([]cache.Outcome, error) {
 	if err := w.payProbeCost(ctx); err != nil {
-		return cache.Miss, err
+		return nil, err
 	}
 	sess, err := pr.NewSession()
 	if err != nil {
-		return cache.Miss, err
+		return nil, err
 	}
-	var last cache.Outcome
-	for _, b := range q {
-		if last, err = sess.Access(b); err != nil {
-			return cache.Miss, err
+	for i, b := range q {
+		oc, err := sess.Access(b)
+		if err != nil {
+			return nil, err
+		}
+		if i >= len(q)-k {
+			out = append(out, oc)
 		}
 	}
 	w.probes.Add(1)
-	return last, nil
+	return out, nil
 }
 
 // payProbeCost sleeps the configured per-probe cost under costMu, honoring
@@ -169,9 +172,10 @@ func (w *Worker) handleProbe(rw http.ResponseWriter, r *http.Request) {
 		http.Error(rw, err.Error(), http.StatusBadRequest)
 		return
 	}
-	// Block names are checked before anything executes: the compiled
-	// kernel's sessions panic on an empty name, and a malformed one is the
-	// client's bug, not the worker's health.
+	// Block names and the suffix count are checked before anything
+	// executes: the compiled kernel's sessions panic on an empty name, and
+	// a malformed request is the client's bug, not the worker's health.
+	k := max(req.Profile, 1)
 	for i, q := range req.Queries {
 		for _, b := range q {
 			if _, err := blocks.Index(b); err != nil {
@@ -179,17 +183,19 @@ func (w *Worker) handleProbe(rw http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
+		if err := polca.CheckSuffix(q, k); err != nil {
+			http.Error(rw, fmt.Sprintf("query %d: %v", i, err), http.StatusBadRequest)
+			return
+		}
 	}
-	ocs := make([]cache.Outcome, len(req.Queries))
+	ocs := make([]cache.Outcome, 0, k*len(req.Queries))
 	for i, q := range req.Queries {
-		oc, err := w.probe(r.Context(), pr, q)
-		if err != nil {
+		if ocs, err = w.probe(r.Context(), pr, q, k, ocs); err != nil {
 			// A canceled request is the client hedging or unwinding — any
 			// status serves.
 			http.Error(rw, fmt.Sprintf("query %d: %v", i, err), http.StatusBadRequest)
 			return
 		}
-		ocs[i] = oc
 	}
 	rw.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(rw).Encode(probeResponse{Outcomes: encodeOutcomes(ocs)}) //nolint:errcheck
