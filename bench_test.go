@@ -524,7 +524,11 @@ type cacheTeacher struct {
 func (t *cacheTeacher) NumInputs() int { return t.numBlocks }
 
 func (t *cacheTeacher) OutputQuery(ctx context.Context, word []int) ([]int, error) {
-	prober := polca.NewSimProber(policy.MustNew(t.name, t.assoc))
+	tab, err := policy.CompileNamed(t.name, t.assoc, policy.DefaultCompileStates)
+	if err != nil {
+		return nil, err
+	}
+	prober := polca.NewSimProber(tab.At(tab.InitState()))
 	sess, err := prober.NewSession()
 	if err != nil {
 		return nil, err

@@ -7,10 +7,11 @@
 // custom metric, the highest qps. The deterministic counters must read the
 // same in all three samples, or the command fails.
 //
-// With -compare it becomes the CI regression gate: the fresh run is compared
-// against a committed baseline and the command exits nonzero when any named
-// benchmark regresses past the tolerance. The counters the benchmarks derive
-// from deterministic learner, oracle and synthesis runs (exactUnits:
+// With -compare it becomes the CI regression gate: the fresh run, made at
+// the baseline's recorded GOMAXPROCS, is compared against a committed
+// baseline and the command exits nonzero when any named benchmark regresses
+// past the tolerance. The counters the benchmarks derive from deterministic
+// learner, oracle and synthesis runs (exactUnits:
 // queries/op, probes/op, accesses/op, ...) must equal the baseline exactly,
 // in either direction; B/op, allocs/op and any other custom metric are held
 // to -tolerance; wall-clock ns/op, qps and custom wall-clock metrics (units
@@ -99,11 +100,8 @@ func main() {
 		}
 	}
 
-	args := []string{"test", "-run=NONE", "-bench=" + *bench, "-benchtime=" + *benchtime, "-count=" + strconv.Itoa(samples)}
-	if *short {
-		args = append(args, "-short")
-	}
-	args = append(args, *pkg)
+	procs := benchProcs(base)
+	args := testArgs(*bench, *benchtime, *short, *pkg, procs)
 	cmd := exec.Command("go", args...)
 	cmd.Stderr = os.Stderr
 	raw, err := cmd.Output()
@@ -128,7 +126,7 @@ func main() {
 	b.Benchtime = *benchtime
 	b.Short = *short
 	b.Pkg = *pkg
-	b.Gomaxprocs = runtime.GOMAXPROCS(0)
+	b.Gomaxprocs = procs
 	if v, err := exec.Command("go", "env", "GOVERSION").Output(); err == nil {
 		b.Go = strings.TrimSpace(string(v))
 	}
@@ -168,6 +166,29 @@ func main() {
 		}
 		fmt.Fprintln(os.Stderr, "benchjson: no regressions past tolerance")
 	}
+}
+
+// benchProcs is the GOMAXPROCS the suite runs at: the baseline's recorded
+// value in compare mode, so legs whose allocations follow the core count
+// (parallel synthesis workers) compare like with like on any runner, and
+// the process's own otherwise. A legacy baseline without Gomaxprocs runs at
+// the process's value.
+func benchProcs(base *Baseline) int {
+	if base != nil && base.Gomaxprocs > 0 {
+		return base.Gomaxprocs
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
+// testArgs is the go test command line of one suite run at GOMAXPROCS
+// procs (-cpu, which also fixes the name suffix testing appends).
+func testArgs(bench, benchtime string, short bool, pkg string, procs int) []string {
+	args := []string{"test", "-run=NONE", "-bench=" + bench, "-benchtime=" + benchtime,
+		"-count=" + strconv.Itoa(samples), "-cpu=" + strconv.Itoa(procs)}
+	if short {
+		args = append(args, "-short")
+	}
+	return append(args, pkg)
 }
 
 // loadBaseline reads and validates a committed baseline. Every failure mode a

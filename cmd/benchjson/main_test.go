@@ -3,6 +3,9 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -378,5 +381,37 @@ BenchmarkB-2   1   40 ns/op   9 probes/op
 	}
 	if len(unstable) != 1 || !strings.Contains(unstable[0], "BenchmarkB-2 probes/op") {
 		t.Errorf("unstable %q, want one report of B's probes/op", unstable)
+	}
+}
+
+// TestCompareRunsAtBaselineGomaxprocs: compare mode runs the suite at the
+// baseline's recorded GOMAXPROCS, whatever the runner's core count, so
+// allocations that follow the core count compare like with like; record
+// mode and legacy baselines run at the process's own GOMAXPROCS.
+func TestCompareRunsAtBaselineGomaxprocs(t *testing.T) {
+	own := runtime.GOMAXPROCS(0)
+	cases := []struct {
+		name string
+		base *Baseline
+		want int
+	}{
+		{"record mode", nil, own},
+		{"baseline at 1", &Baseline{Gomaxprocs: 1}, 1},
+		{"baseline at 8", &Baseline{Gomaxprocs: 8}, 8},
+		{"legacy baseline", &Baseline{}, own},
+	}
+	for _, c := range cases {
+		procs := benchProcs(c.base)
+		if procs != c.want {
+			t.Errorf("%s: runs at GOMAXPROCS %d, want %d", c.name, procs, c.want)
+		}
+		args := testArgs(".", "1x", true, "repro", procs)
+		want := "-cpu=" + strconv.Itoa(c.want)
+		if !slices.Contains(args, want) {
+			t.Errorf("%s: go %s lacks %s", c.name, strings.Join(args, " "), want)
+		}
+		if args[len(args)-1] != "repro" || !slices.Contains(args, "-short") {
+			t.Errorf("%s: go %s: want -short and the package last", c.name, strings.Join(args, " "))
+		}
 	}
 }

@@ -301,10 +301,11 @@ func LearnSimulated(ctx context.Context, req SimRequest) (*SimResult, error) {
 }
 
 // OpenSimOracle builds the simulated-cache Polca oracle for a named policy
-// exactly as LearnSimulated does: compiled kernel, fault injection, retry
-// policy and worker fleet per SimOptions. It returns the oracle, the fleet
-// handle (nil for local runs), the policy's canonical name, and the
-// snapshot scope tagging the oracle's query store. The polcad daemon
+// exactly as LearnSimulated does: compiled kernel (one table per policy and
+// process, policy.CompileNamed), fault injection, retry policy and worker
+// fleet per SimOptions. It returns the oracle, the fleet handle (nil for
+// local runs), the policy's canonical name, and the snapshot scope tagging
+// the oracle's query store. The polcad daemon
 // (internal/daemon) builds its shared per-(policy, assoc) engines here
 // too, so a daemon-served learn is the same pipeline — and produces the
 // same bytes — as cmd/polca.
@@ -346,7 +347,14 @@ func OpenSimOracle(ctx context.Context, policyName string, assoc int, sim SimOpt
 		// eviction probes into one round trip.
 		prober = fleet
 	} else {
-		prober = polca.NewSimProber(pol)
+		// Named policies compile once per process; each oracle steps its
+		// own view of the shared table. A policy the kernel cannot compile
+		// stays interpreted, as NewSimProber would leave it.
+		if t, err := policy.CompileNamed(policyName, assoc, policy.DefaultCompileStates); err == nil {
+			prober = polca.NewSimProber(t.At(t.InitState()))
+		} else {
+			prober = polca.NewInterpretedSimProber(pol)
+		}
 		if sim.Faults != nil {
 			prober = faulty.WrapProber(prober, faulty.NewInjector(*sim.Faults))
 			if sim.Faults.FlipRate > 0 {

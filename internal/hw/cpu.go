@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
-	"strconv"
-	"sync"
 
 	"repro/internal/policy"
 )
@@ -49,45 +47,18 @@ type CPU struct {
 
 // hwCompileStates bounds the policy kernel inside the simulated CPUs: big
 // enough for every per-set policy the configured models install (PLRU-8 has
-// 128 control states, New1-4 160, CAT-reduced BRRIP-4 8,192), small enough
-// that probing an uncompilable giant (New2 at the full 12/16-way L3) fails
-// in milliseconds and is cached as such.
+// 128 control states, New1-4 160, CAT-reduced BRRIP-4 8,192). New2 and BRRIP
+// at the full 12/16-way L3 exceed it; on packed state keys that search
+// gives up in tens of milliseconds, once per process (policy.CompileNamed).
 const hwCompileStates = 1 << 14
-
-// compiledPolicies caches compiled transition tables process-wide, keyed by
-// policy name and associativity. Tables are immutable, so thousands of sets
-// across every CPU replica share one table and each set carries only its
-// int32 control state; a nil entry records that the policy exceeds the
-// bound and stays interpreted. Each key maps to a single-flight slot:
-// replica CPUs built on parallel goroutines used to race on the compile and
-// throw away the losers, which for a 16K-state bound is real work — now the
-// first goroutine compiles and the rest wait on its result.
-var compiledPolicies sync.Map // "name/assoc" -> *compileSlot
-
-type compileSlot struct {
-	once sync.Once
-	tab  *policy.Table // nil: the policy exceeds the bound, stays interpreted
-}
-
-func compiledPolicy(name string, assoc int) *policy.Table {
-	key := name + "/" + strconv.Itoa(assoc)
-	v, _ := compiledPolicies.LoadOrStore(key, &compileSlot{})
-	slot := v.(*compileSlot)
-	slot.once.Do(func() {
-		t, err := policy.CompileBound(policy.MustNew(name, assoc), hwCompileStates)
-		if err != nil {
-			t = nil
-		}
-		slot.tab = t
-	})
-	return slot.tab
-}
 
 // newPolicy instantiates one set's policy: a fresh view of the shared
 // compiled table when the kernel applies, the interpreted policy otherwise.
+// Thousands of sets across every CPU replica share one table and each set
+// carries only its int32 control state.
 func (c *CPU) newPolicy(name string, assoc int) policy.Policy {
 	if !c.interpreted {
-		if t := compiledPolicy(name, assoc); t != nil {
+		if t, err := policy.CompileNamed(name, assoc, hwCompileStates); err == nil {
 			return t.At(t.InitState())
 		}
 	}

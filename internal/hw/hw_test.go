@@ -453,10 +453,12 @@ func TestKernelTableIsShared(t *testing.T) {
 	if p1.NumStates() != p2.NumStates() || p1.Name() != p2.Name() {
 		t.Fatal("set views disagree about the compiled table")
 	}
-	if compiledPolicy("PLRU", 8) != compiledPolicy("PLRU", 8) {
+	t1, err1 := policy.CompileNamed("PLRU", 8, hwCompileStates)
+	t2, err2 := policy.CompileNamed("PLRU", 8, hwCompileStates)
+	if err1 != nil || err2 != nil || t1 != t2 {
 		t.Fatal("process-wide table cache returned distinct tables")
 	}
-	if compiledPolicy("New2", 16) != nil {
+	if _, err := policy.CompileNamed("New2", 16, hwCompileStates); err == nil {
 		t.Fatal("New2-16 compiled despite exceeding the hw state bound")
 	}
 }

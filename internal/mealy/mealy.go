@@ -156,9 +156,12 @@ func FromTable(t *policy.Table) *Machine {
 		Out:        make([][]int, len(order)),
 		StateNames: make([]string, len(order)),
 	}
+	// One backing array per table; each row is capped to its own span.
+	nflat := make([]int, len(order)*numIn)
+	oflat := make([]int, len(order)*numIn)
 	for newID, oldID := range order {
-		nrow := make([]int, numIn)
-		orow := make([]int, numIn)
+		lo, hi := newID*numIn, (newID+1)*numIn
+		nrow, orow := nflat[lo:hi:hi], oflat[lo:hi:hi]
 		for a := 0; a < numIn; a++ {
 			succ, out := t.Step(oldID, a)
 			nrow[a] = remap[succ]

@@ -11,13 +11,17 @@ package policy
 // Clone (the mutable state is one int32), O(1) StateKey (a precomputed
 // string per state id), and one array lookup per input symbol.
 //
-// The exploration is the canonical one: breadth-first over Clone/Apply with
-// StateKey as state identity, exactly the order internal/mealy extraction
-// used before it was re-platformed onto Compile — so the state numbering
-// (and hence every published model artifact) is unchanged.
+// The exploration is the canonical one: breadth-first over Apply with
+// StateKey identity (carried by integer keys, see CompileState), exactly
+// the order internal/mealy extraction used before it was re-platformed onto
+// Compile — so the state numbering (and hence every published model
+// artifact) is unchanged. CompileNamed compiles each registered policy once
+// per process and shares the table.
 
 import (
 	"fmt"
+	"strings"
+	"sync"
 )
 
 // DefaultCompileStates is the state-count bound Compile enforces: policies
@@ -63,37 +67,57 @@ func CompileBound(p Policy, maxStates int) (*Table, error) {
 // instead of cs0 — the compiled analog of mealy.FromPolicyState, used to
 // build ground-truth machines for hardware experiments where the reset
 // sequence parks the policy in a state other than the canonical initial one.
+//
+// The search identifies states by integer keys (see stateSpace): the packed
+// control state of a StatePacker, or else the StateKey string interned to a
+// dense id. Either key is equal for two states exactly when their StateKeys
+// are, so the numbering is the one a StateKey-keyed search gives. The
+// table's StateKey strings are formatted only once the search has
+// succeeded.
 func CompileState(p Policy, maxStates int) (*Table, error) {
 	n := p.Assoc()
 	numIn := NumInputs(n)
 	root := p.Clone()
 
-	index := map[string]int32{root.StateKey(): 0}
-	frontier := []Policy{root}
-	keys := []string{root.StateKey()}
-	var next, out []int32
+	hint := 64 // initial capacity in states, up to a small bound
+	if maxStates > 0 {
+		hint = min(maxStates, 256)
+	}
+	sp := newStateSpace(root)
+	rootKey, _ := sp.key(root)
+	index := make(map[uint64]int32, hint)
+	index[rootKey] = 0
+	ids := append(make([]uint64, 0, hint), rootKey) // search key per state id
+	next := make([]int32, 0, hint*numIn)
+	out := make([]int32, 0, hint*numIn)
 
-	for head := 0; head < len(frontier); head++ {
-		cur := frontier[head]
+	for head := 0; head < len(ids); head++ {
 		for a := 0; a < numIn; a++ {
-			succ := cur.Clone()
+			succ := sp.load(head, ids[head])
 			o := Apply(succ, a)
-			key := succ.StateKey()
-			id, seen := index[key]
+			k, ok := sp.key(succ)
+			if !ok {
+				return nil, fmt.Errorf("policy: %s packs some control states but not others", p.Name())
+			}
+			id, seen := index[k]
 			if !seen {
-				id = int32(len(frontier))
+				id = int32(len(ids))
 				if maxStates > 0 && int(id) >= maxStates {
 					return nil, fmt.Errorf("policy: %s has more than %d reachable states", p.Name(), maxStates)
 				}
-				index[key] = id
-				frontier = append(frontier, succ)
-				keys = append(keys, key)
+				index[k] = id
+				ids = append(ids, k)
+				sp.keep(succ)
 			}
 			next = append(next, id)
 			out = append(out, int32(o))
 		}
 	}
 
+	keys := make([]string, len(ids))
+	for i, k := range ids {
+		keys[i] = sp.load(i, k).StateKey()
+	}
 	t := &Table{
 		name:  p.Name(),
 		assoc: n,
@@ -104,20 +128,114 @@ func CompileState(p Policy, maxStates int) (*Table, error) {
 		out:   out,
 		keys:  keys,
 	}
-	if err := t.validate(root); err != nil {
+	if err := t.validate(root, sp, ids); err != nil {
 		return nil, err
 	}
 	return t, nil
 }
 
+// stateSpace is how the compile search reaches and identifies control
+// states. A StatePacker is searched on its packed states: one scratch
+// instance is unpacked to each state in turn, so a transition allocates
+// nothing. Any other policy keeps one instance per state, steps clones of
+// it, and is identified by its StateKey interned to a dense id.
+type stateSpace struct {
+	packer   StatePacker // the scratch instance of a packing policy
+	scratch  Policy
+	states   []Policy // per state id, for policies that do not pack
+	interned map[string]uint64
+}
+
+func newStateSpace(root Policy) *stateSpace {
+	if pk, ok := root.(StatePacker); ok {
+		if _, ok := pk.PackState(); ok {
+			s := root.Clone()
+			return &stateSpace{packer: s.(StatePacker), scratch: s}
+		}
+	}
+	return &stateSpace{states: []Policy{root}, interned: make(map[string]uint64)}
+}
+
+// load returns an instance in state id (search key k) that the caller may
+// step.
+func (sp *stateSpace) load(id int, k uint64) Policy {
+	if sp.packer != nil {
+		sp.packer.UnpackState(k)
+		return sp.scratch
+	}
+	return sp.states[id].Clone()
+}
+
+// key returns q's search key; false when q packs no state although the
+// search runs on packed states.
+func (sp *stateSpace) key(q Policy) (uint64, bool) {
+	if sp.packer != nil {
+		return q.(StatePacker).PackState()
+	}
+	s := q.StateKey()
+	id, seen := sp.interned[s]
+	if !seen {
+		id = uint64(len(sp.interned))
+		sp.interned[s] = id
+	}
+	return id, true
+}
+
+// keep records q, just loaded and stepped, as the newest state.
+func (sp *stateSpace) keep(q Policy) {
+	if sp.packer == nil {
+		sp.states = append(sp.states, q)
+	}
+}
+
+// compiled is CompileNamed's process-wide cache: one single-flight slot per
+// (name, associativity, bound).
+var compiled sync.Map // namedKey -> *compileSlot
+
+type namedKey struct {
+	name         string
+	assoc, bound int
+}
+
+type compileSlot struct {
+	once sync.Once
+	tab  *Table
+	err  error
+}
+
+// CompileNamed compiles the registered policy name at assoc within
+// maxStates (<= 0: unbounded) once per process. Concurrent callers of one
+// key wait for the first one's search, and a failure — typically "more
+// than maxStates reachable states" — is remembered like a table. The table
+// is shared by every caller, so a caller that steps it takes its own view
+// (t.At(t.InitState())) and never steps the returned value.
+func CompileNamed(name string, assoc, maxStates int) (*Table, error) {
+	k := namedKey{strings.ToLower(name), assoc, max(maxStates, 0)}
+	v, ok := compiled.Load(k)
+	if !ok {
+		v, _ = compiled.LoadOrStore(k, new(compileSlot))
+	}
+	slot := v.(*compileSlot)
+	slot.once.Do(func() {
+		p, err := New(name, assoc)
+		if err != nil {
+			slot.err = err
+			return
+		}
+		slot.tab, slot.err = CompileBound(p, maxStates)
+	})
+	return slot.tab, slot.err
+}
+
 // validate spot-checks the compiled table against the interpreted policy by
 // replaying a fixed pseudo-random input word and comparing outputs and state
-// keys symbol by symbol. Exploration alone cannot detect a policy whose
-// behaviour is not a function of its StateKey (the contract Policy
-// documents): such a policy — policy.Random, or any Clone that shares
-// mutable state — folds distinct behaviours onto one table state, and the
-// replay diverges almost immediately.
-func (t *Table) validate(root Policy) error {
+// identities (the search keys, ids[s] for state s) symbol by symbol, and the
+// StateKey strings of the last state. Exploration alone cannot detect a
+// policy whose behaviour is not a function of its StateKey (the contract
+// Policy documents): such a policy — policy.Random, or any Clone that
+// shares mutable state — folds distinct behaviours onto one table state,
+// and the replay diverges almost immediately.
+func (t *Table) validate(root Policy, sp *stateSpace, ids []uint64) error {
 	steps := 128 + 4*len(t.keys)
 	if steps > 2048 {
 		steps = 2048
@@ -134,7 +252,7 @@ func (t *Table) validate(root Policy) error {
 		if int(t.out[base]) != want {
 			return fmt.Errorf("policy: %s is not compilable: output diverged from the interpreter at replay step %d (StateKey does not determine behaviour)", t.name, i)
 		}
-		if t.keys[state] != ref.StateKey() {
+		if k, ok := sp.key(ref); !ok || k != ids[state] || (i == steps-1 && t.keys[state] != ref.StateKey()) {
 			return fmt.Errorf("policy: %s is not compilable: state key diverged from the interpreter at replay step %d", t.name, i)
 		}
 	}

@@ -1,8 +1,11 @@
 package policy
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -191,5 +194,78 @@ func TestTableViews(t *testing.T) {
 	}
 	if v2.State() != next {
 		t.Fatalf("Step successor %d, OnMiss landed in %d", next, v2.State())
+	}
+}
+
+// countingLRU is LRU with a shared count of its Clone calls: one compile
+// search clones once per explored transition, so the count tells how many
+// searches ran.
+type countingLRU struct {
+	LRU
+	clones *atomic.Int64
+}
+
+func (p *countingLRU) Clone() Policy {
+	p.clones.Add(1)
+	return &countingLRU{LRU: *p.LRU.Clone().(*LRU), clones: p.clones}
+}
+
+var singleFlightRuns atomic.Int64
+
+// TestCompileCacheSingleFlight: 16 goroutines asking CompileNamed for one
+// key run exactly one compile search and share its table; a failure (over
+// the bound) is cached the same way, and later requests search nothing.
+func TestCompileCacheSingleFlight(t *testing.T) {
+	var clones atomic.Int64
+	name := fmt.Sprintf("counting-lru-%d", singleFlightRuns.Add(1))
+	Register(name, func(assoc int) (Policy, error) {
+		return &countingLRU{LRU: *NewLRU(assoc), clones: &clones}, nil
+	})
+	t.Cleanup(func() { delete(registry, name) })
+
+	for _, bound := range []int{0, 5} {
+		clones.Store(0)
+		ref, refErr := CompileBound(MustNew(name, 4), bound)
+		perSearch := clones.Load()
+		if perSearch == 0 {
+			t.Fatal("the counting policy was never cloned")
+		}
+
+		clones.Store(0)
+		const callers = 16
+		tabs := make([]*Table, callers)
+		errs := make([]error, callers)
+		var wg sync.WaitGroup
+		for g := 0; g < callers; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				tabs[g], errs[g] = CompileNamed(name, 4, bound)
+			}()
+		}
+		wg.Wait()
+		if got := clones.Load(); got != perSearch {
+			t.Fatalf("bound %d: %d callers cloned %d times, one search clones %d", bound, callers, got, perSearch)
+		}
+		for g := 0; g < callers; g++ {
+			if tabs[g] != tabs[0] {
+				t.Fatalf("bound %d: caller %d got a different table", bound, g)
+			}
+			if (refErr == nil) != (errs[g] == nil) || (refErr != nil && errs[g].Error() != refErr.Error()) {
+				t.Fatalf("bound %d: caller %d error %v, direct compile %v", bound, g, errs[g], refErr)
+			}
+		}
+		if refErr == nil && tabs[0].NumStates() != ref.NumStates() {
+			t.Fatalf("bound %d: cached table has %d states, direct compile %d", bound, tabs[0].NumStates(), ref.NumStates())
+		}
+		if bound > 0 && refErr == nil {
+			t.Fatalf("bound %d: LRU-4 compiled although it has 24 states", bound)
+		}
+		if tab, err := CompileNamed(strings.ToUpper(name), 4, bound); tab != tabs[0] || (err == nil) != (refErr == nil) {
+			t.Fatalf("bound %d: a later request returned %v, %v", bound, tab, err)
+		}
+		if got := clones.Load(); got != perSearch {
+			t.Fatalf("bound %d: a later request searched again (%d clones, want %d)", bound, got, perSearch)
+		}
 	}
 }

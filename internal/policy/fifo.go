@@ -1,6 +1,6 @@
 package policy
 
-import "fmt"
+import "strconv"
 
 // FIFO evicts cache lines in round-robin insertion order. Hits do not change
 // the control state, so the policy has exactly n control states: the index of
@@ -38,7 +38,13 @@ func (p *FIFO) OnMiss() int {
 func (p *FIFO) Reset() { p.next = 0 }
 
 // StateKey implements Policy.
-func (p *FIFO) StateKey() string { return fmt.Sprintf("next=%d", p.next) }
+func (p *FIFO) StateKey() string { return "next=" + strconv.Itoa(p.next) }
+
+// PackState implements StatePacker: the insertion pointer.
+func (p *FIFO) PackState() (uint64, bool) { return uint64(p.next), true }
+
+// UnpackState implements StatePacker.
+func (p *FIFO) UnpackState(k uint64) { p.next = int(k) }
 
 // Clone implements Policy.
 func (p *FIFO) Clone() Policy { c := *p; return &c }

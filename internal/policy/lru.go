@@ -11,6 +11,10 @@ type recencyStack struct {
 	ages []int
 }
 
+// recencyBits is the packed width of one recency rank (StatePacker): ranks
+// up to 15, so the stack policies pack up to associativity 16.
+const recencyBits = 4
+
 func newRecencyStack(n int) recencyStack {
 	s := recencyStack{n: n, ages: make([]int, n)}
 	s.reset()
@@ -87,7 +91,13 @@ func (p *LRU) OnMiss() int {
 func (p *LRU) Reset() { p.s.reset() }
 
 // StateKey implements Policy.
-func (p *LRU) StateKey() string { return agesKey(p.s.ages) }
+func (p *LRU) StateKey() string { return AgesKey(p.s.ages) }
+
+// PackState implements StatePacker: 4 bits per recency rank.
+func (p *LRU) PackState() (uint64, bool) { return PackAges(p.s.ages, recencyBits) }
+
+// UnpackState implements StatePacker.
+func (p *LRU) UnpackState(k uint64) { UnpackAges(p.s.ages, k, recencyBits) }
 
 // Clone implements Policy.
 func (p *LRU) Clone() Policy { return &LRU{s: p.s.clone()} }
@@ -122,7 +132,13 @@ func (p *LIP) OnMiss() int { return p.s.lruVictim() }
 func (p *LIP) Reset() { p.s.reset() }
 
 // StateKey implements Policy.
-func (p *LIP) StateKey() string { return agesKey(p.s.ages) }
+func (p *LIP) StateKey() string { return AgesKey(p.s.ages) }
+
+// PackState implements StatePacker: 4 bits per recency rank.
+func (p *LIP) PackState() (uint64, bool) { return PackAges(p.s.ages, recencyBits) }
+
+// UnpackState implements StatePacker.
+func (p *LIP) UnpackState(k uint64) { UnpackAges(p.s.ages, k, recencyBits) }
 
 // Clone implements Policy.
 func (p *LIP) Clone() Policy { return &LIP{s: p.s.clone()} }
@@ -179,7 +195,16 @@ func (p *BIP) OnMiss() int {
 func (p *BIP) Reset() { p.s.reset(); p.ctr = 0 }
 
 // StateKey implements Policy.
-func (p *BIP) StateKey() string { return fmt.Sprintf("%s c=%d", agesKey(p.s.ages), p.ctr) }
+func (p *BIP) StateKey() string { return countedKey(p.s.ages, p.ctr) }
+
+// PackState implements StatePacker: 4 bits per recency rank, the throttle
+// counter above them.
+func (p *BIP) PackState() (uint64, bool) {
+	return packCounted(p.s.ages, recencyBits, p.ctr, p.epsilon)
+}
+
+// UnpackState implements StatePacker.
+func (p *BIP) UnpackState(k uint64) { p.ctr = unpackCounted(p.s.ages, recencyBits, k) }
 
 // Clone implements Policy.
 func (p *BIP) Clone() Policy {

@@ -85,6 +85,13 @@ func (p *MRU) StateKey() string {
 	return sb.String()
 }
 
+// PackState implements StatePacker: one bit per line, up to associativity
+// 64.
+func (p *MRU) PackState() (uint64, bool) { return packBits(p.bits) }
+
+// UnpackState implements StatePacker.
+func (p *MRU) UnpackState(k uint64) { unpackBits(p.bits, k) }
+
 // Clone implements Policy.
 func (p *MRU) Clone() Policy {
 	c := &MRU{n: p.n, bits: make([]uint8, p.n)}

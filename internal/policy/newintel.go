@@ -113,7 +113,13 @@ func (p *New1) OnMiss() int {
 func (p *New1) Reset() { p.s.resetByFill(p.s.normalize) }
 
 // StateKey implements Policy.
-func (p *New1) StateKey() string { return agesKey(p.s.ages) }
+func (p *New1) StateKey() string { return AgesKey(p.s.ages) }
+
+// PackState implements StatePacker: 2 bits per age.
+func (p *New1) PackState() (uint64, bool) { return PackAges(p.s.ages, rrpvBits) }
+
+// UnpackState implements StatePacker.
+func (p *New1) UnpackState(k uint64) { UnpackAges(p.s.ages, k, rrpvBits) }
 
 // Clone implements Policy.
 func (p *New1) Clone() Policy { return &New1{s: p.s.cloneState()} }
@@ -164,7 +170,13 @@ func (p *New2) Reset() {
 }
 
 // StateKey implements Policy.
-func (p *New2) StateKey() string { return agesKey(p.s.ages) }
+func (p *New2) StateKey() string { return AgesKey(p.s.ages) }
+
+// PackState implements StatePacker: 2 bits per age.
+func (p *New2) PackState() (uint64, bool) { return PackAges(p.s.ages, rrpvBits) }
+
+// UnpackState implements StatePacker.
+func (p *New2) UnpackState(k uint64) { UnpackAges(p.s.ages, k, rrpvBits) }
 
 // Clone implements Policy.
 func (p *New2) Clone() Policy { return &New2{s: p.s.cloneState()} }

@@ -90,9 +90,35 @@ func (p *PLRU) StateKey() string {
 	return sb.String()
 }
 
+// PackState implements StatePacker: the n-1 tree bits, up to
+// associativity 64.
+func (p *PLRU) PackState() (uint64, bool) { return packBits(p.tree[1:]) }
+
+// UnpackState implements StatePacker.
+func (p *PLRU) UnpackState(k uint64) { unpackBits(p.tree[1:], k) }
+
 // Clone implements Policy.
 func (p *PLRU) Clone() Policy {
 	c := &PLRU{n: p.n, tree: make([]uint8, len(p.tree)), depth: p.depth}
 	copy(c.tree, p.tree)
 	return c
+}
+
+// packBits packs a vector of 0/1 bytes, element 0 in the low bit.
+func packBits(bs []uint8) (uint64, bool) {
+	if len(bs) > 64 {
+		return 0, false
+	}
+	var k uint64
+	for i, b := range bs {
+		k |= uint64(b) << i
+	}
+	return k, true
+}
+
+// unpackBits is the inverse of packBits.
+func unpackBits(bs []uint8, k uint64) {
+	for i := range bs {
+		bs[i] = uint8(k >> i & 1)
+	}
 }

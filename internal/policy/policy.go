@@ -18,7 +18,9 @@ package policy
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -126,18 +128,91 @@ func Names() []string {
 	return out
 }
 
-// agesKey encodes an int slice control state canonically, e.g. "[3 1 0 2]".
-func agesKey(ages []int) string {
-	var sb strings.Builder
-	sb.WriteByte('[')
+// StatePacker is implemented by policies whose control state packs into a
+// uint64. Compile searches such a policy on its packed states: the packed
+// value is the state's identity instead of its StateKey string, and one
+// scratch instance unpacked to each state in turn replaces a Clone per
+// transition.
+//
+// PackState returns the packed state and true, or false when the state does
+// not fit in 64 bits. Whether a state fits depends only on the instance's
+// fixed parameters (associativity, throttle), so either every reachable
+// state packs or none does, and two states pack equal exactly when their
+// StateKeys are equal. UnpackState(k) puts the instance into the state that
+// packed to k.
+type StatePacker interface {
+	PackState() (uint64, bool)
+	UnpackState(k uint64)
+}
+
+// PackAges packs ages at width bits each, line 0 in the low bits. It
+// reports false when the ages need more than 64 bits or an age does not fit
+// the width.
+func PackAges(ages []int, width int) (uint64, bool) {
+	if len(ages)*width > 64 {
+		return 0, false
+	}
+	var k uint64
+	for i, a := range ages {
+		if a < 0 || a >= 1<<width {
+			return 0, false
+		}
+		k |= uint64(a) << (i * width)
+	}
+	return k, true
+}
+
+// UnpackAges is the inverse of PackAges: it fills ages from k at width bits
+// each.
+func UnpackAges(ages []int, k uint64, width int) {
+	mask := uint64(1)<<width - 1
+	for i := range ages {
+		ages[i] = int(k >> (i * width) & mask)
+	}
+}
+
+// AgesKey encodes an int slice control state canonically, e.g. "[3 1 0 2]"
+// (the same text fmt.Sprint prints for the slice).
+func AgesKey(ages []int) string {
+	var buf [64]byte
+	return string(appendAges(buf[:0], ages))
+}
+
+func appendAges(dst []byte, ages []int) []byte {
+	dst = append(dst, '[')
 	for i, a := range ages {
 		if i > 0 {
-			sb.WriteByte(' ')
+			dst = append(dst, ' ')
 		}
-		fmt.Fprintf(&sb, "%d", a)
+		dst = strconv.AppendInt(dst, int64(a), 10)
 	}
-	sb.WriteByte(']')
-	return sb.String()
+	return append(dst, ']')
+}
+
+// countedKey encodes an ages state with a throttle counter, e.g.
+// "[3 1 0 2] c=5".
+func countedKey(ages []int, ctr int) string {
+	var buf [64]byte
+	b := appendAges(buf[:0], ages)
+	return string(strconv.AppendInt(append(b, " c="...), int64(ctr), 10))
+}
+
+// packCounted packs an ages state at width bits per age with a counter in
+// [0, epsilon) above it.
+func packCounted(ages []int, width, ctr, epsilon int) (uint64, bool) {
+	shift := len(ages) * width
+	if shift+bits.Len(uint(epsilon-1)) > 64 {
+		return 0, false
+	}
+	k, ok := PackAges(ages, width)
+	return k | uint64(ctr)<<shift, ok
+}
+
+// unpackCounted is the inverse of packCounted: it fills ages and returns
+// the counter.
+func unpackCounted(ages []int, width int, k uint64) int {
+	UnpackAges(ages, k, width)
+	return int(k >> (len(ages) * width))
 }
 
 func checkLine(n, line int) {

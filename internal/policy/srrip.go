@@ -7,6 +7,9 @@ import "fmt"
 // paper's simulated SRRIP variants use ("4 ages").
 const MaxRRPV = 3
 
+// rrpvBits is the packed width of one RRPV or New1/New2 age (StatePacker).
+const rrpvBits = 2
+
 // rripState is the shared control state of the RRIP family: one re-reference
 // prediction value (RRPV, or "age") per line. Lines with RRPV 3 are
 // predicted to be re-referenced in the distant future and are victims.
@@ -107,7 +110,13 @@ func (p *SRRIP) OnMiss() int {
 func (p *SRRIP) Reset() { p.s.reset() }
 
 // StateKey implements Policy.
-func (p *SRRIP) StateKey() string { return agesKey(p.s.rrpv) }
+func (p *SRRIP) StateKey() string { return AgesKey(p.s.rrpv) }
+
+// PackState implements StatePacker: 2 bits per RRPV.
+func (p *SRRIP) PackState() (uint64, bool) { return PackAges(p.s.rrpv, rrpvBits) }
+
+// UnpackState implements StatePacker.
+func (p *SRRIP) UnpackState(k uint64) { UnpackAges(p.s.rrpv, k, rrpvBits) }
 
 // Clone implements Policy.
 func (p *SRRIP) Clone() Policy { return &SRRIP{s: p.s.clone(), fp: p.fp} }
@@ -168,7 +177,16 @@ func (p *BRRIP) OnMiss() int {
 func (p *BRRIP) Reset() { p.s.reset(); p.ctr = 0 }
 
 // StateKey implements Policy.
-func (p *BRRIP) StateKey() string { return fmt.Sprintf("%s c=%d", agesKey(p.s.rrpv), p.ctr) }
+func (p *BRRIP) StateKey() string { return countedKey(p.s.rrpv, p.ctr) }
+
+// PackState implements StatePacker: 2 bits per RRPV, the throttle counter
+// above them.
+func (p *BRRIP) PackState() (uint64, bool) {
+	return packCounted(p.s.rrpv, rrpvBits, p.ctr, p.epsilon)
+}
+
+// UnpackState implements StatePacker.
+func (p *BRRIP) UnpackState(k uint64) { p.ctr = unpackCounted(p.s.rrpv, rrpvBits, k) }
 
 // Clone implements Policy.
 func (p *BRRIP) Clone() Policy {

@@ -29,6 +29,9 @@ import (
 // experiments: natural-number size bound 4).
 const MaxAge = 3
 
+// ageBits is the packed width of one age (policy.StatePacker).
+const ageBits = 2
+
 // SelfKind enumerates how a rule updates the age of the accessed or
 // inserted line.
 type SelfKind int
@@ -380,7 +383,13 @@ func (p *RulePolicy) OnMiss() int { return p.prog.Miss(p.ages) }
 func (p *RulePolicy) Reset() { copy(p.ages, p.prog.Init) }
 
 // StateKey implements policy.Policy.
-func (p *RulePolicy) StateKey() string { return fmt.Sprint(p.ages) }
+func (p *RulePolicy) StateKey() string { return policy.AgesKey(p.ages) }
+
+// PackState implements policy.StatePacker: 2 bits per age.
+func (p *RulePolicy) PackState() (uint64, bool) { return policy.PackAges(p.ages, ageBits) }
+
+// UnpackState implements policy.StatePacker.
+func (p *RulePolicy) UnpackState(k uint64) { policy.UnpackAges(p.ages, k, ageBits) }
 
 // Clone implements policy.Policy.
 func (p *RulePolicy) Clone() policy.Policy {
