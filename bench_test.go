@@ -19,7 +19,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/blocks"
 	"repro/internal/cachequery"
 	"repro/internal/core"
 	"repro/internal/daemon"
@@ -32,7 +31,6 @@ import (
 	"repro/internal/polca"
 	"repro/internal/policy"
 	"repro/internal/qstore"
-	"repro/internal/remote"
 	"repro/internal/synth"
 )
 
@@ -631,67 +629,6 @@ func BenchmarkSynthParallel(b *testing.B) {
 				b.ReportMetric(float64(res.Candidates), "candidates/op")
 			})
 		}
-	}
-}
-
-// BenchmarkOracleFanout measures the distributed oracle fan-out: one probe
-// batch dispatched through remote.Fleet's sub-batch splitter at 1, 4 and 16
-// loopback workers. Each worker charges a fixed per-probe latency
-// (WorkerConfig.ProbeCost) serialized per worker — emulating the pinned
-// measurement core of a hardware backend — so throughput scales with fleet
-// width, not local core count; pure simulator probes would be too cheap to
-// be worth shipping over HTTP at all. Workers keep no memo, so every probe
-// pays the cost; each iteration probes fresh, never-seen words (a
-// base-NumInputs counter encoding).
-//
-// queries/op is deterministic. qps is the criterion metric — cmd/benchjson
-// gates it inverted — and the 4-worker leg exceeding the 1-worker leg is
-// the fan-out acceptance check this benchmark records.
-func BenchmarkOracleFanout(b *testing.B) {
-	const (
-		probeCost = 200 * time.Microsecond
-		nWords    = 256
-		numInputs = 5 // LRU-4 alphabet: assoc + 1
-	)
-	var counter int
-	freshWords := func() [][]blocks.Block {
-		qs := make([][]blocks.Block, nWords)
-		for i := range qs {
-			counter++
-			word := make([]blocks.Block, 0, 8)
-			for v := counter; v > 0; v /= numInputs {
-				word = append(word, blocks.Interned(v%numInputs))
-			}
-			qs[i] = word
-		}
-		return qs
-	}
-	for _, workers := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("%dworkers", workers), func(b *testing.B) {
-			addrs := make([]string, workers)
-			for i := range addrs {
-				srv := httptest.NewServer(remote.NewWorker(remote.WorkerConfig{ProbeCost: probeCost}).Handler())
-				defer srv.Close()
-				addrs[i] = srv.URL
-			}
-			fleet, err := remote.NewFleet(addrs, "sim:LRU-4", remote.FleetOptions{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer fleet.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				qs := freshWords()
-				b.StartTimer()
-				if _, err := fleet.ProbeBatch(context.Background(), qs); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(nWords, "queries/op")
-			b.ReportMetric(float64(b.N)*nWords/b.Elapsed().Seconds(), "qps")
-		})
 	}
 }
 

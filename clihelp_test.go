@@ -22,7 +22,7 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden -h transcripts
 // helpCommands is every binary the repository ships.
 var helpCommands = []string{
 	"benchjson", "cachequery", "cqsynth", "experiments",
-	"genmodels", "polca", "polcad", "polcaload", "polcaworker",
+	"genmodels", "polca", "polcad", "polcaload",
 }
 
 func TestCommandHelp(t *testing.T) {

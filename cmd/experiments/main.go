@@ -25,7 +25,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/hw"
 	"repro/internal/learn"
-	"repro/internal/remote"
 )
 
 func main() {
@@ -93,7 +92,6 @@ func runTable2(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("table2", flag.ExitOnError)
 	full := fs.Bool("full", false, "include the large instances (hours of runtime)")
 	concurrency := fs.Int("concurrency", 1, "learn up to this many rows concurrently (1 keeps per-row times comparable to the paper)")
-	workers := fs.String("workers", "", "comma-separated polcaworker addresses (host:port,...): fan each row's probes out over a distributed worker fleet — bit-identical rows")
 	algoName := fs.String("algo", "lstar", "learning algorithm: lstar (observation table) or tree (discrimination tree)")
 	suiteName := fs.String("suite", "wp", "conformance suite: wp, w, or rw (seeded random walk)")
 	seed := fs.Int64("seed", 1, "random-walk conformance seed (rw suite); fixed seeds make runs reproducible")
@@ -114,12 +112,6 @@ func runTable2(ctx context.Context, args []string) error {
 		spec = experiments.Table2Full()
 	}
 	cfg := experiments.Table2Config{Learn: opt, SnapshotDir: *snapshotDir}
-	if *workers != "" {
-		cfg.Sim.FleetWorkers = remote.SplitAddrs(*workers)
-		cfg.Sim.FleetLogf = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "experiments: "+format+"\n", args...)
-		}
-	}
 	rows := experiments.RunTable2(ctx, spec, *concurrency, cfg)
 	experiments.Table2Table(rows).Render(os.Stdout)
 	return nil

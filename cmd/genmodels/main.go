@@ -50,7 +50,6 @@ import (
 	"repro/internal/mealy"
 	"repro/internal/polca"
 	"repro/internal/policy"
-	"repro/internal/remote"
 	"repro/internal/synth"
 )
 
@@ -77,7 +76,6 @@ func main() {
 	verifyHeavy := flag.Bool("verify-heavy", false, "learning cross-check for the assoc-8 giants too (minutes per artifact)")
 	algoName := flag.String("algo", "lstar", "learning algorithm for the cross-check: lstar or tree")
 	snapshotDir := flag.String("snapshot-dir", "", "per-policy oracle snapshot directory for the cross-check: existing snapshots warm-start the re-learn, fresh stores are saved back")
-	workers := flag.String("workers", "", "comma-separated polcaworker addresses (host:port,...): fan the cross-check's probes out over a distributed worker fleet — bit-identical artifacts")
 	timeout := flag.Duration("timeout", 0, "abort the regeneration after this long (0 = no deadline); Ctrl-C cancels cleanly either way")
 	zoo := flag.Bool("zoo", false, "learn->synthesize->cross-verify the in-grammar zoo members (assoc-4 rule programs) before writing them")
 	only := flag.String("only", "", "generate only the artifacts whose name-assoc contains this substring")
@@ -94,13 +92,6 @@ func main() {
 	algo, err := learn.ParseAlgo(*algoName)
 	if err != nil {
 		fatal(err)
-	}
-	var sim core.SimOptions
-	if *workers != "" {
-		sim.FleetWorkers = remote.SplitAddrs(*workers)
-		sim.FleetLogf = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "genmodels: "+format+"\n", args...)
-		}
 	}
 
 	if err := os.MkdirAll(*out, 0o755); err != nil {
@@ -145,7 +136,7 @@ func main() {
 		go func(i int, a artifact) {
 			defer wg.Done()
 			verify := !*quick && (!a.heavy || *verifyHeavy)
-			errs[i] = generate(ctx, *out, a, verify, *zoo, algo, *snapshotDir, sim)
+			errs[i] = generate(ctx, *out, a, verify, *zoo, algo, *snapshotDir)
 		}(i, a)
 	}
 	wg.Wait()
@@ -169,7 +160,7 @@ const maxZooDepth = 4
 
 // generate extracts (and optionally learns, synthesizes and cross-checks)
 // one artifact.
-func generate(ctx context.Context, dir string, a artifact, verify, zoo bool, algo learn.Algo, snapshotDir string, sim core.SimOptions) error {
+func generate(ctx context.Context, dir string, a artifact, verify, zoo bool, algo learn.Algo, snapshotDir string) error {
 	truth, err := mealy.FromPolicy(a.fresh(), 0)
 	if err != nil {
 		return err
@@ -182,7 +173,6 @@ func generate(ctx context.Context, dir string, a artifact, verify, zoo bool, alg
 				Assoc:    a.assoc,
 				Learn:    learn.Options{Algo: algo, Depth: 1},
 				Snapshot: core.SnapshotInDir(snapshotDir, a.name, a.assoc),
-				Sim:      sim,
 			})
 			if err != nil {
 				return fmt.Errorf("learning: %w", err)

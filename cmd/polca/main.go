@@ -42,7 +42,6 @@ import (
 	"repro/internal/learn"
 	"repro/internal/mealy"
 	"repro/internal/policy"
-	"repro/internal/remote"
 	"repro/internal/synth"
 )
 
@@ -69,7 +68,6 @@ func main() {
 	snapshot := flag.String("snapshot", "", "save the oracle query-store snapshot to this file after learning")
 	timeout := flag.Duration("timeout", 0, "abort the run after this long (0 = no deadline); Ctrl-C cancels cleanly either way")
 	faults := flag.String("faults", "", `deterministic fault-injection plan, e.g. "seed=42,err=0.05,flip=0.001,stall=0.01:5ms,die=1@500"`)
-	workers := flag.String("workers", "", "comma-separated polcaworker addresses (host:port,...): learn through a distributed worker fleet — bit-identical machine, probes fan out remotely (simulator mode)")
 	resume := flag.String("resume", "", "crash-resume file: checkpoint the oracle's query store here during the run and warm-start from it when present (missing or damaged file = cold start)")
 	ckEvery := flag.Int("checkpoint-every", 0, "auto-snapshot the query store every N output queries (0 = off; defaults to 256 with -resume); requires -snapshot or -resume")
 	flag.Parse()
@@ -92,15 +90,6 @@ func main() {
 			fatal(err)
 		}
 		sim.Faults = &plan
-	}
-	if *workers != "" {
-		if *hwName != "" {
-			fatal(fmt.Errorf("-workers drives a simulator fleet; it cannot combine with -hw"))
-		}
-		sim.FleetWorkers = remote.SplitAddrs(*workers)
-		sim.FleetLogf = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "polca: "+format+"\n", args...)
-		}
 	}
 
 	// A canceled context unwinds the learner at the next query boundary,
@@ -191,17 +180,6 @@ func learnSim(ctx context.Context, req core.SimRequest) (*mealy.Machine, error) 
 	if res.OracleStats.Retries > 0 || res.OracleStats.Disagreements > 0 || res.OracleStats.Reprobes > 0 {
 		fmt.Printf("resilience: %d probe retries, %d vote disagreements, %d consistency re-probes\n",
 			res.OracleStats.Retries, res.OracleStats.Disagreements, res.OracleStats.Reprobes)
-	}
-	if fs := res.Fleet; fs != nil {
-		fmt.Printf("fleet: %d workers\n", len(fs.Workers))
-		for _, w := range fs.Workers {
-			fmt.Printf("fleet: %s: %d probes over %d requests (%d failures)\n",
-				w.Addr, w.Probes, w.Requests, w.Failures)
-		}
-		if fs.Hedges > 0 || fs.Retries > 0 || fs.Quarantined > 0 {
-			fmt.Printf("resilience: %d hedged re-dispatches, %d request retries, %d workers quarantined, %d readmitted\n",
-				fs.Hedges, fs.Retries, fs.Quarantined, fs.Readmitted)
-		}
 	}
 	// Verify against the installed ground truth, which we know in
 	// simulator mode.

@@ -34,7 +34,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/daemon"
 	"repro/internal/faulty"
-	"repro/internal/remote"
 )
 
 func main() {
@@ -44,7 +43,6 @@ func main() {
 	ckEvery := flag.Int("checkpoint-every", 256, "auto-snapshot each engine's query store every N output queries during jobs (requires -snapshot-dir)")
 	quotaRate := flag.Float64("quota-rate", 0, "per-tenant token-bucket refill rate in tokens/second; queries cost 1 token per word, job submissions cost 10 (0 = quotas off)")
 	quotaBurst := flag.Float64("quota-burst", 64, "per-tenant token-bucket capacity (with -quota-rate)")
-	workers := flag.String("workers", "", "comma-separated polcaworker addresses (host:port,...): every engine fans its probes out over this distributed worker fleet — bit-identical answers")
 	faults := flag.String("faults", "", `deterministic fault-injection plan for every engine's probes, e.g. "seed=42,err=0.05,flip=0.001" (soak testing)`)
 	eventEvery := flag.Duration("event-interval", 250*time.Millisecond, "SSE job-progress event cadence")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long a SIGTERM/SIGINT drain waits for in-flight jobs to unwind before snapshotting anyway")
@@ -57,12 +55,6 @@ func main() {
 			fatal(err)
 		}
 		sim.Faults = &plan
-	}
-	if *workers != "" {
-		sim.FleetWorkers = remote.SplitAddrs(*workers)
-		sim.FleetLogf = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "polcad: "+format+"\n", args...)
-		}
 	}
 	if *snapshotDir != "" {
 		if err := os.MkdirAll(*snapshotDir, 0o755); err != nil {

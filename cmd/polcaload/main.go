@@ -12,21 +12,12 @@
 // zero successful queries or any request failed, so CI smoke jobs can
 // assert a healthy daemon with one invocation.
 //
-// With -workers, polcaload bypasses the daemon and load-tests a
-// distributed oracle fleet directly: clients drive probe batches at the
-// polcaworker /v1/probe endpoints through the same fan-out/merge client the
-// learner uses, and the report gains a per-worker throughput breakdown — the
-// quickest way to find a slow or failing fleet member before committing to a
-// long distributed learn.
-//
 //	polcaload -addr http://localhost:8344 -clients 64 -duration 10s
 //	polcaload -policy SRRIP-HP -assoc 4 -clients 1000 -words 4
-//	polcaload -workers localhost:8435,localhost:8436 -duration 5s
 package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -37,11 +28,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"repro/internal/blocks"
-	"repro/internal/core"
-	"repro/internal/policy"
-	"repro/internal/remote"
 )
 
 func main() {
@@ -54,13 +40,7 @@ func main() {
 	maxLen := flag.Int("max-len", 6, "maximum query word length (symbols are drawn uniformly)")
 	words := flag.Int("words", 1, "query words per request (batched requests exercise the SoA engine)")
 	tenant := flag.String("tenant", "polcaload", "X-Tenant header value (quota identity)")
-	workers := flag.String("workers", "", "comma-separated polcaworker addresses (host:port,...): load-test the oracle fleet directly instead of a polcad daemon, with a per-worker throughput breakdown")
 	flag.Parse()
-
-	if *workers != "" {
-		fleetLoad(*workers, *policy, *assoc, *clients, *duration, *seed, *maxLen, *words)
-		return
-	}
 
 	client := &http.Client{Timeout: 30 * time.Second}
 	url := *addr + "/v1/query"
@@ -143,107 +123,6 @@ func randomRequest(rng *rand.Rand, policy string, assoc, maxLen, words int) ([]b
 		panic(err)
 	}
 	return body, words
-}
-
-// fleetLoad drives probe batches at the worker fleet directly through the
-// same fan-out/merge client the learner uses, then reports aggregate and
-// per-worker throughput. Exits non-zero on zero successful queries or any
-// failed batch, like the daemon mode.
-func fleetLoad(workerList, polName string, assoc, clients int, duration time.Duration, seed int64, maxLen, words int) {
-	addrs := remote.SplitAddrs(workerList)
-	pol, err := policy.New(polName, assoc)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "polcaload:", err)
-		os.Exit(1)
-	}
-	scope := core.SimSnapshotScope(pol.Name(), assoc)
-	fleet, err := remote.NewFleet(addrs, scope, remote.FleetOptions{
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "polcaload: "+format+"\n", args...)
-		},
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "polcaload:", err)
-		os.Exit(1)
-	}
-	defer fleet.Close()
-	ctx := context.Background()
-	if err := fleet.Ping(ctx); err != nil {
-		fmt.Fprintln(os.Stderr, "polcaload:", err)
-		os.Exit(1)
-	}
-
-	deadline := time.Now().Add(duration)
-	type result struct {
-		requests, queries, errors int
-		latencies                 []time.Duration
-	}
-	results := make([]result, clients)
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed + int64(c)))
-			res := &results[c]
-			for time.Now().Before(deadline) {
-				qs := make([][]blocks.Block, words)
-				for w := range qs {
-					word := make([]blocks.Block, 1+rng.Intn(maxLen))
-					for i := range word {
-						word[i] = blocks.Interned(rng.Intn(assoc + 1))
-					}
-					qs[w] = word
-				}
-				t0 := time.Now()
-				_, err := fleet.ProbeBatch(ctx, qs)
-				res.latencies = append(res.latencies, time.Since(t0))
-				res.requests++
-				if err == nil {
-					res.queries += len(qs)
-				} else {
-					res.errors++
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-
-	var total result
-	for _, r := range results {
-		total.requests += r.requests
-		total.queries += r.queries
-		total.errors += r.errors
-		total.latencies = append(total.latencies, r.latencies...)
-	}
-	st := fleet.Stats()
-	fmt.Printf("polcaload: %d clients x %v against a %d-worker fleet (scope %s)\n", clients, duration, len(addrs), scope)
-	fmt.Printf("batches: %d  queries: %d  errors: %d\n", total.requests, total.queries, total.errors)
-	fmt.Printf("qps: %.1f\n", float64(total.queries)/duration.Seconds())
-	if len(total.latencies) > 0 {
-		sort.Slice(total.latencies, func(i, j int) bool { return total.latencies[i] < total.latencies[j] })
-		pct := func(p float64) time.Duration {
-			i := int(p * float64(len(total.latencies)-1))
-			return total.latencies[i].Round(time.Microsecond)
-		}
-		fmt.Printf("latency: p50 %v  p95 %v  p99 %v  max %v\n", pct(0.50), pct(0.95), pct(0.99), pct(1))
-	}
-	for _, w := range st.Workers {
-		fmt.Printf("worker %s: %d probes (%.1f/s) over %d requests, %d failures\n",
-			w.Addr, w.Probes, float64(w.Probes)/duration.Seconds(), w.Requests, w.Failures)
-	}
-	if st.Hedges > 0 || st.Retries > 0 || st.Quarantined > 0 {
-		fmt.Printf("resilience: %d hedged re-dispatches, %d request retries, %d workers quarantined, %d readmitted\n",
-			st.Hedges, st.Retries, st.Quarantined, st.Readmitted)
-	}
-	if total.queries == 0 {
-		fmt.Fprintln(os.Stderr, "polcaload: FAIL: zero successful queries")
-		os.Exit(1)
-	}
-	if total.errors > 0 {
-		fmt.Fprintf(os.Stderr, "polcaload: FAIL: %d failed batches\n", total.errors)
-		os.Exit(1)
-	}
 }
 
 // post issues one query request, draining the body so connections are

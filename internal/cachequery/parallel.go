@@ -51,7 +51,7 @@ const DefaultQuarantineThreshold = 3
 
 // DefaultProbationCooldown is how long a quarantined slot sits out before
 // probation re-admits it. Long enough that a dying slot costs at most one
-// wasted probe per cooldown, short enough that a restarted remote worker
+// wasted probe per cooldown, short enough that a recovered replica
 // rejoins a long learn within a couple of seconds.
 const DefaultProbationCooldown = 500 * time.Millisecond
 
@@ -116,8 +116,7 @@ func WithReplicaWrapper(wrap func(i int, p polca.Prober) polca.Prober) PoolOptio
 // probers, making Probe safe for concurrent use. Every probe is
 // reset-prefixed, which is what makes pooling sound: slots hold no
 // cross-probe state, so any free slot can answer any probe. The pool is the
-// shared health layer under both CPU-replica pools (ParallelProber) and
-// remote worker fleets (internal/remote).
+// health layer under CPU-replica pools (ParallelProber).
 //
 // The pool scores slot health: a slot that fails transiently threshold-many
 // times in a row is quarantined — removed from rotation — and the probe
@@ -228,8 +227,8 @@ func (p *ProberPool) InitialContent() []blocks.Block {
 // probation is still pending, Checkout waits out at most ~1.5 cooldowns for
 // a re-admission to land and then fails with a transient error: the retry
 // policies above pace bounded re-attempts against future re-admissions, so
-// a whole-fleet blip shorter than the retry budget heals invisibly while a
-// fleet that stays dark fails the run loudly instead of parking it forever.
+// a whole-pool blip shorter than the retry budget heals invisibly while a
+// pool that stays dark fails the run loudly instead of parking it forever.
 func (p *ProberPool) Checkout(ctx context.Context) (*PoolSlot, error) {
 	select {
 	case s := <-p.pool:

@@ -387,7 +387,7 @@ func TestPoolCloseStopsProbation(t *testing.T) {
 // TestPoolDarkWithProbationFailsTransiently: when every slot is quarantined
 // while probation is still pending, probes must fail within a bounded wait
 // with a transient error — never park forever on the empty pool (the
-// regression: a learner driving a fully-dead remote fleet hung instead of
+// regression: a learner driving a fully-dead pool hung instead of
 // aborting). Once the replicas heal, probation re-admits them and the pool
 // serves again: dark is a state, not a death sentence.
 func TestPoolDarkWithProbationFailsTransiently(t *testing.T) {

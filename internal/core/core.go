@@ -25,7 +25,6 @@ import (
 	"repro/internal/polca"
 	"repro/internal/policy"
 	"repro/internal/qstore"
-	"repro/internal/remote"
 	"repro/internal/synth"
 )
 
@@ -36,9 +35,6 @@ type SimResult struct {
 	Machine     *mealy.Machine
 	LearnStats  learn.Stats
 	OracleStats polca.Stats
-	// Fleet carries the distributed-run resilience counters (hedges,
-	// retries, quarantines, per-worker traffic); nil for local runs.
-	Fleet *remote.FleetStats
 }
 
 // SnapshotOptions controls oracle query-store persistence around a
@@ -214,19 +210,6 @@ type SimOptions struct {
 	// policy (polca.DefaultRetryPolicy otherwise). Soak tests use it to
 	// shrink the backoff sleeps; the retry semantics are identical.
 	Retry *polca.RetryPolicy
-	// FleetWorkers lists remote polcaworker addresses (host:port or URL).
-	// When non-empty, the oracle probes a distributed worker fleet
-	// (internal/remote) instead of an in-process simulator: probe batches
-	// fan out over the workers through the health-scored pool, answers
-	// merge back in submission order, and the oracle batches eviction
-	// probes so each Evct costs one round trip. Learned machines and
-	// learner trajectories are bit-identical to a single-box run. The
-	// fleet serves simulator scopes only and does not compose with Faults
-	// (fleet runs exercise real transport failures, not injected ones).
-	FleetWorkers []string
-	// FleetLogf, when set, receives fleet resilience events (quarantine,
-	// re-admission, snapshot shipping).
-	FleetLogf func(format string, args ...any)
 }
 
 // SimRequest configures one §6 learning run against a software-simulated
@@ -247,8 +230,8 @@ type SimRequest struct {
 	// machine — and the learner's whole query trajectory — is
 	// bit-identical cold or warm; only the backend probe count changes.
 	Snapshot SnapshotOptions
-	// Sim configures the stack below the learner: fault injection, retry
-	// policy, worker fleet.
+	// Sim configures the stack below the learner: fault injection and
+	// retry policy.
 	Sim SimOptions
 }
 
@@ -263,12 +246,9 @@ func LearnSimulated(ctx context.Context, req SimRequest) (*SimResult, error) {
 	if err := req.Snapshot.check(); err != nil {
 		return nil, err
 	}
-	oracle, fleet, canonical, scope, err := OpenSimOracle(ctx, req.Policy, req.Assoc, req.Sim)
+	oracle, canonical, scope, err := NewSimOracle(req.Policy, req.Assoc, req.Sim)
 	if err != nil {
 		return nil, err
-	}
-	if fleet != nil {
-		defer fleet.Close()
 	}
 	snap := req.Snapshot
 	if snap.WarmPath != "" {
@@ -286,92 +266,48 @@ func LearnSimulated(ctx context.Context, req SimRequest) (*SimResult, error) {
 			return nil, err
 		}
 	}
-	sr := &SimResult{
+	return &SimResult{
 		Policy:      canonical,
 		Assoc:       req.Assoc,
 		Machine:     res.Machine,
 		LearnStats:  res.Stats,
 		OracleStats: oracle.Stats(),
-	}
-	if fleet != nil {
-		st := fleet.Stats()
-		sr.Fleet = &st
-	}
-	return sr, nil
+	}, nil
 }
 
-// OpenSimOracle builds the simulated-cache Polca oracle for a named policy
+// NewSimOracle builds the simulated-cache Polca oracle for a named policy
 // exactly as LearnSimulated does: compiled kernel (one table per policy and
-// process, policy.CompileNamed), fault injection, retry policy and worker
-// fleet per SimOptions. It returns the oracle, the fleet handle (nil for
-// local runs), the policy's canonical name, and the snapshot scope tagging
-// the oracle's query store. The polcad daemon
-// (internal/daemon) builds its shared per-(policy, assoc) engines here
-// too, so a daemon-served learn is the same pipeline — and produces the
-// same bytes — as cmd/polca.
-//
-// With FleetWorkers every worker must answer a ping before OpenSimOracle
-// returns (otherwise the fleet is closed and the call fails). Workers keep
-// no memo: the oracle's probe memo, warm-started from its snapshot, is the
-// one memo a fleet learn consults. The caller owns the fleet and closes it.
-func OpenSimOracle(ctx context.Context, policyName string, assoc int, sim SimOptions) (oracle *polca.Oracle, fleet *remote.Fleet, canonical, scope string, err error) {
+// process, policy.CompileNamed), fault injection and retry policy per
+// SimOptions. It returns the oracle, the policy's canonical name, and the
+// snapshot scope tagging the oracle's query store. The polcad daemon
+// (internal/daemon), the benchmark harness and the tests build their
+// oracles here too, so a daemon-served learn is the same pipeline — and
+// produces the same bytes — as cmd/polca.
+func NewSimOracle(policyName string, assoc int, sim SimOptions) (oracle *polca.Oracle, canonical, scope string, err error) {
 	pol, err := policy.New(policyName, assoc)
 	if err != nil {
-		return nil, nil, "", "", err
+		return nil, "", "", err
 	}
-	canonical, scope = pol.Name(), SimSnapshotScope(pol.Name(), assoc)
 	var opts []polca.Option
 	if sim.Retry != nil {
 		opts = append(opts, polca.WithProbeRetries(*sim.Retry))
 	}
+	// Named policies compile once per process; each oracle steps its own
+	// view of the shared table. A policy the kernel cannot compile stays
+	// interpreted, as NewSimProber would leave it.
 	var prober polca.Prober
-	if len(sim.FleetWorkers) > 0 {
-		if sim.Faults != nil {
-			return nil, nil, "", "", fmt.Errorf("core: fault injection and a worker fleet are mutually exclusive (fleet runs exercise real transport failures)")
-		}
-		fleet, err = remote.NewFleet(sim.FleetWorkers, scope, remote.FleetOptions{
-			Retry: sim.Retry,
-			Logf:  sim.FleetLogf,
-		})
-		if err != nil {
-			return nil, nil, "", "", err
-		}
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		if err := fleet.Ping(ctx); err != nil {
-			fleet.Close()
-			return nil, nil, "", "", fmt.Errorf("core: fleet ping: %w", err)
-		}
-		// The fleet is a ProbeBatcher: the oracle groups each Evct's
-		// eviction probes into one round trip.
-		prober = fleet
+	if t, err := policy.CompileNamed(policyName, assoc, policy.DefaultCompileStates); err == nil {
+		prober = polca.NewSimProber(t.At(t.InitState()))
 	} else {
-		// Named policies compile once per process; each oracle steps its
-		// own view of the shared table. A policy the kernel cannot compile
-		// stays interpreted, as NewSimProber would leave it.
-		if t, err := policy.CompileNamed(policyName, assoc, policy.DefaultCompileStates); err == nil {
-			prober = polca.NewSimProber(t.At(t.InitState()))
-		} else {
-			prober = polca.NewInterpretedSimProber(pol)
-		}
-		if sim.Faults != nil {
-			prober = faulty.WrapProber(prober, faulty.NewInjector(*sim.Faults))
-			if sim.Faults.FlipRate > 0 {
-				opts = append(opts, polca.WithProbeVotes(3))
-			}
+		prober = polca.NewInterpretedSimProber(pol)
+	}
+	if sim.Faults != nil {
+		prober = faulty.WrapProber(prober, faulty.NewInjector(*sim.Faults))
+		if sim.Faults.FlipRate > 0 {
+			opts = append(opts, polca.WithProbeVotes(3))
 		}
 	}
-	return polca.NewOracle(prober, opts...), fleet, canonical, scope, nil
-}
-
-// NewSimOracle is OpenSimOracle for local oracles, the form the benchmark
-// harness and the tests use: no context, no fleet handle. A fleet built
-// here is pinged but never closed; callers that configure FleetWorkers
-// use OpenSimOracle.
-func NewSimOracle(policyName string, assoc int, sim SimOptions) (oracle *polca.Oracle, canonical, scope string, err error) {
-	oracle, _, canonical, scope, err = OpenSimOracle(context.Background(), policyName, assoc, sim)
-	return oracle, canonical, scope, err
+	return polca.NewOracle(prober, opts...), pol.Name(), SimSnapshotScope(pol.Name(), assoc), nil
 }
 
 // HardwareRequest configures one §7 learning run against a simulated CPU.

@@ -34,7 +34,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/polca"
 	"repro/internal/policy"
-	"repro/internal/remote"
 )
 
 // Config tunes a Server. The zero value serves queries and jobs from
@@ -58,8 +57,8 @@ type Config struct {
 	// QuotaBurst is the per-tenant bucket capacity (default 64 when
 	// QuotaRate is set).
 	QuotaBurst float64
-	// Sim configures the simulator stack under every engine: worker
-	// fleet, fault injection, retry policy.
+	// Sim configures the simulator stack under every engine: fault
+	// injection, retry policy.
 	Sim core.SimOptions
 	// EventInterval is the SSE progress cadence (default 250ms).
 	EventInterval time.Duration
@@ -107,7 +106,6 @@ type engine struct {
 	policy   string // canonical name
 	assoc    int
 	oracle   *polca.Oracle
-	fleet    *remote.Fleet // nil = local probes; owned by the engine, closed on drain
 	scope    string
 	snapPath string // "" = no persistence
 	warm     bool   // a snapshot was loaded at creation
@@ -164,7 +162,7 @@ func (s *Server) engineFor(policyName string, assoc int) (*engine, error) {
 	if eng, ok := s.engines[key]; ok {
 		return eng, nil
 	}
-	oracle, fleet, canonical, scope, err := core.OpenSimOracle(s.baseCtx, policyName, assoc, s.cfg.Sim)
+	oracle, canonical, scope, err := core.NewSimOracle(policyName, assoc, s.cfg.Sim)
 	if err != nil {
 		return nil, err
 	}
@@ -172,7 +170,6 @@ func (s *Server) engineFor(policyName string, assoc int) (*engine, error) {
 		policy:  canonical,
 		assoc:   assoc,
 		oracle:  oracle,
-		fleet:   fleet,
 		scope:   scope,
 		created: time.Now(),
 	}
@@ -245,20 +242,8 @@ func (s *Server) Close(ctx context.Context) error {
 		err = ctx.Err()
 	}
 	s.snapshotEngines()
-	s.closeFleets()
 	s.cfg.Logf("daemon: drained")
 	return err
-}
-
-// closeFleets releases every fleet-backed engine's worker connections.
-func (s *Server) closeFleets() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, eng := range s.engines {
-		if eng.fleet != nil {
-			eng.fleet.Close()
-		}
-	}
 }
 
 // draining reports whether Close has started.

@@ -76,9 +76,6 @@ type Table2Config struct {
 	// saved back after the run (core.SnapshotInDir naming). Learned
 	// machines and learner trajectories are identical cold or warm.
 	SnapshotDir string
-	// Sim configures the stack below every row's learner (worker fleet,
-	// fault injection, retry policy).
-	Sim core.SimOptions
 }
 
 // RunTable2Row learns one policy from a software-simulated cache and
@@ -94,7 +91,6 @@ func RunTable2Row(ctx context.Context, name string, assoc int, cfg Table2Config)
 		Assoc:    assoc,
 		Learn:    opt,
 		Snapshot: core.SnapshotInDir(cfg.SnapshotDir, name, assoc),
-		Sim:      cfg.Sim,
 	}
 	row := Table2Row{Policy: name, Assoc: assoc}
 	start := time.Now()

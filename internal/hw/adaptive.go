@@ -69,7 +69,8 @@ func (p *duelPolicy) Clone() policy.Policy {
 // nondetThrottle is BRRIP with the original *randomized* bimodal throttle:
 // each insertion independently draws whether to use the long (RRPV 2) or
 // distant (RRPV 3) re-reference interval. It reproduces Haswell's "thrash
-// resistant (that seems to be not deterministic)" leader group.
+// resistant (that seems to be not deterministic)" leader group. The draws
+// come from the CPU's throttle stream, which nothing else consumes.
 type nondetThrottle struct {
 	cpu  *CPU
 	n    int
@@ -96,7 +97,7 @@ func (p *nondetThrottle) OnMiss() int {
 	for {
 		for i, a := range p.rrpv {
 			if a == policy.MaxRRPV {
-				if p.cpu.rng.Intn(policy.DefaultBRRIPEpsilon) == 0 {
+				if p.cpu.throttle.Intn(policy.DefaultBRRIPEpsilon) == 0 {
 					p.rrpv[i] = policy.MaxRRPV - 1
 				} else {
 					p.rrpv[i] = policy.MaxRRPV
@@ -110,8 +111,8 @@ func (p *nondetThrottle) OnMiss() int {
 	}
 }
 
-// Reset implements policy.Policy. The RNG stream is shared with the CPU and
-// deliberately not rewound, so replayed prefixes diverge.
+// Reset implements policy.Policy. The throttle stream belongs to the CPU
+// and is deliberately not rewound, so replayed prefixes diverge.
 func (p *nondetThrottle) Reset() {
 	for i := range p.rrpv {
 		p.rrpv[i] = policy.MaxRRPV

@@ -24,7 +24,11 @@ var sliceHashMasks = [3]uint64{0x1b5f575440, 0x2eb5faa880, 0x3cccc93100}
 // the single hardware thread CacheQuery pins itself to.
 type CPU struct {
 	cfg CPUConfig
-	rng *rand.Rand
+	rng *rand.Rand // page frames and latency noise
+	// throttle is the randomized insertion throttle's own stream (see
+	// nondetThrottle), so which loads are timed never changes a later
+	// replacement decision.
+	throttle *rand.Rand
 
 	pages    map[uint64]uint64 // virtual page -> physical page
 	usedPhys map[uint64]bool
@@ -110,6 +114,9 @@ func (lv *cacheLevel) drop() {
 	}
 }
 
+// throttleSeedMix derives the throttle stream's seed from the CPU seed.
+const throttleSeedMix = 0x7468726f74746c65 // "throttle"
+
 // NewCPU builds a simulated processor. The seed fixes the page-frame
 // assignment, latency noise and the randomized components of the adaptive
 // L3, making whole experiments reproducible.
@@ -117,6 +124,7 @@ func NewCPU(cfg CPUConfig, seed int64) *CPU {
 	c := &CPU{
 		cfg:      cfg,
 		rng:      rand.New(rand.NewSource(seed)),
+		throttle: rand.New(rand.NewSource(seed ^ throttleSeedMix)),
 		pages:    make(map[uint64]uint64),
 		usedPhys: make(map[uint64]bool),
 		nextVirt: PageSize, // keep the zero page unmapped

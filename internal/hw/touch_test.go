@@ -7,20 +7,15 @@ import (
 
 // touchPool returns the address pool of the TouchLine differential: hot
 // lines that overfill L3 sets (evictions, back-invalidation, PSEL
-// traffic), then a block of lines that conflict in L1 and L2 only.
-// Haswell's randomized throttle — its resistant leaders, and inside the
-// duel every follower — draws from the CPU's RNG stream, which an untimed
-// load leaves where it is: a later throttle decision may then differ
-// although every cache effect so far was equal. On such a model only the
-// deterministic thrashable leaders are overfilled; the block's lines
-// spread too thinly to fill any L3 set.
+// traffic), then a block of lines that conflict in L1 and L2 only. On an
+// adaptive L3 the followers and both leader groups are overfilled,
+// Haswell's randomized throttle included: it draws from its own stream,
+// which timed and untimed loads leave alike. The block's lines spread too
+// thinly to fill any L3 set.
 func touchPool(c *CPU) (pool []Addr, hot int) {
 	kinds := []LeaderKind{Follower, LeaderThrashable, LeaderResistant}
-	switch {
-	case !c.cfg.L3Adaptive:
+	if !c.cfg.L3Adaptive {
 		kinds = []LeaderKind{Follower}
-	case c.cfg.ResistantNondet:
-		kinds = []LeaderKind{LeaderThrashable}
 	}
 	for _, kind := range kinds {
 		pool = append(pool, congruentLeader(c, kind, c.cfg.L3.Assoc+6)...)

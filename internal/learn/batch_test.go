@@ -162,3 +162,42 @@ func TestConcurrentOracleBatchQueries(t *testing.T) {
 		}
 	}
 }
+
+// hintTeacher is a poolTeacher advertising an arbitrary fixed BatchHint.
+type hintTeacher struct {
+	poolTeacher
+	hint int
+}
+
+func (h hintTeacher) BatchHint() int { return h.hint }
+
+// TestResolveBatchFromHint: the prefetch chunk is resolved once per learn,
+// from Options.BatchSize when set, otherwise as 4x the teacher's hint
+// capped at MaxBatchSize; a hint of 1, a negative BatchSize or a teacher
+// without batch support keep the loop exactly serial.
+func TestResolveBatchFromHint(t *testing.T) {
+	truth, err := mealy.FromPolicy(policy.MustNew("LRU", 4), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial := MachineTeacher{M: truth}
+	batched := func(hint int) Teacher { return hintTeacher{poolTeacher{serial}, hint} }
+	cases := []struct {
+		name    string
+		teacher Teacher
+		size    int
+		want    int
+	}{
+		{"hint 2", batched(2), 0, 8},
+		{"hint 32 capped", batched(32), 0, MaxBatchSize},
+		{"hint 1", batched(1), 0, 1},
+		{"explicit", batched(2), 7, 7},
+		{"disabled", batched(8), -1, 1},
+		{"serial teacher", serial, 16, 1},
+	}
+	for _, c := range cases {
+		if got := resolveBatch(c.teacher, Options{BatchSize: c.size}); got != c.want {
+			t.Errorf("%s: chunk %d, want %d", c.name, got, c.want)
+		}
+	}
+}

@@ -35,7 +35,7 @@ import (
 // gen must call emit for every test word and stop as soon as emit returns
 // false.
 func (l *engine) checkSuite(hyp *mealy.Machine, gen func(emit func([]int) bool)) ([]int, error) {
-	chunk := l.liveBatch()
+	chunk := l.batch
 	// Under a query budget, speculative prefetch past a counterexample
 	// could spend queries the serial trajectory never asks and abort a run
 	// serial learning would complete — so fall back to lazy asking. (Table

@@ -332,21 +332,6 @@ func resolveBatch(t Teacher, opt Options) int {
 	return chunk
 }
 
-// liveBatch re-resolves the prefetch chunk from the teacher's current
-// BatchHint. A fleet-backed oracle's hint tracks its live worker fleet —
-// quarantines shrink it, probation re-admissions grow it back — so the
-// conformance loop re-reads it at every suite run instead of freezing the
-// width observed at construction. Explicit Options.BatchSize and teachers
-// that resolved to the serial path keep the constructor's value: chunking
-// never changes answers or the learning trajectory, only how many queries
-// travel per teacher call.
-func (l *engine) liveBatch() int {
-	if l.opt.BatchSize != 0 || l.batch <= 1 {
-		return l.batch
-	}
-	return resolveBatch(l.teacher, l.opt)
-}
-
 // query returns the teacher's output word for w, memoized. Cancellation is
 // checked only before a real teacher round trip — memo hits stay lock-free
 // and cost nothing extra, and a cancelled learn still unwinds at the next

@@ -142,9 +142,9 @@ type Stats struct {
 // plan → execute → record, serialized per oracle (see engine.go) — so its
 // answers and cost counters do not depend on the host or on how callers
 // chunk their queries. Any other prober takes the reset-rooted probe path
-// (see probe.go), and independent words of a batch fan out on parallel goroutines when the
-// prober is a ConcurrentProber (a replicated hardware interface, a remote
-// fleet). The stores are lock-striped — one shard per leading input symbol
+// (see probe.go), and independent words of a batch fan out on parallel
+// goroutines when the prober is a ConcurrentProber (a pool of hardware
+// replicas). The stores are lock-striped — one shard per leading input symbol
 // — so those workers recording answers in different subtrees never contend
 // on a single mutex; the cost counters are atomics, touched lock-free on
 // the hot path.
@@ -214,9 +214,8 @@ func WithDeterminismChecks(n int) Option {
 
 // WithParallelism caps the number of goroutines a batched output query may
 // fan out over a ConcurrentProber. n <= 0 restores the default,
-// runtime.GOMAXPROCS(0) (or the live fleet width); n == 1 forces serial
-// batch answering. Simulator oracles answer through the serialized engine
-// and ignore it.
+// runtime.GOMAXPROCS(0); n == 1 forces serial batch answering. Simulator
+// oracles answer through the serialized engine and ignore it.
 func WithParallelism(n int) Option {
 	return func(o *Oracle) { o.workers = n }
 }
@@ -345,16 +344,11 @@ func (o *Oracle) StoreFootprint() (outNodes, probeNodes int) {
 // cycle with package learn's tests): the learner scales its prefetch chunks
 // to the hint. A simulator oracle advertises a fixed width, engineHint:
 // planning whole chunks against the store pays off regardless of the host,
-// and a constant keeps the learner's query trajectory host-independent. A
-// fleet-backed prober scales the hint to the live fleet width (slots per
-// worker times healthy workers), re-read on every call so chunks widen
-// again when a quarantined worker is re-admitted. Any other prober gets
-// its usable parallelism, so a serial prober keeps the exact serial query
-// trajectory.
+// and a constant keeps the learner's query trajectory host-independent.
+// Any other prober gets its usable parallelism, so a serial prober keeps
+// the exact serial query trajectory. Either way the hint is fixed for the
+// oracle's lifetime.
 func (o *Oracle) BatchHint() int {
-	if w := o.fleetWidth(); w > 0 {
-		return max(w*fleetDepth, engineHint)
-	}
 	if o.sim != nil {
 		return engineHint
 	}
@@ -363,17 +357,12 @@ func (o *Oracle) BatchHint() int {
 
 // parallelism reports how many goroutines a batch may use against the
 // underlying prober: 1 unless the prober explicitly supports concurrency.
-// A fleet-backed prober gets one goroutine per live fleet slot — the work
-// is I/O bound, so local CPU count is the wrong ceiling.
 func (o *Oracle) parallelism() int {
 	if cp, ok := o.prober.(ConcurrentProber); !ok || !cp.ConcurrentProbes() {
 		return 1
 	}
 	if o.workers > 0 {
 		return o.workers
-	}
-	if w := o.fleetWidth(); w > 0 {
-		return w
 	}
 	return runtime.GOMAXPROCS(0)
 }
@@ -432,10 +421,10 @@ func (o *Oracle) audit(ctx context.Context, seq int, word, out []int) error {
 // OutputQueryBatch implements learn.BatchTeacher: it answers len(words)
 // independent output queries. A simulator oracle answers the whole batch
 // in one engine pass; otherwise the words fan out across a worker pool
-// when the prober supports concurrent probing (a replicated hardware
-// interface, a remote fleet), falling back to a serial loop. A word with an
-// out-of-range symbol fails the whole call before any counter, store or
-// probe is touched. Answers, memo contents and counters are identical to
+// when the prober supports concurrent probing (a pool of hardware
+// replicas), falling back to a serial loop. A word with an out-of-range
+// symbol fails the whole call before any counter, store or probe is
+// touched. Answers, memo contents and counters are identical to
 // asking the words one by one; only the wall-clock cost changes. The
 // fan-out reserves the batch's query numbers up front and gives each word
 // its index-ordered number, so which words the determinism audit re-checks

@@ -2,9 +2,9 @@ package polca
 
 // The reset-rooted probe path: how the oracle answers every prober the
 // simulator engine does not drive (hardware backends, replica pools,
-// remote fleets, fault-injecting wrappers). It is the paper's Algorithm 1
-// loop — mapInput → probe → mapOutput, with mapOutput calling findEvicted
-// on an Evct — run once per symbol the output store does not know yet.
+// fault-injecting wrappers). It is the paper's Algorithm 1 loop — mapInput
+// → probe → mapOutput, with mapOutput calling findEvicted on an Evct — run
+// once per symbol the output store does not know yet.
 //
 // Every execution of the learn path goes through one single-flight memo
 // protocol on the block-id probe store: a recorded answer is a memo hit,
@@ -460,8 +460,8 @@ func (o *Oracle) runGroup(ctx context.Context, ic []int32, icN []blocks.Block, c
 
 // memberProbes returns the single probes of a group: the keys ic · cc[i]
 // and the block sequences icN · cc[i], carved from one backing array
-// each. No two share storage, because a prober may still hold a probe's
-// slice after it returns (a remote fleet's losing hedge).
+// each. No two share storage: the Prober contract does not promise that a
+// prober is done with a probe's slice when the call returns.
 func memberProbes(ic []int32, icN []blocks.Block, cc []int32) ([][]int32, [][]blocks.Block) {
 	n, m := len(cc), len(ic)+1
 	idBuf := make([]int32, n*m)
