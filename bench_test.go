@@ -304,7 +304,7 @@ func BenchmarkAblationTrie(b *testing.B) {
 // simulated probes: the same exhaustive output-query load (every policy
 // word up to depth 5) is answered in one OutputQueryBatch by a fresh
 // oracle's query engine, once on the compiled executor ("batched": dense
-// transition tables, lanes stepping over a structure-of-arrays block) and
+// transition tables, one int32 table state per parked position) and
 // once on the session executor over the interpreted Policy interface
 // ("interpreted": virtual dispatch per access, deep policy clones per
 // fork — polca.NewInterpretedSimProber). The prober — and with it the

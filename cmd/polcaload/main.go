@@ -38,7 +38,7 @@ func main() {
 	duration := flag.Duration("duration", 10*time.Second, "how long to drive load")
 	seed := flag.Int64("seed", 1, "base random seed; client i draws words from seed+i")
 	maxLen := flag.Int("max-len", 6, "maximum query word length (symbols are drawn uniformly)")
-	words := flag.Int("words", 1, "query words per request (batched requests exercise the SoA engine)")
+	words := flag.Int("words", 1, "query words per request (batched requests go through the engine as one batch)")
 	tenant := flag.String("tenant", "polcaload", "X-Tenant header value (quota identity)")
 	flag.Parse()
 

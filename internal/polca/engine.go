@@ -2,141 +2,58 @@ package polca
 
 // The oracle's query engine. Every output query a simulator oracle
 // (*SimProber) answers — single words through OutputQuery, chunks through
-// OutputQueryBatch — runs three phases over the policy-output store, with
-// the oracle's engine mutex held across all of them:
+// OutputQueryBatch — runs word by word over the policy-output store, with
+// the oracle's engine mutex held across the batch and its audits. For each
+// word the engine
 //
-//  1. Plan (serial, word order): walk every word's known prefix under its
-//     shard lock, with a batch-local overlay so a word sees the prefixes
-//     earlier words of the same batch will record. Pending words get a
-//     lane; their suffix paths are created up front and placeholder
-//     sessions are parked through the regular LRU, reserving each node
-//     with the recency a word-at-a-time oracle would give the real fork.
-//  2. Execute (word order, so producer lanes finish before the lanes that
-//     resume from their parks): a lane resumes from the deepest session
-//     parked on its path — a real one, a producer lane's placeholder, or
-//     reset — feeds the known tail, then the pending suffix, snapshotting
-//     its state at every park depth. The prober picks the executor:
-//     - compiled (sp.tab != nil): a lane's cache state is one int32 table
-//       state plus one int32 content row of a structure-of-arrays block
-//       (policy.Batch). The policy input encoding coincides with the
-//       kernel's table inputs, and a reset-rooted session's content
-//       mirrors the oracle's tracked content cc exactly (Definition 2.3:
-//       Ln(i) hits at line i, Evct misses into the table's victim), so
-//       replaying a suffix is pure table stepping and a park snapshot is a
-//       row copy.
-//     - sessions (interpreted or uncompilable policies): a lane runs on a
-//       Session, an Evct's victim is found by the associativity-many
-//       eviction probes, and a park snapshot is a fork.
-//  3. Record (serial, word order): write outputs along each word's path
-//     and replace every placeholder that survived the LRU with the
-//     session its snapshot stands for. Placeholders the LRU evicted are
-//     dropped, exactly as a word-at-a-time oracle would drop the fork.
+//  1. walks the recorded prefix, noting the deepest parked position on it;
+//  2. touches that position and resumes from it (from reset when the path
+//     parks none);
+//  3. fast-forwards over the recorded tail to the divergence frontier,
+//     where it parks: sibling queries share exactly this prefix;
+//  4. steps each suffix symbol, recording its output and parking the new
+//     position.
 //
-// Counters follow from the plan, so they are identical for both executors
-// and for every chunking of the same word stream: memo hits = known-prefix
-// symbols (overlay included, which is what word-at-a-time answering would
-// have recorded by then), one probe per pending word, and accesses =
+// A parked position is one int32 in the node's outVal. On a compiled
+// prober (sp.tab != nil) it is the table state: a reset-rooted session's
+// content mirrors the oracle's tracked content exactly (Definition 2.3:
+// Ln(i) hits at line i, Evct misses into the table's victim), so outputs
+// depend on the state alone and stepping a suffix is pure table lookup.
+// On an interpreted prober it is a slot in the oracle's session slab (a
+// forked Session), and an Evct's victim is found by associativity-many
+// eviction probes.
+//
+// A word executes before it touches the store: its outputs and the
+// positions it parks are staged, then recorded and parked in order only
+// once the whole word succeeded. A failing word records and parks nothing;
+// earlier words of its batch stay recorded.
+//
+// Counters follow from the walk, so they are identical for both executors
+// and for every chunking of the same word stream: memo hits = recorded
+// prefix symbols, one probe per word with a suffix, and accesses =
 // fast-forward length + suffix length + associativity per Evct (the
-// eviction probes a session issues). Holding the engine mutex across the
-// phases keeps placeholders private to their batch: concurrent callers —
-// polcad's query handlers and jobs on one shared engine — serialize
-// instead of interleaving.
+// eviction probes a session issues). Resuming from a parked position costs
+// nothing, which is why the per-shard LRU and its budget stay: they decide
+// how long a fast-forward is. Holding the engine mutex across a batch
+// serializes concurrent callers — polcad's query handlers and jobs on one
+// shared engine — so they never interleave store operations.
 
 import (
 	"context"
-	"errors"
-	"fmt"
 
 	"repro/internal/blocks"
 	"repro/internal/cache"
 	"repro/internal/policy"
 )
 
-// engineHint is the BatchHint of a simulator oracle: planning pays off
-// with deep chunks whatever the host, so the hint is a constant and the
-// learner's query trajectory does not depend on the core count.
+// engineHint is the BatchHint of a simulator oracle. It fixes how the
+// learner chunks its queries, and so its query trajectory and counters;
+// a constant keeps that trajectory independent of the host.
 const engineHint = 16
 
-// errBatchPlaceholder surfaces if a placeholder session escapes its batch.
-var errBatchPlaceholder = errors.New("polca: batch placeholder session used outside its batch")
-
-// batchPark is the placeholder Session parked during the plan phase: it
-// holds a node's LRU slot with the recency the real fork would get, and
-// names the lane and depth whose snapshot replaces it at record time.
-type batchPark struct {
-	lane  int
-	depth int
-}
-
-// Access implements Session (never legitimately called).
-func (p *batchPark) Access(blocks.Block) (cache.Outcome, error) {
-	return cache.Miss, errBatchPlaceholder
-}
-
-// Fork implements Session (never legitimately called).
-func (p *batchPark) Fork() (Session, error) { return nil, errBatchPlaceholder }
-
-// plannedPark is one placeholder parked at a store node, with the snapshot
-// the executor takes for it: an SoA row (compiled) or a fork (sessions).
-type plannedPark struct {
-	depth int
-	node  int32
-	row   int
-	sess  Session
-	ph    *batchPark
-}
-
-// outPatch fills out[pos] from a producer lane once it has executed: the
-// position was known at plan time only through the batch-local overlay.
-type outPatch struct {
-	pos     int
-	srcLane int
-	srcPos  int
-}
-
-// batchPlan is one word's plan.
-type batchPlan struct {
-	word []int
-	out  []int
-
-	lane        int // execution lane, -1 when the word is fully known
-	k           int // known-prefix length at plan time
-	resumeDepth int
-	resume      Session // real session parked at resumeDepth, nil otherwise
-	srcLane     int     // producer lane when resuming a placeholder, -1 otherwise
-	srcDepth    int
-
-	parks   []plannedPark
-	patches []outPatch
-}
-
-// ovKey identifies a store node across shards for the batch-local overlay.
-type ovKey struct {
-	shard int
-	node  int32
-}
-
-// ovVal names the lane and position that will produce the node's output.
-type ovVal struct {
-	lane int
-	pos  int
-}
-
-// batchRun is one engine pass over a batch of words. See the file comment
-// for the three phases.
-type batchRun struct {
-	o       *Oracle
-	sp      *SimProber
-	plans   []batchPlan
-	byLane  []*batchPlan
-	overlay map[ovKey]ovVal
-	bt      *policy.Batch // compiled executor's SoA block
-}
-
-// engineBatch answers words through plan → execute → record. Sequence
-// numbers, symbol counters and determinism audits are issued in word order
-// exactly as word-by-word queries would. A word with an out-of-range
-// symbol fails the batch before any state changes.
+// engineBatch answers words one by one. Sequence numbers, symbol counters
+// and determinism audits are issued in word order. A word with an
+// out-of-range symbol fails the batch before any state changes.
 func (o *Oracle) engineBatch(ctx context.Context, words [][]int) ([][]int, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -152,292 +69,182 @@ func (o *Oracle) engineBatch(ctx context.Context, words [][]int) ([][]int, error
 	return out, nil
 }
 
-// engineRun holds the engine mutex across the three phases and the audits,
+// engineRun holds the engine mutex across the words and their audits,
 // which re-execute on the prober itself.
 func (o *Oracle) engineRun(ctx context.Context, words [][]int) ([][]int, error) {
 	o.engine.Lock()
 	defer o.engine.Unlock()
-	seqs := make([]int, len(words))
-	for i, w := range words {
-		seqs[i] = int(o.outputQueries.Add(1))
-		o.symbols.Add(int64(len(w)))
-	}
-	br := &batchRun{o: o, sp: o.sim}
-	br.plan(words)
-	var err error
-	if br.sp.tab != nil {
-		err = br.executeCompiled()
-	} else {
-		err = br.executeSessions()
-	}
-	if err != nil {
-		br.dropPlaceholders()
-		return nil, err
-	}
-	br.record()
 	out := make([][]int, len(words))
-	for i := range br.plans {
-		out[i] = br.plans[i].out
-		if err := o.audit(ctx, seqs[i], words[i], out[i]); err != nil {
+	for i, w := range words {
+		seq := int(o.outputQueries.Add(1))
+		o.symbols.Add(int64(len(w)))
+		ans, err := o.engineWord(w)
+		if err != nil {
 			return nil, err
 		}
+		if err := o.audit(ctx, seq, w, ans); err != nil {
+			return nil, err
+		}
+		out[i] = ans
 	}
 	return out, nil
 }
 
-// plan walks every word in order, splitting it into a known prefix and a
-// pending suffix, and parks placeholders along the suffix path. All store
-// and LRU mutations happen in exactly the order word-at-a-time answering
-// would perform them.
-func (br *batchRun) plan(words [][]int) {
-	o := br.o
-	br.plans = make([]batchPlan, len(words))
-	parkRows := 0
-	for i, word := range words {
-		p := &br.plans[i]
-		p.word = word
-		p.out = make([]int, len(word))
-		p.lane = -1
-		p.srcLane = -1
-
-		sh := o.out.Acquire(word)
-		node := int32(0)
-		k := 0
-		resumeNode := int32(-1)
-		resumeDepth := 0
-		for k < len(word) {
-			ip := word[k]
-			c := sh.Child(node, ip)
-			if c < 0 {
-				break
-			}
-			if sh.Has(c) {
-				p.out[k] = int(sh.Val(c).out)
-			} else if ov, ok := br.overlay[ovKey{shard: sh.Index(), node: c}]; ok {
-				p.patches = append(p.patches, outPatch{pos: k, srcLane: ov.lane, srcPos: ov.pos})
-			} else {
-				break
-			}
-			node = c
-			k++
-			if sh.Val(c).sess != nil {
-				resumeNode, resumeDepth = c, k
-			}
+// engineWord answers one word: walk, resume, execute, then record and park.
+func (o *Oracle) engineWord(word []int) ([]int, error) {
+	out := make([]int, len(word))
+	sh := o.out.Acquire(word)
+	defer sh.Release()
+	node, k := int32(0), 0
+	// The deepest parked node on the path, its depth and its position.
+	resume, rd, from := int32(-1), 0, int32(-1)
+	for ; k < len(word); k++ {
+		c := sh.Child(node, word[k])
+		if c < 0 || !sh.Has(c) {
+			break
 		}
-		p.k = k
-		o.memoHits.Add(int64(k))
-		if resumeNode >= 0 {
-			o.touch(sh, resumeNode)
-		}
-		if k == len(word) {
-			sh.Release()
-			continue
-		}
-		if resumeNode >= 0 {
-			if ph, ok := sh.Val(resumeNode).sess.(*batchPark); ok {
-				p.srcLane, p.srcDepth = ph.lane, ph.depth
-			} else {
-				p.resume = sh.Val(resumeNode).sess
-			}
-			p.resumeDepth = resumeDepth
-		}
-		p.lane = len(br.byLane)
-		br.byLane = append(br.byLane, p)
-		if p.resumeDepth < k {
-			// Park at the divergence frontier: sibling queries of this word
-			// share exactly this prefix.
-			ph := &batchPark{lane: p.lane, depth: k}
-			o.park(sh, node, ph)
-			p.parks = append(p.parks, plannedPark{depth: k, node: node, ph: ph})
-		}
-		for d := k; d < len(word); d++ {
-			node = sh.Extend(node, word[d])
-			if i < len(words)-1 { // only later words of the batch read the overlay
-				if br.overlay == nil {
-					br.overlay = make(map[ovKey]ovVal)
-				}
-				br.overlay[ovKey{shard: sh.Index(), node: node}] = ovVal{lane: p.lane, pos: d}
-			}
-			ph := &batchPark{lane: p.lane, depth: d + 1}
-			o.park(sh, node, ph)
-			p.parks = append(p.parks, plannedPark{depth: d + 1, node: node, ph: ph})
-		}
-		parkRows += len(p.parks)
-		sh.Release()
-	}
-	if br.sp.tab == nil {
-		return
-	}
-	// Assign SoA rows: one lane per pending word, then one row per park.
-	row := len(br.byLane)
-	for i := range br.plans {
-		p := &br.plans[i]
-		for j := range p.parks {
-			p.parks[j].row = row
-			row++
+		node = c
+		out[k] = int(sh.Val(c).out)
+		if p := sh.Val(c).park; p != 0 {
+			resume, rd, from = c, k+1, p-1
 		}
 	}
-	br.bt = policy.NewBatch(br.sp.tab, len(br.byLane)+parkRows, o.cc0IDs)
+	o.memoHits.Add(int64(k))
+	if resume >= 0 {
+		o.touch(sh, resume)
+	}
+	if k == len(word) {
+		return out, nil
+	}
+	var states []int32     // compiled: the table state at depth k+j
+	var sessions []Session // interpreted: the session at depth k+j
+	var accesses int
+	if o.sim.tab != nil {
+		states, accesses = o.runCompiled(word, out, k, rd, from)
+	} else {
+		var err error
+		if sessions, accesses, err = o.runSessions(word, out, k, rd, from); err != nil {
+			return nil, err
+		}
+	}
+	// parkAt parks the position at depth k+j on node; an interpreted
+	// session takes its slab slot only now, so the slab never holds more
+	// than the parked budget plus the slot being parked.
+	parkAt := func(node int32, j int) {
+		if sessions != nil {
+			o.park(sh, node, o.slabPut(sessions[j]))
+		} else {
+			o.park(sh, node, states[j])
+		}
+	}
+	if rd < k {
+		parkAt(node, 0)
+	}
+	for d := k; d < len(word); d++ {
+		node = sh.Extend(node, word[d])
+		sh.Val(node).out = int16(out[d])
+		sh.SetHas(node)
+		parkAt(node, d-k+1)
+	}
+	o.probesN.Add(1)
+	o.accessesN.Add(int64(accesses))
+	return out, nil
 }
 
-// patch resolves p's overlay-known positions: their producer lanes ran
-// already.
-func (br *batchRun) patch(p *batchPlan) {
-	for _, pt := range p.patches {
-		p.out[pt.pos] = br.byLane[pt.srcLane].out[pt.srcPos]
+// runCompiled executes word[k:] on the compiled table from the parked
+// state from (-1: reset) at depth rd, writing the suffix outputs to out.
+// It returns the table state at every depth from k on and the accesses a
+// session would have issued.
+func (o *Oracle) runCompiled(word, out []int, k, rd int, from int32) ([]int32, int) {
+	tab, n := o.sim.tab, o.sim.n
+	st := from
+	if st < 0 {
+		st = tab.InitState()
 	}
+	// Fast-forward the recorded tail: no eviction probes.
+	for d := rd; d < k; d++ {
+		st, _ = tab.Step(st, word[d])
+	}
+	accesses := k - rd
+	states := make([]int32, 1, len(word)-k+1)
+	states[0] = st
+	for d := k; d < len(word); d++ {
+		ip := word[d]
+		if ip < n {
+			// Ln(ip) hits at line ip by the content invariant.
+			st, _ = tab.Step(st, ip)
+			out[d] = policy.Bottom
+			accesses++
+		} else {
+			// Evct: the table's output is the victim the eviction probes
+			// would identify; they are accounted as a session issues them.
+			var v int32
+			st, v = tab.Step(st, n)
+			out[d] = int(v)
+			accesses += 1 + n
+		}
+		states = append(states, st)
+	}
+	return states, accesses
 }
 
-// parkOf returns the planned park of (lane, depth).
-func (br *batchRun) parkOf(lane, depth int) *plannedPark {
-	parks := br.byLane[lane].parks
-	for i := range parks {
-		if parks[i].depth == depth {
-			return &parks[i]
-		}
+// runSessions executes word[k:] on a Session resumed from the slab slot
+// from (-1: reset) at depth rd, writing the suffix outputs to out. It
+// returns a session at every depth from k on (nil at the frontier when
+// rd == k: nothing parks there) and the accesses issued.
+func (o *Oracle) runSessions(word, out []int, k, rd int, from int32) ([]Session, int, error) {
+	var sess Session
+	var err error
+	if from >= 0 {
+		sess, err = o.slab[from].Fork()
+	} else {
+		sess, err = o.sim.NewSession()
 	}
-	panic(fmt.Sprintf("polca: no park for lane %d depth %d", lane, depth))
-}
-
-// executeCompiled replays every pending lane over the SoA block.
-func (br *batchRun) executeCompiled() error {
-	o, bt, tab, n := br.o, br.bt, br.sp.tab, br.sp.n
-	for i := range br.plans {
-		p := &br.plans[i]
-		br.patch(p)
-		if p.lane < 0 {
-			continue
-		}
-		switch {
-		case p.resume != nil:
-			ks, ok := p.resume.(*kernelSession)
-			if !ok {
-				return fmt.Errorf("polca: non-kernel session parked under a compiled prober at depth %d", p.resumeDepth)
-			}
-			row := make([]int32, n)
-			for j, b := range ks.content {
-				id, _ := blocks.Index(b)
-				row[j] = int32(id)
-			}
-			bt.LoadLane(p.lane, ks.state, row)
-		case p.srcLane >= 0:
-			bt.CopyLane(p.lane, br.parkOf(p.srcLane, p.srcDepth).row)
-		default:
-			// Fresh from reset: NewBatch seeded the lane already.
-		}
-		st := bt.State(p.lane)
-		row := bt.Row(p.lane)
-		accesses := 0
-		// Fast-forward the known tail: outputs are recorded, so this is
-		// pure stepping with no eviction probes.
-		for d := p.resumeDepth; d < p.k; d++ {
-			st, _ = tab.Step(st, p.word[d])
-			if op := p.out[d]; op != policy.Bottom {
-				row[op] = freshID(row)
+	if err != nil {
+		return nil, 0, err
+	}
+	cc := append([]int32(nil), o.cc0IDs...)
+	accesses := 0
+	// Fast-forward the recorded tail: outputs are known, so this is pure
+	// feeding with no eviction probes.
+	for d := 0; d < k; d++ {
+		b := mapInputID(word[d], cc)
+		if d >= rd {
+			if _, err := sess.Access(blocks.Interned(int(b))); err != nil {
+				return nil, 0, err
 			}
 			accesses++
 		}
-		pk := 0
-		for d := p.k; ; d++ {
-			if pk < len(p.parks) && p.parks[pk].depth == d {
-				bt.SetState(p.lane, st)
-				bt.CopyLane(p.parks[pk].row, p.lane)
-				pk++
-			}
-			if d == len(p.word) {
-				break
-			}
-			ip := p.word[d]
-			if ip < n {
-				// Ln(ip): the fed block is the content of line ip, so it
-				// hits there by the content/cc invariant — table input ip.
-				st, _ = tab.Step(st, ip)
-				p.out[d] = policy.Bottom
-				accesses++
-				continue
-			}
-			// Evct: a fresh block misses; the table's output is the victim
-			// the findEvicted probes would identify, and those
-			// associativity-many probes are accounted as a session issues
-			// them.
-			var v int32
-			st, v = tab.Step(st, n)
-			p.out[d] = int(v)
-			row[v] = freshID(row)
-			accesses += 1 + n
+		if op := out[d]; op != policy.Bottom {
+			cc[op] = b
 		}
-		bt.SetState(p.lane, st)
-		o.probesN.Add(1)
-		o.accessesN.Add(int64(accesses))
 	}
-	return nil
-}
-
-// executeSessions runs every pending lane on a Session: the executor for
-// probers without a compiled table.
-func (br *batchRun) executeSessions() error {
-	o := br.o
-	for i := range br.plans {
-		p := &br.plans[i]
-		br.patch(p)
-		if p.lane < 0 {
-			continue
+	sessions := make([]Session, 1, len(word)-k+1)
+	if rd < k {
+		if sessions[0], err = sess.Fork(); err != nil {
+			return nil, 0, err
 		}
-		var sess Session
-		var err error
-		switch {
-		case p.resume != nil:
-			sess, err = p.resume.Fork()
-		case p.srcLane >= 0:
-			sess, err = br.parkOf(p.srcLane, p.srcDepth).sess.Fork()
-		default:
-			sess, err = br.sp.NewSession()
-		}
+	}
+	for d := k; d < len(word); d++ {
+		b := mapInputID(word[d], cc)
+		op, acc, err := stepSession(sess, word[d], b, cc)
+		accesses += acc
 		if err != nil {
-			return err
+			return nil, 0, err
 		}
-		cc := append([]int32(nil), o.cc0IDs...)
-		accesses := 0
-		// Fast-forward the known tail: outputs are recorded, so this is
-		// pure feeding with no eviction probes.
-		for d := 0; d < p.k; d++ {
-			b := mapInputID(p.word[d], cc)
-			if d >= p.resumeDepth {
-				if _, err := sess.Access(blocks.Interned(int(b))); err != nil {
-					return err
-				}
-				accesses++
-			}
-			if op := p.out[d]; op != policy.Bottom {
-				cc[op] = b
+		if op != policy.Bottom {
+			cc[op] = b
+		}
+		out[d] = op
+		park := sess
+		if d < len(word)-1 {
+			if park, err = sess.Fork(); err != nil {
+				return nil, 0, err
 			}
 		}
-		pk := 0
-		for d := p.k; ; d++ {
-			if pk < len(p.parks) && p.parks[pk].depth == d {
-				if p.parks[pk].sess, err = sess.Fork(); err != nil {
-					return err
-				}
-				pk++
-			}
-			if d == len(p.word) {
-				break
-			}
-			b := mapInputID(p.word[d], cc)
-			op, acc, err := stepSession(sess, p.word[d], b, cc)
-			accesses += acc
-			if err != nil {
-				return err
-			}
-			if op != policy.Bottom {
-				cc[op] = b
-			}
-			p.out[d] = op
-		}
-		o.probesN.Add(1)
-		o.accessesN.Add(int64(accesses))
+		sessions = append(sessions, park)
 	}
-	return nil
+	return sessions, accesses, nil
 }
 
 // stepSession feeds block b for input ip to sess and maps the outcome back
@@ -464,64 +271,4 @@ func stepSession(sess Session, ip int, b int32, cc []int32) (int, int, error) {
 	}
 	evicted, err := victim(ocs, cc)
 	return evicted, 1 + n, err
-}
-
-// record writes every pending word's outputs into the store and swaps
-// surviving placeholders for the sessions their snapshots stand for.
-func (br *batchRun) record() {
-	o := br.o
-	for i := range br.plans {
-		p := &br.plans[i]
-		if p.lane < 0 {
-			continue
-		}
-		sh := o.out.Acquire(p.word)
-		node := int32(0)
-		pk := 0
-		for d, ip := range p.word {
-			node = sh.Extend(node, ip)
-			sh.Val(node).out = int16(p.out[d])
-			sh.SetHas(node)
-			for pk < len(p.parks) && p.parks[pk].depth == d+1 {
-				park := p.parks[pk]
-				if sh.Val(park.node).sess == park.ph {
-					sh.Val(park.node).sess = br.snapshot(park)
-				}
-				pk++
-			}
-		}
-		sh.Release()
-	}
-}
-
-// snapshot returns the session a planned park's snapshot stands for: a
-// kernel session materialized from its SoA row, or the fork itself.
-func (br *batchRun) snapshot(park plannedPark) Session {
-	if br.bt == nil {
-		return park.sess
-	}
-	ids := br.bt.Row(park.row)
-	content := make([]blocks.Block, len(ids))
-	for i, id := range ids {
-		content[i] = blocks.Interned(int(id))
-	}
-	return &kernelSession{tab: br.sp.tab, state: br.bt.State(park.row), content: content}
-}
-
-// dropPlaceholders unparks every placeholder of a failed batch, so none
-// outlives it. The batch records nothing.
-func (br *batchRun) dropPlaceholders() {
-	for i := range br.plans {
-		p := &br.plans[i]
-		if len(p.parks) == 0 {
-			continue
-		}
-		sh := br.o.out.Acquire(p.word)
-		for _, park := range p.parks {
-			if sh.Val(park.node).sess == park.ph {
-				br.o.unpark(sh, park.node)
-			}
-		}
-		sh.Release()
-	}
 }

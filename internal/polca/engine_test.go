@@ -65,7 +65,7 @@ func (l engineLeg) ask(t *testing.T, words [][]int) [][]int {
 // and Stats and SaveSnapshot bytes must be identical across all six legs.
 // The stream mixes extension words (suffix resume), in-batch
 // prefix/extension dependencies, duplicate words (in-batch memo) and a
-// small session cap (LRU evictions dropping placeholder parks), all under
+// small session cap (LRU evictions dropping parked positions), all under
 // periodic determinism audits.
 func TestBatchedOracleMatchesSerial(t *testing.T) {
 	for _, c := range tenPolicies {
@@ -168,11 +168,10 @@ func TestBatchedNoMemoMatchesSerial(t *testing.T) {
 
 // TestEngineConcurrentCallers: several goroutines issue random batches and
 // single words on one shared oracle. The engine serializes them per oracle,
-// so no placeholder escapes its batch and every answer matches the
-// ground-truth machine. The session cap is small enough to evict, yet
-// large enough (several parks per shard) that one batch's placeholders
-// would be seen by another batch without the serialization. Run it under
-// -race.
+// so no two words interleave their store, LRU and slab operations, and
+// every answer matches the ground-truth machine. The session cap is small
+// enough to evict, yet large enough (several parks per shard) that the
+// batches resume from each other's parks. Run it under -race.
 func TestEngineConcurrentCallers(t *testing.T) {
 	truth, err := mealy.FromPolicy(policy.MustNew("New1", 4), 0)
 	if err != nil {
@@ -289,6 +288,50 @@ func TestBatchedLearnEquivalence(t *testing.T) {
 			}
 			if cs, is, ss := compiled.Stats(), interp.Stats(), serial.Stats(); cs != is || cs != ss {
 				t.Fatalf("oracle stats diverged: compiled %+v, interpreted %+v, word by word %+v", cs, is, ss)
+			}
+		})
+	}
+}
+
+// TestSessionSlabBounded: an interpreted oracle parks forked sessions in
+// its session slab, and unpark must return every evicted session's slot.
+// Streaming every word up to depth 4 twice at a small session cap, the
+// answers must match the ground-truth machine, the occupied slots must
+// equal the parked positions, and the slab must never grow past the
+// parked budget plus the one slot a park takes before its eviction.
+func TestSessionSlabBounded(t *testing.T) {
+	for _, name := range []string{"New1", "SRRIP-HP"} {
+		t.Run(name, func(t *testing.T) {
+			truth, err := mealy.FromPolicy(policy.MustNew(name, 4), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o := NewOracle(NewInterpretedSimProber(policy.MustNew(name, 4)), WithSessionCap(6))
+			budget := o.lruCap * o.out.Stripes()
+			words := qstore.Enumerate(policy.NumInputs(4), 4)[1:]
+			for pass := 0; pass < 2; pass++ {
+				for _, w := range words {
+					got, err := o.OutputQuery(context.Background(), w)
+					if err != nil {
+						t.Fatalf("word %v: %v", w, err)
+					}
+					want := truth.Run(w)
+					for j := range want {
+						if got[j] != want[j] {
+							t.Fatalf("word %v answered %v, truth %v", w, got, want)
+						}
+					}
+					parked := 0
+					for _, l := range o.lru {
+						parked += l.parked
+					}
+					if held := len(o.slab) - len(o.free); held != parked {
+						t.Fatalf("after %v: slab holds %d sessions, %d positions parked", w, held, parked)
+					}
+					if len(o.slab) > budget+1 {
+						t.Fatalf("after %v: slab has %d slots, budget %d parked positions", w, len(o.slab), budget)
+					}
+				}
 			}
 		})
 	}

@@ -138,8 +138,8 @@ type Stats struct {
 // suffix instead of replaying the whole word from reset.
 //
 // The oracle is safe for concurrent use and implements learn.BatchTeacher.
-// A simulator oracle (*SimProber) answers every query through one engine —
-// plan → execute → record, serialized per oracle (see engine.go) — so its
+// A simulator oracle (*SimProber) answers every query through one engine
+// that runs word by word, serialized per oracle (see engine.go), so its
 // answers and cost counters do not depend on the host or on how callers
 // chunk their queries. Any other prober takes the reset-rooted probe path
 // (see probe.go), and independent words of a batch fan out on parallel
@@ -177,24 +177,26 @@ type Oracle struct {
 	ckMu    sync.Mutex
 	ckLast  atomic.Int64
 
-	engine sync.Mutex // held across one engine batch: plan → execute → record
+	engine sync.Mutex // held across one engine batch and its audits
 
-	out    *qstore.Store[int, outVal]     // policy-level output memo + parked sessions
+	out    *qstore.Store[int, outVal]     // policy-level output memo + parked positions
 	pt     *qstore.Store[int32, probeVal] // block-level probe memo + single-flight
-	lru    []lruList                      // per-shard parked-session LRU (see store.go)
-	lruCap int                            // parked-session budget per shard
+	lru    []lruList                      // per-shard parked-position LRU (see store.go)
+	lruCap int                            // parked-position budget per shard
+	slab   []Session                      // interpreted prober's parked sessions, by slot
+	free   []int32                        // free slab slots
 }
 
 // Option configures an Oracle.
 type Option func(*Oracle)
 
-// DefaultSessionCap bounds how many forked sessions the trie keeps parked
-// at interior nodes before evicting the least recently used one.
+// DefaultSessionCap bounds how many positions the trie keeps parked at
+// interior nodes before evicting the least recently used one.
 const DefaultSessionCap = 1024
 
 // WithSessionCap overrides the parked-session bound; n <= 0 restores
 // DefaultSessionCap. The budget is divided evenly across the output
-// store's shards (at least one parked session per shard).
+// store's shards (at least one parked position per shard).
 func WithSessionCap(n int) Option {
 	return func(o *Oracle) {
 		if n <= 0 {
@@ -342,9 +344,9 @@ func (o *Oracle) StoreFootprint() (outNodes, probeNodes int) {
 
 // BatchHint implements learn.BatchHinter (duck-typed to avoid an import
 // cycle with package learn's tests): the learner scales its prefetch chunks
-// to the hint. A simulator oracle advertises a fixed width, engineHint:
-// planning whole chunks against the store pays off regardless of the host,
-// and a constant keeps the learner's query trajectory host-independent.
+// to the hint. A simulator oracle advertises a fixed width, engineHint: a
+// constant keeps the learner's query trajectory, and with it every
+// counter, host-independent.
 // Any other prober gets its usable parallelism, so a serial prober keeps
 // the exact serial query trajectory. Either way the hint is fixed for the
 // oracle's lifetime.

@@ -16,12 +16,12 @@ import (
 // as SlowProber.
 //
 // By default the policy is compiled into a dense transition table
-// (policy.Compile) and the engine steps the table directly over a
-// structure-of-arrays block; parked sessions are copyable (int32 state,
-// content) values. Policies the kernel cannot compile (state spaces over
-// the bound, or contract violations like policy.Random) silently keep the
-// interpreted path, which the engine executes on forking sessions;
-// trajectories and learned machines are bit-identical either way.
+// (policy.Compile): the engine steps the table directly and parks a
+// position as its int32 table state. Policies the kernel cannot compile
+// (state spaces over the bound, or contract violations like policy.Random)
+// silently keep the interpreted path, which the engine executes on forking
+// sessions parked in the oracle's session slab; trajectories and learned
+// machines are bit-identical either way.
 // NewInterpretedSimProber forces the interpreted path for the kernel
 // ablation benchmarks.
 type SimProber struct {
@@ -109,7 +109,7 @@ func (p *SimProber) run(q []blocks.Block, out []cache.Outcome) cache.Outcome {
 }
 
 // NewSession returns a session at the reset state: the oracle's query
-// engine runs interpreted lanes and parks resumable positions on these.
+// engine executes interpreted words on these and parks their forks.
 // Sessions are independent of each other and of the prober (kernel
 // sessions share only the immutable table), so it is safe for concurrent
 // use.
@@ -125,9 +125,9 @@ func (p *SimProber) NewSession() (Session, error) {
 
 // kernelSession is a compiled-kernel probing session: the full cache state
 // is one table state id plus the content tuple, making sessions copyable
-// values — Fork copies n strings and an int32, and the parked-session LRU
-// in the oracle's query store holds exactly these pairs instead of cloned
-// policy objects.
+// values — Fork copies n strings and an int32 instead of cloning policy
+// objects. It serves the reset-rooted Probe path and NewSession; the
+// engine steps the table without it.
 type kernelSession struct {
 	tab     *policy.Table
 	state   int32

@@ -3,9 +3,9 @@ package polca
 // On-disk snapshots of the oracle's policy-output store, for warm-started
 // learning: a snapshot saved after one run answers every previously-asked
 // policy query of a later run straight from the store, so the backend is
-// probed only for genuinely new words. Parked sessions are a decoration
-// the snapshot skips — a warm oracle re-opens sessions lazily, and only
-// for words that actually extend past the recorded prefixes.
+// probed only for genuinely new words. Parked positions are a decoration
+// the snapshot skips — a warm oracle parks afresh, and only for words that
+// actually extend past the recorded prefixes.
 //
 // A snapshot is only meaningful against the same system under the same
 // reset: replaying outputs recorded for a different policy or reset would
@@ -47,7 +47,7 @@ func corruptf(format string, args ...any) error {
 }
 
 // outCodec encodes output-store values for snapshots: the policy output
-// alone. Sessions and LRU links are transient decorations.
+// alone. Parked positions and LRU links are transient decorations.
 type outCodec struct{}
 
 // AppendValue implements qstore.Codec.
@@ -82,13 +82,13 @@ func (o *Oracle) SaveSnapshot(w io.Writer, scope string) error {
 // It fails on a scope mismatch, an unsupported header, or any corruption
 // the store layer detects — in every failure case the store is untouched.
 // Loading is only allowed before the oracle has answered any query:
-// applying snapshot entries over nodes that already hold live parked
-// sessions would wipe the decorations while the LRU bookkeeping still
+// applying snapshot entries over nodes that already hold parked
+// positions would wipe the decorations while the LRU bookkeeping still
 // references them. Several snapshots of the same scope may be loaded in
 // sequence, as long as all of them land before the first query.
 func (o *Oracle) LoadSnapshot(r io.Reader, scope string) error {
 	if o.outputQueries.Load() != 0 {
-		return errors.New("polca: LoadSnapshot must run before the oracle answers queries (loading over parked sessions would corrupt them)")
+		return errors.New("polca: LoadSnapshot must run before the oracle answers queries (loading over parked positions would corrupt them)")
 	}
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(snapshotMagic))

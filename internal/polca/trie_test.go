@@ -120,7 +120,7 @@ func TestSessionCapEviction(t *testing.T) {
 
 // TestTrieResumeSkipsPrefixReplay: extending an answered word by one symbol
 // must cost O(1) prober accesses on the engine path — the trie resumes the
-// parked session instead of replaying the prefix.
+// parked position instead of replaying the prefix.
 func TestTrieResumeSkipsPrefixReplay(t *testing.T) {
 	oracle := NewOracle(NewSimProber(policy.MustNew("LRU", 4)))
 	word := []int{4, 0, 4, 1, 2, 3, 0, 1}

@@ -3,13 +3,12 @@ package synth
 import "repro/internal/policy"
 
 // This file is the batched evaluation kernel of the parallel CEGIS search:
-// a policy.Batch-style structure-of-arrays stepper that runs *blocks of
-// candidate programs* in lockstep through a shared witness trace, replacing
-// the per-candidate interpreted matches walk. Ages live in one flat []uint8
-// matrix (lane l occupies ages[l*n:(l+1)*n]), surviving lanes are kept in a
-// compacted index list, and the hot loop allocates nothing — the same
-// recipe that made policy.Batch 6-7x faster than stepping compiled tables
-// one session at a time.
+// a structure-of-arrays stepper that runs *blocks of candidate programs* in
+// lockstep through a shared witness trace, replacing the per-candidate
+// interpreted matches walk. Ages live in one flat []uint8 matrix (lane l
+// occupies ages[l*n:(l+1)*n]), surviving lanes are kept in a compacted
+// index list, and the hot loop allocates nothing: one contiguous block per
+// worker instead of a heap object per candidate.
 //
 // Stage 1 batches over initial age vectors (the rules are shared by the
 // whole block); stage 2 batches over promotion rules (the skeleton is
