@@ -80,6 +80,7 @@ func BenchmarkTable2(b *testing.B) {
 	}
 	for _, c := range cases {
 		b.Run(fmt.Sprintf("%s-%d", c.name, c.assoc), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				row := experiments.RunTable2Row(context.Background(), c.name, c.assoc, experiments.Table2Config{})
 				if !row.Verified {

@@ -2,6 +2,7 @@ package learn
 
 import (
 	"context"
+	"math/bits"
 	"math/rand"
 
 	"repro/internal/intern"
@@ -32,9 +33,15 @@ import (
 // learner, which runs the suite once per refinement round: suite words after
 // a counterexample are never even constructed.
 //
+// Every emitted word is marked in the memo in the walk that finds whether it
+// is answered; a chunk prefetches its first-marked, unanswered words. With
+// dedup set, a word emitted earlier in the suite is skipped altogether (the
+// W and Wp suites); without it, it is checked again but never re-asked (the
+// random walk).
+//
 // gen must call emit for every test word and stop as soon as emit returns
 // false.
-func (l *engine) checkSuite(hyp *mealy.Machine, gen func(emit func([]int) bool)) ([]int, error) {
+func (l *engine) checkSuite(hyp *mealy.Machine, dedup bool, gen func(emit func([]int) bool)) ([]int, error) {
 	chunk := l.batch
 	// Under a query budget, speculative prefetch past a counterexample
 	// could spend queries the serial trajectory never asks and abort a run
@@ -44,14 +51,15 @@ func (l *engine) checkSuite(hyp *mealy.Machine, gen func(emit func([]int) bool))
 		chunk = 1
 	}
 	var (
-		buf [][]int
-		ce  []int
-		err error
+		buf, pending [][]int
+		ce           []int
+		err          error
 	)
 	flush := func() bool {
-		if err = l.prefetch(buf); err != nil {
+		if err = l.dispatch(pending); err != nil {
 			return false
 		}
+		pending = pending[:0]
 		for _, test := range buf {
 			l.stats.TestWords++
 			if ce, err = l.checkWord(hyp, test); err != nil || ce != nil {
@@ -61,8 +69,19 @@ func (l *engine) checkSuite(hyp *mealy.Machine, gen func(emit func([]int) bool))
 		buf = buf[:0]
 		return true
 	}
+	l.memo.ResetMarks()
 	gen(func(test []int) bool {
+		if len(test) == 0 {
+			return true
+		}
+		fresh, answered := l.note(test)
+		if dedup && !fresh {
+			return true
+		}
 		buf = append(buf, test)
+		if fresh && !answered && l.batch > 1 {
+			pending = append(pending, test)
+		}
 		if len(buf) >= chunk {
 			return flush()
 		}
@@ -74,22 +93,10 @@ func (l *engine) checkSuite(hyp *mealy.Machine, gen func(emit func([]int) bool))
 	return ce, err
 }
 
-// checkWords is checkSuite over a materialized word list.
-func (l *engine) checkWords(hyp *mealy.Machine, words [][]int) ([]int, error) {
-	return l.checkSuite(hyp, func(emit func([]int) bool) {
-		for _, w := range words {
-			if !emit(w) {
-				return
-			}
-		}
-	})
-}
-
-// wMethodCE runs the W-method suite against the teacher and returns a
-// trimmed counterexample, or nil if the suite passes.
-func (l *engine) wMethodCE(hyp *mealy.Machine) ([]int, error) {
+// wMethodCE runs the W-method suite for characterizing set w against the
+// teacher and returns a trimmed counterexample, or nil if the suite passes.
+func (l *engine) wMethodCE(hyp *mealy.Machine, w [][]int) ([]int, error) {
 	access := hyp.AccessSequences()
-	w := hyp.CharacterizingSet()
 
 	// Transition cover: every access sequence, bare and extended by every
 	// input symbol.
@@ -102,21 +109,11 @@ func (l *engine) wMethodCE(hyp *mealy.Machine) ([]int, error) {
 	}
 
 	middles := qstore.Enumerate(l.numIn, l.opt.Depth)
-
-	// The suite streams through a mark store for prefix-shared dedup
-	// instead of materializing a map of word keys. The dedup store is
-	// separate from the prefetch scratch store: generation interleaves
-	// with prefetching.
-	l.suite.ResetMarks()
-	return l.checkSuite(hyp, func(emit func([]int) bool) {
+	return l.checkSuite(hyp, true, func(emit func([]int) bool) {
 		for _, u := range cover {
 			for _, m := range middles {
 				for _, suf := range w {
-					test := qstore.Concat(u, m, suf)
-					if len(test) == 0 || !l.suite.InsertMark(test) {
-						continue
-					}
-					if !emit(test) {
+					if !emit(qstore.Concat(u, m, suf)) {
 						return
 					}
 				}
@@ -125,39 +122,22 @@ func (l *engine) wMethodCE(hyp *mealy.Machine) ([]int, error) {
 	})
 }
 
-// wpMethodCE runs the Wp-method suite against the teacher. Phase 1 applies
-// the full characterizing set W after the state cover; phase 2 applies only
-// the identification set of the reached state after the remaining
-// transition-cover words. The suite is (|H|+k)-complete like the W-method
-// but substantially smaller, which is why the paper uses it.
-func (l *engine) wpMethodCE(hyp *mealy.Machine) ([]int, error) {
-	// The Wp-method's phase 2 identifies the reached state by a subset of W
-	// unique to it — which requires the hypothesis to be reduced. Mid-learning
-	// hypotheses (the discrimination tree's especially) can briefly contain
-	// hypothesis-equivalent states; their identification sets would be empty
-	// and phase 2 would silently skip those transitions. Fall back to the
-	// plain W-method for such degenerate rounds — soundness over suite size.
-	if hyp.Minimize().NumStates < hyp.NumStates {
-		return l.wMethodCE(hyp)
-	}
+// wpMethodCE runs the Wp-method suite for characterizing set w of a reduced
+// hypothesis against the teacher. Phase 1 applies the full characterizing
+// set W after the state cover; phase 2 applies only the identification set
+// of the reached state after the remaining transition-cover words. The
+// suite is (|H|+k)-complete like the W-method but substantially smaller,
+// which is why the paper uses it.
+func (l *engine) wpMethodCE(hyp *mealy.Machine, w [][]int) ([]int, error) {
 	access := hyp.AccessSequences()
-	w := hyp.CharacterizingSet()
 	ident := identificationSets(hyp, w)
 	middles := qstore.Enumerate(l.numIn, l.opt.Depth)
-
-	l.suite.ResetMarks()
-	return l.checkSuite(hyp, func(emit func([]int) bool) {
-		add := func(test []int) bool {
-			if len(test) == 0 || !l.suite.InsertMark(test) {
-				return true
-			}
-			return emit(test)
-		}
+	return l.checkSuite(hyp, true, func(emit func([]int) bool) {
 		// Phase 1: state cover x middles x W.
 		for _, u := range access {
 			for _, m := range middles {
 				for _, suf := range w {
-					if !add(qstore.Concat(u, m, suf)) {
+					if !emit(qstore.Concat(u, m, suf)) {
 						return
 					}
 				}
@@ -172,7 +152,7 @@ func (l *engine) wpMethodCE(hyp *mealy.Machine) ([]int, error) {
 					r := qstore.Concat(ua, m)
 					s := hyp.StateAfter(r)
 					for _, suf := range ident[s] {
-						if !add(qstore.Concat(r, suf)) {
+						if !emit(qstore.Concat(r, suf)) {
 							return
 						}
 					}
@@ -183,38 +163,51 @@ func (l *engine) wpMethodCE(hyp *mealy.Machine) ([]int, error) {
 }
 
 // identificationSets computes, per state, a minimal-ish subset of W whose
-// output signature is unique to that state (greedy cover).
+// output signature is unique to that state (greedy cover over W in order).
+// The states a state is not yet separated from are a dense bitset.
 func identificationSets(hyp *mealy.Machine, w [][]int) [][][]int {
-	// Intern every (state, word) output once up front; the cover loop below
-	// compares pairs of states per word and would otherwise re-intern the
-	// same output vectors O(n) times each.
+	n := hyp.NumStates
+	// Intern every (word, state) output once up front; the cover loop below
+	// compares pairs of states per word and would otherwise re-run the same
+	// words O(n) times each.
 	ids := intern.New()
-	sigTab := make([][]int32, hyp.NumStates)
-	for s := 0; s < hyp.NumStates; s++ {
-		sigTab[s] = make([]int32, len(w))
-		for i, word := range w {
-			sigTab[s][i] = ids.Word(hyp.RunFrom(s, word))
+	sig := make([][]int32, len(w))
+	for i, word := range w {
+		sig[i] = make([]int32, n)
+		for t := range sig[i] {
+			acc, q := intern.Empty, t
+			for _, a := range word {
+				var o int
+				q, o = hyp.Step(q, a)
+				acc = ids.Append(acc, o)
+			}
+			sig[i][t] = acc
 		}
 	}
-	out := make([][][]int, hyp.NumStates)
-	for s := 0; s < hyp.NumStates; s++ {
-		alive := make(map[int]bool, hyp.NumStates-1)
-		for t := 0; t < hyp.NumStates; t++ {
-			if t != s {
-				alive[t] = true
-			}
+	out := make([][][]int, n)
+	alive := make([]uint64, (n+63)/64)
+	for s := 0; s < n; s++ {
+		for k := range alive {
+			alive[k] = ^uint64(0)
 		}
+		if r := n & 63; r != 0 {
+			alive[len(alive)-1] = 1<<r - 1
+		}
+		alive[s>>6] &^= 1 << (s & 63)
+		left := n - 1
 		var set [][]int
 		for i, word := range w {
-			if len(alive) == 0 {
+			if left == 0 {
 				break
 			}
-			split := false
-			mine := sigTab[s][i]
-			for t := range alive {
-				if sigTab[t][i] != mine {
-					delete(alive, t)
-					split = true
+			mine, split := sig[i][s], false
+			for k, bw := range alive {
+				for ; bw != 0; bw &= bw - 1 {
+					if t := k<<6 + bits.TrailingZeros64(bw); sig[i][t] != mine {
+						alive[k] &^= 1 << (t & 63)
+						left--
+						split = true
+					}
 				}
 			}
 			if split {
@@ -222,8 +215,8 @@ func identificationSets(hyp *mealy.Machine, w [][]int) [][][]int {
 			}
 		}
 		// States that remain equal under all of W are trace-equivalent in
-		// a non-minimal hypothesis; reduced hypotheses never leave alive
-		// non-empty (wpMethodCE falls back to the W-method otherwise).
+		// a non-minimal hypothesis; reduced hypotheses never leave any
+		// (findCounterexample runs the W-method otherwise).
 		if len(set) == 0 {
 			// A single-state hypothesis has nothing to separate, but its
 			// transition cover still needs outputs exercised in phase 2 —
@@ -265,7 +258,13 @@ func (l *engine) randomWalkCE(hyp *mealy.Machine) ([]int, error) {
 		spent += n
 		words = append(words, word)
 	}
-	return l.checkWords(hyp, words)
+	return l.checkSuite(hyp, false, func(emit func([]int) bool) {
+		for _, w := range words {
+			if !emit(w) {
+				return
+			}
+		}
+	})
 }
 
 // MachineTeacher adapts an explicit Mealy machine into a Teacher, used to

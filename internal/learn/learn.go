@@ -228,10 +228,11 @@ func Learn(ctx context.Context, t Teacher, opt Options) (*Result, error) {
 }
 
 // engine is the query infrastructure shared by every learning algorithm: the
-// teacher handle, the prefix-tree output-query memo, batch prefetching,
-// the scratch dedup set, the conformance-suite construction, and the cost
-// counters. The algorithms (observation table, discrimination tree) embed it
-// and differ only in how they organize observations into a hypothesis.
+// teacher handle, the prefix-tree output-query memo (which is also the dedup
+// set of suites and prefetch lists), batch prefetching, the
+// conformance-suite construction, and the cost counters. The algorithms
+// (observation table, discrimination tree) embed it and differ only in how
+// they organize observations into a hypothesis.
 type engine struct {
 	ctx     context.Context
 	teacher Teacher
@@ -239,9 +240,8 @@ type engine struct {
 	numIn   int
 	batch   int // prefetch chunk size; <= 1 keeps the loop exactly serial
 
-	memo  *qstore.Store[int, memoVal]  // prefix-tree output-query memo
-	seen  *qstore.Store[int, struct{}] // scratch dedup set (batch prefetch)
-	suite *qstore.Store[int, struct{}] // suite-streaming dedup set (interleaves with seen)
+	memo *qstore.Store[int, int32] // prefix-tree output-query memo (memo.go)
+	trie *qstore.Shard[int, int32] // its only shard
 
 	stats Stats
 }
@@ -251,15 +251,15 @@ func newEngine(ctx context.Context, t Teacher, opt Options) engine {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	memo := qstore.New[int, int32](qstore.Options{Degree: t.NumInputs()})
 	return engine{
 		ctx:     ctx,
 		teacher: t,
 		opt:     opt,
 		numIn:   t.NumInputs(),
 		batch:   resolveBatch(t, opt),
-		memo:    newMemoStore(t.NumInputs()),
-		seen:    newMarkStore(t.NumInputs()),
-		suite:   newMarkStore(t.NumInputs()),
+		memo:    memo,
+		trie:    memo.AcquireIdx(0),
 	}
 }
 
@@ -294,7 +294,7 @@ type rowSig struct {
 func newLearner(ctx context.Context, t Teacher, opt Options) *learner {
 	l := &learner{
 		engine:   newEngine(ctx, t, opt),
-		sufs:     newMarkStore(t.NumInputs()),
+		sufs:     qstore.New[int, struct{}](qstore.Options{Degree: t.NumInputs()}),
 		ids:      intern.New(),
 		rowCache: make(map[int32]rowSig),
 		prefixes: [][]int{{}},
@@ -332,14 +332,24 @@ func resolveBatch(t Teacher, opt Options) int {
 	return chunk
 }
 
-// query returns the teacher's output word for w, memoized. Cancellation is
-// checked only before a real teacher round trip — memo hits stay lock-free
-// and cost nothing extra, and a cancelled learn still unwinds at the next
-// fresh query.
+// query returns the teacher's output word for w, memoized. A hit copies the
+// outputs off w's trie path.
 func (l *engine) query(w []int) ([]int, error) {
-	if out, ok := l.trieOutputs(w, nil); ok {
-		return out, nil
+	out := make([]int, len(w))
+	n := int32(0)
+	for i, a := range w {
+		if n = l.trie.Child(n, a); n < 0 || !l.trie.Has(n) {
+			return l.ask(w)
+		}
+		out[i] = int(*l.trie.Val(n))
 	}
+	return out, nil
+}
+
+// ask sends w to the teacher and records the answer. Cancellation is checked
+// only here, before a real teacher round trip: memo hits cost nothing extra,
+// and a cancelled learn still unwinds at the next fresh query.
+func (l *engine) ask(w []int) ([]int, error) {
 	if err := l.ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -355,34 +365,37 @@ func (l *engine) query(w []int) ([]int, error) {
 	}
 	l.stats.OutputQueries++
 	l.stats.QuerySymbols += len(w)
-	l.trieRecord(w, out)
+	l.record(w, out)
 	return out, nil
 }
 
-// prefetch memoizes the answers for every word not yet in the query cache,
-// dispatching all of them in one BatchTeacher call when the teacher supports
-// it. Afterwards query/cell on any prefetched word is a pure cache lookup, so
-// callers keep their serial, deterministic control flow while the teacher
-// answers the whole batch at once (typically on parallel goroutines).
+// prefetch memoizes the answers for every word of the list not yet in the
+// memo, dispatching all of them in one BatchTeacher call when the teacher
+// supports it. Afterwards any lookup of a prefetched word is a pure memo
+// walk, so callers keep their serial, deterministic control flow while the
+// teacher answers the whole batch at once (typically on parallel
+// goroutines). Duplicates in the list are dropped on the memo's marks.
 func (l *engine) prefetch(words [][]int) error {
-	bt, ok := l.teacher.(BatchTeacher)
-	if !ok || l.batch <= 1 {
+	if l.batch <= 1 {
 		return nil // the serial path asks lazily, paying no speculative queries
 	}
+	l.memo.ResetMarks()
 	var pending [][]int
-	l.seen.ResetMarks()
 	for _, w := range words {
 		if len(w) == 0 {
 			continue
 		}
-		if _, ok := l.trieOutputs(w, nil); ok {
-			continue
+		if fresh, answered := l.note(w); fresh && !answered {
+			pending = append(pending, w)
 		}
-		if !l.seen.InsertMark(w) {
-			continue
-		}
-		pending = append(pending, w)
 	}
+	return l.dispatch(pending)
+}
+
+// dispatch asks the teacher for the distinct, unanswered words of pending in
+// one BatchTeacher call and records the answers. Under a query budget it
+// asks only as many as the budget has left.
+func (l *engine) dispatch(pending [][]int) error {
 	if len(pending) == 0 {
 		return nil
 	}
@@ -398,7 +411,7 @@ func (l *engine) prefetch(words [][]int) error {
 			pending = pending[:left]
 		}
 	}
-	outs, err := bt.OutputQueryBatch(l.ctx, pending)
+	outs, err := l.teacher.(BatchTeacher).OutputQueryBatch(l.ctx, pending)
 	if err != nil {
 		return err
 	}
@@ -411,25 +424,9 @@ func (l *engine) prefetch(words [][]int) error {
 		}
 		l.stats.OutputQueries++
 		l.stats.QuerySymbols += len(w)
-		l.trieRecord(w, outs[i])
+		l.record(w, outs[i])
 	}
 	return nil
-}
-
-// cell returns the output word of suffix s observed after prefix u. On a
-// memo hit the trie answers u·s without concatenating the word.
-func (l *engine) cell(u, s []int) ([]int, error) {
-	if out, ok := l.trieOutputs(u, s); ok {
-		return out[len(u):], nil
-	}
-	full := make([]int, 0, len(u)+len(s))
-	full = append(full, u...)
-	full = append(full, s...)
-	out, err := l.query(full)
-	if err != nil {
-		return nil, err
-	}
-	return out[len(u):], nil
 }
 
 // rowID returns the interned row signature of prefix u over the current
@@ -440,7 +437,7 @@ func (l *engine) cell(u, s []int) ([]int, error) {
 // since it was last computed. A fold interrupted by a query error is not
 // stored.
 func (l *learner) rowID(u []int) (int32, error) {
-	node := l.memoNode(u)
+	node := l.trie.Find(u)
 	sig := rowSig{acc: intern.Empty}
 	if node >= 0 {
 		if c, ok := l.rowCache[node]; ok {
@@ -451,28 +448,17 @@ func (l *learner) rowID(u []int) (int32, error) {
 		return sig.acc, nil
 	}
 	for _, s := range l.suffixes[sig.n:] {
-		c, err := l.cell(u, s)
+		// On the serial path u's node may first appear when one of its
+		// cells is asked; cellID updates node then.
+		c, err := l.cellID(l.ids, &node, u, s)
 		if err != nil {
 			return 0, err
 		}
-		sig.acc = l.ids.Pair(sig.acc, l.ids.Word(c))
+		sig.acc = l.ids.Pair(sig.acc, c)
 	}
 	sig.n = len(l.suffixes)
-	if node < 0 {
-		// On the serial path u's node first appears when its cells are
-		// queried; it exists now that at least one cell is recorded.
-		node = l.memoNode(u)
-	}
 	l.rowCache[node] = sig
 	return sig.acc, nil
-}
-
-// memoNode returns u's node in the output memo, or -1 when no recorded
-// word passes through u yet.
-func (l *learner) memoNode(u []int) int32 {
-	sh := l.memo.Acquire(u)
-	defer sh.Release()
-	return sh.Find(u)
 }
 
 func (l *learner) addSuffix(s []int) {
@@ -603,11 +589,9 @@ func (l *learner) closeAndBuild() (*mealy.Machine, error) {
 				return nil, fmt.Errorf("learn: table not closed after closing pass")
 			}
 			m.Next[i][a] = j
-			c, err := l.cell(u, []int{a})
-			if err != nil {
+			if m.Out[i][a], err = l.output(u, a); err != nil {
 				return nil, err
 			}
-			m.Out[i][a] = c[0]
 		}
 	}
 	return m, nil
@@ -631,29 +615,46 @@ func (l *engine) findCounterexample(hyp *mealy.Machine) ([]int, error) {
 	if l.opt.Suite == SuiteRandomWalk {
 		return l.randomWalkCE(hyp)
 	}
-	if l.opt.Suite == SuiteW {
-		return l.wMethodCE(hyp)
+	// One analysis per round: the minimal machine both yields W and tells
+	// whether the hypothesis is reduced. The Wp-method's phase 2 identifies
+	// the reached state by a subset of W unique to it, which requires a
+	// reduced hypothesis. Mid-learning hypotheses (the discrimination
+	// tree's especially) can briefly contain hypothesis-equivalent states;
+	// their identification sets would be empty and phase 2 would silently
+	// skip those transitions. Such degenerate rounds run the plain W-method:
+	// soundness over suite size.
+	mm := hyp.Minimize()
+	w := mm.MinimalCharacterizingSet()
+	if l.opt.Suite == SuiteW || mm.NumStates < hyp.NumStates {
+		return l.wMethodCE(hyp, w)
 	}
-	return l.wpMethodCE(hyp)
+	return l.wpMethodCE(hyp, w)
 }
 
 // checkWord compares teacher and hypothesis on one word, returning the
-// failing prefix or nil.
+// failing prefix or nil. An answered word is compared along its memo path,
+// stepping the hypothesis in place: conformance testing examines hundreds of
+// thousands of words, most of them memo hits, and this walk is their only
+// per-word cost. Any other word is asked first.
 func (l *engine) checkWord(hyp *mealy.Machine, w []int) ([]int, error) {
-	got, err := l.query(w)
-	if err != nil {
-		return nil, err
-	}
-	// Step the hypothesis in place instead of materializing hyp.Run(w):
-	// conformance testing examines hundreds of thousands of words, most of
-	// them memo hits, and this loop is their only per-word cost.
-	state := hyp.Init
-	for i, a := range w {
-		var out int
-		state, out = hyp.Step(state, a)
-		if got[i] != out {
-			return w[:i+1], nil
+	n, state, fail := int32(0), hyp.Init, -1
+	for i := 0; i < len(w); i++ {
+		if n = l.trie.Child(n, w[i]); n < 0 || !l.trie.Has(n) {
+			if _, err := l.ask(w); err != nil {
+				return nil, err
+			}
+			n, state, fail, i = 0, hyp.Init, -1, -1 // walk the recorded answer
+			continue
 		}
+		if fail < 0 {
+			var out int
+			if state, out = hyp.Step(state, w[i]); int(*l.trie.Val(n)) != out {
+				fail = i
+			}
+		}
+	}
+	if fail >= 0 {
+		return w[:fail+1], nil
 	}
 	return nil, nil
 }

@@ -1,98 +1,81 @@
 package learn
 
-// The learner's output-query memo over the shared query store
-// (internal/qstore). Edges are input symbols; every node is one word. The
-// memo plays two roles:
+// The learner's output-query memo: one prefix trie over the shared query
+// store (internal/qstore). Edges are input symbols and every node is one
+// word. A node holds one int32, the output of the last symbol of its word,
+// and nothing else, so the node array holds no pointers. An answered word
+// records every node on its path, so a word is answered exactly when its
+// terminal node is recorded (Has), and any query whose word is a prefix of
+// an answered one is read off the path.
 //
-//   - Output memo: each node records the output of the last symbol of its
-//     word, so the answer to any query whose word is a prefix of an
-//     already-answered word is read off the path, with no string key
-//     allocated per lookup.
-//   - Word set: the store's epoch marks turn it into a reusable dedup set
-//     for suffix bookkeeping, conformance-suite streaming, and batch
-//     prefetch, with no per-word key materialization.
+// The same trie is the learner's dedup set. Its epoch marks stand for "already
+// emitted" during one conformance suite or one prefetch list, so the walk that
+// finds whether a word is answered also finds whether it is a duplicate; no
+// second trie of word keys exists. Readers never materialize an output
+// slice: cells fold interned ids node by node (intern.Append), and test words
+// compare outputs against the hypothesis along the walk.
 //
-// The learner runs on one goroutine, so its stores are unsynchronized
-// single-shard instances.
+// The learner runs on one goroutine, so the memo is an unsynchronized
+// single-shard store whose node ids are stable handles.
 
-import "repro/internal/qstore"
+import (
+	"repro/internal/intern"
+	"repro/internal/qstore"
+)
 
-// memoVal is the per-node payload of the learner's output memo.
-type memoVal struct {
-	out  int   // output of the last symbol of the word ending here
-	full []int // full output word, materialized lazily at queried nodes
+// note walks w from the root, creating its path, marks its node in the
+// current epoch, and reports whether the mark is new and whether w is
+// already answered.
+func (l *engine) note(w []int) (fresh, answered bool) {
+	n := l.trie.Ensure(w)
+	return l.trie.Mark(n), l.trie.Has(n)
 }
 
-// newMemoStore builds an unsynchronized single-shard store for the serial
-// learner (memo and dedup sets alike pay no locking).
-func newMemoStore(numIn int) *qstore.Store[int, memoVal] {
-	return qstore.New[int, memoVal](qstore.Options{Degree: numIn})
-}
-
-// newMarkStore builds an unsynchronized dedup-set store.
-func newMarkStore(numIn int) *qstore.Store[int, struct{}] {
-	return qstore.New[int, struct{}](qstore.Options{Degree: numIn})
-}
-
-// trieOutputs returns the memoized output word of u·s if every symbol's
-// output is recorded — including when u·s is a proper prefix of a longer
-// answered word. The full slice is materialized at most once per node and
-// reused, so repeated hits allocate nothing.
-func (l *engine) trieOutputs(u, s []int) ([]int, bool) {
-	total := len(u) + len(s)
-	if total == 0 {
-		return []int{}, true
-	}
-	head := u
-	if len(head) == 0 {
-		head = s
-	}
-	sh := l.memo.Acquire(head)
-	defer sh.Release()
-	n := int32(0)
-	for _, a := range u {
-		if n = sh.Child(n, a); n < 0 || !sh.Has(n) {
-			return nil, false
-		}
-	}
+// fold returns the interned output word of s read off the memo below node
+// n, or false when the memo does not answer every symbol of s.
+func (l *engine) fold(ids *intern.Interner, n int32, s []int) (int32, bool) {
+	acc := intern.Empty
 	for _, a := range s {
-		if n = sh.Child(n, a); n < 0 || !sh.Has(n) {
-			return nil, false
+		if n = l.trie.Child(n, a); n < 0 || !l.trie.Has(n) {
+			return 0, false
 		}
+		acc = ids.Append(acc, int(*l.trie.Val(n)))
 	}
-	if f := sh.Val(n).full; f != nil {
-		return f, true
-	}
-	out := make([]int, total)
-	m := int32(0)
-	for i := 0; i < total; i++ {
-		a := 0
-		if i < len(u) {
-			a = u[i]
-		} else {
-			a = s[i-len(u)]
-		}
-		m = sh.Child(m, a)
-		out[i] = sh.Val(m).out
-	}
-	sh.Val(n).full = out
-	return out, true
+	return acc, true
 }
 
-// trieRecord stores the per-symbol outputs of w and the full answer slice
-// at its terminal node. The caller hands over ownership of out.
-func (l *engine) trieRecord(w, out []int) {
-	if len(w) == 0 {
-		return
+// cellID returns the interned output word of suffix s after prefix u, whose
+// memo node *nu is (-1 when absent). On a miss it asks the teacher for u·s
+// and updates *nu, which then exists.
+func (l *engine) cellID(ids *intern.Interner, nu *int32, u, s []int) (int32, error) {
+	if *nu >= 0 {
+		if id, ok := l.fold(ids, *nu, s); ok {
+			return id, nil
+		}
 	}
-	sh := l.memo.Acquire(w)
-	defer sh.Release()
+	out, err := l.ask(qstore.Concat(u, s))
+	if err != nil {
+		return 0, err
+	}
+	*nu = l.trie.Find(u)
+	return ids.Word(out[len(u):]), nil
+}
+
+// output returns the output of the last symbol of u·a.
+func (l *engine) output(u []int, a int) (int, error) {
+	out, err := l.query(qstore.Concat(u, []int{a}))
+	if err != nil {
+		return 0, err
+	}
+	return out[len(u)], nil
+}
+
+// record stores the per-symbol outputs of w on its path.
+func (l *engine) record(w, out []int) {
 	n := int32(0)
 	for i, a := range w {
-		n = sh.Extend(n, a)
-		v := sh.Val(n)
-		v.out = out[i]
-		sh.SetHas(n)
+		n = l.trie.Extend(n, a)
+		*l.trie.Val(n) = int32(out[i])
+		l.trie.SetHas(n)
 	}
-	sh.Val(n).full = out
 }

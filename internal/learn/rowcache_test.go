@@ -18,11 +18,11 @@ import (
 func foldFromScratch(l *learner, u []int, n int) (int32, error) {
 	acc := intern.Empty
 	for _, s := range l.suffixes[:n] {
-		c, err := l.cell(u, s)
+		c, err := l.query(qstore.Concat(u, s))
 		if err != nil {
 			return 0, err
 		}
-		acc = l.ids.Pair(acc, l.ids.Word(c))
+		acc = l.ids.Pair(acc, l.ids.Word(c[len(u):]))
 	}
 	return acc, nil
 }
@@ -47,7 +47,7 @@ func checkCachedFolds(t *testing.T, l *learner, complete bool) {
 	t.Helper()
 	asked := l.stats.OutputQueries
 	for _, u := range tableWords(l) {
-		node := l.memoNode(u)
+		node := l.trie.Find(u)
 		sig, ok := l.rowCache[node]
 		if node < 0 || !ok {
 			if complete {

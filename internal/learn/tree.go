@@ -67,13 +67,12 @@ func (l *treeLearner) newState(w []int) (int32, error) {
 // and hence a fresh hypothesis state — when an inner node has no edge for
 // the observed suffix output (the closedness analog of the table learner).
 func (l *treeLearner) sift(w []int) (int, error) {
-	n := int32(0)
+	n, nw := int32(0), l.trie.Find(w)
 	for l.nodes[n].state < 0 {
-		out, err := l.cell(w, l.nodes[n].suffix)
+		id, err := l.cellID(l.ids, &nw, w, l.nodes[n].suffix)
 		if err != nil {
 			return -1, err
 		}
-		id := l.ids.Word(out)
 		child, ok := l.nodes[n].children[id]
 		if !ok {
 			leaf, err := l.newState(w)
@@ -129,11 +128,9 @@ func (l *treeLearner) build() (*mealy.Machine, error) {
 			// Read the transition output after sifting: the sift queries
 			// extend u·a, so the trie memo answers it without a teacher
 			// round trip.
-			c, err := l.cell(u, []int{a})
-			if err != nil {
+			if orow[a], err = l.output(u, a); err != nil {
 				return nil, err
 			}
-			orow[a] = c[0]
 		}
 		next = append(next, nrow)
 		out = append(out, orow)
@@ -211,15 +208,15 @@ func (l *treeLearner) refine(hyp *mealy.Machine, w []int) error {
 // re-sifted through the new inner node on the next build pass — re-sifting
 // is almost entirely memo hits, only the new experiment v costs queries.
 func (l *treeLearner) split(state int, w, v []int) error {
-	oldOut, err := l.cell(l.access[state], v)
+	nold, nnew := l.trie.Find(l.access[state]), l.trie.Find(w)
+	oldID, err := l.cellID(l.ids, &nold, l.access[state], v)
 	if err != nil {
 		return err
 	}
-	newOut, err := l.cell(w, v)
+	newID, err := l.cellID(l.ids, &nnew, w, v)
 	if err != nil {
 		return err
 	}
-	oldID, newID := l.ids.Word(oldOut), l.ids.Word(newOut)
 	if oldID == newID {
 		return fmt.Errorf("learn: discriminator %v does not split %v from %v (nondeterministic teacher?)", v, l.access[state], w)
 	}

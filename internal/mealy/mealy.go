@@ -11,6 +11,7 @@ package mealy
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/intern"
@@ -357,39 +358,42 @@ func (m *Machine) AccessSequences() [][]int {
 }
 
 // DistinguishingWord returns a shortest input word on which states s and t
-// produce different outputs, or nil if they are trace-equivalent.
+// produce different outputs, or nil if they are trace-equivalent. Each call
+// allocates a NumStates² visited table; MinimalCharacterizingSet shares one
+// across its searches.
 func (m *Machine) DistinguishingWord(s, t int) []int {
-	type pair struct{ a, b int }
-	type entry struct {
-		parent int
-		in     int
-	}
-	start := pair{s, t}
-	seen := map[pair]int{start: 0}
-	order := []pair{start}
-	meta := []entry{{parent: -1}}
+	return m.distinguish(s, t, make([]bool, m.NumStates*m.NumStates))
+}
+
+// distinguish is DistinguishingWord's breadth-first search over state
+// pairs, marking pair (a, b) visited at a*NumStates+b. visited must be all
+// false on entry and is left so, so one table serves many searches.
+func (m *Machine) distinguish(s, t int, visited []bool) []int {
+	type entry struct{ a, b, parent, in int }
+	n := m.NumStates
+	order := []entry{{a: s, b: t, parent: -1}}
+	visited[s*n+t] = true
+	defer func() {
+		for _, e := range order {
+			visited[e.a*n+e.b] = false
+		}
+	}()
 	for head := 0; head < len(order); head++ {
 		cur := order[head]
 		for a := 0; a < m.NumInputs; a++ {
 			na, oa := m.Step(cur.a, a)
 			nb, ob := m.Step(cur.b, a)
 			if oa != ob {
-				var rev []int
-				rev = append(rev, a)
-				for i := head; meta[i].parent != -1; i = meta[i].parent {
-					rev = append(rev, meta[i].in)
+				rev := []int{a}
+				for i := head; order[i].parent != -1; i = order[i].parent {
+					rev = append(rev, order[i].in)
 				}
-				word := make([]int, len(rev))
-				for i := range rev {
-					word[i] = rev[len(rev)-1-i]
-				}
-				return word
+				slices.Reverse(rev)
+				return rev
 			}
-			nxt := pair{na, nb}
-			if _, ok := seen[nxt]; !ok {
-				seen[nxt] = len(order)
-				order = append(order, nxt)
-				meta = append(meta, entry{parent: head, in: a})
+			if !visited[na*n+nb] {
+				visited[na*n+nb] = true
+				order = append(order, entry{a: na, b: nb, parent: head, in: a})
 			}
 		}
 	}
@@ -401,51 +405,70 @@ func (m *Machine) DistinguishingWord(s, t int) []int {
 // machine is minimized internally, so W is also valid for the original
 // machine.
 func (m *Machine) CharacterizingSet() [][]int {
-	mm := m.Minimize()
-	if mm.NumStates <= 1 {
+	return m.Minimize().MinimalCharacterizingSet()
+}
+
+// MinimalCharacterizingSet is CharacterizingSet for a machine that Minimize
+// returned, skipping the minimization: a caller that needs the minimal
+// machine anyway computes it once. It panics when m has equivalent states.
+//
+// W grows one word at a time. The states are partitioned into blocks by
+// their outputs on W so far; the next word is a shortest word
+// distinguishing the two smallest states of the block holding the
+// smallest state that shares its block. Only blocks of two or more states
+// are refined by a new word: a singleton block never splits again.
+func (m *Machine) MinimalCharacterizingSet() [][]int {
+	n := m.NumStates
+	if n <= 1 {
 		// A single word suffices (any input); W must be non-empty for the
 		// W-method to exercise outputs.
 		return [][]int{{0}}
 	}
-	var w [][]int
-	// Integer-pair signatures over the current W — the output vector of
-	// each state folds to one interned id, no string building. Signatures
-	// are extended incrementally: appending a word to W folds one more
-	// output id onto every state's running signature instead of replaying
-	// the whole set, so growing W to size k costs O(k·n), not O(k²·n).
+	block := make([]int32, n) // all states start in block 0
+	size := []int32{int32(n)}
+	visited := make([]bool, n*n)
 	it := intern.New()
-	sigOf := make([]int32, mm.NumStates)
-	for i := range sigOf {
-		sigOf[i] = intern.Empty
-	}
+	var w [][]int
 	for {
-		classes := make(map[int32][]int)
-		for s := 0; s < mm.NumStates; s++ {
-			classes[sigOf[s]] = append(classes[sigOf[s]], s)
+		s, t := -1, -1
+		for u := 0; u < n && t < 0; u++ {
+			switch {
+			case s < 0 && size[block[u]] > 1:
+				s = u
+			case s >= 0 && block[u] == block[s]:
+				t = u
+			}
 		}
-		if len(classes) == mm.NumStates {
+		if s < 0 {
 			return w
 		}
-		// Split the non-singleton class holding the smallest state index
-		// (deterministic order).
-		split := false
-		for s := 0; s < mm.NumStates && !split; s++ {
-			states := classes[sigOf[s]]
-			if len(states) < 2 {
+		d := m.distinguish(s, t, visited)
+		if d == nil {
+			panic("mealy: minimized machine has equivalent states")
+		}
+		w = append(w, d)
+		// Move the states of every shared block to new blocks, one per
+		// interned output word on d; the old blocks are left empty.
+		split := make(map[[2]int32]int32)
+		for u := 0; u < n; u++ {
+			b := block[u]
+			if size[b] < 2 {
 				continue
 			}
-			d := mm.DistinguishingWord(states[0], states[1])
-			if d == nil {
-				panic("mealy: minimized machine has equivalent states")
+			acc, q := intern.Empty, u
+			for _, a := range d {
+				var o int
+				q, o = m.Step(q, a)
+				acc = it.Append(acc, o)
 			}
-			w = append(w, d)
-			for t := 0; t < mm.NumStates; t++ {
-				sigOf[t] = it.Pair(sigOf[t], it.Word(mm.RunFrom(t, d)))
+			nb, ok := split[[2]int32{b, acc}]
+			if !ok {
+				nb = int32(len(size))
+				size = append(size, 0)
+				split[[2]int32{b, acc}] = nb
 			}
-			split = true
-		}
-		if !split {
-			return w
+			size[nb]++
+			block[u] = nb
 		}
 	}
 }

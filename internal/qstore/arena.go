@@ -18,7 +18,10 @@ package qstore
 // class is derivable from its child count, so the node itself only carries
 // (offset, count).
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // freebits is a two-level bitmap of free block indices within one class:
 // bits holds one bit per block ever appended (1 = free), summary one bit
@@ -96,29 +99,36 @@ func (sh *Shard[K, V]) childSlice(n int32) []int32 {
 }
 
 // allocBlock returns the offset of a -1-initialized block of class c,
-// reusing a freed block when the bitmap has one.
+// reusing a freed block when the bitmap has one and otherwise growing the
+// class arena by one block in a single step.
 func (sh *Shard[K, V]) allocBlock(c int) int32 {
 	for len(sh.arenas) <= c {
 		sh.arenas = append(sh.arenas, nil)
 		sh.free = append(sh.free, freebits{})
 	}
 	size := sh.blockSize(c)
-	if idx := sh.free[c].take(); idx >= 0 {
-		off := idx * size
-		blk := sh.arenas[c][off : off+size]
-		for i := range blk {
-			blk[i] = -1
-		}
-		return off
-	}
 	off := int32(len(sh.arenas[c]))
-	a := sh.arenas[c]
-	for i := int32(0); i < size; i++ {
-		a = append(a, -1)
+	if idx := sh.free[c].take(); idx >= 0 {
+		off = idx * size
+	} else {
+		sh.arenas[c] = grow(sh.arenas[c], int(size))[:off+size]
+		sh.free[c].grow()
 	}
-	sh.arenas[c] = a
-	sh.free[c].grow()
+	blk := sh.arenas[c][off : off+size]
+	for i := range blk {
+		blk[i] = -1
+	}
 	return off
+}
+
+// grow returns s with room for n more elements. When s must move, its
+// capacity at least doubles: append grows large slices by about 1.25x, and
+// a trie of millions of nodes would copy itself several times over.
+func grow[T any](s []T, n int) []T {
+	if cap(s)-len(s) < n {
+		return slices.Grow(s, len(s)+n)
+	}
+	return s
 }
 
 // freeBlock returns the block at off of class c to the bitmap.

@@ -53,3 +53,51 @@ func TestDynamicClassReallocationFreesOldBlocks(t *testing.T) {
 		t.Fatalf("second node added %d arena entries, want %d (its class-6 block only)", got, want)
 	}
 }
+
+// TestAllocBlockReadsMinusOne: a block of any size class reads all -1 when
+// handed out, whether freshly appended or reused from the freebits bitmap
+// after its previous owner dirtied it. Each fresh allocation grows the
+// arena by exactly one block; a reuse does not grow it.
+func TestAllocBlockReadsMinusOne(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		degree  int
+		classes int
+	}{{"fixed", 5, 1}, {"dynamic", 0, 8}} {
+		t.Run(tc.name, func(t *testing.T) {
+			sh := New[int32, struct{}](Options{Degree: tc.degree}).Acquire(nil)
+			defer sh.Release()
+			alloc := func(c int, grow int) int32 {
+				t.Helper()
+				before := sh.ArenaInts()
+				off := sh.allocBlock(c)
+				if got := sh.ArenaInts() - before; got != grow {
+					t.Fatalf("class %d: allocation grew the arena by %d entries, want %d", c, got, grow)
+				}
+				blk := sh.arenas[c][off : off+sh.blockSize(c)]
+				for i, v := range blk {
+					if v != -1 {
+						t.Fatalf("class %d block at %d: entry %d reads %d, want -1", c, off, i, v)
+					}
+					blk[i] = int32(i) // dirty it for the reuse check
+				}
+				return off
+			}
+			for c := 0; c < tc.classes; c++ {
+				size := int(sh.blockSize(c))
+				var offs []int32
+				for i := 0; i < 3; i++ {
+					offs = append(offs, alloc(c, size))
+				}
+				sh.freeBlock(c, offs[1])
+				sh.freeBlock(c, offs[0])
+				for _, want := range []int32{offs[0], offs[1]} {
+					if off := alloc(c, 0); off != want {
+						t.Fatalf("class %d: reused block at %d, want the lowest free block at %d", c, off, want)
+					}
+				}
+				alloc(c, size)
+			}
+		})
+	}
+}

@@ -257,7 +257,7 @@ func (sh *Shard[K, V]) Extend(n int32, a K) int32 {
 		return c
 	}
 	id := int32(len(sh.nodes))
-	sh.nodes = append(sh.nodes, node[V]{childOff: -1})
+	sh.nodes = append(grow(sh.nodes, 1), node[V]{childOff: -1})
 	sh.arenas[class][slot] = id
 	return id
 }
@@ -273,11 +273,20 @@ func (sh *Shard[K, V]) Find(key []K) int32 {
 	return n
 }
 
-// Ensure walks key from the shard's root, creating the path as needed.
+// Ensure walks key from the shard's root, creating the path as needed. The
+// existing part of the path is followed with Child, which skips Extend's
+// growth checks.
 func (sh *Shard[K, V]) Ensure(key []K) int32 {
 	n := int32(0)
-	for _, a := range key {
-		n = sh.Extend(n, a)
+	for i, a := range key {
+		c := sh.Child(n, a)
+		if c < 0 {
+			for _, a := range key[i:] {
+				n = sh.Extend(n, a)
+			}
+			return n
+		}
+		n = c
 	}
 	return n
 }
