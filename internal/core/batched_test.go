@@ -13,9 +13,16 @@ import (
 	"repro/internal/polca"
 )
 
+// hinted makes the learner prefetch 32-word chunks from an oracle, so the
+// engine answers multi-word batches as it does for polcad's /v1/query; a
+// simulator oracle alone hints 1 and keeps the learn serial.
+type hinted struct{ *polca.Oracle }
+
+func (hinted) BatchHint() int { return 8 }
+
 // wordByWord answers the learner's batches one word at a time through
 // OutputQuery: the chunk-of-one reference for the engine.
-type wordByWord struct{ *polca.Oracle }
+type wordByWord struct{ hinted }
 
 func (w wordByWord) OutputQueryBatch(ctx context.Context, words [][]int) ([][]int, error) {
 	out := make([][]int, len(words))
@@ -34,23 +41,22 @@ func (w wordByWord) OutputQueryBatch(ctx context.Context, words [][]int) ([][]in
 // learning run — L* rounds plus the conformance sweep — through the oracle
 // core.NewSimOracle builds must produce byte-identical machine JSON and
 // bit-identical oracle counters whether the learner's batches reach the
-// engine whole (at GOMAXPROCS 1 and 8) or word by word. Both legs pin the
-// learner's prefetch width, so they see the same query stream.
+// engine whole (at GOMAXPROCS 1 and 8) or word by word. Both legs hint the
+// same prefetch width, so they see the same query stream.
 func TestLearnSimulatedBatchedMatchesSerial(t *testing.T) {
 	for _, name := range []string{"MRU", "SRRIP-HP", "New1"} {
 		t.Run(name, func(t *testing.T) {
-			opt := learn.Options{Depth: 1, BatchSize: 32}
 			run := func(procs int, serial bool) ([]byte, polca.Stats) {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 				oracle, _, _, err := NewSimOracle(name, 4, SimOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				var teacher learn.Teacher = oracle
+				var teacher learn.Teacher = hinted{oracle}
 				if serial {
-					teacher = wordByWord{oracle}
+					teacher = wordByWord{hinted{oracle}}
 				}
-				res, err := learn.Learn(context.Background(), teacher, opt)
+				res, err := learn.Learn(context.Background(), teacher, learn.Options{Depth: 1})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -236,10 +236,11 @@ type SimRequest struct {
 }
 
 // LearnSimulated learns a policy from a software-simulated cache (the §6
-// case study). The Polca oracle implements learn.BatchTeacher, so the
+// case study). The simulator oracle hints a batch width of 1, so the
 // learner's observation-table rows (or discrimination-tree experiments,
-// with Learn.Algo = learn.AlgoTree) and conformance words are answered a
-// chunk at a time through the oracle's query engine. The returned machine
+// with Learn.Algo = learn.AlgoTree) and conformance words are asked one at
+// a time through the oracle's query engine, exactly as a serial learn asks
+// them. The returned machine
 // is checked against nothing: callers that know the ground truth can
 // extract it with mealy.FromPolicy and compare.
 func LearnSimulated(ctx context.Context, req SimRequest) (*SimResult, error) {

@@ -19,13 +19,11 @@ type BatchTeacher interface {
 }
 
 // BatchHinter is an optional BatchTeacher refinement advertising how many
-// queries the teacher can usefully answer concurrently. The learner scales
-// its prefetch chunks to the hint — in particular, a hint of 1 (no real
-// parallelism available) keeps the learning loop exactly serial, paying no
-// speculative queries. The hint is about useful batch width, not goroutine
-// count: a teacher answering batches in one pass on one core — a
-// simulator-backed polca.Oracle — reports a constant width so chunks form
-// even where goroutine fan-out would not pay.
+// queries the teacher can answer concurrently — a hardware replica pool
+// reports its replica count. The learner scales its prefetch chunks to the
+// hint; a hint of 1 (no real parallelism, as for a simulator-backed
+// polca.Oracle) keeps the learning loop exactly serial, paying no
+// speculative queries.
 type BatchHinter interface {
 	BatchHint() int
 }

@@ -95,7 +95,7 @@ func TestBatchedLearningIsDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		batched, err := Learn(context.Background(), poolTeacher{MachineTeacher{M: truth}}, Options{Depth: 1, BatchSize: 16})
+		batched, err := Learn(context.Background(), hintTeacher{poolTeacher{MachineTeacher{M: truth}}, 4}, Options{Depth: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,17 +163,16 @@ func TestConcurrentOracleBatchQueries(t *testing.T) {
 	}
 }
 
-// hintTeacher is a poolTeacher advertising an arbitrary fixed BatchHint.
+// hintTeacher is a BatchTeacher advertising an arbitrary fixed BatchHint.
 type hintTeacher struct {
-	poolTeacher
+	BatchTeacher
 	hint int
 }
 
 func (h hintTeacher) BatchHint() int { return h.hint }
 
-// TestResolveBatchFromHint: the prefetch chunk is resolved once per learn,
-// from Options.BatchSize when set, otherwise as 4x the teacher's hint
-// capped at MaxBatchSize; a hint of 1, a negative BatchSize or a teacher
+// TestResolveBatchFromHint: the prefetch chunk is resolved once per learn
+// as 4x the teacher's hint capped at MaxBatchSize; a hint of 1 or a teacher
 // without batch support keep the loop exactly serial.
 func TestResolveBatchFromHint(t *testing.T) {
 	truth, err := mealy.FromPolicy(policy.MustNew("LRU", 4), 0)
@@ -185,18 +184,15 @@ func TestResolveBatchFromHint(t *testing.T) {
 	cases := []struct {
 		name    string
 		teacher Teacher
-		size    int
 		want    int
 	}{
-		{"hint 2", batched(2), 0, 8},
-		{"hint 32 capped", batched(32), 0, MaxBatchSize},
-		{"hint 1", batched(1), 0, 1},
-		{"explicit", batched(2), 7, 7},
-		{"disabled", batched(8), -1, 1},
-		{"serial teacher", serial, 16, 1},
+		{"hint 2", batched(2), 8},
+		{"hint 32 capped", batched(32), MaxBatchSize},
+		{"hint 1", batched(1), 1},
+		{"serial teacher", serial, 1},
 	}
 	for _, c := range cases {
-		if got := resolveBatch(c.teacher, Options{BatchSize: c.size}); got != c.want {
+		if got := resolveBatch(c.teacher); got != c.want {
 			t.Errorf("%s: chunk %d, want %d", c.name, got, c.want)
 		}
 	}

@@ -25,13 +25,15 @@ import (
 
 // checkSuite compares teacher and hypothesis on every test word the
 // generator emits, in order, returning the first counterexample exactly as a
-// fully serial loop would — but prefetching each upcoming chunk of words
-// through the BatchTeacher first, so the teacher answers Options.BatchSize
-// independent queries at a time. The counterexample (and hence the whole
-// learning trajectory) is independent of the chunking: words are examined
-// strictly in emission order. Streaming matters for the discrimination-tree
-// learner, which runs the suite once per refinement round: suite words after
-// a counterexample are never even constructed.
+// fully serial loop would. With a hinted BatchTeacher it prefetches each
+// upcoming chunk of words (the resolved batch width) first, so the teacher
+// answers them as independent queries at once; a chunk's words past a
+// counterexample are asked speculatively. The counterexample (and hence the
+// whole learning trajectory) is independent of the chunking: words are
+// examined strictly in emission order. With a batch width of 1 every word
+// is asked only when it is checked. Streaming matters for the
+// discrimination-tree learner, which runs the suite once per refinement
+// round: suite words after a counterexample are never even constructed.
 //
 // Every emitted word is marked in the memo in the walk that finds whether it
 // is answered; a chunk prefetches its first-marked, unanswered words. With
@@ -42,14 +44,6 @@ import (
 // gen must call emit for every test word and stop as soon as emit returns
 // false.
 func (l *engine) checkSuite(hyp *mealy.Machine, dedup bool, gen func(emit func([]int) bool)) ([]int, error) {
-	chunk := l.batch
-	// Under a query budget, speculative prefetch past a counterexample
-	// could spend queries the serial trajectory never asks and abort a run
-	// serial learning would complete — so fall back to lazy asking. (Table
-	// prefetches are unaffected: every table word is required either way.)
-	if chunk < 1 || l.opt.MaxQueries > 0 {
-		chunk = 1
-	}
 	var (
 		buf, pending [][]int
 		ce           []int
@@ -82,7 +76,7 @@ func (l *engine) checkSuite(hyp *mealy.Machine, dedup bool, gen func(emit func([
 		if fresh && !answered && l.batch > 1 {
 			pending = append(pending, test)
 		}
-		if len(buf) >= chunk {
+		if len(buf) >= l.batch {
 			return flush()
 		}
 		return true

@@ -40,8 +40,10 @@ func (t *onceTeacher) OutputQueryBatch(ctx context.Context, words [][]int) ([][]
 // TestNoWordAskedTwice: the memo answers every word it has seen, and the
 // suites' and prefetch lists' dedup keeps a batch from holding a word twice,
 // so no learner asks its teacher the same word twice, whatever the
-// algorithm, suite and batch size. Random-walk words and the tree's
+// algorithm, suite and batch width. Random-walk words and the tree's
 // prefetch words are the ones that repeat in what the learner generates.
+// batch-1 learns from a teacher without a hint, batch1 from one hinting 1
+// (both serial), and batch64 from one hinting 16 (4x16 words per chunk).
 func TestNoWordAskedTwice(t *testing.T) {
 	machines := []struct {
 		name  string
@@ -54,15 +56,19 @@ func TestNoWordAskedTwice(t *testing.T) {
 		}
 		for _, algo := range []Algo{AlgoLStar, AlgoTree} {
 			for _, suite := range []Suite{SuiteWp, SuiteW, SuiteRandomWalk} {
-				for _, batch := range []int{-1, 1, 64} {
-					name := fmt.Sprintf("%s-%d/%v/%v/batch%d", c.name, c.assoc, algo, suite, batch)
+				for _, b := range []struct{ batch, hint int }{{-1, 0}, {1, 1}, {64, 16}} {
+					name := fmt.Sprintf("%s-%d/%v/%v/batch%d", c.name, c.assoc, algo, suite, b.batch)
 					t.Run(name, func(t *testing.T) {
-						if testing.Short() && (batch == 1 || suite == SuiteW && c.name == "New1") {
+						if testing.Short() && (b.batch == 1 || suite == SuiteW && c.name == "New1") {
 							t.Skip("-short: batch 1 takes batch -1's serial path; the W suite runs on SRRIP-HP-4")
 						}
 						teacher := &onceTeacher{MachineTeacher: MachineTeacher{M: truth}, asked: make(map[string]bool)}
-						res, err := Learn(context.Background(), teacher, Options{
-							Algo: algo, Suite: suite, Depth: 1, BatchSize: batch,
+						var learnt Teacher = teacher
+						if b.hint > 0 {
+							learnt = hintTeacher{teacher, b.hint}
+						}
+						res, err := Learn(context.Background(), learnt, Options{
+							Algo: algo, Suite: suite, Depth: 1,
 							RandomWalkSteps: 300, RandomWalkSeed: 3,
 						})
 						if err != nil {

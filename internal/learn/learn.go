@@ -134,7 +134,9 @@ func ParseAlgo(s string) (Algo, error) {
 	return 0, fmt.Errorf("learn: unknown algorithm %q (want lstar or tree)", s)
 }
 
-// Options configures the learning loop.
+// Options configures the learning loop. How many words the learner
+// prefetches per dispatch is not an option: it follows from the teacher's
+// BatchHint (resolveBatch).
 type Options struct {
 	// Algo selects the learning algorithm (default: the L*-style
 	// observation table).
@@ -151,21 +153,9 @@ type Options struct {
 	// draws; RandomWalkSeed makes its runs reproducible.
 	RandomWalkSteps int
 	RandomWalkSeed  int64
-	// MaxQueries aborts learning after this many distinct output queries;
-	// 0 means unlimited.
-	MaxQueries int
-	// BatchSize bounds how many conformance-test words are prefetched per
-	// BatchTeacher dispatch. 0 derives the chunk from the teacher's
-	// BatchHint (4x the hint, capped at MaxBatchSize; a hint of 1 keeps
-	// the loop exactly serial); negative disables batching. Larger chunks
-	// expose more parallelism to the teacher but waste more queries when a
-	// counterexample sits early in the suite. When MaxQueries is set,
-	// conformance words are always asked lazily so the speculative
-	// prefetch cannot exhaust a budget the serial trajectory would not.
-	BatchSize int
 }
 
-// MaxBatchSize caps the derived conformance-suite prefetch chunk.
+// MaxBatchSize caps the prefetch chunk a BatchHinter's hint derives.
 const MaxBatchSize = 64
 
 // Stats aggregates learner-side cost counters. The JSON names are the
@@ -257,7 +247,7 @@ func newEngine(ctx context.Context, t Teacher, opt Options) engine {
 		teacher: t,
 		opt:     opt,
 		numIn:   t.NumInputs(),
-		batch:   resolveBatch(t, opt),
+		batch:   resolveBatch(t),
 		memo:    memo,
 		trie:    memo.AcquireIdx(0),
 	}
@@ -305,18 +295,13 @@ func newLearner(ctx context.Context, t Teacher, opt Options) *learner {
 	return l
 }
 
-// resolveBatch computes the effective prefetch chunk for a teacher: explicit
-// Options.BatchSize wins, otherwise the teacher's BatchHint scaled for
-// pipelining. Teachers without batch support always learn serially.
-func resolveBatch(t Teacher, opt Options) int {
+// resolveBatch computes the prefetch chunk for a teacher: 4x its BatchHint,
+// capped at MaxBatchSize, so a BatchTeacher has work queued while a batch
+// is answered. A hint of 1 or less, or a teacher without batch support,
+// keeps the loop exactly serial.
+func resolveBatch(t Teacher) int {
 	if _, ok := t.(BatchTeacher); !ok {
 		return 1
-	}
-	switch {
-	case opt.BatchSize < 0:
-		return 1
-	case opt.BatchSize > 0:
-		return opt.BatchSize
 	}
 	hint := 0
 	if bh, ok := t.(BatchHinter); ok {
@@ -325,11 +310,7 @@ func resolveBatch(t Teacher, opt Options) int {
 	if hint <= 1 {
 		return 1
 	}
-	chunk := 4 * hint
-	if chunk > MaxBatchSize {
-		chunk = MaxBatchSize
-	}
-	return chunk
+	return min(4*hint, MaxBatchSize)
 }
 
 // query returns the teacher's output word for w, memoized. A hit copies the
@@ -352,9 +333,6 @@ func (l *engine) query(w []int) ([]int, error) {
 func (l *engine) ask(w []int) ([]int, error) {
 	if err := l.ctx.Err(); err != nil {
 		return nil, err
-	}
-	if l.opt.MaxQueries > 0 && l.stats.OutputQueries >= l.opt.MaxQueries {
-		return nil, fmt.Errorf("learn: query budget of %d exhausted", l.opt.MaxQueries)
 	}
 	out, err := l.teacher.OutputQuery(l.ctx, w)
 	if err != nil {
@@ -393,23 +371,13 @@ func (l *engine) prefetch(words [][]int) error {
 }
 
 // dispatch asks the teacher for the distinct, unanswered words of pending in
-// one BatchTeacher call and records the answers. Under a query budget it
-// asks only as many as the budget has left.
+// one BatchTeacher call and records the answers.
 func (l *engine) dispatch(pending [][]int) error {
 	if len(pending) == 0 {
 		return nil
 	}
 	if err := l.ctx.Err(); err != nil {
 		return err
-	}
-	if l.opt.MaxQueries > 0 {
-		left := l.opt.MaxQueries - l.stats.OutputQueries
-		if left <= 0 {
-			return fmt.Errorf("learn: query budget of %d exhausted", l.opt.MaxQueries)
-		}
-		if len(pending) > left {
-			pending = pending[:left]
-		}
 	}
 	outs, err := l.teacher.(BatchTeacher).OutputQueryBatch(l.ctx, pending)
 	if err != nil {

@@ -166,13 +166,6 @@ func TestStateBudgetAborts(t *testing.T) {
 	}
 }
 
-func TestQueryBudgetAborts(t *testing.T) {
-	truth, _ := mealy.FromPolicy(policy.MustNew("LRU", 4), 0)
-	if _, err := Learn(context.Background(), MachineTeacher{M: truth}, Options{Depth: 1, MaxQueries: 10}); err == nil {
-		t.Error("query budget not enforced")
-	}
-}
-
 func TestNondeterministicTeacherPropagates(t *testing.T) {
 	// A randomly evicting cache must abort learning: either Polca's
 	// determinism audit fires, or the hypothesis exceeds any sane state

@@ -2,8 +2,9 @@ package learn
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/intern"
@@ -146,9 +147,35 @@ func TestRowCacheMatchesFromScratchFold(t *testing.T) {
 	}
 }
 
-// TestRowCacheSurvivesBudgetAbort: a MaxQueries budget that runs out in the
-// middle of a row fold returns the budget error without panicking and
-// leaves no partial fold in the cache.
+// errTeacherSpent is the error a failAfter teacher returns once its
+// answers are spent.
+var errTeacherSpent = errors.New("teacher spent")
+
+// failAfter is a Teacher that answers its first n output queries and fails
+// every later one. The count is shared, so poolTeacher's goroutines may
+// spend it concurrently.
+type failAfter struct {
+	Teacher
+	left *atomic.Int64
+}
+
+func newFailAfter(t Teacher, n int) failAfter {
+	f := failAfter{Teacher: t, left: new(atomic.Int64)}
+	f.left.Store(int64(n))
+	return f
+}
+
+func (f failAfter) OutputQuery(ctx context.Context, word []int) ([]int, error) {
+	if f.left.Add(-1) < 0 {
+		return nil, errTeacherSpent
+	}
+	return f.Teacher.OutputQuery(ctx, word)
+}
+
+// TestRowCacheSurvivesBudgetAbort: a teacher that fails in the middle of a
+// row fold aborts the learn with its error without panicking, and leaves no
+// partial fold in the cache — on the serial path and on the pool path,
+// where a failing batch records none of its words.
 func TestRowCacheSurvivesBudgetAbort(t *testing.T) {
 	truth, err := mealy.FromPolicy(policy.MustNew("New1", 4), 0)
 	if err != nil {
@@ -156,10 +183,10 @@ func TestRowCacheSurvivesBudgetAbort(t *testing.T) {
 	}
 
 	// The first row (ε over one suffix per input) needs NumInputs queries;
-	// a budget of 2 stops its fold at the third cell.
-	l := newLearner(context.Background(), MachineTeacher{M: truth}, Options{Depth: 1, MaxQueries: 2})
-	if _, err := l.closeAndBuild(); err == nil || !strings.Contains(err.Error(), "query budget") {
-		t.Fatalf("closeAndBuild under a 2-query budget: err %v, want the budget error", err)
+	// a teacher that answers 2 stops its fold at the third cell.
+	l := newLearner(context.Background(), newFailAfter(MachineTeacher{M: truth}, 2), Options{Depth: 1})
+	if _, err := l.closeAndBuild(); !errors.Is(err, errTeacherSpent) {
+		t.Fatalf("closeAndBuild after 2 answers: err %v, want the teacher's error", err)
 	}
 	if len(l.rowCache) != 0 {
 		t.Fatalf("aborted fold left %d cached rows", len(l.rowCache))
@@ -170,13 +197,13 @@ func TestRowCacheSurvivesBudgetAbort(t *testing.T) {
 			kind    string
 			teacher Teacher
 		}{
-			{"serial", MachineTeacher{M: truth}},
-			{"pool", poolTeacher{MachineTeacher{M: truth}}},
+			{"serial", newFailAfter(MachineTeacher{M: truth}, budget)},
+			{"pool", poolTeacher{newFailAfter(MachineTeacher{M: truth}, budget)}},
 		} {
 			t.Run(fmt.Sprintf("%s/%d", tc.kind, budget), func(t *testing.T) {
-				_, l, err := learnChecked(t, tc.teacher, Options{Depth: 1, MaxQueries: budget})
-				if err == nil || !strings.Contains(err.Error(), "query budget") {
-					t.Fatalf("err %v, want the budget error", err)
+				_, l, err := learnChecked(t, tc.teacher, Options{Depth: 1})
+				if !errors.Is(err, errTeacherSpent) {
+					t.Fatalf("err %v, want the teacher's error", err)
 				}
 				checkCachedFolds(t, l, false)
 			})

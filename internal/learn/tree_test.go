@@ -110,8 +110,8 @@ func TestTreeMatchesLStarUnderBatchedTeachers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			batched, err := Learn(context.Background(), poolTeacher{MachineTeacher{M: truth}},
-				Options{Depth: 1, Algo: algo, BatchSize: 16})
+			batched, err := Learn(context.Background(), hintTeacher{poolTeacher{MachineTeacher{M: truth}}, 4},
+				Options{Depth: 1, Algo: algo})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -257,15 +257,12 @@ func TestTreeRandomWalkReproducible(t *testing.T) {
 	}
 }
 
-// TestTreeBudgets: the tree learner must honor the same state and query
-// budgets as the table learner.
+// TestTreeBudgets: the tree learner must honor the same state budget as
+// the table learner.
 func TestTreeBudgets(t *testing.T) {
 	truth, _ := mealy.FromPolicy(policy.MustNew("LRU", 4), 0)
 	if _, err := Learn(context.Background(), MachineTeacher{M: truth}, Options{Depth: 1, Algo: AlgoTree, MaxStates: 5}); !errors.Is(err, ErrStateBudget) {
 		t.Errorf("err = %v, want ErrStateBudget", err)
-	}
-	if _, err := Learn(context.Background(), MachineTeacher{M: truth}, Options{Depth: 1, Algo: AlgoTree, MaxQueries: 10}); err == nil {
-		t.Error("query budget not enforced")
 	}
 }
 

@@ -46,29 +46,6 @@ import (
 	"repro/internal/policy"
 )
 
-// engineHint is the BatchHint of a simulator oracle. It fixes how the
-// learner chunks its queries, and so its query trajectory and counters;
-// a constant keeps that trajectory independent of the host.
-const engineHint = 16
-
-// engineBatch answers words one by one. Sequence numbers, symbol counters
-// and determinism audits are issued in word order. A word with an
-// out-of-range symbol fails the batch before any state changes.
-func (o *Oracle) engineBatch(ctx context.Context, words [][]int) ([][]int, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := checkInputs(o.sim.n, words...); err != nil {
-		return nil, err
-	}
-	out, err := o.engineRun(ctx, words)
-	if err != nil {
-		return nil, err
-	}
-	o.maybeCheckpoint()
-	return out, nil
-}
-
 // engineRun holds the engine mutex across the words and their audits,
 // which re-execute on the prober itself.
 func (o *Oracle) engineRun(ctx context.Context, words [][]int) ([][]int, error) {
@@ -76,18 +53,28 @@ func (o *Oracle) engineRun(ctx context.Context, words [][]int) ([][]int, error) 
 	defer o.engine.Unlock()
 	out := make([][]int, len(words))
 	for i, w := range words {
-		seq := int(o.outputQueries.Add(1))
-		o.symbols.Add(int64(len(w)))
-		ans, err := o.engineWord(w)
+		ans, err := o.engineQuery(ctx, w)
 		if err != nil {
-			return nil, err
-		}
-		if err := o.audit(ctx, seq, w, ans); err != nil {
 			return nil, err
 		}
 		out[i] = ans
 	}
 	return out, nil
+}
+
+// engineQuery answers w as the next output query and audits it. The
+// caller holds the engine mutex.
+func (o *Oracle) engineQuery(ctx context.Context, w []int) ([]int, error) {
+	seq := int(o.outputQueries.Add(1))
+	o.symbols.Add(int64(len(w)))
+	ans, err := o.engineWord(w)
+	if err != nil {
+		return nil, err
+	}
+	if err := o.audit(ctx, seq, w, ans); err != nil {
+		return nil, err
+	}
+	return ans, nil
 }
 
 // engineWord answers one word: walk, resume, execute, then record and park.

@@ -243,9 +243,17 @@ func TestEngineConcurrentCallers(t *testing.T) {
 	}
 }
 
+// hinted makes the learner prefetch 32-word chunks from an oracle: a
+// simulator oracle hints 1, which would keep the learn serial, but the
+// engine must still answer the multi-word batches polcad's /v1/query and
+// polcaload -words send.
+type hinted struct{ *Oracle }
+
+func (hinted) BatchHint() int { return 8 }
+
 // serialTeacher answers the learner's batches word by word through
 // OutputQuery, the chunk-of-one reference for TestBatchedLearnEquivalence.
-type serialTeacher struct{ *Oracle }
+type serialTeacher struct{ hinted }
 
 func (s serialTeacher) OutputQueryBatch(ctx context.Context, words [][]int) ([][]int, error) {
 	out := make([][]int, len(words))
@@ -267,13 +275,12 @@ func (s serialTeacher) OutputQueryBatch(ctx context.Context, words [][]int) ([][
 func TestBatchedLearnEquivalence(t *testing.T) {
 	for _, name := range []string{"LRU", "SRRIP-HP", "New1"} {
 		t.Run(name, func(t *testing.T) {
-			opt := learn.Options{Depth: 1, BatchSize: 32}
 			compiled := NewOracle(NewSimProber(policy.MustNew(name, 4)))
 			interp := NewOracle(NewInterpretedSimProber(policy.MustNew(name, 4)))
 			serial := NewOracle(NewSimProber(policy.MustNew(name, 4)))
 			var machines [][]byte
-			for _, teacher := range []learn.Teacher{compiled, interp, serialTeacher{serial}} {
-				res, err := learn.Learn(context.Background(), teacher, opt)
+			for _, teacher := range []learn.Teacher{hinted{compiled}, hinted{interp}, serialTeacher{hinted{serial}}} {
+				res, err := learn.Learn(context.Background(), teacher, learn.Options{Depth: 1})
 				if err != nil {
 					t.Fatal(err)
 				}

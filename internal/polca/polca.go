@@ -216,8 +216,10 @@ func WithDeterminismChecks(n int) Option {
 
 // WithParallelism caps the number of goroutines a batched output query may
 // fan out over a ConcurrentProber. n <= 0 restores the default,
-// runtime.GOMAXPROCS(0); n == 1 forces serial batch answering. Simulator
-// oracles answer through the serialized engine and ignore it.
+// runtime.GOMAXPROCS(0); n == 1 forces serial batch answering. The cap is
+// also the oracle's BatchHint, and so sets the learner's prefetch width.
+// Any other prober, a simulator's included, answers serially, hints 1 and
+// ignores it.
 func WithParallelism(n int) Option {
 	return func(o *Oracle) { o.workers = n }
 }
@@ -344,18 +346,12 @@ func (o *Oracle) StoreFootprint() (outNodes, probeNodes int) {
 
 // BatchHint implements learn.BatchHinter (duck-typed to avoid an import
 // cycle with package learn's tests): the learner scales its prefetch chunks
-// to the hint. A simulator oracle advertises a fixed width, engineHint: a
-// constant keeps the learner's query trajectory, and with it every
-// counter, host-independent.
-// Any other prober gets its usable parallelism, so a serial prober keeps
-// the exact serial query trajectory. Either way the hint is fixed for the
-// oracle's lifetime.
-func (o *Oracle) BatchHint() int {
-	if o.sim != nil {
-		return engineHint
-	}
-	return o.parallelism()
-}
+// to the hint. It is the oracle's usable parallelism, fixed for its
+// lifetime: the worker cap of a concurrent prober (core.LearnHardware sets
+// it to the replica count), and 1 for any other — a simulator oracle
+// answers batches word by word under one mutex, so it keeps the exact
+// serial query trajectory.
+func (o *Oracle) BatchHint() int { return o.parallelism() }
 
 // parallelism reports how many goroutines a batch may use against the
 // underlying prober: 1 unless the prober explicitly supports concurrency.
@@ -373,13 +369,24 @@ func (o *Oracle) parallelism() int {
 // 0..n-1 are Ln(i), n is Evct) against the cache and returns the policy
 // output word: policy.Bottom for every Ln input and the evicted line for
 // every Evct input. This is the oracle the learner consumes; Membership
-// (Algorithm 1 verbatim) is a comparison on top of it.
+// (Algorithm 1 verbatim) is a comparison on top of it. It answers, counts
+// and audits the word as OutputQueryBatch answers a batch of one, without
+// building the batch: a serial learn calls it once per query.
 func (o *Oracle) OutputQuery(ctx context.Context, word []int) ([]int, error) {
-	out, err := o.OutputQueryBatch(ctx, [][]int{word})
+	if err := o.admit(ctx, word); err != nil {
+		return nil, err
+	}
+	if o.sim == nil {
+		return o.outputQuery(ctx, int(o.outputQueries.Add(1)), word)
+	}
+	o.engine.Lock()
+	ans, err := o.engineQuery(ctx, word)
+	o.engine.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	return out[0], nil
+	o.maybeCheckpoint()
+	return ans, nil
 }
 
 // outputQuery answers word as output query number seq on the probe path.
@@ -432,14 +439,16 @@ func (o *Oracle) audit(ctx context.Context, seq int, word, out []int) error {
 // its index-ordered number, so which words the determinism audit re-checks
 // does not depend on goroutine scheduling.
 func (o *Oracle) OutputQueryBatch(ctx context.Context, words [][]int) ([][]int, error) {
+	if err := o.admit(ctx, words...); err != nil {
+		return nil, err
+	}
 	if o.sim != nil {
-		return o.engineBatch(ctx, words)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := checkInputs(o.prober.Assoc(), words...); err != nil {
-		return nil, err
+		out, err := o.engineRun(ctx, words)
+		if err != nil {
+			return nil, err
+		}
+		o.maybeCheckpoint()
+		return out, nil
 	}
 	workers := o.parallelism()
 	if workers > len(words) {
@@ -505,10 +514,14 @@ func (o *Oracle) OutputQueryBatch(ctx context.Context, words [][]int) ([][]int, 
 	return out, nil
 }
 
-// checkInputs rejects any word with a symbol outside the policy alphabet of
-// associativity n. Every query entry point runs it over the whole call
-// before touching a counter, a store or the prober.
-func checkInputs(n int, words ...[]int) error {
+// admit fails a query call whose context is done or that holds a word with
+// a symbol outside the policy alphabet. Every query entry point runs it
+// over the whole call before touching a counter, a store or the prober.
+func (o *Oracle) admit(ctx context.Context, words ...[]int) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	n := o.prober.Assoc()
 	for _, w := range words {
 		for _, ip := range w {
 			if ip < 0 || ip > n {
