@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/cachequery"
 	"repro/internal/core"
 	"repro/internal/daemon"
@@ -304,16 +305,15 @@ func BenchmarkAblationTrie(b *testing.B) {
 // BenchmarkAblationKernel quantifies the compiled policy kernel on
 // simulated probes: the same exhaustive output-query load (every policy
 // word up to depth 5) is answered in one OutputQueryBatch by a fresh
-// oracle's query engine, once on the compiled executor ("batched": dense
-// transition tables, one int32 table state per parked position) and
-// once on the session executor over the interpreted Policy interface
-// ("interpreted": virtual dispatch per access, deep policy clones per
-// fork — polca.NewInterpretedSimProber). The prober — and with it the
-// one-time compilation — is built outside the timed loop, so the legs
-// compare pure execution cost. The deterministic counters (probes/op,
-// accesses/op) are identical across legs by construction — the kernel
-// changes only ns/op and allocs/op, which is exactly what this benchmark
-// tracks.
+// oracle, once on the compiled kernel's query engine ("batched": dense
+// transition tables, one int32 table state per recorded node) and once
+// on the production fallback for a policy the kernel cannot compile
+// ("interpreted": polca.NewInterpretedSimProber, whose oracle answers on
+// the reset-rooted probe path with virtual dispatch per access). The
+// prober — and with it the one-time compilation — is built outside the
+// timed loop, so the legs compare pure execution cost. The legs count
+// their own probes/op and accesses/op: the engine resumes every word from
+// its recorded prefix, the probe path replays every probe from reset.
 func BenchmarkAblationKernel(b *testing.B) {
 	cases := []struct {
 		name  string
@@ -527,18 +527,10 @@ func (t *cacheTeacher) OutputQuery(ctx context.Context, word []int) ([]int, erro
 	if err != nil {
 		return nil, err
 	}
-	prober := polca.NewSimProber(tab.At(tab.InitState()))
-	sess, err := prober.NewSession()
-	if err != nil {
-		return nil, err
-	}
+	set := cache.NewSet(tab)
 	out := make([]int, len(word))
 	for i, in := range word {
-		oc, err := sess.Access(fmt.Sprintf("B%d", in+1))
-		if err != nil {
-			return nil, err
-		}
-		if oc {
+		if oc, _ := set.Access(fmt.Sprintf("B%d", in+1)); oc {
 			out[i] = 1
 		}
 	}

@@ -194,8 +194,9 @@ func armCheckpoints(oracle *polca.Oracle, snap SnapshotOptions, scope string) {
 
 // SimOptions configures the simulated-cache learning stack below the
 // learner. The zero value probes an in-process simulator on the compiled
-// policy kernel; polca.NewSimProber falls back to the interpreted Policy
-// interface for policies that cannot be compiled.
+// policy kernel; a policy that cannot be compiled falls back to the
+// interpreted Policy interface, which the oracle answers on its
+// reset-rooted probe path.
 type SimOptions struct {
 	// Faults, when set, interposes a deterministic fault injector
 	// (internal/faulty) between the oracle and the simulator: probes

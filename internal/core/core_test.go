@@ -397,11 +397,11 @@ func TestCheckpointCadenceNeedsSavePath(t *testing.T) {
 
 // TestLearnSimulatedKernelBitIdentical is the end-to-end compiled↔interpreted
 // guarantee the kernel rides on: learning the same policy with the compiled
-// kernel (LearnSimulated's default) and through the interpreted reference
-// prober (polca.NewInterpretedSimProber under an identically configured
-// oracle) produces byte-identical model JSON, identical learner statistics,
-// and bit-identical deterministic oracle counters (queries, symbols,
-// probes, accesses, memo hits).
+// kernel's engine (LearnSimulated's default) and through the interpreted
+// reference prober (polca.NewInterpretedSimProber, which its oracle answers
+// on the reset-rooted probe path) produces byte-identical model JSON and
+// identical learner statistics. The oracle counters differ by design: the
+// two paths count their own probes and accesses.
 func TestLearnSimulatedKernelBitIdentical(t *testing.T) {
 	for _, c := range []struct {
 		name  string
@@ -425,7 +425,7 @@ func TestLearnSimulatedKernelBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		interp := &SimResult{Machine: res.Machine, LearnStats: res.Stats, OracleStats: oracle.Stats()}
+		interp := &SimResult{Machine: res.Machine, LearnStats: res.Stats}
 		var cj, ij bytes.Buffer
 		if err := compiled.Machine.Save(&cj); err != nil {
 			t.Fatal(err)
@@ -440,10 +440,6 @@ func TestLearnSimulatedKernelBitIdentical(t *testing.T) {
 		cs.Duration, is.Duration = 0, 0
 		if !reflect.DeepEqual(cs, is) {
 			t.Errorf("%s-%d/%s: learner stats diverged: %+v vs %+v", c.name, c.assoc, c.algo, cs, is)
-		}
-		if compiled.OracleStats != interp.OracleStats {
-			t.Errorf("%s-%d/%s: oracle counters diverged: %+v vs %+v",
-				c.name, c.assoc, c.algo, compiled.OracleStats, interp.OracleStats)
 		}
 	}
 }

@@ -13,8 +13,8 @@ import (
 // FaultyProber interposes an Injector on a polca.Prober. Fault injection
 // targets the reset-rooted probe path (the one hardware uses and the one
 // retry, voting, and quarantine defend): the oracle runs its simulator
-// query engine only for a bare *polca.SimProber, so a wrapped simulator
-// answers reset-rooted probes like hardware.
+// query engine only for a bare compiled *polca.SimProber, so a wrapped
+// simulator answers reset-rooted probes like hardware.
 // FreshProber is forwarded when the inner prober has it, with the same
 // fault roll applied. A flip fault inverts Probe's outcome, or one
 // outcome of ProbeTrace's profiled suffix, drawn from the plan's seeded

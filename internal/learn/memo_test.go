@@ -72,7 +72,7 @@ func TestTriePrefixSharingSavesQueries(t *testing.T) {
 }
 
 // TestConcurrentTrieInsertionUnderPoolTeacher drives a trie-backed Polca
-// oracle (concurrent session parking and output recording) from a pool of
+// oracle (concurrent table-state and output recording) from a pool of
 // goroutines, half batching and half asking single words, over
 // overlapping, prefix-sharing word sets. It exists to run under -race: the
 // shared tries must be data-race free, and every answer must match the
@@ -83,7 +83,7 @@ func TestConcurrentTrieInsertionUnderPoolTeacher(t *testing.T) {
 		t.Fatal(err)
 	}
 	oracle := polca.NewOracle(polca.NewSimProber(policy.MustNew("SRRIP-HP", 4)),
-		polca.WithParallelism(8), polca.WithSessionCap(16))
+		polca.WithParallelism(8))
 
 	words := qstore.Enumerate(truth.NumInputs, 3)[1:] // heavy prefix overlap
 	var wg sync.WaitGroup

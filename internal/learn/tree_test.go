@@ -185,7 +185,7 @@ func TestTreeViaPolcaOracle(t *testing.T) {
 // learner's batched prefetch path must be data-race free end to end.
 func TestTreeLearnerConcurrencyRace(t *testing.T) {
 	oracle := polca.NewOracle(polca.NewSimProber(policy.MustNew("MRU", 4)),
-		polca.WithParallelism(8), polca.WithSessionCap(32))
+		polca.WithParallelism(8))
 	truth, _ := mealy.FromPolicy(policy.MustNew("MRU", 4), 0)
 
 	var wg sync.WaitGroup

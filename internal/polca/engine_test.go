@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -59,14 +60,14 @@ func (l engineLeg) ask(t *testing.T, words [][]int) [][]int {
 	return out
 }
 
-// TestBatchedOracleMatchesSerial streams the same words through the
-// engine word by word, in chunks of 7 and all at once, on the compiled and
-// the interpreted executor. Answers must match the ground-truth machine,
-// and Stats and SaveSnapshot bytes must be identical across all six legs.
-// The stream mixes extension words (suffix resume), in-batch
-// prefix/extension dependencies, duplicate words (in-batch memo) and a
-// small session cap (LRU evictions dropping parked positions), all under
-// periodic determinism audits.
+// TestBatchedOracleMatchesSerial streams the same words word by word, in
+// chunks of 7 and all at once through the compiled engine and through the
+// interpreted prober, which answers on the reset-rooted probe path.
+// Answers must match the ground-truth machine and SaveSnapshot bytes must
+// be identical across all six legs; Stats must be identical across the
+// chunk sizes of each executor. The stream mixes extension words (suffix
+// resume), in-batch prefix/extension dependencies and duplicate words
+// (in-batch memo), all under periodic determinism audits.
 func TestBatchedOracleMatchesSerial(t *testing.T) {
 	for _, c := range tenPolicies {
 		t.Run(c.name, func(t *testing.T) {
@@ -78,45 +79,44 @@ func TestBatchedOracleMatchesSerial(t *testing.T) {
 			// Duplicate a few words into the stream so batches carry
 			// fully-known and in-batch-duplicate entries.
 			stream := append(append([][]int{}, words...), words[3], words[len(words)/2], words[3])
-			for _, cap := range []int{0, 6} {
-				var legs []engineLeg
-				for _, size := range []int{1, 7, len(stream)} {
-					opts := []Option{WithSessionCap(cap), WithDeterminismChecks(3)}
-					legs = append(legs,
-						engineLeg{"compiled", NewOracle(NewSimProber(policy.MustNew(c.name, c.assoc)), opts...), size},
-						engineLeg{"interpreted", NewOracle(NewInterpretedSimProber(policy.MustNew(c.name, c.assoc)), opts...), size})
-				}
-				// The second pass replays the stream: it must be answered
-				// from the recorded stores identically on every leg.
-				for pass := 0; pass < 2; pass++ {
-					for _, l := range legs {
-						got := l.ask(t, stream)
-						for i, w := range stream {
-							want := truth.Run(w)
-							for j := range want {
-								if got[i][j] != want[j] {
-									t.Fatalf("cap %d %s/%d: word %v answered %v, truth %v", cap, l.name, l.chunk, w, got[i], want)
-								}
+			var legs []engineLeg
+			for _, size := range []int{1, 7, len(stream)} {
+				legs = append(legs,
+					engineLeg{"compiled", NewOracle(NewSimProber(policy.MustNew(c.name, c.assoc)), WithDeterminismChecks(3)), size},
+					engineLeg{"interpreted", NewOracle(NewInterpretedSimProber(policy.MustNew(c.name, c.assoc)), WithDeterminismChecks(3)), size})
+			}
+			// The second pass replays the stream: it must be answered
+			// from the recorded stores identically on every leg.
+			for pass := 0; pass < 2; pass++ {
+				for _, l := range legs {
+					got := l.ask(t, stream)
+					for i, w := range stream {
+						want := truth.Run(w)
+						for j := range want {
+							if got[i][j] != want[j] {
+								t.Fatalf("%s/%d: word %v answered %v, truth %v", l.name, l.chunk, w, got[i], want)
 							}
 						}
 					}
-					ref := legs[0]
-					var refSnap bytes.Buffer
-					if err := ref.o.SaveSnapshot(&refSnap, "s"); err != nil {
+				}
+				var refSnap bytes.Buffer
+				if err := legs[0].o.SaveSnapshot(&refSnap, "s"); err != nil {
+					t.Fatal(err)
+				}
+				for i, l := range legs[2:] {
+					// legs[i] is the same executor at the previous chunk size.
+					if ls, rs := l.o.Stats(), legs[i].o.Stats(); ls != rs {
+						t.Fatalf("pass %d: %s/%d stats %+v, %s/%d stats %+v",
+							pass, l.name, l.chunk, ls, legs[i].name, legs[i].chunk, rs)
+					}
+				}
+				for _, l := range legs[1:] {
+					var snap bytes.Buffer
+					if err := l.o.SaveSnapshot(&snap, "s"); err != nil {
 						t.Fatal(err)
 					}
-					for _, l := range legs[1:] {
-						if ls, rs := l.o.Stats(), ref.o.Stats(); ls != rs {
-							t.Fatalf("cap %d pass %d: %s/%d stats %+v, %s/%d stats %+v",
-								cap, pass, l.name, l.chunk, ls, ref.name, ref.chunk, rs)
-						}
-						var snap bytes.Buffer
-						if err := l.o.SaveSnapshot(&snap, "s"); err != nil {
-							t.Fatal(err)
-						}
-						if !bytes.Equal(snap.Bytes(), refSnap.Bytes()) {
-							t.Fatalf("cap %d pass %d: %s/%d snapshot differs from %s/%d", cap, pass, l.name, l.chunk, ref.name, ref.chunk)
-						}
+					if !bytes.Equal(snap.Bytes(), refSnap.Bytes()) {
+						t.Fatalf("pass %d: %s/%d snapshot differs from %s/%d", pass, l.name, l.chunk, legs[0].name, legs[0].chunk)
 					}
 				}
 			}
@@ -167,11 +167,10 @@ func TestBatchedNoMemoMatchesSerial(t *testing.T) {
 }
 
 // TestEngineConcurrentCallers: several goroutines issue random batches and
-// single words on one shared oracle. The engine serializes them per oracle,
-// so no two words interleave their store, LRU and slab operations, and
-// every answer matches the ground-truth machine. The session cap is small
-// enough to evict, yet large enough (several parks per shard) that the
-// batches resume from each other's parks. Run it under -race.
+// single words on one shared oracle, on the compiled engine and on the
+// interpreted prober's probe path. Both serialize them per oracle, so no
+// two words interleave their store operations or probes, and every answer
+// matches the ground-truth machine. Run it under -race.
 func TestEngineConcurrentCallers(t *testing.T) {
 	truth, err := mealy.FromPolicy(policy.MustNew("New1", 4), 0)
 	if err != nil {
@@ -185,7 +184,7 @@ func TestEngineConcurrentCallers(t *testing.T) {
 		{"interpreted", NewInterpretedSimProber(policy.MustNew("New1", 4))},
 	} {
 		t.Run(leg.name, func(t *testing.T) {
-			o := NewOracle(leg.p, WithSessionCap(32))
+			o := NewOracle(leg.p)
 			var wg sync.WaitGroup
 			start := make(chan struct{})
 			errs := make(chan error, 8)
@@ -268,17 +267,20 @@ func (s serialTeacher) OutputQueryBatch(ctx context.Context, words [][]int) ([][
 }
 
 // TestBatchedLearnEquivalence runs the full learner end to end at a pinned
-// prefetch width on the compiled executor, the interpreted executor, and a
-// teacher that answers every batch word by word: the learned machines must
-// be identical and the oracle counters bit-identical — the whole learning
-// trajectory, not just individual queries, is preserved.
+// prefetch width on the compiled engine, on the interpreted prober's probe
+// path, and on a compiled teacher that answers every batch word by word:
+// the learned machines, the learner's statistics and the snapshots must be
+// identical — the whole learning trajectory, not just individual queries,
+// is preserved. The two compiled oracles' counters must be identical too;
+// the probe path counts its own probes and accesses.
 func TestBatchedLearnEquivalence(t *testing.T) {
 	for _, name := range []string{"LRU", "SRRIP-HP", "New1"} {
 		t.Run(name, func(t *testing.T) {
 			compiled := NewOracle(NewSimProber(policy.MustNew(name, 4)))
 			interp := NewOracle(NewInterpretedSimProber(policy.MustNew(name, 4)))
 			serial := NewOracle(NewSimProber(policy.MustNew(name, 4)))
-			var machines [][]byte
+			var machines, snaps [][]byte
+			var stats []learn.Stats
 			for _, teacher := range []learn.Teacher{hinted{compiled}, hinted{interp}, serialTeacher{hinted{serial}}} {
 				res, err := learn.Learn(context.Background(), teacher, learn.Options{Depth: 1})
 				if err != nil {
@@ -289,56 +291,29 @@ func TestBatchedLearnEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				machines = append(machines, js)
+				res.Stats.Duration = 0
+				stats = append(stats, res.Stats)
 			}
-			if !bytes.Equal(machines[0], machines[1]) || !bytes.Equal(machines[0], machines[2]) {
-				t.Fatal("executors or chunkings produced different machine JSON")
-			}
-			if cs, is, ss := compiled.Stats(), interp.Stats(), serial.Stats(); cs != is || cs != ss {
-				t.Fatalf("oracle stats diverged: compiled %+v, interpreted %+v, word by word %+v", cs, is, ss)
-			}
-		})
-	}
-}
-
-// TestSessionSlabBounded: an interpreted oracle parks forked sessions in
-// its session slab, and unpark must return every evicted session's slot.
-// Streaming every word up to depth 4 twice at a small session cap, the
-// answers must match the ground-truth machine, the occupied slots must
-// equal the parked positions, and the slab must never grow past the
-// parked budget plus the one slot a park takes before its eviction.
-func TestSessionSlabBounded(t *testing.T) {
-	for _, name := range []string{"New1", "SRRIP-HP"} {
-		t.Run(name, func(t *testing.T) {
-			truth, err := mealy.FromPolicy(policy.MustNew(name, 4), 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			o := NewOracle(NewInterpretedSimProber(policy.MustNew(name, 4)), WithSessionCap(6))
-			budget := o.lruCap * o.out.Stripes()
-			words := qstore.Enumerate(policy.NumInputs(4), 4)[1:]
-			for pass := 0; pass < 2; pass++ {
-				for _, w := range words {
-					got, err := o.OutputQuery(context.Background(), w)
-					if err != nil {
-						t.Fatalf("word %v: %v", w, err)
-					}
-					want := truth.Run(w)
-					for j := range want {
-						if got[j] != want[j] {
-							t.Fatalf("word %v answered %v, truth %v", w, got, want)
-						}
-					}
-					parked := 0
-					for _, l := range o.lru {
-						parked += l.parked
-					}
-					if held := len(o.slab) - len(o.free); held != parked {
-						t.Fatalf("after %v: slab holds %d sessions, %d positions parked", w, held, parked)
-					}
-					if len(o.slab) > budget+1 {
-						t.Fatalf("after %v: slab has %d slots, budget %d parked positions", w, len(o.slab), budget)
-					}
+			for _, o := range []*Oracle{compiled, interp, serial} {
+				var buf bytes.Buffer
+				if err := o.SaveSnapshot(&buf, "s"); err != nil {
+					t.Fatal(err)
 				}
+				snaps = append(snaps, buf.Bytes())
+			}
+			for i := 1; i < 3; i++ {
+				if !bytes.Equal(machines[0], machines[i]) {
+					t.Fatalf("teacher %d learned a different machine JSON", i)
+				}
+				if !reflect.DeepEqual(stats[0], stats[i]) {
+					t.Fatalf("learner stats diverged: %+v vs teacher %d %+v", stats[0], i, stats[i])
+				}
+				if !bytes.Equal(snaps[0], snaps[i]) {
+					t.Fatalf("teacher %d recorded a different snapshot", i)
+				}
+			}
+			if cs, ss := compiled.Stats(), serial.Stats(); cs != ss {
+				t.Fatalf("oracle stats diverged: batched %+v, word by word %+v", cs, ss)
 			}
 		})
 	}

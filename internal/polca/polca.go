@@ -68,30 +68,12 @@ func CheckSuffix(q []blocks.Block, k int) error {
 	return nil
 }
 
-// Session is an incremental probing session rooted at the cache's initial
-// state, used by the fast oracle path on software-simulated caches.
-type Session interface {
-	// Access feeds one block and returns its outcome.
-	Access(b blocks.Block) (cache.Outcome, error)
-	// Fork returns an independent session in the same cache state.
-	Fork() (Session, error)
-}
-
-// evictionProbe returns the outcome an access of b would produce on sess
-// without advancing sess, by accessing b on a discarded fork.
-func evictionProbe(sess Session, b blocks.Block) (cache.Outcome, error) {
-	fork, err := sess.Fork()
-	if err != nil {
-		return cache.Miss, err
-	}
-	return fork.Access(b)
-}
-
 // ConcurrentProber marks a Prober whose Probe method is safe for concurrent
 // use (e.g. cachequery.ParallelProber, which multiplexes probes over a pool
 // of independent CPU replicas). The oracle answers batched output queries on
 // parallel goroutines only for concurrent probers; anything else — notably
-// a bare hardware interface pinned to one core — is served serially,
+// a bare hardware interface pinned to one core — is served one word at a
+// time under the oracle's mutex, even across concurrent callers,
 // preserving correctness by default.
 type ConcurrentProber interface {
 	Prober
@@ -133,29 +115,29 @@ type Stats struct {
 // memoization that the real tool delegates to LevelDB (§4.2) — upgraded to a
 // prefix-tree query engine over the shared query store (internal/qstore):
 // outputs are memoized per policy symbol, so any query is answered from its
-// longest recorded prefix, and simulator probers park live sessions at
-// store nodes so a query that extends a known prefix executes only its
-// suffix instead of replaying the whole word from reset.
+// longest recorded prefix, and on a compiled simulator every recorded node
+// keeps the table state its prefix reaches, so a query that extends a known
+// prefix executes only its suffix instead of replaying the whole word from
+// reset.
 //
 // The oracle is safe for concurrent use and implements learn.BatchTeacher.
-// A simulator oracle (*SimProber) answers every query through one engine
-// that runs word by word, serialized per oracle (see engine.go), so its
-// answers and cost counters do not depend on the host or on how callers
-// chunk their queries. Any other prober takes the reset-rooted probe path
-// (see probe.go), and independent words of a batch fan out on parallel
-// goroutines when the prober is a ConcurrentProber (a pool of hardware
-// replicas). The stores are lock-striped — one shard per leading input symbol
-// — so those workers recording answers in different subtrees never contend
-// on a single mutex; the cost counters are atomics, touched lock-free on
-// the hot path.
+// A compiled simulator oracle (*SimProber on the policy kernel) answers
+// every query through that engine (see engine.go). Any other prober takes
+// the reset-rooted probe path (see probe.go). Unless the prober is a
+// ConcurrentProber (a pool of hardware replicas), whose batches fan out on
+// parallel goroutines, the oracle answers word by word under one mutex, so
+// its answers and cost counters do not depend on the host or on how
+// callers chunk their queries. The stores are lock-striped — one shard per
+// leading input symbol — so fan-out workers recording answers in different
+// subtrees never contend on a single mutex; the cost counters are atomics,
+// touched lock-free on the hot path.
 type Oracle struct {
 	prober  Prober
-	sim     *SimProber // non-nil when the engine answers (see engine.go)
+	sim     *SimProber // a compiled simulator: the engine answers (see engine.go)
 	cc0     []blocks.Block
 	cc0IDs  []int32 // dense universe indices of cc0
 	recheck int     // re-run every recheck-th query to detect nondeterminism
 	workers int     // batch fan-out width over a ConcurrentProber
-	sessCap int
 
 	retry RetryPolicy // transient-failure retry policy (see retry.go)
 	votes int         // probe executions per result; >1 majority-votes against flips
@@ -177,34 +159,14 @@ type Oracle struct {
 	ckMu    sync.Mutex
 	ckLast  atomic.Int64
 
-	engine sync.Mutex // held across one engine batch and its audits
+	engine sync.Mutex // held across one serial batch and its audits
 
-	out    *qstore.Store[int, outVal]     // policy-level output memo + parked positions
-	pt     *qstore.Store[int32, probeVal] // block-level probe memo + single-flight
-	lru    []lruList                      // per-shard parked-position LRU (see store.go)
-	lruCap int                            // parked-position budget per shard
-	slab   []Session                      // interpreted prober's parked sessions, by slot
-	free   []int32                        // free slab slots
+	out *qstore.Store[int, outVal]     // policy-level output memo + table states
+	pt  *qstore.Store[int32, probeVal] // block-level probe memo + single-flight
 }
 
 // Option configures an Oracle.
 type Option func(*Oracle)
-
-// DefaultSessionCap bounds how many positions the trie keeps parked at
-// interior nodes before evicting the least recently used one.
-const DefaultSessionCap = 1024
-
-// WithSessionCap overrides the parked-session bound; n <= 0 restores
-// DefaultSessionCap. The budget is divided evenly across the output
-// store's shards (at least one parked position per shard).
-func WithSessionCap(n int) Option {
-	return func(o *Oracle) {
-		if n <= 0 {
-			n = DefaultSessionCap
-		}
-		o.sessCap = n
-	}
-}
 
 // WithDeterminismChecks re-executes every n-th output query and compares the
 // answers, converting silent cross-query nondeterminism (the symptom of an
@@ -216,10 +178,10 @@ func WithDeterminismChecks(n int) Option {
 
 // WithParallelism caps the number of goroutines a batched output query may
 // fan out over a ConcurrentProber. n <= 0 restores the default,
-// runtime.GOMAXPROCS(0); n == 1 forces serial batch answering. The cap is
-// also the oracle's BatchHint, and so sets the learner's prefetch width.
-// Any other prober, a simulator's included, answers serially, hints 1 and
-// ignores it.
+// runtime.GOMAXPROCS(0); n == 1 forces serial answering under the oracle's
+// mutex. The cap is also the oracle's BatchHint, and so sets the learner's
+// prefetch width. Any other prober, a simulator's included, answers
+// serially, hints 1 and ignores it.
 func WithParallelism(n int) Option {
 	return func(o *Oracle) { o.workers = n }
 }
@@ -281,13 +243,14 @@ func (o *Oracle) maybeCheckpoint() {
 // NewOracle builds a Polca oracle over the given cache interface.
 func NewOracle(p Prober, opts ...Option) *Oracle {
 	o := &Oracle{
-		prober:  p,
-		cc0:     append([]blocks.Block(nil), p.InitialContent()...),
-		sessCap: DefaultSessionCap,
-		retry:   DefaultRetryPolicy,
-		votes:   1,
+		prober: p,
+		cc0:    append([]blocks.Block(nil), p.InitialContent()...),
+		retry:  DefaultRetryPolicy,
+		votes:  1,
 	}
-	o.sim, _ = p.(*SimProber)
+	if sp, ok := p.(*SimProber); ok && sp.Compiled() {
+		o.sim = sp
+	}
 	for _, opt := range opts {
 		opt(o)
 	}
@@ -305,14 +268,6 @@ func NewOracle(p Prober, opts ...Option) *Oracle {
 	numIn := policy.NumInputs(p.Assoc())
 	o.out = qstore.New[int, outVal](qstore.Options{Degree: numIn, Stripes: numIn, Sync: true})
 	o.pt = qstore.New[int32, probeVal](qstore.Options{Stripes: numIn, Sync: true})
-	o.lru = make([]lruList, o.out.Stripes())
-	for i := range o.lru {
-		o.lru[i] = lruList{head: -1, tail: -1}
-	}
-	o.lruCap = o.sessCap / o.out.Stripes()
-	if o.lruCap < 1 {
-		o.lruCap = 1
-	}
 	return o
 }
 
@@ -348,9 +303,9 @@ func (o *Oracle) StoreFootprint() (outNodes, probeNodes int) {
 // cycle with package learn's tests): the learner scales its prefetch chunks
 // to the hint. It is the oracle's usable parallelism, fixed for its
 // lifetime: the worker cap of a concurrent prober (core.LearnHardware sets
-// it to the replica count), and 1 for any other — a simulator oracle
-// answers batches word by word under one mutex, so it keeps the exact
-// serial query trajectory.
+// it to the replica count), and 1 for any other — such an oracle answers
+// batches word by word under one mutex, so it keeps the exact serial
+// query trajectory.
 func (o *Oracle) BatchHint() int { return o.parallelism() }
 
 // parallelism reports how many goroutines a batch may use against the
@@ -376,12 +331,14 @@ func (o *Oracle) OutputQuery(ctx context.Context, word []int) ([]int, error) {
 	if err := o.admit(ctx, word); err != nil {
 		return nil, err
 	}
-	if o.sim == nil {
-		return o.outputQuery(ctx, int(o.outputQueries.Add(1)), word)
+	serial := o.parallelism() == 1
+	if serial {
+		o.engine.Lock()
 	}
-	o.engine.Lock()
-	ans, err := o.engineQuery(ctx, word)
-	o.engine.Unlock()
+	ans, err := o.answer(ctx, int(o.outputQueries.Add(1)), word)
+	if serial {
+		o.engine.Unlock()
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -389,20 +346,26 @@ func (o *Oracle) OutputQuery(ctx context.Context, word []int) ([]int, error) {
 	return ans, nil
 }
 
-// outputQuery answers word as output query number seq on the probe path.
-func (o *Oracle) outputQuery(ctx context.Context, seq int, word []int) ([]int, error) {
+// answer answers word as output query number seq and audits it: through
+// the query engine on a compiled simulator oracle, through reset-rooted
+// probes otherwise.
+func (o *Oracle) answer(ctx context.Context, seq int, word []int) ([]int, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	o.symbols.Add(int64(len(word)))
-	out, err := o.probesQueryTrie(ctx, word)
-	if err != nil {
-		return nil, err
+	var out []int
+	if o.sim != nil {
+		out = o.engineWord(word)
+	} else {
+		var err error
+		if out, err = o.probesQueryTrie(ctx, word); err != nil {
+			return nil, err
+		}
 	}
 	if err := o.audit(ctx, seq, word, out); err != nil {
 		return nil, err
 	}
-	o.maybeCheckpoint()
 	return out, nil
 }
 
@@ -428,42 +391,39 @@ func (o *Oracle) audit(ctx context.Context, seq int, word, out []int) error {
 }
 
 // OutputQueryBatch implements learn.BatchTeacher: it answers len(words)
-// independent output queries. A simulator oracle answers the whole batch
-// in one engine pass; otherwise the words fan out across a worker pool
-// when the prober supports concurrent probing (a pool of hardware
-// replicas), falling back to a serial loop. A word with an out-of-range
-// symbol fails the whole call before any counter, store or probe is
-// touched. Answers, memo contents and counters are identical to
-// asking the words one by one; only the wall-clock cost changes. The
-// fan-out reserves the batch's query numbers up front and gives each word
-// its index-ordered number, so which words the determinism audit re-checks
-// does not depend on goroutine scheduling.
+// independent output queries. An oracle whose prober is not a
+// ConcurrentProber — a simulator's included — answers the words one by one
+// under its engine mutex, so concurrent callers never probe at once;
+// otherwise the words fan out across a worker pool (a pool of hardware
+// replicas). A word with an out-of-range symbol fails the whole call
+// before any counter, store or probe is touched. Answers, memo contents
+// and counters are identical to asking the words one by one; only the
+// wall-clock cost changes. The fan-out reserves the batch's query numbers
+// up front and gives each word its index-ordered number, so which words
+// the determinism audit re-checks does not depend on goroutine scheduling.
 func (o *Oracle) OutputQueryBatch(ctx context.Context, words [][]int) ([][]int, error) {
 	if err := o.admit(ctx, words...); err != nil {
 		return nil, err
 	}
-	if o.sim != nil {
-		out, err := o.engineRun(ctx, words)
+	workers := o.parallelism()
+	out := make([][]int, len(words))
+	if workers == 1 {
+		var err error
+		o.engine.Lock()
+		for i, w := range words {
+			if out[i], err = o.answer(ctx, int(o.outputQueries.Add(1)), w); err != nil {
+				break
+			}
+		}
+		o.engine.Unlock()
 		if err != nil {
 			return nil, err
 		}
 		o.maybeCheckpoint()
 		return out, nil
 	}
-	workers := o.parallelism()
 	if workers > len(words) {
 		workers = len(words)
-	}
-	out := make([][]int, len(words))
-	if workers <= 1 {
-		for i, w := range words {
-			ans, err := o.outputQuery(ctx, int(o.outputQueries.Add(1)), w)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = ans
-		}
-		return out, nil
 	}
 	first := int(o.outputQueries.Add(int64(len(words)))) - len(words) + 1
 	errs := make([]error, len(words))
@@ -476,14 +436,15 @@ func (o *Oracle) OutputQueryBatch(ctx context.Context, words [][]int) ([][]int, 
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				// outputQuery checks ctx up front, so a batch cancelled by
-				// its first failure drains its remaining indices without
+				// answer checks ctx up front, so a batch cancelled by its
+				// first failure drains its remaining indices without
 				// prober work and every worker exits through the channel
 				// close — one exhausted retry ladder fails the batch, the
 				// other words do not each pay their own.
-				out[i], errs[i] = o.outputQuery(bctx, first+i, words[i])
-				if errs[i] != nil {
+				if out[i], errs[i] = o.answer(bctx, first+i, words[i]); errs[i] != nil {
 					cancel()
+				} else {
+					o.maybeCheckpoint()
 				}
 			}
 		}()

@@ -10,43 +10,46 @@ import (
 
 // SimProber adapts a software-simulated cache set (internal/cache) to the
 // Prober interface used for the §6 case study: every probe replays the query
-// from the set's idealized reset state. An oracle over a SimProber answers
-// through its query engine (engine.go) rather than through Probe, which
-// serves the determinism audit and the reset-rooted path of wrappers such
-// as SlowProber.
+// from the set's idealized reset state.
 //
 // By default the policy is compiled into a dense transition table
-// (policy.Compile): the engine steps the table directly and parks a
-// position as its int32 table state. Policies the kernel cannot compile
-// (state spaces over the bound, or contract violations like policy.Random)
-// silently keep the interpreted path, which the engine executes on forking
-// sessions parked in the oracle's session slab; trajectories and learned
-// machines are bit-identical either way.
-// NewInterpretedSimProber forces the interpreted path for the kernel
-// ablation benchmarks.
+// (policy.Compile), and an oracle over the prober answers through its
+// query engine (engine.go), which steps the table directly and keeps one
+// int32 table state per recorded node; Probe then serves only the
+// determinism audit. Policies the kernel cannot compile (state spaces over
+// policy.DefaultCompileStates, or contract violations like policy.Random)
+// keep the interpreted cache set, and their oracle answers through the
+// reset-rooted probe path (probe.go), as it does for hardware. Learned
+// machines, learner trajectories and snapshots are bit-identical either
+// way; only the oracle's cost counters differ. NewInterpretedSimProber
+// forces the interpreted path for tests and the kernel ablation benchmark.
+//
+// A SimProber is not safe for concurrent use: its probes share one
+// scratch state. An oracle over it answers one word at a time.
 type SimProber struct {
 	set *cache.Set    // interpreted path (nil when the compiled kernel is active)
 	tab *policy.Table // compiled kernel
 	cc0 []blocks.Block
 	n   int
 
-	scratch kernelSession // reusable probe state for the Probe/ProbeTrace paths
+	// The compiled Probe path's scratch run: table state and content.
+	state   int32
+	content []blocks.Block
 }
 
 // NewSimProber wraps a fresh cache set governed by pol, compiled onto the
 // policy kernel when pol is compilable.
 func NewSimProber(pol policy.Policy) *SimProber {
 	if t, ok := policy.CompileOrSelf(pol).(*policy.Table); ok {
-		p := &SimProber{tab: t, cc0: blocks.Ordered(t.Assoc()), n: t.Assoc()}
-		p.scratch = kernelSession{tab: t, content: make([]blocks.Block, t.Assoc())}
-		return p
+		n := t.Assoc()
+		return &SimProber{tab: t, cc0: blocks.Ordered(n), n: n, content: make([]blocks.Block, n)}
 	}
 	return NewInterpretedSimProber(pol)
 }
 
 // NewInterpretedSimProber wraps a fresh cache set driven through the
-// interpreted Policy interface, bypassing the compiled kernel — the
-// pre-kernel simulator path the ablation benchmarks compare against.
+// interpreted Policy interface, bypassing the compiled kernel: its oracle
+// takes the reset-rooted probe path.
 func NewInterpretedSimProber(pol policy.Policy) *SimProber {
 	return &SimProber{set: cache.NewSet(pol), cc0: blocks.Ordered(pol.Assoc()), n: pol.Assoc()}
 }
@@ -89,7 +92,8 @@ func (p *SimProber) ProbeTrace(ctx context.Context, q []blocks.Block, k int) ([]
 // len(out) accesses to out, and returns the last outcome.
 func (p *SimProber) run(q []blocks.Block, out []cache.Outcome) cache.Outcome {
 	if p.tab != nil {
-		p.scratch.reset(p.tab, p.cc0)
+		p.state = p.tab.InitState()
+		copy(p.content, p.cc0)
 	} else {
 		p.set.Reset()
 	}
@@ -97,7 +101,7 @@ func (p *SimProber) run(q []blocks.Block, out []cache.Outcome) cache.Outcome {
 	var last cache.Outcome
 	for i, b := range q {
 		if p.tab != nil {
-			last, _ = p.scratch.Access(b)
+			last = p.access(b)
 		} else {
 			last, _ = p.set.Access(b)
 		}
@@ -108,79 +112,28 @@ func (p *SimProber) run(q []blocks.Block, out []cache.Outcome) cache.Outcome {
 	return last
 }
 
-// NewSession returns a session at the reset state: the oracle's query
-// engine executes interpreted words on these and parks their forks.
-// Sessions are independent of each other and of the prober (kernel
-// sessions share only the immutable table), so it is safe for concurrent
-// use.
-func (p *SimProber) NewSession() (Session, error) {
-	if p.tab != nil {
-		s := &kernelSession{tab: p.tab, state: p.tab.InitState(), content: append([]blocks.Block(nil), p.cc0...)}
-		return s, nil
-	}
-	s := p.set.Clone()
-	s.Reset()
-	return &simSession{set: s}, nil
-}
-
-// kernelSession is a compiled-kernel probing session: the full cache state
-// is one table state id plus the content tuple, making sessions copyable
-// values — Fork copies n strings and an int32 instead of cloning policy
-// objects. It serves the reset-rooted Probe path and NewSession; the
-// engine steps the table without it.
-type kernelSession struct {
-	tab     *policy.Table
-	state   int32
-	content []blocks.Block
-}
-
-// reset rewinds the session to the prober's reset state, reusing the
-// content storage.
-func (s *kernelSession) reset(tab *policy.Table, cc0 []blocks.Block) {
-	s.tab = tab
-	s.state = tab.InitState()
-	copy(s.content, cc0)
-}
-
-// Access implements Session: a content scan plus one table lookup. Sessions
-// are reset-rooted, so the set is always full and the semantics is exactly
-// Definition 2.3.
-func (s *kernelSession) Access(b blocks.Block) (cache.Outcome, error) {
+// access feeds b to the compiled scratch run: a content scan plus one
+// table lookup. Runs are reset-rooted, so the set is always full and the
+// semantics is exactly Definition 2.3.
+func (p *SimProber) access(b blocks.Block) cache.Outcome {
 	if b == "" {
 		panic("cache: access to empty block name")
 	}
-	for i, c := range s.content {
+	for i, c := range p.content {
 		if c == b {
-			s.state, _ = s.tab.Step(s.state, i)
-			return cache.Hit, nil
+			p.state, _ = p.tab.Step(p.state, i)
+			return cache.Hit
 		}
 	}
-	next, v := s.tab.Step(s.state, len(s.content))
-	s.state = next
-	s.content[v] = b
-	return cache.Miss, nil
-}
-
-// Fork implements Session: the session is a value, so forking is one small
-// copy with no policy clone.
-func (s *kernelSession) Fork() (Session, error) {
-	return &kernelSession{tab: s.tab, state: s.state, content: append([]blocks.Block(nil), s.content...)}, nil
-}
-
-type simSession struct{ set *cache.Set }
-
-func (s *simSession) Access(b blocks.Block) (cache.Outcome, error) {
-	oc, _ := s.set.Access(b)
-	return oc, nil
-}
-
-func (s *simSession) Fork() (Session, error) {
-	return &simSession{set: s.set.Clone()}, nil
+	next, v := p.tab.Step(p.state, p.n)
+	p.state = next
+	p.content[v] = b
+	return cache.Miss
 }
 
 // SlowProber wraps a Prober and hides every extension, forcing the oracle
-// onto the faithful reset-rooted probe path. Used by the ablation
-// benchmarks that quantify the cost of the quadratic prefix replay.
+// onto the reset-rooted probe path even over a compiled SimProber. Tests
+// use it to check the probe path against the simulator engine.
 type SlowProber struct{ P Prober }
 
 // Assoc implements Prober.

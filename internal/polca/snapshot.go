@@ -3,9 +3,9 @@ package polca
 // On-disk snapshots of the oracle's policy-output store, for warm-started
 // learning: a snapshot saved after one run answers every previously-asked
 // policy query of a later run straight from the store, so the backend is
-// probed only for genuinely new words. Parked positions are a decoration
-// the snapshot skips — a warm oracle parks afresh, and only for words that
-// actually extend past the recorded prefixes.
+// probed only for genuinely new words. Table states are a decoration the
+// snapshot skips: a compiled simulator oracle recomputes them for the
+// loaded nodes in one walk of its table.
 //
 // A snapshot is only meaningful against the same system under the same
 // reset: replaying outputs recorded for a different policy or reset would
@@ -47,7 +47,7 @@ func corruptf(format string, args ...any) error {
 }
 
 // outCodec encodes output-store values for snapshots: the policy output
-// alone. Parked positions and LRU links are transient decorations.
+// alone. Table states follow from the key.
 type outCodec struct{}
 
 // AppendValue implements qstore.Codec.
@@ -81,14 +81,15 @@ func (o *Oracle) SaveSnapshot(w io.Writer, scope string) error {
 // LoadSnapshot merges a snapshot into the oracle's policy-output store.
 // It fails on a scope mismatch, an unsupported header, or any corruption
 // the store layer detects — in every failure case the store is untouched.
-// Loading is only allowed before the oracle has answered any query:
-// applying snapshot entries over nodes that already hold parked
-// positions would wipe the decorations while the LRU bookkeeping still
-// references them. Several snapshots of the same scope may be loaded in
-// sequence, as long as all of them land before the first query.
+// On a compiled simulator oracle it then stores at every node the table
+// state its prefix reaches, as the engine does for the nodes it records.
+// Loading is only allowed before the oracle has answered any query, so a
+// snapshot never overwrites answers the oracle recorded itself. Several
+// snapshots of the same scope may be loaded in sequence, as long as all of
+// them land before the first query.
 func (o *Oracle) LoadSnapshot(r io.Reader, scope string) error {
 	if o.outputQueries.Load() != 0 {
-		return errors.New("polca: LoadSnapshot must run before the oracle answers queries (loading over parked positions would corrupt them)")
+		return errors.New("polca: LoadSnapshot must run before the oracle answers queries")
 	}
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(snapshotMagic))
@@ -126,6 +127,9 @@ func (o *Oracle) LoadSnapshot(r io.Reader, scope string) error {
 			return fmt.Errorf("polca: %w", err)
 		}
 		return err
+	}
+	if o.sim != nil {
+		o.fillStates()
 	}
 	return nil
 }

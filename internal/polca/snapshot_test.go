@@ -3,12 +3,15 @@ package polca
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/learn"
 	"repro/internal/policy"
+	"repro/internal/qstore"
 )
 
 // randomWords draws a reproducible query workload over the policy alphabet.
@@ -67,18 +70,111 @@ func TestSnapshotWarmOracleSkipsBackend(t *testing.T) {
 				t.Errorf("warm oracle touched the backend: %+v", st)
 			}
 
-			// A word extending a recorded prefix costs one session: the
-			// known prefix is fast-forwarded by pure feeding (no eviction
-			// probes) and only the new symbol does real oracle work.
+			// A word extending a recorded prefix resumes from the table
+			// state the load stored at its node: only the new Ln symbol
+			// does oracle work, one access.
 			ext := append(append([]int(nil), words[0]...), 0)
 			if _, err := warm.OutputQuery(context.Background(), ext); err != nil {
 				t.Fatal(err)
 			}
-			if st := warm.Stats(); st.Probes != 1 || st.Accesses > len(ext)+c.assoc {
+			if st := warm.Stats(); st.Probes != 1 || st.Accesses != 1 {
 				t.Errorf("extension of a snapshotted word cost %d probes / %d accesses", st.Probes, st.Accesses)
 			}
 		})
 	}
+}
+
+// checkStates fails unless every recorded node of o's output store holds
+// the table state its prefix reaches, judged against the interpreted
+// policy mk builds, run from reset over the prefix. It returns the number
+// of nodes checked.
+func checkStates(t *testing.T, o *Oracle, mk func() policy.Policy) int {
+	t.Helper()
+	n := o.prober.Assoc()
+	checked := 0
+	var walk func(sh *qstore.Shard[int, outVal], node int32, prefix []int)
+	walk = func(sh *qstore.Shard[int, outVal], node int32, prefix []int) {
+		for ip := 0; ip < o.out.Degree(); ip++ {
+			c := sh.Child(node, ip)
+			if c < 0 {
+				continue
+			}
+			w := append(prefix[:len(prefix):len(prefix)], ip)
+			if sh.Has(c) {
+				pol := mk()
+				for _, x := range w {
+					if x < n {
+						pol.OnHit(x)
+					} else {
+						pol.OnMiss()
+					}
+				}
+				if got, want := o.sim.tab.KeyOf(sh.Val(c).state), pol.StateKey(); got != want {
+					t.Fatalf("node %v holds state %q, its prefix reaches %q", w, got, want)
+				}
+				checked++
+			}
+			walk(sh, c, w)
+		}
+	}
+	for i := 0; i < o.out.Stripes(); i++ {
+		sh := o.out.AcquireIdx(i)
+		walk(sh, 0, nil)
+		sh.Release()
+	}
+	return checked
+}
+
+// TestSnapshotWarmStartRestoresStates: after LoadSnapshot every recorded
+// node of a simulator oracle holds the table state its prefix reaches, so
+// a warm learn resumes its new words from the loaded nodes. Warmed by a
+// depth-0 learn's snapshot, a depth-1 learn learns the cold learn's
+// machine with the same learner statistics and fewer probes.
+func TestSnapshotWarmStartRestoresStates(t *testing.T) {
+	mk := func() policy.Policy { return policy.MustNew("SRRIP-HP", 4) }
+	ctx := context.Background()
+	seed := NewOracle(NewSimProber(mk()))
+	if _, err := learn.Learn(ctx, seed, learn.Options{Depth: 0}); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := seed.SaveSnapshot(&buf, "s"); err != nil {
+		t.Fatal(err)
+	}
+	cold := NewOracle(NewSimProber(mk()))
+	warm := NewOracle(NewSimProber(mk()))
+	if err := warm.LoadSnapshot(bytes.NewReader(buf.Bytes()), "s"); err != nil {
+		t.Fatal(err)
+	}
+	if loaded := checkStates(t, warm, mk); loaded != seed.out.CountSet() {
+		t.Fatalf("checked %d loaded nodes, the snapshot holds %d", loaded, seed.out.CountSet())
+	}
+	var machines [][]byte
+	var stats []learn.Stats
+	for _, o := range []*Oracle{cold, warm} {
+		res, err := learn.Learn(ctx, o, learn.Options{Depth: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		js, err := json.Marshal(res.Machine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		machines = append(machines, js)
+		res.Stats.Duration = 0
+		stats = append(stats, res.Stats)
+	}
+	if !bytes.Equal(machines[0], machines[1]) {
+		t.Fatal("warm learn learned a different machine")
+	}
+	if !reflect.DeepEqual(stats[0], stats[1]) {
+		t.Fatalf("learner stats diverged: cold %+v, warm %+v", stats[0], stats[1])
+	}
+	cs, ws := cold.Stats(), warm.Stats()
+	if ws.Probes == 0 || ws.Probes >= cs.Probes {
+		t.Fatalf("warm learn sent %d probes, cold %d: want fewer, but some", ws.Probes, cs.Probes)
+	}
+	checkStates(t, warm, mk)
 }
 
 func TestSnapshotScopeMismatchRejected(t *testing.T) {
@@ -124,9 +220,8 @@ func TestSnapshotRejectsCorruptPayload(t *testing.T) {
 	}
 }
 
-// Loading over an oracle that has already answered queries would zero
-// parked-session decorations the LRU lists still reference; it must be
-// refused.
+// Loading over an oracle that has already answered queries would
+// overwrite answers it recorded itself; it must be refused.
 func TestSnapshotLoadAfterQueriesRejected(t *testing.T) {
 	cold := NewOracle(NewSimProber(policy.MustNew("LRU", 4)))
 	if _, err := cold.OutputQuery(context.Background(), []int{4, 0}); err != nil {

@@ -33,7 +33,7 @@ const DefaultCompileStates = 1 << 17
 // Table is a policy compiled to dense next-state/output tables over interned
 // state ids. The arrays are immutable after compilation and shared by every
 // clone; the only mutable field is the current state id, which is what makes
-// compiled sessions copyable values.
+// compiled cache states copyable values.
 type Table struct {
 	name  string
 	assoc int
@@ -317,8 +317,8 @@ func (t *Table) Clone() Policy {
 }
 
 // State returns the current control state id — the value layers that carry
-// table states directly (cache sets, forked simulator sessions) fork and
-// park instead of policy objects.
+// table states directly (cache sets, the oracle's query store) copy and
+// keep instead of policy objects.
 func (t *Table) State() int32 { return t.state }
 
 // InitState returns the id of the state the table was rooted at.

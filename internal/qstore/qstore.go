@@ -38,9 +38,9 @@
 //
 // Nodes hold a value of the store's payload type V plus a "set" flag.
 // Val returns a pointer into the shard's arena so callers can decorate
-// nodes in place (Polca parks live simulator sessions and LRU links in
-// its payload); such decorations are the caller's to maintain and are
-// skipped by snapshots. Arena pointers are invalidated by the next
+// nodes in place (Polca keeps a simulator's table state in its payload);
+// such decorations are the caller's to maintain and are skipped by
+// snapshots. Arena pointers are invalidated by the next
 // Extend/Ensure on the same shard — re-read instead of holding them
 // across inserts.
 package qstore
@@ -89,7 +89,6 @@ type node[V any] struct {
 type Shard[K Key, V any] struct {
 	mu     sync.Mutex
 	st     *Store[K, V]
-	idx    int
 	dense  map[K]int32 // raw edge label -> dense id (dynamic stores only)
 	edges  []K         // dense id -> raw edge label (dynamic stores only)
 	nodes  []node[V]
@@ -123,7 +122,6 @@ func New[K Key, V any](opt Options) *Store[K, V] {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.st = s
-		sh.idx = i
 		sh.nodes = []node[V]{{childOff: -1}}
 		if opt.Degree == 0 {
 			sh.dense = make(map[K]int32)
@@ -184,10 +182,6 @@ func (sh *Shard[K, V]) Release() {
 		sh.mu.Unlock()
 	}
 }
-
-// Index returns the shard's index, e.g. for caller-side per-shard
-// decorations (Polca's parked-session LRU lists).
-func (sh *Shard[K, V]) Index() int { return sh.idx }
 
 // Child returns the child of n along edge a, or -1 when absent.
 func (sh *Shard[K, V]) Child(n int32, a K) int32 {

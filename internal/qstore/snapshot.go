@@ -18,7 +18,7 @@ package qstore
 //
 // Depth-first emission makes the shared prefix the parent's whole key, so
 // a snapshot costs O(1) symbols per node instead of O(depth). Transient
-// state — epoch marks, caller-side decorations such as parked sessions —
+// state — epoch marks, caller-side decorations such as table states —
 // is not saved; values are reduced to whatever the codec encodes.
 //
 // Load reads the whole snapshot, checks the checksum before touching the
