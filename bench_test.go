@@ -399,46 +399,6 @@ func BenchmarkAblationAlgo(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreParallel quantifies the lock striping of the shared query
-// store (internal/qstore) under contention. The store legs hammer one
-// store from 8 goroutines with a mixed read/write load over the LRU-4
-// policy alphabet — stripes=1 is the single-mutex configuration the
-// pre-qstore oracle was stuck with, striped is the default one-shard-per-
-// input-symbol layout.
-//
-// The wall-clock gap is a function of real cores: on a single-core machine
-// the legs coincide (8 goroutines time-slice one CPU, so no lock is ever
-// contended for long), and the striping gain materializes on multi-core
-// runners. Striping must never change the work, only the waiting.
-func BenchmarkStoreParallel(b *testing.B) {
-	words := qstore.Enumerate(5, 6)[1:]
-	store := func(b *testing.B, stripes int) {
-		b.ReportAllocs()
-		st := qstore.New[int, int](qstore.Options{Degree: 5, Stripes: stripes, Sync: true})
-		const workers = 8
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for j, word := range words {
-						if (j+w)%2 == 0 {
-							st.Set(word, j)
-						} else {
-							st.Get(word)
-						}
-					}
-				}(w)
-			}
-			wg.Wait()
-		}
-	}
-	b.Run("store/stripes=1", func(b *testing.B) { store(b, 1) })
-	b.Run("store/striped", func(b *testing.B) { store(b, 5) })
-}
-
 // BenchmarkSnapshotWarm quantifies warm-started learning: a cold run
 // learns New1-4 from scratch while a warm run loads the oracle's
 // query-store snapshot first and replays every recorded answer from it.

@@ -3,7 +3,7 @@
 // progress, and the model-artifact zoo — behind one multi-tenant HTTP API.
 //
 // All clients of a (policy, associativity) pair share one engine (a single
-// Polca oracle over one compiled policy table and one striped query store),
+// Polca oracle over one compiled policy table and one query store),
 // duplicate in-flight queries are single-flighted across tenants, and
 // per-tenant token buckets bound what any one client can spend. With
 // -snapshot-dir, engines load warm snapshots on boot, checkpoint every

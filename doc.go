@@ -17,8 +17,8 @@
 //   - internal/polca — the Polca oracle (Algorithm 1): policy-level
 //     queries over block probes, with a prefix-trie probe memo and a
 //     simulator table state at every recorded prefix
-//   - internal/qstore — the generic lock-striped prefix-trie query store
-//     (memoization, node decorations, snapshots)
+//   - internal/qstore — the generic prefix-trie query store, locked by
+//     its owner (memoization, node decorations, snapshots)
 //   - internal/intern — dense integer interning for hot-path keys
 //   - internal/learn — two Mealy-machine learners (L*-style table and
 //     discrimination tree) over one batched, memoizing query engine

@@ -83,7 +83,7 @@ func (f *Frontend) SetResultCache(on bool) {
 	case !on:
 		f.results = nil
 	case f.results == nil:
-		f.results = qstore.New[int32, string](qstore.Options{})
+		f.results = qstore.New[int32, string](0)
 	}
 }
 

@@ -5,7 +5,7 @@
 //
 // The daemon is multi-tenant by construction. All clients of a
 // (policy, associativity) pair share one engine: a single Polca oracle over
-// one compiled policy.Table, backed by the lock-striped qstore, so every
+// one compiled policy.Table, backed by one qstore prefix trie, so every
 // answer any client ever obtained is memoized for all of them. Duplicate
 // in-flight query requests are single-flighted across tenants (the second
 // request waits for the first instead of re-executing), per-tenant
@@ -100,7 +100,7 @@ type engineKey struct {
 }
 
 // engine is the shared per-(policy, assoc) serving unit: one oracle over
-// one compiled table and one striped query store, used by every query
+// one compiled table and one prefix-trie query store, used by every query
 // request and learning job for that pair.
 type engine struct {
 	policy   string // canonical name

@@ -231,7 +231,6 @@ type engine struct {
 	batch   int // prefetch chunk size; <= 1 keeps the loop exactly serial
 
 	memo *qstore.Store[int, int32] // prefix-tree output-query memo (memo.go)
-	trie *qstore.Shard[int, int32] // its only shard
 
 	stats Stats
 }
@@ -241,15 +240,13 @@ func newEngine(ctx context.Context, t Teacher, opt Options) engine {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	memo := qstore.New[int, int32](qstore.Options{Degree: t.NumInputs()})
 	return engine{
 		ctx:     ctx,
 		teacher: t,
 		opt:     opt,
 		numIn:   t.NumInputs(),
 		batch:   resolveBatch(t),
-		memo:    memo,
-		trie:    memo.AcquireIdx(0),
+		memo:    qstore.New[int, int32](t.NumInputs()),
 	}
 }
 
@@ -284,7 +281,7 @@ type rowSig struct {
 func newLearner(ctx context.Context, t Teacher, opt Options) *learner {
 	l := &learner{
 		engine:   newEngine(ctx, t, opt),
-		sufs:     qstore.New[int, struct{}](qstore.Options{Degree: t.NumInputs()}),
+		sufs:     qstore.New[int, struct{}](t.NumInputs()),
 		ids:      intern.New(),
 		rowCache: make(map[int32]rowSig),
 		prefixes: [][]int{{}},
@@ -319,10 +316,10 @@ func (l *engine) query(w []int) ([]int, error) {
 	out := make([]int, len(w))
 	n := int32(0)
 	for i, a := range w {
-		if n = l.trie.Child(n, a); n < 0 || !l.trie.Has(n) {
+		if n = l.memo.Child(n, a); n < 0 || !l.memo.Has(n) {
 			return l.ask(w)
 		}
-		out[i] = int(*l.trie.Val(n))
+		out[i] = int(*l.memo.Val(n))
 	}
 	return out, nil
 }
@@ -400,12 +397,12 @@ func (l *engine) dispatch(pending [][]int) error {
 // rowID returns the interned row signature of prefix u over the current
 // suffixes: every cell's output word folds to a dense id, and the row is
 // the left fold of its cell ids — no string keys are built. The fold is
-// cached under u's node in the output memo (a single unsynchronized shard,
-// so node ids are stable handles) and extended over the suffixes appended
+// cached under u's node in the output memo (an unsynchronized store, so
+// node ids are stable handles) and extended over the suffixes appended
 // since it was last computed. A fold interrupted by a query error is not
 // stored.
 func (l *learner) rowID(u []int) (int32, error) {
-	node := l.trie.Find(u)
+	node := l.memo.Find(u)
 	sig := rowSig{acc: intern.Empty}
 	if node >= 0 {
 		if c, ok := l.rowCache[node]; ok {
@@ -607,7 +604,7 @@ func (l *engine) findCounterexample(hyp *mealy.Machine) ([]int, error) {
 func (l *engine) checkWord(hyp *mealy.Machine, w []int) ([]int, error) {
 	n, state, fail := int32(0), hyp.Init, -1
 	for i := 0; i < len(w); i++ {
-		if n = l.trie.Child(n, w[i]); n < 0 || !l.trie.Has(n) {
+		if n = l.memo.Child(n, w[i]); n < 0 || !l.memo.Has(n) {
 			if _, err := l.ask(w); err != nil {
 				return nil, err
 			}
@@ -616,7 +613,7 @@ func (l *engine) checkWord(hyp *mealy.Machine, w []int) ([]int, error) {
 		}
 		if fail < 0 {
 			var out int
-			if state, out = hyp.Step(state, w[i]); int(*l.trie.Val(n)) != out {
+			if state, out = hyp.Step(state, w[i]); int(*l.memo.Val(n)) != out {
 				fail = i
 			}
 		}

@@ -16,7 +16,7 @@ package learn
 // compare outputs against the hypothesis along the walk.
 //
 // The learner runs on one goroutine, so the memo is an unsynchronized
-// single-shard store whose node ids are stable handles.
+// store whose node ids are stable handles.
 
 import (
 	"repro/internal/intern"
@@ -27,8 +27,8 @@ import (
 // current epoch, and reports whether the mark is new and whether w is
 // already answered.
 func (l *engine) note(w []int) (fresh, answered bool) {
-	n := l.trie.Ensure(w)
-	return l.trie.Mark(n), l.trie.Has(n)
+	n := l.memo.Ensure(w)
+	return l.memo.Mark(n), l.memo.Has(n)
 }
 
 // fold returns the interned output word of s read off the memo below node
@@ -36,10 +36,10 @@ func (l *engine) note(w []int) (fresh, answered bool) {
 func (l *engine) fold(ids *intern.Interner, n int32, s []int) (int32, bool) {
 	acc := intern.Empty
 	for _, a := range s {
-		if n = l.trie.Child(n, a); n < 0 || !l.trie.Has(n) {
+		if n = l.memo.Child(n, a); n < 0 || !l.memo.Has(n) {
 			return 0, false
 		}
-		acc = ids.Append(acc, int(*l.trie.Val(n)))
+		acc = ids.Append(acc, int(*l.memo.Val(n)))
 	}
 	return acc, true
 }
@@ -57,7 +57,7 @@ func (l *engine) cellID(ids *intern.Interner, nu *int32, u, s []int) (int32, err
 	if err != nil {
 		return 0, err
 	}
-	*nu = l.trie.Find(u)
+	*nu = l.memo.Find(u)
 	return ids.Word(out[len(u):]), nil
 }
 
@@ -74,8 +74,8 @@ func (l *engine) output(u []int, a int) (int, error) {
 func (l *engine) record(w, out []int) {
 	n := int32(0)
 	for i, a := range w {
-		n = l.trie.Extend(n, a)
-		*l.trie.Val(n) = int32(out[i])
-		l.trie.SetHas(n)
+		n = l.memo.Extend(n, a)
+		*l.memo.Val(n) = int32(out[i])
+		l.memo.SetHas(n)
 	}
 }

@@ -48,7 +48,7 @@ func checkCachedFolds(t *testing.T, l *learner, complete bool) {
 	t.Helper()
 	asked := l.stats.OutputQueries
 	for _, u := range tableWords(l) {
-		node := l.trie.Find(u)
+		node := l.memo.Find(u)
 		sig, ok := l.rowCache[node]
 		if node < 0 || !ok {
 			if complete {

@@ -67,7 +67,7 @@ func (l *treeLearner) newState(w []int) (int32, error) {
 // and hence a fresh hypothesis state — when an inner node has no edge for
 // the observed suffix output (the closedness analog of the table learner).
 func (l *treeLearner) sift(w []int) (int, error) {
-	n, nw := int32(0), l.trie.Find(w)
+	n, nw := int32(0), l.memo.Find(w)
 	for l.nodes[n].state < 0 {
 		id, err := l.cellID(l.ids, &nw, w, l.nodes[n].suffix)
 		if err != nil {
@@ -208,7 +208,7 @@ func (l *treeLearner) refine(hyp *mealy.Machine, w []int) error {
 // re-sifted through the new inner node on the next build pass — re-sifting
 // is almost entirely memo hits, only the new experiment v costs queries.
 func (l *treeLearner) split(state int, w, v []int) error {
-	nold, nnew := l.trie.Find(l.access[state]), l.trie.Find(w)
+	nold, nnew := l.memo.Find(l.access[state]), l.memo.Find(w)
 	oldID, err := l.cellID(l.ids, &nold, l.access[state], v)
 	if err != nil {
 		return err

@@ -23,8 +23,9 @@ package polca
 // per word with a suffix, and accesses = suffix length + associativity per
 // Evct (the eviction probes a reset-rooted run issues). Holding the engine
 // mutex across a batch serializes concurrent callers — polcad's query
-// handlers and jobs on one shared engine — so they never interleave store
-// operations.
+// handlers and jobs on one shared engine — so they never interleave their
+// words; each word holds outMu, which keeps StoreFootprint and
+// SaveSnapshot off the store while it changes.
 
 import "repro/internal/policy"
 
@@ -33,16 +34,17 @@ import "repro/internal/policy"
 func (o *Oracle) engineWord(word []int) []int {
 	tab, n := o.sim.tab, o.sim.n
 	out := make([]int, len(word))
-	sh := o.out.Acquire(word)
-	defer sh.Release()
+	store := o.out
+	o.outMu.Lock()
+	defer o.outMu.Unlock()
 	node, st, k := int32(0), tab.InitState(), 0
 	for ; k < len(word); k++ {
-		c := sh.Child(node, word[k])
-		if c < 0 || !sh.Has(c) {
+		c := store.Child(node, word[k])
+		if c < 0 || !store.Has(c) {
 			break
 		}
 		node = c
-		v := sh.Val(c)
+		v := store.Val(c)
 		out[k], st = int(v.out), v.state
 	}
 	o.memoHits.Add(int64(k))
@@ -65,9 +67,9 @@ func (o *Oracle) engineWord(word []int) []int {
 			out[d] = int(v)
 			accesses += 1 + n
 		}
-		node = sh.Extend(node, ip)
-		*sh.Val(node) = outVal{out: int16(out[d]), state: st}
-		sh.SetHas(node)
+		node = store.Extend(node, ip)
+		*store.Val(node) = outVal{out: int16(out[d]), state: st}
+		store.SetHas(node)
 	}
 	o.probesN.Add(1)
 	o.accessesN.Add(int64(accesses))
@@ -75,28 +77,24 @@ func (o *Oracle) engineWord(word []int) []int {
 }
 
 // fillStates stores at every node of the output store the table state its
-// prefix reaches, in one depth-first walk of each shard: the engine's
-// invariant for nodes a snapshot loaded.
+// prefix reaches, in one depth-first walk: the engine's invariant for
+// nodes a snapshot loaded. The caller holds outMu.
 func (o *Oracle) fillStates() {
 	tab := o.sim.tab
 	type frame struct {
 		node int32
 		st   int32
 	}
-	for i := 0; i < o.out.Stripes(); i++ {
-		sh := o.out.AcquireIdx(i)
-		stack := []frame{{0, tab.InitState()}}
-		for len(stack) > 0 {
-			f := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for ip := 0; ip < o.out.Degree(); ip++ {
-				if c := sh.Child(f.node, ip); c >= 0 {
-					st, _ := tab.Step(f.st, ip)
-					sh.Val(c).state = st
-					stack = append(stack, frame{c, st})
-				}
+	stack := []frame{{0, tab.InitState()}}
+	for len(stack) > 0 {
+		f := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for ip := 0; ip < o.out.Degree(); ip++ {
+			if c := o.out.Child(f.node, ip); c >= 0 {
+				st, _ := tab.Step(f.st, ip)
+				o.out.Val(c).state = st
+				stack = append(stack, frame{c, st})
 			}
 		}
-		sh.Release()
 	}
 }

@@ -127,10 +127,9 @@ type Stats struct {
 // ConcurrentProber (a pool of hardware replicas), whose batches fan out on
 // parallel goroutines, the oracle answers word by word under one mutex, so
 // its answers and cost counters do not depend on the host or on how
-// callers chunk their queries. The stores are lock-striped — one shard per
-// leading input symbol — so fan-out workers recording answers in different
-// subtrees never contend on a single mutex; the cost counters are atomics,
-// touched lock-free on the hot path.
+// callers chunk their queries. Each store has its own mutex, held only
+// around a store walk or update (see store.go); the cost counters are
+// atomics, touched lock-free on the hot path.
 type Oracle struct {
 	prober  Prober
 	sim     *SimProber // a compiled simulator: the engine answers (see engine.go)
@@ -161,8 +160,12 @@ type Oracle struct {
 
 	engine sync.Mutex // held across one serial batch and its audits
 
-	out *qstore.Store[int, outVal]     // policy-level output memo + table states
-	pt  *qstore.Store[int32, probeVal] // block-level probe memo + single-flight
+	outMu sync.Mutex
+	out   *qstore.Store[int, outVal] // policy-level output memo + table states; guarded by outMu
+
+	ptMu     sync.Mutex
+	pt       *qstore.Store[int32, probeVal] // block-level probe memo; guarded by ptMu
+	inflight map[int32]*inflightProbe       // pt node -> its execution in flight; guarded by ptMu
 }
 
 // Option configures an Oracle.
@@ -265,9 +268,9 @@ func NewOracle(p Prober, opts ...Option) *Oracle {
 		}
 		o.cc0IDs[i] = int32(id)
 	}
-	numIn := policy.NumInputs(p.Assoc())
-	o.out = qstore.New[int, outVal](qstore.Options{Degree: numIn, Stripes: numIn, Sync: true})
-	o.pt = qstore.New[int32, probeVal](qstore.Options{Stripes: numIn, Sync: true})
+	o.out = qstore.New[int, outVal](policy.NumInputs(p.Assoc()))
+	o.pt = qstore.New[int32, probeVal](0)
+	o.inflight = make(map[int32]*inflightProbe)
 	return o
 }
 
@@ -294,9 +297,15 @@ func (o *Oracle) Stats() Stats {
 // stores — the policy-level output memo and the block-level probe memo —
 // as a live capacity/coverage signal. The polcad daemon surfaces it on the
 // status endpoint so operators can watch shared engines fill up. Reading
-// them takes each shard lock briefly, so the hot query path is unaffected.
+// them takes each store's mutex for one length read.
 func (o *Oracle) StoreFootprint() (outNodes, probeNodes int) {
-	return o.out.NodeCount(), o.pt.NodeCount()
+	o.outMu.Lock()
+	outNodes = o.out.NodeCount()
+	o.outMu.Unlock()
+	o.ptMu.Lock()
+	probeNodes = o.pt.NodeCount()
+	o.ptMu.Unlock()
+	return outNodes, probeNodes
 }
 
 // BatchHint implements learn.BatchHinter (duck-typed to avoid an import

@@ -34,12 +34,13 @@ import (
 	"repro/internal/policy"
 )
 
-// inflightProbe is a single-flight slot: the first goroutine to miss the
-// memo at a probe-store node executes, and every concurrent requester of
-// the same node waits on done instead of duplicating the (expensive)
-// execution. The node of an Evct's prefix hosts two executions in turn:
-// the Evct's access probe while the node holds no outcome, then the
-// eviction group, which is only claimed once the access has answered.
+// inflightProbe is a single-flight slot, kept in the oracle's inflight map
+// under the probe-store node it executes for: the first goroutine to miss
+// the memo at a node executes, and every concurrent requester of the same
+// node waits on done instead of duplicating the (expensive) execution.
+// The node of an Evct's prefix hosts two executions in turn: the Evct's
+// access probe while the node holds no outcome, then the eviction group,
+// which is only claimed once the access has answered.
 type inflightProbe struct {
 	done   chan struct{}
 	oc     cache.Outcome // access probe answer
@@ -47,40 +48,40 @@ type inflightProbe struct {
 	err    error
 }
 
-// claimNode looks up the probe-store node of key under its shard lock.
-// The recorded answer of an eviction group (group) is the node's victim,
-// that of a probe its outcome; a recorded answer comes back in val with a
-// nil fl. Otherwise the caller joins the execution in flight (fl, own
-// false) or claims the node's slot (fl, own true) and must publish.
+// claimNode looks up the probe-store node of key under ptMu. The recorded
+// answer of an eviction group (group) is the node's victim, that of a
+// probe its outcome; a recorded answer comes back in val with a nil fl.
+// Otherwise the caller joins the execution in flight (fl, own false) or
+// claims the node's slot (fl, own true) and must publish.
 func (o *Oracle) claimNode(key []int32, group bool) (node int32, val probeVal, fl *inflightProbe, own bool) {
-	sh := o.pt.Acquire(key)
-	defer sh.Release()
-	node = sh.Ensure(key)
-	v := sh.Val(node)
-	switch {
-	case group && v.victim > 0, !group && sh.Has(node):
-		return node, *v, nil, false
-	case v.fl != nil:
-		return node, *v, v.fl, false
+	o.ptMu.Lock()
+	defer o.ptMu.Unlock()
+	node = o.pt.Ensure(key)
+	val = *o.pt.Val(node)
+	if group && val.victim > 0 || !group && o.pt.Has(node) {
+		return node, val, nil, false
 	}
-	v.fl = &inflightProbe{done: make(chan struct{})}
-	return node, *v, v.fl, true
+	if fl = o.inflight[node]; fl != nil {
+		return node, val, fl, false
+	}
+	fl = &inflightProbe{done: make(chan struct{})}
+	o.inflight[node] = fl
+	return node, val, fl, true
 }
 
 // publish frees the slot fl of node, records a successful execution's
 // answer and wakes the joiners.
-func (o *Oracle) publish(key []int32, node int32, fl *inflightProbe, group bool) {
-	sh := o.pt.Acquire(key)
-	v := sh.Val(node)
-	v.fl = nil
+func (o *Oracle) publish(node int32, fl *inflightProbe, group bool) {
+	o.ptMu.Lock()
+	delete(o.inflight, node)
 	switch {
 	case fl.err != nil:
 	case group:
-		v.victim = int8(fl.victim + 1)
+		o.pt.Val(node).victim = int8(fl.victim + 1)
 	default:
-		recordOutcome(sh, node, fl.oc)
+		o.recordOutcome(node, fl.oc)
 	}
-	sh.Release()
+	o.ptMu.Unlock()
 	close(fl.done)
 }
 
@@ -94,11 +95,11 @@ func (o *Oracle) await(fl *inflightProbe, hits int) error {
 	return fl.err
 }
 
-// recordOutcome memoizes oc at node, leaving any single-flight slot or
-// victim the node holds in place.
-func recordOutcome(sh *probeShard, node int32, oc cache.Outcome) {
-	sh.Val(node).oc = oc
-	sh.SetHas(node)
+// recordOutcome memoizes oc at node, leaving any victim the node holds in
+// place. The caller holds ptMu.
+func (o *Oracle) recordOutcome(node int32, oc cache.Outcome) {
+	o.pt.Val(node).oc = oc
+	o.pt.SetHas(node)
 }
 
 // probe issues one memoized reset-rooted probe: ids carries q as dense
@@ -122,7 +123,7 @@ func (o *Oracle) probe(ctx context.Context, q []blocks.Block, ids []int32) (cach
 		o.probesN.Add(1)
 		o.accessesN.Add(int64(len(q)))
 	}
-	o.publish(ids, node, fl, false)
+	o.publish(node, fl, false)
 	return fl.oc, fl.err
 }
 
@@ -156,9 +157,9 @@ func (o *Oracle) reprobe(ctx context.Context, q []blocks.Block, ids []int32) (ca
 		return cache.Miss, err
 	}
 	o.reprobesN.Add(1)
-	sh := o.pt.Acquire(ids)
-	recordOutcome(sh, sh.Ensure(ids), oc)
-	sh.Release()
+	o.ptMu.Lock()
+	o.recordOutcome(o.pt.Ensure(ids), oc)
+	o.ptMu.Unlock()
 	return oc, nil
 }
 
@@ -256,8 +257,7 @@ func (o *Oracle) rawProbe(ctx context.Context, q []blocks.Block, fresh bool) (ca
 
 // probesQueryTrie answers one output query over reset-rooted probes. The
 // prefix recorded in the output store costs no probe: it is walked under
-// the word's shard lock, evolving the tracked content cc and the blocks
-// fed. The remaining symbols run through probeSuffix, and their outputs
+// outMu, evolving the tracked content cc and the blocks fed. The remaining symbols run through probeSuffix, and their outputs
 // are recorded.
 func (o *Oracle) probesQueryTrie(ctx context.Context, word []int) ([]int, error) {
 	n := o.prober.Assoc()
@@ -270,15 +270,15 @@ func (o *Oracle) probesQueryTrie(ctx context.Context, word []int) ([]int, error)
 	// whether a concurrent word sharing the prefix recorded it first or is
 	// still probing it.
 	spared := 0
-	sh := o.out.Acquire(word)
+	o.outMu.Lock()
 	k, node := 0, int32(0)
 	for ; k < len(word); k++ {
-		c := sh.Child(node, word[k])
-		if c < 0 || !sh.Has(c) {
+		c := o.out.Child(node, word[k])
+		if c < 0 || !o.out.Has(c) {
 			break
 		}
 		b := mapInputID(word[k], cc)
-		if out[k] = int(sh.Val(c).out); out[k] != policy.Bottom {
+		if out[k] = int(o.out.Val(c).out); out[k] != policy.Bottom {
 			cc[out[k]] = b
 			spared += n
 		}
@@ -286,7 +286,7 @@ func (o *Oracle) probesQueryTrie(ctx context.Context, word []int) ([]int, error)
 		spared++
 		node = c
 	}
-	sh.Release()
+	o.outMu.Unlock()
 	o.memoHits.Add(int64(spared))
 	if k == len(word) {
 		return out, nil
@@ -294,14 +294,14 @@ func (o *Oracle) probesQueryTrie(ctx context.Context, word []int) ([]int, error)
 	if err := o.probeSuffix(ctx, word, k, out, cc, fed, false); err != nil {
 		return nil, err
 	}
-	sh = o.out.Acquire(word)
+	o.outMu.Lock()
 	node = 0
 	for d, ip := range word {
-		node = sh.Extend(node, ip)
-		sh.Val(node).out = int16(out[d])
-		sh.SetHas(node)
+		node = o.out.Extend(node, ip)
+		o.out.Val(node).out = int16(out[d])
+		o.out.SetHas(node)
 	}
-	sh.Release()
+	o.outMu.Unlock()
 	return out, nil
 }
 
@@ -408,7 +408,7 @@ func (o *Oracle) findEvicted(ctx context.Context, ic []int32, icN []blocks.Block
 		return fl.victim, nil
 	}
 	fl.victim, fl.err = o.runGroup(ctx, ic, icN, cc)
-	o.publish(ic, node, fl, true)
+	o.publish(node, fl, true)
 	return fl.victim, fl.err
 }
 
@@ -441,12 +441,12 @@ func (o *Oracle) runGroup(ctx context.Context, ic []int32, icN []blocks.Block, c
 	}
 	evicted, err := victim(ocs, cc)
 	if err == nil {
-		sh := o.pt.Acquire(ic)
-		base := sh.Ensure(ic)
+		o.ptMu.Lock()
+		base := o.pt.Ensure(ic)
 		for i, c := range cc {
-			recordOutcome(sh, sh.Extend(base, c), ocs[i])
+			o.recordOutcome(o.pt.Extend(base, c), ocs[i])
 		}
-		sh.Release()
+		o.ptMu.Unlock()
 		return evicted, nil
 	}
 	ids, qs := memberProbes(ic, icN, cc)

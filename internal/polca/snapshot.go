@@ -17,6 +17,7 @@ package polca
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -65,17 +66,23 @@ func (outCodec) DecodeValue(src []byte) (outVal, int, error) {
 }
 
 // SaveSnapshot writes the oracle's recorded policy outputs to w, tagged
-// with the caller's scope string.
+// with the caller's scope string. The store is encoded under outMu and
+// written after it is released, so a slow writer never stalls queries.
 func (o *Oracle) SaveSnapshot(w io.Writer, scope string) error {
-	var hdr []byte
-	hdr = append(hdr, snapshotMagic...)
+	hdr := []byte(snapshotMagic)
 	hdr = binary.AppendUvarint(hdr, snapshotVersion)
 	hdr = binary.AppendUvarint(hdr, uint64(len(scope)))
-	hdr = append(hdr, scope...)
-	if _, err := w.Write(hdr); err != nil {
-		return fmt.Errorf("polca: writing snapshot header: %w", err)
+	buf := bytes.NewBuffer(append(hdr, scope...))
+	o.outMu.Lock()
+	err := o.out.Save(buf, outCodec{})
+	o.outMu.Unlock()
+	if err != nil {
+		return err
 	}
-	return o.out.Save(w, outCodec{})
+	if _, err := w.Write(buf.Bytes()); err != nil {
+		return fmt.Errorf("polca: writing snapshot: %w", err)
+	}
+	return nil
 }
 
 // LoadSnapshot merges a snapshot into the oracle's policy-output store.
@@ -121,6 +128,8 @@ func (o *Oracle) LoadSnapshot(r io.Reader, scope string) error {
 	if string(got) != scope {
 		return fmt.Errorf("%w: snapshot recorded for %q, this oracle is %q", ErrSnapshotScope, got, scope)
 	}
+	o.outMu.Lock()
+	defer o.outMu.Unlock()
 	if err := o.out.Load(br, outCodec{}); err != nil {
 		var se *qstore.SnapshotError
 		if errors.As(err, &se) {

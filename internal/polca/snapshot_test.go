@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/learn"
 	"repro/internal/policy"
-	"repro/internal/qstore"
 )
 
 // randomWords draws a reproducible query workload over the policy alphabet.
@@ -92,15 +91,15 @@ func checkStates(t *testing.T, o *Oracle, mk func() policy.Policy) int {
 	t.Helper()
 	n := o.prober.Assoc()
 	checked := 0
-	var walk func(sh *qstore.Shard[int, outVal], node int32, prefix []int)
-	walk = func(sh *qstore.Shard[int, outVal], node int32, prefix []int) {
+	var walk func(node int32, prefix []int)
+	walk = func(node int32, prefix []int) {
 		for ip := 0; ip < o.out.Degree(); ip++ {
-			c := sh.Child(node, ip)
+			c := o.out.Child(node, ip)
 			if c < 0 {
 				continue
 			}
 			w := append(prefix[:len(prefix):len(prefix)], ip)
-			if sh.Has(c) {
+			if o.out.Has(c) {
 				pol := mk()
 				for _, x := range w {
 					if x < n {
@@ -109,19 +108,17 @@ func checkStates(t *testing.T, o *Oracle, mk func() policy.Policy) int {
 						pol.OnMiss()
 					}
 				}
-				if got, want := o.sim.tab.KeyOf(sh.Val(c).state), pol.StateKey(); got != want {
+				if got, want := o.sim.tab.KeyOf(o.out.Val(c).state), pol.StateKey(); got != want {
 					t.Fatalf("node %v holds state %q, its prefix reaches %q", w, got, want)
 				}
 				checked++
 			}
-			walk(sh, c, w)
+			walk(c, w)
 		}
 	}
-	for i := 0; i < o.out.Stripes(); i++ {
-		sh := o.out.AcquireIdx(i)
-		walk(sh, 0, nil)
-		sh.Release()
-	}
+	o.outMu.Lock()
+	walk(0, nil)
+	o.outMu.Unlock()
 	return checked
 }
 
@@ -146,8 +143,8 @@ func TestSnapshotWarmStartRestoresStates(t *testing.T) {
 	if err := warm.LoadSnapshot(bytes.NewReader(buf.Bytes()), "s"); err != nil {
 		t.Fatal(err)
 	}
-	if loaded := checkStates(t, warm, mk); loaded != seed.out.CountSet() {
-		t.Fatalf("checked %d loaded nodes, the snapshot holds %d", loaded, seed.out.CountSet())
+	if loaded, saved := checkStates(t, warm, mk), checkStates(t, seed, mk); loaded != saved {
+		t.Fatalf("checked %d loaded nodes, the snapshot holds %d", loaded, saved)
 	}
 	var machines [][]byte
 	var stats []learn.Stats

@@ -18,17 +18,16 @@ package polca
 // dense edge interning keeps child arrays sized by the blocks actually
 // seen.
 //
-// Both stores are lock-striped by first symbol, so probe-path workers over
-// a ConcurrentProber recording words in different subtrees never contend;
-// the simulator engine serializes on the oracle's engine mutex and holds
-// one word's shard while it answers that word. Table states are the
-// oracle's decoration on the output store's values: snapshots skip them,
-// and LoadSnapshot recomputes them.
+// Each store is one trie under its own oracle mutex: outMu guards the
+// output store, ptMu the probe store and its single-flight slots. No code
+// path holds both. The simulator engine answers a word under outMu (and
+// the engine mutex that serializes its batches); the probe path takes each
+// mutex only around a store walk or update, never across a probe, so
+// fan-out workers over a ConcurrentProber wait on the hardware, not on
+// each other. Table states are the oracle's decoration on the output
+// store's values: snapshots skip them, and LoadSnapshot recomputes them.
 
-import (
-	"repro/internal/cache"
-	"repro/internal/qstore"
-)
+import "repro/internal/cache"
 
 // outVal is the per-node payload of the policy-output store. It holds no
 // pointers, so the garbage collector never scans the store's node arrays.
@@ -37,12 +36,10 @@ type outVal struct {
 	state int32 // compiled simulator oracles: the table state the prefix reaches
 }
 
-// probeVal is the per-node payload of the block-id probe store.
+// probeVal is the per-node payload of the block-id probe store. Like
+// outVal it holds no pointers: a node's single-flight slot, while its
+// probe or eviction group executes, lives in the oracle's inflight map.
 type probeVal struct {
-	fl     *inflightProbe // single-flight slot while the node's probe or eviction group executes
-	oc     cache.Outcome  // memoized final outcome
-	victim int8           // 1 + the recorded victim of the eviction group rooted here, 0 if none
+	oc     cache.Outcome // memoized final outcome
+	victim int8          // 1 + the recorded victim of the eviction group rooted here, 0 if none
 }
-
-// probeShard is the locked view of one probe-store shard.
-type probeShard = qstore.Shard[int32, probeVal]

@@ -1,7 +1,7 @@
 package qstore
 
 // Arena-backed child storage. Nodes no longer own a heap-allocated child
-// slice each; a shard keeps one flat []int32 arena per block-size class
+// slice each; a store keeps one flat []int32 arena per block-size class
 // and every node records an offset into its class. Handles (node ids and
 // child offsets) are stable across arena growth — growth appends, never
 // moves — so Val/Child pointers into the node arena obey the same
@@ -69,52 +69,52 @@ func (f *freebits) take() int32 {
 }
 
 // classOf returns the size class of a child array holding length entries:
-// class 0 for fixed-degree shards, ceil(log2(length)) otherwise. Growing a
+// class 0 for fixed-degree stores, ceil(log2(length)) otherwise. Growing a
 // child count within its class capacity never changes the class, so
 // (offset, length) alone locates a block.
-func (sh *Shard[K, V]) classOf(length int32) int {
-	if sh.st.degree != 0 {
+func (s *Store[K, V]) classOf(length int32) int {
+	if s.degree != 0 {
 		return 0
 	}
 	return bits.Len32(uint32(length - 1))
 }
 
 // blockSize returns the entry count of class c's blocks.
-func (sh *Shard[K, V]) blockSize(c int) int32 {
-	if sh.st.degree != 0 {
-		return int32(sh.st.degree)
+func (s *Store[K, V]) blockSize(c int) int32 {
+	if s.degree != 0 {
+		return int32(s.degree)
 	}
 	return 1 << uint(c)
 }
 
 // childSlice returns node n's child entries (nil when none) as a view into
-// the shard arena, valid until the block is freed.
-func (sh *Shard[K, V]) childSlice(n int32) []int32 {
-	nd := &sh.nodes[n]
+// the store's arena, valid until the block is freed.
+func (s *Store[K, V]) childSlice(n int32) []int32 {
+	nd := &s.nodes[n]
 	if nd.childOff < 0 {
 		return nil
 	}
-	c := sh.classOf(nd.childLen)
-	return sh.arenas[c][nd.childOff : nd.childOff+nd.childLen]
+	c := s.classOf(nd.childLen)
+	return s.arenas[c][nd.childOff : nd.childOff+nd.childLen]
 }
 
 // allocBlock returns the offset of a -1-initialized block of class c,
 // reusing a freed block when the bitmap has one and otherwise growing the
 // class arena by one block in a single step.
-func (sh *Shard[K, V]) allocBlock(c int) int32 {
-	for len(sh.arenas) <= c {
-		sh.arenas = append(sh.arenas, nil)
-		sh.free = append(sh.free, freebits{})
+func (s *Store[K, V]) allocBlock(c int) int32 {
+	for len(s.arenas) <= c {
+		s.arenas = append(s.arenas, nil)
+		s.free = append(s.free, freebits{})
 	}
-	size := sh.blockSize(c)
-	off := int32(len(sh.arenas[c]))
-	if idx := sh.free[c].take(); idx >= 0 {
+	size := s.blockSize(c)
+	off := int32(len(s.arenas[c]))
+	if idx := s.free[c].take(); idx >= 0 {
 		off = idx * size
 	} else {
-		sh.arenas[c] = grow(sh.arenas[c], int(size))[:off+size]
-		sh.free[c].grow()
+		s.arenas[c] = grow(s.arenas[c], int(size))[:off+size]
+		s.free[c].grow()
 	}
-	blk := sh.arenas[c][off : off+size]
+	blk := s.arenas[c][off : off+size]
 	for i := range blk {
 		blk[i] = -1
 	}
@@ -132,15 +132,15 @@ func grow[T any](s []T, n int) []T {
 }
 
 // freeBlock returns the block at off of class c to the bitmap.
-func (sh *Shard[K, V]) freeBlock(c int, off int32) {
-	sh.free[c].put(off / sh.blockSize(c))
+func (s *Store[K, V]) freeBlock(c int, off int32) {
+	s.free[c].put(off / s.blockSize(c))
 }
 
-// ArenaInts returns the shard's total arena capacity in int32 entries
+// arenaInts returns the store's total arena capacity in int32 entries
 // (free and allocated alike) — the figure block-reuse checks watch.
-func (sh *Shard[K, V]) ArenaInts() int {
+func (s *Store[K, V]) arenaInts() int {
 	total := 0
-	for _, a := range sh.arenas {
+	for _, a := range s.arenas {
 		total += len(a)
 	}
 	return total

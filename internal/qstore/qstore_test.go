@@ -1,17 +1,26 @@
 package qstore
 
 import (
-	"math/rand"
 	"reflect"
-	"sync"
 	"testing"
 )
 
+// countSet returns the number of recorded values in st.
+func countSet[K Key, V any](st *Store[K, V]) int {
+	total := 0
+	for _, nd := range st.nodes {
+		if nd.set {
+			total++
+		}
+	}
+	return total
+}
+
 func TestFixedDegreePrefixStore(t *testing.T) {
-	st := New[int, int](Options{Degree: 3, Stripes: 3})
+	st := New[int, int](3)
 	words := Enumerate(3, 4)[1:]
 	for i, w := range words {
-		if !st.InRange(w) {
+		if !st.inRange(w) {
 			t.Fatalf("word %v reported out of range", w)
 		}
 		if fresh := st.Set(w, i); !fresh {
@@ -27,22 +36,20 @@ func TestFixedDegreePrefixStore(t *testing.T) {
 	if _, ok := st.Get([]int{2, 2, 2, 2, 2}); ok {
 		t.Fatal("absent word reported present")
 	}
-	if st.CountSet() != len(words) {
-		t.Fatalf("CountSet = %d, want %d", st.CountSet(), len(words))
+	if got := countSet(st); got != len(words) {
+		t.Fatalf("countSet = %d, want %d", got, len(words))
 	}
-	if st.InRange([]int{0, 3}) || st.InRange([]int{-1}) {
+	if st.inRange([]int{0, 3}) || st.inRange([]int{-1}) {
 		t.Fatal("out-of-range symbols accepted")
 	}
-	// Prefix relationship: all prefixes of a word share its shard.
-	w := []int{2, 1, 0, 2}
-	sh := st.Acquire(w)
-	defer sh.Release()
+	// Prefix relationship: every prefix of a recorded word is a node on
+	// its walk from the root.
 	n := int32(0)
-	for _, a := range w {
-		if n = sh.Child(n, a); n < 0 {
+	for _, a := range []int{2, 1, 0, 2} {
+		if n = st.Child(n, a); n < 0 {
 			t.Fatalf("prefix walk broke at symbol %d", a)
 		}
-		if !sh.Has(n) {
+		if !st.Has(n) {
 			t.Fatal("prefix node has no recorded value")
 		}
 	}
@@ -51,23 +58,21 @@ func TestFixedDegreePrefixStore(t *testing.T) {
 func TestDynamicEdgesStayCompact(t *testing.T) {
 	// One legitimately huge raw label must not amplify child arrays: the
 	// dense remap sizes edges by distinct labels seen, not by magnitude.
-	st := New[int32, struct{}](Options{Degree: 0, Stripes: 1})
+	st := New[int32, struct{}](0)
 	big := int32(26_000_000)
-	sh := st.Acquire(nil)
-	sh.Ensure([]int32{0, big, 3, big, 7})
-	if w := len(sh.edges); w != 4 {
+	st.Ensure([]int32{0, big, 3, big, 7})
+	if w := len(st.edges); w != 4 {
 		t.Fatalf("dense remap holds %d edges, want 4", w)
 	}
-	for n := 0; n < sh.Len(); n++ {
-		if got := len(sh.childSlice(int32(n))); got > 4 {
+	for n := 0; n < st.NodeCount(); n++ {
+		if got := len(st.childSlice(int32(n))); got > 4 {
 			t.Fatalf("node %d has %d child slots for 4 distinct edges", n, got)
 		}
 	}
-	sh.Release()
 }
 
 func TestEpochMarks(t *testing.T) {
-	st := New[int, struct{}](Options{Degree: 2, Stripes: 2})
+	st := New[int, struct{}](2)
 	words := Enumerate(2, 3)[1:]
 	for _, w := range words {
 		if !st.InsertMark(w) {
@@ -83,49 +88,6 @@ func TestEpochMarks(t *testing.T) {
 	for _, w := range words {
 		if !st.InsertMark(w) {
 			t.Fatalf("mark of %v not fresh after reset", w)
-		}
-	}
-}
-
-func TestRouteDeterministicAndPrefixConsistent(t *testing.T) {
-	st := New[int32, string](Options{Degree: 0, Stripes: 7})
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 200; i++ {
-		key := make([]int32, 1+rng.Intn(8))
-		for j := range key {
-			key[j] = int32(rng.Intn(5))
-		}
-		if st.route(key) != st.route(key) {
-			t.Fatal("routing not deterministic")
-		}
-		ext := append(append([]int32(nil), key...), 1, 2, 3, 4)
-		if st.route(key) != st.route(ext) || st.route(key) != st.route(key[:1]) {
-			t.Fatal("keys sharing the routing prefix routed to different shards")
-		}
-	}
-}
-
-func TestConcurrentStripedStore(t *testing.T) {
-	st := New[int, int](Options{Degree: 5, Stripes: 5, Sync: true})
-	words := Enumerate(5, 4)[1:]
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i, w := range words {
-				if g%2 == 0 {
-					st.Set(w, i)
-				} else if v, ok := st.Get(w); ok && v != i {
-					t.Errorf("word %v: read %d, want %d", w, v, i)
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	for i, w := range words {
-		if v, ok := st.Get(w); !ok || v != i {
-			t.Fatalf("word %v: got (%d, %v) after concurrent writes", w, v, ok)
 		}
 	}
 }

@@ -8,8 +8,9 @@ package qstore
 //	entryCount × entry
 //	uint32 little-endian CRC-32 (IEEE) of all preceding bytes
 //
-// Entries are emitted in shard order, depth-first, and each key is
-// delta-encoded against its predecessor:
+// Entries are emitted depth-first, siblings in edge order (first-use order
+// on a dynamic store), and each key is delta-encoded against its
+// predecessor:
 //
 //	entry = uvarint keep        # symbols shared with the previous key
 //	      | uvarint m           # symbols appended after the shared prefix
@@ -24,8 +25,7 @@ package qstore
 // Load reads the whole snapshot, checks the checksum before touching the
 // store (a truncated or corrupted file is rejected atomically), and
 // errors on a version or degree mismatch. Entries merge into the store's
-// existing contents; loading into a store with a different stripe count
-// or synchronization mode is fine, since every entry is re-routed.
+// existing contents.
 
 import (
 	"encoding/binary"
@@ -80,48 +80,8 @@ type Codec[V any] interface {
 	DecodeValue(src []byte) (V, int, error)
 }
 
-// BytesCodec is a Codec for []byte values: uvarint length + raw bytes.
-type BytesCodec struct{}
-
-// AppendValue implements Codec.
-func (BytesCodec) AppendValue(dst []byte, v []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(v)))
-	return append(dst, v...)
-}
-
-// DecodeValue implements Codec.
-func (BytesCodec) DecodeValue(src []byte) ([]byte, int, error) {
-	n, k := binary.Uvarint(src)
-	if k <= 0 || uint64(len(src)-k) < n {
-		return nil, 0, snapErrf("truncated byte value")
-	}
-	out := make([]byte, n)
-	copy(out, src[k:])
-	return out, k + int(n), nil
-}
-
-// StringCodec is a Codec for string values.
-type StringCodec struct{}
-
-// AppendValue implements Codec.
-func (StringCodec) AppendValue(dst []byte, v string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(v)))
-	return append(dst, v...)
-}
-
-// DecodeValue implements Codec.
-func (StringCodec) DecodeValue(src []byte) (string, int, error) {
-	n, k := binary.Uvarint(src)
-	if k <= 0 || uint64(len(src)-k) < n {
-		return "", 0, snapErrf("truncated string value")
-	}
-	return string(src[k : k+int(n)]), k + int(n), nil
-}
-
-// Save writes a snapshot of every recorded value to w. Shards are
-// acquired one at a time, so a Sync store may be saved while other shards
-// stay live; the snapshot is a consistent image of each shard at the
-// moment it is visited.
+// Save writes a snapshot of every recorded value to w. The store must not
+// change while it is saved: an owner that shares the store holds its lock.
 func (s *Store[K, V]) Save(w io.Writer, c Codec[V]) error {
 	buf := make([]byte, 0, 1<<16)
 	buf = append(buf, snapMagic...)
@@ -149,51 +109,42 @@ func (s *Store[K, V]) Save(w io.Writer, c Codec[V]) error {
 		prev = append(prev[:0], key...)
 		entries++
 	}
-	for i := range s.shards {
-		sh := s.AcquireIdx(i)
-		// Iterative DFS over the shard arena, tracking the key stack.
-		type frame struct {
-			n    int32
-			edge int // next dense edge to visit
+	// Iterative DFS over the arena, tracking the key stack.
+	type frame struct {
+		n    int32
+		edge int // next dense edge to visit
+	}
+	stack := []frame{{n: 0}}
+	if s.nodes[0].set {
+		emit(s.nodes[0].val)
+	}
+	for len(stack) > 0 {
+		f := &stack[len(stack)-1]
+		ch := s.childSlice(f.n)
+		if f.edge >= len(ch) {
+			stack = stack[:len(stack)-1]
+			if len(key) > 0 {
+				key = key[:len(key)-1]
+			}
+			continue
 		}
-		stack := []frame{{n: 0}}
-		if sh.nodes[0].set {
-			emit(sh.nodes[0].val)
+		e := f.edge
+		f.edge++
+		child := ch[e]
+		if child < 0 {
+			continue
 		}
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			ch := sh.childSlice(f.n)
-			if f.edge >= len(ch) {
-				stack = stack[:len(stack)-1]
-				if len(key) > 0 {
-					key = key[:len(key)-1]
-				}
-				continue
-			}
-			e := f.edge
-			f.edge++
-			child := ch[e]
-			if child < 0 {
-				continue
-			}
-			var label K
-			if sh.dense == nil {
-				label = K(e)
-			} else {
-				label = sh.edges[e]
-			}
-			key = append(key, label)
-			if sh.nodes[child].set {
-				emit(sh.nodes[child].val)
-			}
-			stack = append(stack, frame{n: child})
+		var label K
+		if s.dense == nil {
+			label = K(e)
+		} else {
+			label = s.edges[e]
 		}
-		key = key[:0]
-		// Force a full key on the first entry of the next shard: keys in
-		// different shards share no routing prefix by construction, but
-		// delta coding must not assume it.
-		prev = prev[:0]
-		sh.Release()
+		key = append(key, label)
+		if s.nodes[child].set {
+			emit(s.nodes[child].val)
+		}
+		stack = append(stack, frame{n: child})
 	}
 
 	buf = binary.AppendUvarint(buf, uint64(entries))
@@ -293,7 +244,7 @@ func (s *Store[K, V]) Load(r io.Reader, c Codec[V]) error {
 			return fmt.Errorf("qstore: entry %d: %w", i, err)
 		}
 		p = p[used:]
-		if !s.InRange(key) {
+		if !s.inRange(key) {
 			return snapErrf("entry %d key out of range for degree %d", i, s.degree)
 		}
 		parsed = append(parsed, entry{key: append([]K(nil), key...), val: v})

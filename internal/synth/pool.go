@@ -9,12 +9,12 @@ import (
 
 // witnessPool is the shared CEGIS evidence set of a parallel search: the
 // seeded witness traces plus every counterexample any worker's product
-// check has discovered. Publication is deduplicated through a lock-striped,
-// epoch-marked qstore trie (InsertMark reports first insertion), so two
-// workers refuting different candidates with the same counterexample cost
-// one pool entry. Readers take immutable copy-on-write snapshots: a worker
-// refreshes its view once per skeleton chunk and prunes on the freshest
-// evidence without ever blocking publishers.
+// check has discovered. Publication is deduplicated through an
+// epoch-marked qstore trie under mu (InsertMark reports first insertion),
+// so two workers refuting different candidates with the same
+// counterexample cost one pool entry. Readers take immutable copy-on-write
+// snapshots: a worker refreshes its view once per skeleton chunk and
+// prunes on the freshest evidence without ever blocking publishers.
 //
 // The pool only ever grows, and witness filtering is sound (every witness
 // is an output of the target machine, so a trace-equivalent candidate
@@ -22,18 +22,14 @@ import (
 // deterministic: pool contents at a given moment vary with scheduling, but
 // which candidates *verify* does not.
 type witnessPool struct {
-	dedup *qstore.Store[int, int32]
 	mu    sync.Mutex
+	dedup *qstore.Store[int, int32] // guarded by mu
 	list  atomic.Pointer[[]witness]
 }
 
 // newWitnessPool builds a pool for witness words over numInputs symbols.
 func newWitnessPool(numInputs int) *witnessPool {
-	p := &witnessPool{dedup: qstore.New[int, int32](qstore.Options{
-		Degree:  numInputs,
-		Stripes: 8,
-		Sync:    true,
-	})}
+	p := &witnessPool{dedup: qstore.New[int, int32](numInputs)}
 	empty := []witness{}
 	p.list.Store(&empty)
 	return p
@@ -42,11 +38,11 @@ func newWitnessPool(numInputs int) *witnessPool {
 // publish adds w to the pool unless an identical word is already present,
 // reporting whether the pool grew.
 func (p *witnessPool) publish(w witness) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	if !p.dedup.InsertMark(w.word) {
 		return false
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	old := *p.list.Load()
 	next := make([]witness, len(old)+1)
 	copy(next, old)
